@@ -54,23 +54,6 @@ def inv(m: np.ndarray) -> np.ndarray:
     return out / d[..., None, None]
 
 
-def sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a batch of symmetric 2x2 or 3x3 matrices.
-
-    The 2x2 case is closed-form; the 3x3 case defers to ``np.linalg.eigvalsh``
-    (LAPACK handles the batching).
-    """
-    k = m.shape[-1]
-    if k == 2:
-        tr = m[..., 0, 0] + m[..., 1, 1]
-        dt = det(m)
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * dt, 0.0))
-        lo = 0.5 * (tr - disc)
-        hi = 0.5 * (tr + disc)
-        return np.stack([lo, hi], axis=-1)
-    return np.linalg.eigvalsh(m)
-
-
 def generalized_cross(tangents: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Raw-index normal covector of a batch of tangent frames.
 

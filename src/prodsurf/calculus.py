@@ -223,16 +223,12 @@ def _stencil_for_axis(grid: QuadratureGrid, axis: int) -> tuple[np.ndarray, np.n
     m = grid.shape[axis]
     w = _STENCIL_WIDTH
     ghost = 0 if grid.axes[axis].kind == "open" else _GHOST_DEPTH
-    idx = np.empty((m, w), dtype=np.intp)
-    wts = np.empty((m, w))
-    for i in range(m):
-        center = i + ghost
-        start = min(max(center - w // 2, 0), len(z_ext) - w)
-        window = np.arange(start, start + w)
-        idx[i] = window
-        wts[i] = _smallmat.lagrange_derivative_weights(z_ext[window], z_ext[center])
-        # force an exact zero row sum so constant fields differentiate to 0
-        wts[i, center - start] -= wts[i].sum()
+    center = np.arange(m) + ghost
+    start = np.clip(center - w // 2, 0, len(z_ext) - w)
+    idx = start[:, None] + np.arange(w)
+    wts = _smallmat.lagrange_derivative_weights(z_ext[idx], z_ext[center])
+    # force an exact zero row sum so constant fields differentiate to 0
+    wts[np.arange(m), center - start] -= wts.sum(axis=1)
     grid._cache[key] = (idx, wts)
     return idx, wts
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import MissingKillingData, NonCompactDomain
 
@@ -45,6 +46,26 @@ def test_non_compact_surface_refuses_to_integrate(fields):
     ff = fields("slice_H2xR_t0.5", 16)
     with pytest.raises(NonCompactDomain):
         ff.integrate(np.ones(ff.grid.shape))
+
+
+@pytest.mark.parametrize("name", ["slice_S2xR_t0.7", "graph_S3xR_coschi02",
+                                  "hyperboloid_R31_minkowski"])
+def test_stencil_weights_equal_row_by_row_reference(zoo, name):
+    # one Lagrange window per node, built one row at a time
+    _, grid, _ = zoo(name, 16)
+    for axis, spec in enumerate(grid.axes):
+        z_ext = calculus._extended_positions(grid, axis)
+        ghost = 0 if spec.kind == "open" else calculus._GHOST_DEPTH
+        w = calculus._STENCIL_WIDTH
+        idx, wts = calculus._stencil_for_axis(grid, axis)
+        for i in range(grid.shape[axis]):
+            center = i + ghost
+            start = min(max(center - w // 2, 0), len(z_ext) - w)
+            window = np.arange(start, start + w)
+            row = _smallmat.lagrange_derivative_weights(z_ext[window], z_ext[center])
+            row[center - start] -= row.sum()
+            assert np.array_equal(idx[i], window)
+            assert np.array_equal(wts[i], row)
 
 
 def test_laplacian_eigenfunction_on_the_sphere(fields):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodsurf import shape
 from prodsurf.ambient import AxisSpec, make_ambient, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike
@@ -139,3 +140,66 @@ def test_intrinsic_oracle_agrees_with_gauss_equation(zoo):
     oracle = intrinsic_curvature_oracle(surface, grid.nodes)
     gauss = 0.5 * fr.scalar_curvature
     assert np.max(np.abs(oracle - gauss)) < 5e-4
+
+
+@pytest.mark.parametrize("name,samples", [("graph_S2xR_cos03", 25),
+                                          ("graph_S3xR_coschi02", 73)])
+def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples):
+    surface, grid, _ = zoo(name, 16)
+    calls = []
+    make_sampler = shape.induced_metric_sampler
+
+    def counting_sampler(surf):
+        sample = make_sampler(surf)
+
+        def counted(s):
+            calls.append(s.shape)
+            return sample(s)
+        return counted
+
+    monkeypatch.setattr(shape, "induced_metric_sampler", counting_sampler)
+    points = grid.nodes.reshape(-1, surface.dimension)[:4]
+    intrinsic_curvature_oracle(surface, points)
+    assert len(calls) == samples
+
+
+@pytest.mark.parametrize("name", ["graph_S3xR_coschi02", "graph_S3xR1_coschi02"])
+def test_intrinsic_oracle_agrees_with_gauss_equation_n3(zoo, name):
+    surface, grid, _ = zoo(name, 16)
+    fr = frame_at(surface, grid.nodes)
+    oracle = intrinsic_curvature_oracle(surface, grid.nodes)
+    assert np.max(np.abs(oracle - fr.scalar_curvature)) < 1e-4
+
+
+@pytest.mark.parametrize("name,order", [("graph_S2xR_cos03", 4),
+                                        ("graph_S3xR_coschi02", 8)])
+def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
+    # reference: every derivative summed from its own stencil table
+    surface, grid, _ = zoo(name, 16)
+    s = grid.nodes.reshape(-1, surface.dimension)[::7]
+    n = surface.dimension
+    h = np.array([1e-2, 2e-2, 3e-2][:n])
+    g_at = shape.induced_metric_sampler(surface)
+
+    def g(*offsets):
+        off = np.zeros(n)
+        for axis, mult in offsets:
+            off[axis] += mult * h[axis]
+        return g_at(s + off)
+
+    g0, dg, ddg = shape._metric_jet(g_at, s, h, order)
+    d1, d2, mixed = (shape._D1_TABLES[order], shape._D2_TABLES[order],
+                     shape._D1_TABLES[4])
+    assert np.array_equal(g0, g())
+    for a in range(n):
+        assert np.array_equal(
+            dg[..., a, :, :], sum(w * g((a, m)) for m, w in zip(*d1)) / h[a])
+        assert np.array_equal(
+            ddg[..., a, a, :, :],
+            sum(w * g((a, m)) for m, w in zip(*d2)) / h[a] ** 2)
+        for b in range(a + 1, n):
+            cross = sum(wa * wb * g((a, ma), (b, mb))
+                        for ma, wa in zip(*mixed)
+                        for mb, wb in zip(*mixed)) / (h[a] * h[b])
+            assert np.array_equal(ddg[..., a, b, :, :], cross)
+            assert np.array_equal(ddg[..., b, a, :, :], cross)
