@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from prodsurf import shape
+from prodsurf import _smallmat, shape
 from prodsurf.ambient import AxisSpec, make_ambient, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike
 from prodsurf.shape import (ORIENTATION_POLICIES, GraphSurface, ParamSurface,
-                            default_orientation, frame_at,
-                            intrinsic_curvature_oracle)
+                            default_orientation, frame_at, graph_second_form,
+                            graph_theta, intrinsic_curvature_oracle)
+from prodsurf.zoo import _ellipsoid_jet, scenario_names
 
 
 def test_round_sphere_frame_frozen_values(fields):
@@ -93,24 +94,29 @@ def test_opposite_orientation_flips_odd_quantities(zoo):
     assert np.allclose(fr2.scalar_curvature, fr.scalar_curvature)
 
 
+def _rank_one_jet(scale: float):
+    def jet(s):
+        a = s[..., 0]
+        x = scale * np.stack([a, a, np.zeros_like(a)], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = scale
+        dx[..., 0, 1] = scale   # second tangent vanishes: rank 1
+        ddx = np.zeros(s.shape[:-1] + (2, 2, 3))
+        return x, dx, ddx
+    return jet
+
+
 def test_degenerate_jet_is_rejected():
+    # at unit size and at the size of the tiny sphere below
     ambient = make_ambient("R3_homothetic")
     axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
 
-    def jet(s):
-        a = s[..., 0]
-        x = np.stack([a, a, np.zeros_like(a)], axis=-1)
-        dx = np.zeros(s.shape[:-1] + (2, 3))
-        dx[..., 0, 0] = 1.0
-        dx[..., 0, 1] = 1.0   # second tangent vanishes: rank 1
-        ddx = np.zeros(s.shape[:-1] + (2, 2, 3))
-        return x, dx, ddx
-
-    surface = ParamSurface(name="degenerate", ambient=ambient, axes=axes,
-                           jet=jet, compact=False)
     grid = QuadratureGrid.build(axes, 12)
-    with pytest.raises(DegenerateFrame):
-        frame_at(surface, grid.nodes)
+    for scale in (1.0, 1e-6):
+        surface = ParamSurface(name="degenerate", ambient=ambient, axes=axes,
+                               jet=_rank_one_jet(scale), compact=False)
+        with pytest.raises(DegenerateFrame):
+            frame_at(surface, grid.nodes)
 
 
 def test_lorentzian_graph_must_be_spacelike():
@@ -203,3 +209,142 @@ def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
                         for mb, wb in zip(*mixed)) / (h[a] * h[b])
             assert np.array_equal(ddg[..., a, b, :, :], cross)
             assert np.array_equal(ddg[..., b, a, :, :], cross)
+
+
+def test_tiny_round_sphere_has_a_frame():
+    # the rank tests are relative to the tangent lengths, so a sphere of
+    # radius 1e-6 is as regular as the unit sphere
+    r = 1e-6
+    surface = ParamSurface(name="tiny_sphere", ambient=make_ambient("R3_homothetic"),
+                           axes=round_sphere().axes, jet=_ellipsoid_jet(r, r, r))
+    fr = frame_at(surface, QuadratureGrid.build(surface.axes, 16).nodes)
+    assert np.allclose(fr.principal_curvatures, -1.0 / r, rtol=1e-7)
+    assert np.allclose(fr.scalar_curvature, 2.0 / r ** 2, rtol=1e-10)
+    assert np.allclose(fr.theta, r, rtol=1e-12)
+
+
+def _bent_product_surface(orientation: str = "") -> ParamSurface:
+    """{theta = pi/2 + 0.2 t^2} in S^2 x R; its <N, T> changes sign at t = 0."""
+    axes = (AxisSpec("phi", 0.0, 2.0 * math.pi, "periodic"),
+            AxisSpec("t", -1.0, 1.0, "open"))
+
+    def jet(s):
+        ph, t = s[..., 0], s[..., 1]
+        x = np.stack([0.5 * math.pi + 0.2 * t ** 2, ph, t], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 1] = 1.0
+        dx[..., 1, 0] = 0.4 * t
+        dx[..., 1, 2] = 1.0
+        ddx = np.zeros(s.shape[:-1] + (2, 2, 3))
+        ddx[..., 1, 1, 0] = 0.4
+        return x, dx, ddx
+
+    return ParamSurface(name="bent_cylinder", ambient=make_ambient("S2xR"),
+                        axes=axes, jet=jet, compact=False, orientation=orientation)
+
+
+def test_theta_policy_rejects_a_sign_change_of_theta():
+    nodes = QuadratureGrid.build(_bent_product_surface().axes, 16).nodes
+    for policy in ("theta_nonpositive", "theta_nonnegative"):
+        surface = _bent_product_surface(policy)
+        with pytest.raises(DegenerateFrame, match=f"bent_cylinder.*{policy}"):
+            frame_at(surface, nodes)
+    fr = frame_at(_bent_product_surface("adjugate"), nodes)
+    assert np.min(fr.theta) < 0.0 < np.max(fr.theta)
+
+
+def test_theta_policy_rejects_a_sign_change_across_blocks(monkeypatch):
+    # one sign of <N, T> per block, both signs in the batch
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    surface = _bent_product_surface()
+    s = QuadratureGrid.build(surface.axes, 16).nodes
+    with pytest.raises(DegenerateFrame, match="theta_nonpositive"):
+        frame_at(surface, np.moveaxis(s, 1, 0))
+
+
+def test_frame_on_blocks_equals_frame_on_row_slices(zoo):
+    surface, grid, _ = zoo("graph_S3xR_coschi02", 32)
+    nodes = grid.nodes
+    assert nodes[0].size // 3 < shape._BLOCK < nodes.size // 3 // 4
+    whole = frame_at(surface, nodes)
+    rows = [frame_at(surface, nodes[i:i + 1]) for i in range(len(nodes))]
+    for key, value in vars(whole).items():
+        if isinstance(value, np.ndarray):
+            joined = np.concatenate([vars(r)[key] for r in rows])
+            assert np.array_equal(value, joined), key
+        else:
+            assert all(vars(r)[key] == value for r in rows), key
+
+
+def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
+    # theta = pi/2 + p(a) b with p = 0 for a <= 1: <N, T> vanishes exactly
+    # on the first blocks and is negative afterwards, so "theta_nonnegative"
+    # must flip the normal of every block, also those evaluated before
+    axes = (AxisSpec("a", 0.0, 2.0, "open"), AxisSpec("b", -0.5, 0.5, "open"))
+
+    def jet(s):
+        a, b = s[..., 0], s[..., 1]
+        q = np.maximum(a - 1.0, 0.0)
+        x = np.stack([0.5 * math.pi + q ** 3 * b, a, b], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = 3.0 * q ** 2 * b
+        dx[..., 0, 1] = 1.0
+        dx[..., 1, 0] = q ** 3
+        dx[..., 1, 2] = 1.0
+        ddx = np.zeros(s.shape[:-1] + (2, 2, 3))
+        ddx[..., 0, 0, 0] = 6.0 * q * b
+        ddx[..., 0, 1, 0] = ddx[..., 1, 0, 0] = 3.0 * q ** 2
+        return x, dx, ddx
+
+    surface = ParamSurface(name="half_vertical", ambient=make_ambient("S2xR"),
+                           axes=axes, jet=jet, compact=False,
+                           orientation="theta_nonnegative")
+    nodes = QuadratureGrid.build(axes, 16).nodes
+    one_block = frame_at(surface, nodes)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    blocked = frame_at(surface, nodes)
+    assert np.all(one_block.theta >= 0.0) and np.any(one_block.theta > 0.0)
+    assert np.all(one_block.theta[: len(nodes) // 2] == 0.0)
+    for key, value in vars(one_block).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, vars(blocked)[key]), key
+
+
+def test_degenerate_point_is_named_by_its_index_in_the_batch():
+    ambient = make_ambient("R3_homothetic")
+    axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
+    s = np.stack(np.meshgrid(np.arange(100.0), np.arange(200.0), indexing="ij"),
+                 axis=-1)
+    bad = (90, 150)           # flat index 18150, in the third block
+
+    def jet(s):
+        x = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = 1.0
+        dx[..., 1, 1] = np.where((s[..., 0] == bad[0]) & (s[..., 1] == bad[1]),
+                                 0.0, 1.0)
+        return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
+
+    surface = ParamSurface(name="pinched_plane", ambient=ambient, axes=axes,
+                           jet=jet, compact=False)
+    assert 2 * shape._BLOCK <= 90 * 200 + 150 < 3 * shape._BLOCK
+    with pytest.raises(DegenerateFrame, match=r"pinched_plane.*index \(90, 150\)"):
+        frame_at(surface, s)
+
+
+@pytest.mark.parametrize("name", [n for n in scenario_names()
+                                  if n.startswith("graph_")])
+def test_graph_routes_match_the_frame(zoo, name):
+    # independent closed forms: theta = -1 / sqrt(1 + eps |Du|^2) and
+    # h(E_i, E_j) = -D^2 u(E_i, E_j) / sqrt(1 + eps |Du|^2) in a g_M-orthonormal
+    # frame E, against frame_at's values taken into the same frame
+    surface, grid, _ = zoo(name, 16)
+    s = grid.nodes
+    fr = frame_at(surface, s)
+    assert np.allclose(fr.theta, graph_theta(surface, s), rtol=0.0, atol=1e-12)
+    E = np.swapaxes(_smallmat.inv(np.linalg.cholesky(surface.base.metric_at(s))),
+                    -1, -2)
+    framed = np.einsum("...ai,...ab,...bj->...ij", E, fr.second_form, E)
+    closed = graph_second_form(surface, s)
+    assert np.max(np.abs(closed)) > 0.1
+    assert np.allclose(framed, closed, rtol=0.0, atol=1e-11)

@@ -1,10 +1,12 @@
-"""Batched small-matrix helpers: Lagrange derivative weights."""
+"""Batched small-matrix helpers: Lagrange derivative weights, determinants,
+inverses and the generalized cross product."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsurf._smallmat import lagrange_derivative_weights
+from prodsurf._smallmat import (det, generalized_cross, inv,
+                                lagrange_derivative_weights)
 
 
 @st.composite
@@ -52,3 +54,52 @@ def test_weights_differentiate_polynomials_below_degree_k_exactly(stencil, data)
     exact = p.deriv()(x0)
     scale = np.abs(terms).sum(axis=-1) + np.abs(exact)
     assert np.all(np.abs(terms.sum(axis=-1) - exact) <= 1e-9 * np.maximum(scale, 1.0))
+
+
+# Closed forms against LAPACK on well-conditioned batches: rounding of
+# either route stays within a few hundred ulps of the natural scale.
+RTOL = 256 * np.finfo(float).eps
+
+
+@st.composite
+def dominant_batches(draw, k):
+    """Batches of strictly diagonally dominant k x k matrices, scaled by 10^e.
+
+    Off-diagonal entries lie in [-1, 1] and the diagonal has magnitude in
+    [k, k + 1], so the condition number stays below 4k + 2 at every scale.
+    """
+    rows = draw(st.integers(min_value=1, max_value=6))
+    entries = st.floats(min_value=-1.0, max_value=1.0)
+    m = np.array(draw(st.lists(entries, min_size=rows * k * k,
+                               max_size=rows * k * k))).reshape(rows, k, k)
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                  min_size=rows * k, max_size=rows * k)))
+    m[:, np.arange(k), np.arange(k)] = sign.reshape(rows, k) * (
+        k + np.abs(m[:, np.arange(k), np.arange(k)]))
+    return m * 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(dominant_batches))
+def test_det_and_inv_match_linalg(m):
+    # Hadamard's bound, the product of the row norms, scales the determinant
+    hadamard = np.prod(np.linalg.norm(m, axis=-1), axis=-1)
+    assert np.all(np.abs(det(m) - np.linalg.det(m)) <= RTOL * hadamard)
+    ref = np.linalg.inv(m)
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(inv(m) - ref) <= RTOL * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=4).flatmap(
+    lambda d: dominant_batches(d)), st.floats(min_value=0.1, max_value=10.0))
+def test_generalized_cross_is_the_bordered_determinant(square, scale):
+    # w_a = scale * det([e_a; t_1; ..; t_n]): border the tangents with e_a
+    tangents = square[:, 1:, :]
+    d = square.shape[-1]
+    w = generalized_cross(tangents, np.full(len(square), scale))
+    bordered = np.repeat(square[:, None, :, :], d, axis=1)
+    bordered[:, :, 0, :] = np.eye(d)
+    ref = scale * np.linalg.det(bordered)
+    hadamard = scale * np.prod(np.linalg.norm(tangents, axis=-1), axis=-1)
+    assert np.all(np.abs(w - ref) <= RTOL * hadamard[:, None])
