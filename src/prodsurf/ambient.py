@@ -138,10 +138,6 @@ class BaseManifold:
     constant_curvature: bool
     quotient_factor: float = 1.0
 
-    @property
-    def chart_domain(self) -> tuple[tuple[float, float], ...]:
-        return tuple((ax.lo, ax.hi) for ax in self.axes)
-
 
 def _const_field(value: float):
     def f(x: np.ndarray) -> np.ndarray:

@@ -147,11 +147,6 @@ class SurfaceField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {expected}")
 
-    @property
-    def kind(self) -> str:
-        return {0: "scalar", 1: "tangent-vector", 2: "two-tensor"}.get(
-            self.index_rank, f"rank-{self.index_rank}")
-
 
 def _deck_transform(values: np.ndarray, axes: tuple[AxisSpec, ...],
                     crossing: int, index_rank: int) -> np.ndarray:

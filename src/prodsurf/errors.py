@@ -39,11 +39,6 @@ class NonCompactDomain(GeometryError):
     non-compact surface."""
 
 
-class StencilOutOfDomain(GeometryError):
-    """A finite-difference stencil would leave the domain on which the
-    sampled data is defined."""
-
-
 class SingularPoint(GeometryError):
     """The radial graph ODE was evaluated at or below the coordinate
     singularity x0 = 1."""
@@ -56,12 +51,6 @@ class StepFailure(GeometryError):
 class ParameterOutOfRange(GeometryError):
     """A parameter left the validity range of a closed-form solution
     (signature/curvature combinations, geodesic-sphere radii, ...)."""
-
-
-class ConstantInput(GeometryError):
-    """A graph function is constant where a non-constant one is required.
-    (The curvature-comparison harness catches this internally and routes
-    to a slice report; it is raised only by lower-level helpers.)"""
 
 
 class UnknownScenario(GeometryError):

@@ -217,17 +217,6 @@ class RadialSolution:
             buf.write(f"{float(x0)!r},{float(f)!r},{float(fp)!r}\n")
         return buf.getvalue()
 
-    def as_graph(self, box: float = 1.2) -> "GraphSurface":
-        """The radial graph as a surface over the hyperbolic plane.
-
-        The height and its derivatives are taken from the explicit profile
-        (not from the sample table), so pushing the result through the frame
-        pipeline checks the explicit solution against the curvature
-        machinery with no interpolation noise.  ``box`` sets the sampling
-        window of the base chart.
-        """
-        return radial_graph(self.epsilon, self.K, box=box)
-
     def completeness(self, bound_slack: float = 1.0e-10) -> CompletenessVerdict:
         """Spacelike-bound verdict from this solution's sample table."""
         vals = self.gradient_sq()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from prodsurf.ambient import (ambient_keys, christoffel_fd, flat_torus,
+from prodsurf.ambient import (ambient_keys, christoffel_fd,
+                              curvature_operator_fd, flat_torus,
                               hyperbolic_plane, make_ambient, projective_plane,
                               round_sphere, round_three_sphere,
                               verify_conformal_killing)
@@ -64,6 +65,19 @@ def test_analytic_christoffels_match_finite_differences(key):
     assert np.max(np.abs(gamma - gamma_fd)) < 5e-7
     # torsion-free connection: symmetric in the lower pair
     assert np.allclose(gamma, np.swapaxes(gamma, -1, -2), atol=1e-13)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_curvature_operator_matches_finite_differences(key):
+    # closed-form R(X, Y)Z against -grad_X grad_Y Z + grad_Y grad_X Z built
+    # from the Christoffel symbols, which pins the sign convention
+    ambient = make_ambient(key)
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(0.6, 1.1, size=(16, ambient.dim))
+    X, Y, Z = (rng.uniform(-1.0, 1.0, size=pts.shape) for _ in range(3))
+    exact = ambient.curvature_operator(pts, X, Y, Z)
+    fd = curvature_operator_fd(ambient, pts, X, Y, Z)
+    assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 def test_lorentzian_flat_metric_is_time_first():

@@ -25,6 +25,13 @@ def test_round_sphere_frame_frozen_values(fields):
     assert fr.normal_sign == 1
 
 
+def test_umbilic_principal_curvatures_do_not_lose_digits(fields):
+    # every point of the round sphere is umbilic, where tr^2 - 4 det of the
+    # shape operator cancels and its square root keeps only half the digits
+    fr = fields("sphere_R3_homothetic").frame
+    assert np.max(np.abs(fr.principal_curvatures + 1.0)) < 1e-13
+
+
 def test_hyperboloid_frame_frozen_values(fields):
     fr = fields("hyperboloid_R31_minkowski", 16).frame
     assert np.allclose(fr.theta, -1.0, atol=1e-12)
@@ -148,8 +155,8 @@ def test_intrinsic_oracle_agrees_with_gauss_equation(zoo):
     assert np.max(np.abs(oracle - gauss)) < 5e-4
 
 
-@pytest.mark.parametrize("name,samples", [("graph_S2xR_cos03", 25),
-                                          ("graph_S3xR_coschi02", 73)])
+@pytest.mark.parametrize("name,samples", [("graph_S2xR_cos03", 17),
+                                          ("graph_S3xR_coschi02", 49)])
 def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples):
     surface, grid, _ = zoo(name, 16)
     calls = []
@@ -194,8 +201,7 @@ def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
         return g_at(s + off)
 
     g0, dg, ddg = shape._metric_jet(g_at, s, h, order)
-    d1, d2, mixed = (shape._D1_TABLES[order], shape._D2_TABLES[order],
-                     shape._D1_TABLES[4])
+    d1, d2 = shape._D1_TABLES[order], shape._D2_TABLES[order]
     assert np.array_equal(g0, g())
     for a in range(n):
         assert np.array_equal(
@@ -204,11 +210,85 @@ def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
             ddg[..., a, a, :, :],
             sum(w * g((a, m)) for m, w in zip(*d2)) / h[a] ** 2)
         for b in range(a + 1, n):
-            cross = sum(wa * wb * g((a, ma), (b, mb))
-                        for ma, wa in zip(*mixed)
-                        for mb, wb in zip(*mixed)) / (h[a] * h[b])
+            cross = sum(w * g((a, ma), (b, mb))
+                        for (ma, mb), w in zip(*shape._MIXED_TABLE)) / (h[a] * h[b])
             assert np.array_equal(ddg[..., a, b, :, :], cross)
             assert np.array_equal(ddg[..., b, a, :, :], cross)
+
+
+def _exponents(n: int, degree: int) -> np.ndarray:
+    """Exponent vectors of every monomial in n variables of degree <= degree."""
+    grid = np.stack(np.meshgrid(*[np.arange(degree + 1)] * n, indexing="ij"),
+                    axis=-1).reshape(-1, n)
+    return grid[grid.sum(axis=1) <= degree]
+
+
+@pytest.mark.parametrize("n,order", [(2, 4), (3, 8)])
+def test_mixed_stencil_is_exact_on_quintics(n, order):
+    # g_ij are random polynomials of total degree 5; d_a d_b of each monomial
+    # s^e is e_a e_b s^(e - 1_a - 1_b)
+    rng = np.random.default_rng(17)
+    E = _exponents(n, 5)
+    C = rng.uniform(-1.0, 1.0, size=(n, n, len(E)))
+
+    def poly(s, expo, coef):
+        return np.einsum("ijk,...k->...ij", coef,
+                         np.prod(s[..., None, :] ** expo, axis=-1))
+
+    s = rng.uniform(-0.8, 0.8, size=(20, n))
+    h = np.array([0.1, 0.13, 0.07][:n])
+    g0, _, ddg = shape._metric_jet(lambda p: poly(p, E, C), s, h, order)
+    for a in range(n):
+        for b in range(a + 1, n):
+            lower = np.zeros(n, dtype=int)
+            lower[[a, b]] = 1
+            exact = poly(s, np.maximum(E - lower, 0), C * E[:, a] * E[:, b])
+            rounding = 64 * np.finfo(float).eps * np.max(np.abs(g0)) / (h[a] * h[b])
+            assert np.max(np.abs(ddg[..., a, b, :, :] - exact)) < rounding
+
+
+@pytest.mark.parametrize("n,order", [(2, 4), (3, 8)])
+def test_mixed_stencil_converges_at_fourth_order(n, order):
+    # g_ij = cos(k_ij . s + c_ij), so d_a d_b g_ij = -k_a k_b cos(k_ij . s + c_ij)
+    rng = np.random.default_rng(19)
+    K = rng.uniform(-2.0, 2.0, size=(n, n, n))
+    c = rng.uniform(0.0, 2.0 * math.pi, size=(n, n))
+
+    def g_at(p):
+        return np.cos(np.einsum("ija,...a->...ij", K, p) + c)
+
+    s = rng.uniform(-1.0, 1.0, size=(20, n))
+    phase = np.einsum("ija,...a->...ij", K, s) + c
+    errors = []
+    for scale in (0.04, 0.02):
+        h = scale * np.array([1.0, 1.3, 0.8][:n])
+        _, _, ddg = shape._metric_jet(g_at, s, h, order)
+        errors.append(max(
+            np.max(np.abs(ddg[..., a, b, :, :]
+                          + K[..., a] * K[..., b] * np.cos(phase)))
+            for a in range(n) for b in range(a + 1, n)))
+    assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
+
+
+def test_oracle_on_blocks_equals_oracle_on_row_slices(zoo):
+    surface, grid, _ = zoo("graph_S3xR_coschi02", 32)
+    nodes = grid.nodes
+    assert nodes[0].size // 3 < shape._BLOCK < nodes.size // 3 // 4
+    whole = intrinsic_curvature_oracle(surface, nodes)
+    rows = [intrinsic_curvature_oracle(surface, nodes[i:i + 1])
+            for i in range(len(nodes))]
+    assert whole.shape == nodes.shape[:-1]
+    assert np.array_equal(whole, np.concatenate(rows))
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
+def test_oracle_does_not_depend_on_the_block_size(zoo, monkeypatch, name):
+    surface, grid, _ = zoo(name, 16)
+    nodes = grid.nodes
+    monkeypatch.setattr(shape, "_BLOCK", nodes.size)
+    one_block = intrinsic_curvature_oracle(surface, nodes)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    assert np.array_equal(intrinsic_curvature_oracle(surface, nodes), one_block)
 
 
 def test_tiny_round_sphere_has_a_frame():
