@@ -17,6 +17,7 @@ operators convergent there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,6 +43,7 @@ __all__ = [
 
 _STENCIL_WIDTH = 5          # Lagrange window per derivative
 _GHOST_DEPTH = 2            # layers continued across a polar endpoint
+_FSUM_CHUNK = 65536         # integrand values listed for math.fsum at a time
 
 
 # --------------------------------------------------------------------------
@@ -243,11 +245,12 @@ def partial_derivative(values: np.ndarray, grid: QuadratureGrid, axis: int,
     gathered = np.moveaxis(gathered, axis + 1, -1)
     # contract against differences from the center value: with the exact
     # zero-sum weights this is algebraically identical, and constant fields
-    # come out as exact zeros
-    gathered = gathered - values[..., None]
+    # come out as exact zeros; `gathered` is a fresh array, so both steps
+    # run in place
+    gathered -= values[..., None]
     wshape = (1,) * axis + (grid.shape[axis],) + (1,) * (gathered.ndim - axis - 2) + (_STENCIL_WIDTH,)
-    out = np.sum(gathered * wts.reshape(wshape), axis=-1)
-    return out
+    gathered *= wts.reshape(wshape)
+    return np.sum(gathered, axis=-1)
 
 
 def _as_field(f) -> tuple[np.ndarray, QuadratureGrid, int]:
@@ -298,15 +301,21 @@ def integrate(f: SurfaceField, area_elements: np.ndarray, *,
     """Integral over the surface: sum of f * weight * area element.
 
     Summation is compensated (``math.fsum``) in fixed C order, so the
-    result is bit-reproducible across runs and worker counts.
+    result is bit-reproducible across runs and worker counts.  The terms
+    reach ``fsum`` in chunks of ``_FSUM_CHUNK`` values, so no Python list
+    of the whole grid is built.
     """
     if not compact:
         raise NonCompactDomain("surface integral requested on a non-compact scenario")
     values, grid, rank = _as_field(f)
     if rank != 0:
         raise ValueError("integrate expects a scalar field")
-    contrib = values * grid.weights * area_elements
-    return quotient_factor * math.fsum(contrib.ravel(order="C").tolist())
+    contrib = values * grid.weights
+    contrib *= area_elements
+    flat = contrib.ravel(order="C")
+    return quotient_factor * math.fsum(itertools.chain.from_iterable(
+        flat[start:start + _FSUM_CHUNK].tolist()
+        for start in range(0, flat.size, _FSUM_CHUNK)))
 
 
 # --------------------------------------------------------------------------

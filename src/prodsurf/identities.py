@@ -60,6 +60,11 @@ def _require_product(fields: FrameFields, check: str) -> None:
                            f"{fields.surface.ambient.name!r}")
 
 
+def _max_abs(residual: np.ndarray) -> float:
+    """max |residual|, taken in place: the caller hands over its array."""
+    return np.abs(residual, out=residual).max()
+
+
 def _result(name: str, fields: FrameFields, residual: float, *,
             min_order: float | None) -> CheckResult:
     tol = None if min_order is not None else ANALYTIC_TOL
@@ -85,7 +90,8 @@ def check_norm_grad_h(fields: FrameFields) -> CheckResult:
     eps = fields.surface.ambient.epsilon
     grad = fields.gradient(fr.height).values
     norm_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
-    residual = np.abs(norm_sq - eps * (1.0 - fr.theta ** 2)).max()
+    norm_sq -= eps * (1.0 - fr.theta ** 2)
+    residual = _max_abs(norm_sq)
     return _result("norm_grad_h", fields, residual, min_order=MIN_ORDER_DEFAULT)
 
 
@@ -96,9 +102,11 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
     eps = fields.surface.ambient.epsilon
     n = fr.dimension
     hess = fields.covariant_hessian(fr.height)
-    comp = np.abs(hess - fr.theta[..., None, None] * fr.second_form).max()
+    hess -= fr.theta[..., None, None] * fr.second_form
+    comp = _max_abs(hess)
     lap = fields.laplacian(fr.height).values
-    traced = np.abs(lap - eps * n * fr.mean_curvature * fr.theta).max()
+    lap -= eps * n * fr.mean_curvature * fr.theta
+    traced = _max_abs(lap)
     out = _result("hessian_h", fields, max(comp, traced),
                   min_order=MIN_ORDER_DEFAULT)
     out.note = f"componentwise {comp:.3e}, traced {traced:.3e}"
@@ -122,9 +130,7 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
                      for z in grid.nodes_1d])
     oracle = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
     if n == 2:
-        oracle_scalar = 2.0 * oracle
-    else:
-        oracle_scalar = oracle
+        oracle *= 2.0
     if surface.ambient.kind == "product":
         eps = surface.ambient.epsilon
         nb = surface.ambient.base.dim
@@ -133,7 +139,8 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
                      + 2.0 * eps * fr.pair_sum)
     else:
         reference = fr.scalar_curvature
-    residual = np.abs(oracle_scalar - reference).max()
+    oracle -= reference
+    residual = _max_abs(oracle)
     return _result("gauss_scalar", fields, residual, min_order=MIN_ORDER_DEFAULT)
 
 
@@ -163,7 +170,8 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
                 val = np.einsum("...a,...a->...", R, GN)
                 lhs[..., i, j, k] = val
                 lhs[..., j, i, k] = -val
-    residual = np.abs(lhs - rhs).max()
+    lhs -= rhs
+    residual = _max_abs(lhs)
     return _result("codazzi", fields, residual, min_order=MIN_ORDER_DEFAULT)
 
 
@@ -191,7 +199,8 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
            + fr.theta * (fr.scalar_curvature - fr.ambient_scalar
                          + eps * (fr.ricci_normal - n ** 2 * fr.mean_curvature ** 2))
            - n * (eps * fr.mean_curvature * phi + dphi_dN))
-    residual = np.abs(lap_theta - rhs).max()
+    lap_theta -= rhs
+    residual = _max_abs(lap_theta)
     return _result("laplacian_theta", fields, residual,
                    min_order=MIN_ORDER_STACKED)
 
@@ -202,8 +211,9 @@ def check_div_T_top(fields: FrameFields) -> CheckResult:
     n = fr.dimension
     phi = fields.conformal_factor
     div_tau = fields.divergence(fr.tau).values
-    residual = np.abs(div_tau - n * phi
-                      - n * fr.mean_curvature * fr.theta).max()
+    div_tau -= n * phi
+    div_tau -= n * fr.mean_curvature * fr.theta
+    residual = _max_abs(div_tau)
     return _result("div_T_top", fields, residual, min_order=MIN_ORDER_DEFAULT)
 
 

@@ -20,16 +20,22 @@ curvature from the contracted Gauss equation
 with ``eps_N = <N, N>`` (+1 in Riemannian ambients, -1 for spacelike
 hypersurfaces of Lorentzian ones).
 
-``frame_at`` walks the flattened batch in contiguous blocks of ``_BLOCK``
-points and writes each block into outputs of the full batch shape, so its
-working set does not grow with the grid.  Inside a block the contractions
-run two operands at a time, and ``h_ij`` is contracted through the lowered
-unit normal ``G N`` (the normalized adjugate covector) as
+``frame_at`` splits the flattened batch into contiguous blocks of
+``_BLOCK`` points and writes each block into outputs of the full batch
+shape, so its working set does not grow with the grid.  Blocks are
+independent and run concurrently: ``_block_map`` evaluates up to
+``_WORKERS`` of them at a time (the CPU-affinity count, capped at
+``_MAX_WORKERS``) on the caller's thread and a thread pool, numpy releasing
+the interpreter lock in their array work, and hands the results back in
+block order.  Inside a block the contractions run two operands at a time,
+and ``h_ij`` is contracted through the lowered unit normal ``G N`` (the
+normalized adjugate covector) as
 ``txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c``, without forming the
 second partials ``sec_ij`` in ambient components.  Checks over the whole
-batch stay batch wide: the sign of ``<N, N>``, the orientation flip, and
-the index of a degenerate point all refer to the full batch, and the
-result does not depend on the block size.
+batch stay batch wide: the blocks are reconciled in order, so the
+orientation flip and the index of a degenerate point refer to the full
+batch, and the result depends neither on the block size nor on the number
+of workers.
 
 The module also hosts the *independent* intrinsic-curvature oracle: Gauss
 curvature by the Brioschi formula (n = 2) and the scalar curvature by direct
@@ -40,15 +46,19 @@ from a single pass over a stencil lattice around the evaluation points:
 each lattice point is sampled once, added with its weights to every
 derivative that uses it, and dropped.  Mixed second derivatives use the
 8-point diagonal stencil ``_MIXED_TABLE``, so one pass takes 17 metric
-samples for n = 2 and 49 for n = 3.  Like ``frame_at``, the oracle walks
-the flattened batch in blocks of ``_BLOCK`` points; it is pointwise, so
-the result does not depend on the block size.
+samples for n = 2 and 49 for n = 3.  Like ``frame_at``, the oracle runs
+the flattened batch in blocks of ``_BLOCK`` points through ``_block_map``;
+it is pointwise, so the result depends neither on the block size nor on
+the number of workers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +87,12 @@ _DEGENERACY_TOL = 1e-14
 # bounds every intermediate array; 4096, 8192 and 16384 points timed about
 # the same.
 _BLOCK = 8192
+
+# Blocks of one batch in flight at a time: one per CPU this process may run
+# on, capped so that the block temporaries held at once stay bounded.
+_MAX_WORKERS = 4
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # Contraction path for three-operand einsums: two operands at a time,
 # without einsum's path search.  The unoptimized default loops over every
@@ -203,6 +219,47 @@ class GeometryFrame:
         return 0.5 * self.scalar_curvature
 
 
+_pools: dict[int, ThreadPoolExecutor] = {}     # thread count -> pool
+_pools_lock = threading.Lock()
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(
+                threads, thread_name_prefix="prodsurf-block")
+        return _pools[threads]
+
+
+def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> Iterator:
+    """``fn(start)`` for every block start, yielded in block order.
+
+    Up to ``_WORKERS`` blocks run at a time: the caller's thread takes the
+    first block of each group and a pool of ``_WORKERS - 1`` threads the
+    others.  Every block of a group has finished before the first result of
+    the group is yielded, so no block outlives a consumer that stops early.
+    An exception is raised at the position of its block; those of later
+    blocks in the same group are dropped.  A lone block runs inline, and the
+    pool is created by the first batch of several blocks.
+    """
+    workers = _WORKERS
+    if workers == 1 or len(starts) <= 1:
+        for start in starts:
+            yield fn(start)
+        return
+    pool = _pool(workers - 1)
+    for first in range(0, len(starts), workers):
+        group = starts[first:first + workers]
+        futures = [pool.submit(fn, start) for start in group[1:]]
+        try:
+            head = fn(group[0])
+        finally:
+            wait(futures)
+        yield head
+        for future in futures:
+            yield future.result()
+
+
 def _uniform_sign(arr: np.ndarray, what: str) -> int:
     pos = bool(np.all(arr > 0.0))
     neg = bool(np.all(arr < 0.0))
@@ -217,69 +274,79 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     """Evaluate the full geometric frame of ``surface`` at parameters ``s``.
 
     ``s`` may carry arbitrary batch dimensions.  The flattened batch is
-    evaluated in contiguous blocks of ``_BLOCK`` points, each written into
-    outputs of the full batch shape, so no intermediate grows with the
-    batch; a batch smaller than one block is a single pass of the same loop.
-    The result does not depend on the block size.
+    evaluated in contiguous blocks of ``_BLOCK`` points, up to ``_WORKERS``
+    blocks at a time (see ``_block_map``), each written into outputs of the
+    full batch shape, so no intermediate grows with the batch; a batch
+    smaller than one block is a single block on the caller's thread.  The
+    blocks carry no state between them and are reconciled in block order,
+    so the result depends neither on the block size nor on the number of
+    workers.
 
     Raises ``NotSpacelike`` when a Lorentzian-ambient surface fails the
     spacelike test and ``DegenerateFrame`` when the tangent map loses rank
     or the normal direction becomes null, naming the first offending point
-    by its index in the full batch.  Checks over the whole batch stay batch
-    wide: ``<N, N>`` must have one sign on every block, and the orientation
-    policies that read ``<N, T>`` pick one flip for the whole batch and raise
-    ``DegenerateFrame`` when the adjugate normal's ``<N, T>`` takes both
-    strict signs.
+    by its index in the full batch; of several failing blocks, the first
+    one's error is raised.  The orientation policies that read ``<N, T>``
+    pick one flip for the whole batch and raise ``DegenerateFrame`` when the
+    adjugate normal's ``<N, T>`` takes both strict signs, within a block or
+    across blocks.
     """
     s = np.asarray(s, dtype=float)
     batch = s.shape[:-1]
     flat = s.reshape(-1, s.shape[-1])
     total = flat.shape[0]
+    size = _BLOCK
+    starts = range(0, max(total, 1), size)
     out: dict[str, np.ndarray | None] = {}
-    eps_n = flip = None
-    pending = []    # blocks evaluated before a <N, T> policy fixed the flip
 
-    def store(rows: slice, fields: dict) -> None:
+    def block(start: int, flip: int | None = None) -> tuple[dict, int | None]:
+        return _frame_block(surface, flat[start:start + size], batch, start, flip)
+
+    def store(start: int, fields: dict) -> None:
         for key, value in fields.items():
             if key not in out:
                 out[key] = None if value is None else \
                     np.empty((total,) + value.shape[1:], dtype=value.dtype)
             if value is not None:
-                out[key][rows] = value
+                out[key][start:start + size] = value
 
-    for start in range(0, max(total, 1), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        fields, eps_n, chosen = _frame_block(surface, flat[rows], batch, start,
-                                             eps_n, flip)
-        store(rows, fields)
-        if flip is None and chosen is None:
-            pending.append(rows)
+    flip = None
+    undecided = []  # blocks whose <N, T> left the flip open; they used +1
+    for start, (fields, chosen) in zip(starts, _block_map(block, starts)):
+        store(start, fields)
+        if chosen is None:
+            undecided.append(start)
         elif flip is None:
             flip = chosen
-            if flip < 0:    # the pending blocks used the adjugate normal
-                for early in pending:
-                    store(early, _frame_block(surface, flat[early], batch,
-                                              early.start, eps_n, flip)[0])
+        elif chosen != flip:
+            raise _theta_sign_change(surface)
+    if flip == -1 and undecided:
+        for start, (fields, _) in zip(
+                undecided, _block_map(lambda start: block(start, flip), undecided)):
+            store(start, fields)
 
     return GeometryFrame(
-        params=s, normal_sign=eps_n,
+        params=s, normal_sign=surface.ambient.epsilon,
         **{key: None if value is None else value.reshape(batch + value.shape[1:])
            for key, value in out.items()})
 
 
+def _theta_sign_change(surface) -> DegenerateFrame:
+    return DegenerateFrame(
+        f"{surface.name}: <N, T> changes sign across the batch, so "
+        f"orientation {surface.orientation!r} has no consistent normal")
+
+
 def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
-                 eps_n: int | None, flip: int | None
-                 ) -> tuple[dict, int, int | None]:
+                 flip: int | None = None) -> tuple[dict, int | None]:
     """Frame fields of the block ``s`` (shape ``(m, n)``) of a flat batch.
 
     ``offset`` is the block's first row in the flattened ``batch``; error
-    messages report points by their index in ``batch``.  ``eps_n`` and
-    ``flip`` are the normal sign and orientation flip fixed by earlier
-    blocks (``None`` before any block fixed them); a block that disagrees
-    with either raises.  Returns the fields keyed like ``GeometryFrame``,
-    the block's ``<N, N>`` sign and the flip it chose, which is ``None``
-    when a ``<N, T>`` policy met ``<N, T> = 0`` on the whole block (the
-    block is then oriented by the earlier flip, or by the adjugate normal).
+    messages report points by their index in ``batch``.  Returns the fields
+    keyed like ``GeometryFrame`` and the orientation flip the block chose,
+    which is ``None`` when a ``<N, T>`` policy met ``<N, T> = 0`` on the
+    whole block.  Such a block is oriented by ``flip`` when given, and by
+    the adjugate normal otherwise.
     """
     ambient = surface.ambient
     n = s.shape[-1]
@@ -319,12 +386,10 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     if np.any(bad):
         raise DegenerateFrame(f"{surface.name}: null or vanishing normal "
                               f"direction at index {where(bad)}")
-    block_eps = _uniform_sign(nsq, f"{surface.name}: <N, N>")
-    if eps_n is not None and block_eps != eps_n:
-        raise DegenerateFrame(f"{surface.name}: <N, N> changes sign across the batch")
-    if block_eps != ambient.epsilon:
+    eps = _uniform_sign(nsq, f"{surface.name}: <N, N>")
+    if eps != ambient.epsilon:
         raise NotSpacelike(
-            f"{surface.name}: normal has <N, N> = {block_eps}, expected "
+            f"{surface.name}: normal has <N, N> = {eps}, expected "
             f"{ambient.epsilon} for this ambient")
     length = np.sqrt(np.abs(nsq))[..., None]
     N = Nraw / length
@@ -349,12 +414,10 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         want = +1.0 if policy == "theta_nonnegative" else -1.0
         keep = bool(np.any(want * th_raw > 0.0))
         turn = bool(np.any(want * th_raw < 0.0))
+        if keep and turn:
+            raise _theta_sign_change(surface)
         chosen = -1 if turn else (+1 if keep else None)
-        if (keep and turn) or (None not in (flip, chosen) and flip != chosen):
-            raise DegenerateFrame(
-                f"{surface.name}: <N, T> changes sign across the batch, so "
-                f"orientation {policy!r} has no consistent normal")
-    sign = flip or chosen or +1
+    sign = chosen or flip or +1
     if sign < 0:
         N = -N
     Nlow = w * (sign / length)      # G N
@@ -402,15 +465,15 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         second_form=h,
         shape_operator=A,
         principal_curvatures=kap,
-        mean_curvature=(block_eps / n) * trA,
+        mean_curvature=(eps / n) * trA,
         pair_sum=e2,
-        scalar_curvature=Sbar - 2.0 * block_eps * ricNN + 2.0 * block_eps * e2,
+        scalar_curvature=Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2,
         ambient_scalar=Sbar,
         ricci_normal=ricNN,
         theta=theta,
         tau=tau,
         height=x[..., -1] if ambient.kind == "product" else None,
-    ), block_eps, chosen
+    ), chosen
 
 
 # --------------------------------------------------------------------------
@@ -643,37 +706,41 @@ def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray
     the cheaper fourth-order 8-point diagonal stencil ``_MIXED_TABLE``.
     All of them are read from one pass of :func:`_metric_jet`, which
     samples each lattice point once: 1 centre + 8 per axis + 8 per axis
-    pair, 49 samples for n = 3.  The Christoffel symbols, their derivatives
-    and the contraction ``S = g^{ac} R^b_{abc}`` are then assembled in
-    closed form, with the curvature sign convention of
-    :mod:`prodsurf.ambient`.
+    pair, 49 samples for n = 3.  With the curvature sign convention of
+    :mod:`prodsurf.ambient`,
+
+        S = g^ac (d_b Gam^b_ac - d_a Gam^b_bc + Gam^e_ac Gam^b_be
+                  - Gam^e_bc Gam^b_ae),
+
+    assembled from the traces it needs in closed form, without the
+    derivatives of every Christoffel symbol or the Riemann tensor:
+    ``Gam^b_bc = g^bl d_c g_bl / 2`` and
+    ``d_b Gam^b_ac = d_b g^bl [l, ac] + g^bl d_b [l, ac]`` with the
+    Christoffel symbols of the first kind ``[l, ac]``.
     """
     g0, dg, ddg = _metric_jet(g_at, s, h, pure_order=8)
-    n = g0.shape[-1]
-
     ginv = _smallmat.inv(g0)
-    # Gamma^k_ij and its partials d_a Gamma^k_ij
-    Gam = np.zeros_like(dg)
-    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv,
-                       optimize=_PAIRWISE)
-    dGam = np.zeros(g0.shape[:-2] + (n, n, n, n))  # dGam[..., a, k, i, j]
-    for i in range(n):
-        for j in range(n):
-            brk = 0.5 * (dg[..., i, :, j] + dg[..., j, :, i] - dg[..., :, i, j])
-            Gam[..., :, i, j] = np.einsum("...kl,...l->...k", ginv, brk)
-            dbrk = 0.5 * (ddg[..., :, i, :, j] + ddg[..., :, j, :, i]
-                          - ddg[..., :, :, i, j])
-            dGam[..., :, :, i, j] = (
-                np.einsum("...akl,...l->...ak", dginv, brk)
-                + np.einsum("...kl,...al->...ak", ginv, dbrk)
-            )
-    # R^d_abc = d_b Gam^d_ac - d_a Gam^d_bc + Gam^e_ac Gam^d_be - Gam^e_bc Gam^d_ae
-    riem = (np.einsum("...bdac->...dabc", dGam)
-            - np.einsum("...adbc->...dabc", dGam)
-            + np.einsum("...eac,...dbe->...dabc", Gam, Gam)
-            - np.einsum("...ebc,...dae->...dabc", Gam, Gam))
-    # S = g^{ac} R^b_{abc}
-    return np.einsum("...ac,...babc->...", ginv, riem)
+    # M[..., a, :, :] = g^-1 d_a g, so that d_a g^-1 = -M[..., a, :, :] g^-1
+    M = ginv[..., None, :, :] @ dg
+    # first kind [l, ac] = (d_a g_lc + d_c g_la - d_l g_ac) / 2, in [..., l, a, c]
+    lowered = np.swapaxes(dg, -3, -2)
+    first = 0.5 * (lowered + np.swapaxes(lowered, -1, -2) - dg)
+    Gam = np.einsum("...kl,...lac->...kac", ginv, first)
+    trace_gam = 0.5 * np.einsum("...cbb->...c", M)              # Gam^b_bc
+    first_g = np.einsum("...lac,...ac->...l", first, ginv)      # g^ac [l, ac]
+    div_ginv = -np.einsum("...bbn,...nl->...l", M, ginv)        # d_b g^bl
+    # g^ac g^bl (d_b d_a g_lc - d_b d_l g_ac): the second partials of
+    # g^ac g^bl d_b [l, ac] and of g^ac d_a Gam^b_bc, in one sum
+    ddg_g = (np.einsum("...balc,...ac->...bl", ddg, ginv)
+             - np.einsum("...blac,...ac->...bl", ddg, ginv))
+    MM = np.einsum("...aij,...cji->...ac", M, M)    # tr(M_a M_c)
+    return (np.einsum("...l,...l->...", div_ginv, first_g)
+            + np.einsum("...bl,...bl->...", ddg_g, ginv)
+            + 0.5 * np.einsum("...ac,...ac->...", MM, ginv)
+            + np.einsum("...el,...l,...e->...", ginv, first_g, trace_gam,
+                        optimize=_PAIRWISE)
+            - np.einsum("...bae,...ac,...ebc->...", Gam, ginv, Gam,
+                        optimize=_PAIRWISE))
 
 
 def intrinsic_curvature_oracle(surface, s: np.ndarray,
@@ -684,10 +751,11 @@ def intrinsic_curvature_oracle(surface, s: np.ndarray,
     samples per point) and the scalar curvature for n = 3 (49 samples per
     point).  ``step`` is the finite-difference step, a scalar or one value
     per parameter axis.  The sampler is built once; the flattened batch is
-    then evaluated in contiguous blocks of ``_BLOCK`` points written into
-    one output, so the metric samples held at a time do not grow with the
-    batch.  The oracle is pointwise, so the result does not depend on the
-    block size.
+    then evaluated in contiguous blocks of ``_BLOCK`` points, up to
+    ``_WORKERS`` blocks at a time (see ``_block_map``), each block writing
+    its own slice of one output, so the metric samples held at a time do not
+    grow with the batch.  The oracle is pointwise, so the result depends
+    neither on the block size nor on the number of workers.
     """
     s = np.asarray(s, dtype=float)
     n = surface.dimension
@@ -698,7 +766,12 @@ def intrinsic_curvature_oracle(surface, s: np.ndarray,
     g_at = induced_metric_sampler(surface)
     flat = s.reshape(-1, s.shape[-1])
     out = np.empty(flat.shape[0])
-    for start in range(0, flat.shape[0], _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    size = _BLOCK
+
+    def block(start: int) -> None:
+        rows = slice(start, start + size)
         out[rows] = curvature(g_at, flat[rows], h)
+
+    for _ in _block_map(block, range(0, flat.shape[0], size)):
+        pass
     return out.reshape(s.shape[:-1])

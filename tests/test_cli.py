@@ -39,6 +39,16 @@ def test_zoo_list_reports_the_whole_catalog():
                             "compact", "overridable", "description"}
 
 
+def test_importing_the_cli_starts_no_thread():
+    # the block pool of prodsurf.shape is created by the first batch of
+    # several blocks, never at import, so the CLI cold start stays lean
+    code = "import threading, prodsurf.cli; print(threading.active_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
 def test_default_output_carries_a_timestamp():
     env = envelope_of(run_cli("zoo-list"))
     assert "generated_at" in env

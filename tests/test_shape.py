@@ -1,6 +1,7 @@
 """Hypersurface frames: frozen closed-form geometries and orientation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,82 @@ def test_oracle_does_not_depend_on_the_block_size(zoo, monkeypatch, name):
     assert np.array_equal(intrinsic_curvature_oracle(surface, nodes), one_block)
 
 
+def _full_riemann_scalar(g0, dg, ddg):
+    """Reference n = 3 assembly: every d_a Gamma^k_ij, then R^d_abc, then S."""
+    n = g0.shape[-1]
+    ginv = _smallmat.inv(g0)
+    Gam = np.zeros_like(dg)
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
+    dGam = np.zeros(g0.shape[:-2] + (n, n, n, n))  # dGam[..., a, k, i, j]
+    for i in range(n):
+        for j in range(n):
+            brk = 0.5 * (dg[..., i, :, j] + dg[..., j, :, i] - dg[..., :, i, j])
+            Gam[..., :, i, j] = np.einsum("...kl,...l->...k", ginv, brk)
+            dbrk = 0.5 * (ddg[..., :, i, :, j] + ddg[..., :, j, :, i]
+                          - ddg[..., :, :, i, j])
+            dGam[..., :, :, i, j] = (np.einsum("...akl,...l->...ak", dginv, brk)
+                                     + np.einsum("...kl,...al->...ak", ginv, dbrk))
+    # R^d_abc = d_b Gam^d_ac - d_a Gam^d_bc + Gam^e_ac Gam^d_be - Gam^e_bc Gam^d_ae
+    riem = (np.einsum("...bdac->...dabc", dGam)
+            - np.einsum("...adbc->...dabc", dGam)
+            + np.einsum("...eac,...dbe->...dabc", Gam, Gam)
+            - np.einsum("...ebc,...dae->...dabc", Gam, Gam))
+    return np.einsum("...ac,...babc->...", ginv, riem)
+
+
+@pytest.mark.parametrize("name", ["graph_S3xR_coschi02", "graph_S3xR1_coschi02"])
+def test_scalar_curvature_assembly_equals_full_riemann_reference(zoo, name):
+    # the trace assembly reorders the rounding only; measured 2e-13 and 3e-13
+    surface, grid, _ = zoo(name, 16)
+    s = grid.nodes.reshape(-1, 3)
+    h = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
+    g_at = shape.induced_metric_sampler(surface)
+    reference = _full_riemann_scalar(*shape._metric_jet(g_at, s, h, 8))
+    assembled = shape._fd_scalar_curvature(g_at, s, h)
+    assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
+def test_blocks_do_not_depend_on_the_worker_count(zoo, monkeypatch, name):
+    # 64-point blocks: 9 and 145 blocks, so many groups and a partial last
+    # one; a short switch interval interleaves the threads more often
+    surface, grid, _ = zoo(name, 16)
+    nodes = grid.nodes
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(shape, "_WORKERS", workers)
+            runs.append((frame_at(surface, nodes),
+                         intrinsic_curvature_oracle(surface, nodes)))
+    finally:
+        sys.setswitchinterval(interval)
+    (frame, oracle), rest = runs[0], runs[1:]
+    for other_frame, other_oracle in rest:
+        assert np.array_equal(other_oracle, oracle)
+        for key, value in vars(frame).items():
+            other = vars(other_frame)[key]
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(other, value), key
+            else:
+                assert other == value, key
+
+
+def test_one_block_batch_never_starts_the_pool(zoo, monkeypatch):
+    surface, grid, _ = zoo("graph_S2xR_cos03", 16)
+    nodes = grid.nodes
+    monkeypatch.setattr(shape, "_WORKERS", 2)
+    monkeypatch.setattr(shape, "_pools", {})
+    frame_at(surface, nodes)
+    intrinsic_curvature_oracle(surface, nodes)
+    assert nodes[..., 0].size <= shape._BLOCK and shape._pools == {}
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    frame_at(surface, nodes)
+    assert list(shape._pools) == [1]
+
+
 def test_tiny_round_sphere_has_a_frame():
     # the rank tests are relative to the tangent lengths, so a sphere of
     # radius 1e-6 is as regular as the unit sphere
@@ -334,12 +411,16 @@ def test_theta_policy_rejects_a_sign_change_of_theta():
 
 
 def test_theta_policy_rejects_a_sign_change_across_blocks(monkeypatch):
-    # one sign of <N, T> per block, both signs in the batch
+    # one sign of <N, T> per block, both signs in the batch: the first
+    # disagreeing block (the fifth) heads a group of two workers and sits
+    # inside a group of three
     monkeypatch.setattr(shape, "_BLOCK", 64)
     surface = _bent_product_surface()
     s = QuadratureGrid.build(surface.axes, 16).nodes
-    with pytest.raises(DegenerateFrame, match="theta_nonpositive"):
-        frame_at(surface, np.moveaxis(s, 1, 0))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(shape, "_WORKERS", workers)
+        with pytest.raises(DegenerateFrame, match="theta_nonpositive"):
+            frame_at(surface, np.moveaxis(s, 1, 0))
 
 
 def test_frame_on_blocks_equals_frame_on_row_slices(zoo):
@@ -409,6 +490,33 @@ def test_degenerate_point_is_named_by_its_index_in_the_batch():
                            jet=jet, compact=False)
     assert 2 * shape._BLOCK <= 90 * 200 + 150 < 3 * shape._BLOCK
     with pytest.raises(DegenerateFrame, match=r"pinched_plane.*index \(90, 150\)"):
+        frame_at(surface, s)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
+    # degenerate points in the second and fourth 64-point blocks; with four
+    # workers both blocks run in the pool within one group
+    ambient = make_ambient("R3_homothetic")
+    axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
+    s = np.stack(np.meshgrid(np.arange(10.0), np.arange(50.0), indexing="ij"),
+                 axis=-1)
+    bad = {(1, 30), (4, 10)}      # flat indices 80 and 210
+
+    def jet(s):
+        x = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = 1.0
+        dx[..., 1, 1] = 1.0
+        for i, j in bad:
+            dx[(s[..., 0] == i) & (s[..., 1] == j), 1, 1] = 0.0
+        return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
+
+    surface = ParamSurface(name="twice_pinched", ambient=ambient, axes=axes,
+                           jet=jet, compact=False)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    monkeypatch.setattr(shape, "_WORKERS", workers)
+    with pytest.raises(DegenerateFrame, match=r"index \(1, 30\)"):
         frame_at(surface, s)
 
 
