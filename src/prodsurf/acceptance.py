@@ -31,18 +31,16 @@ from .identities import run_suite
 from .integral import einstein_integral, integral_formula, product_integral
 from .reports import dump_json, make_envelope
 from .shape import GraphSurface
-from .zoo import instantiate, list_scenarios
+from .zoo import (TOLERANCES, constant_profile, cosine_profile, instantiate,
+                  list_scenarios)
 
 # -- pinned criterion constants ---------------------------------------------
+# Tolerances shared with the rest of the package live in zoo.TOLERANCES;
+# the constants here belong to one criterion each.
 
 IDENTITY_TIME_BUDGET = 180.0          # seconds for the full identity sweep
-INTEGRAL_RELATIVE_TOL = 1.0e-6
-EINSTEIN_ABSOLUTE_TOL = 1.0e-5
 SPHERE_FLUX = 8.0 * math.pi           # both sides on the unit round sphere
-RADIAL_MATCH_TOL = 1.0e-6
 CURVATURE_REPRODUCTION_TOL = 1.0e-6
-MIN_ORDER = 1.7
-MIN_ORDER_STACKED = 1.5
 RELATIVE_FLOOR = 1.0e-12              # relative residual treated as roundoff
 GRADIENT_BOUND = 0.5                  # 1 + 1/K at K = -2
 GRADIENT_BOUND_TOL = 1.0e-4
@@ -132,9 +130,9 @@ def criterion_product_integral() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in PRODUCT_GRAPH_SCENARIOS:
         surface, _, tol = instantiate(name)
-        fine = product_integral(surface, 128, tolerance=tol["integral_relative"])
-        coarse = product_integral(surface, 64, tolerance=tol["integral_relative"])
-        ok = fine.relative_residual <= INTEGRAL_RELATIVE_TOL
+        fine = product_integral(surface, 128, tolerance=tol.integral_relative)
+        coarse = product_integral(surface, 64, tolerance=tol.integral_relative)
+        ok = fine.relative_residual <= tol.integral_relative
         checks.append((ok, f"{name}: relative residual "
                            f"{fine.relative_residual:.3e} at 128"))
         if fine.relative_residual <= RELATIVE_FLOOR:
@@ -144,7 +142,7 @@ def criterion_product_integral() -> CriterionVerdict:
         else:
             order = math.log2(max(coarse.relative_residual
                                   / fine.relative_residual, 1e-300))
-            checks.append((order >= MIN_ORDER_STACKED,
+            checks.append((order >= tol.min_order_stacked,
                            f"{name}: refinement order {order:.2f}"))
     return _verdict(2, "product integral vanishes on non-slice graphs", checks)
 
@@ -156,8 +154,8 @@ def criterion_homothetic_flux() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in HOMOTHETIC_SCENARIOS:
         surface, grid, tol = instantiate(name)
-        rep = integral_formula(surface, grid, tolerance=tol["integral_relative"])
-        checks.append((rep.relative_residual <= INTEGRAL_RELATIVE_TOL,
+        rep = integral_formula(surface, grid, tolerance=tol.integral_relative)
+        checks.append((rep.relative_residual <= tol.integral_relative,
                        f"{name}: lhs {rep.lhs:.9f} rhs {rep.rhs:.9f} "
                        f"relative residual {rep.relative_residual:.3e}"))
         if name == "sphere_R3_homothetic":
@@ -175,15 +173,15 @@ def criterion_einstein_spheres() -> CriterionVerdict:
     """The Einstein balance integral vanishes on round geodesic spheres."""
     checks: list[tuple[bool, str]] = []
     for rho in GEODESIC_SPHERE_RADII:
-        surface, grid, _ = instantiate("geodesic_sphere_S3",
-                                       {"rho": rho, "resolution": 96})
-        rep = einstein_integral(surface, grid)
-        checks.append((abs(rep.residual) <= EINSTEIN_ABSOLUTE_TOL,
+        surface, grid, tol = instantiate("geodesic_sphere_S3",
+                                         {"rho": rho, "resolution": 96})
+        rep = einstein_integral(surface, grid, tolerance=tol.einstein_absolute)
+        checks.append((abs(rep.residual) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: balance residual {rep.residual:.3e}"))
         fields = FrameFields(surface, grid)
         fr = fields.frame
         literal = fields.integrate(fr.theta * (fr.scalar_curvature - 6.0 + 1.5))
-        checks.append((abs(literal) <= EINSTEIN_ABSOLUTE_TOL,
+        checks.append((abs(literal) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: quarter-weight variant {literal:.3e}"))
         if abs(rho - math.pi / 6) < 1e-12:
             min_theta = float(np.min(np.abs(fr.theta)))
@@ -200,7 +198,7 @@ def criterion_radial_profiles() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for eps, K in ACCEPTED_PARAMETER_PAIRS:
         sol = solve_radial(eps, K)
-        rep = closed_form_match(sol, tolerance=RADIAL_MATCH_TOL)
+        rep = closed_form_match(sol, tolerance=TOLERANCES.radial_match)
         checks.append((rep.passed,
                        f"eps={eps:+d} K={K}: profile deviation "
                        f"{rep.max_residual:.3e}"))
@@ -243,37 +241,6 @@ def criterion_gradient_bound() -> CriterionVerdict:
 
 # -- criterion 7: randomized curvature comparison ----------------------------
 
-def _cosine_profile(amplitude: float):
-    """u = a cos(theta) over the round-sphere chart, with exact derivatives."""
-    def u(s):
-        return amplitude * np.cos(s[..., 0])
-
-    def du(s):
-        out = np.zeros(s.shape)
-        out[..., 0] = -amplitude * np.sin(s[..., 0])
-        return out
-
-    def d2u(s):
-        out = np.zeros(s.shape + (s.shape[-1],))
-        out[..., 0, 0] = -amplitude * np.cos(s[..., 0])
-        return out
-
-    return u, du, d2u
-
-
-def _constant_profile(value: float):
-    def u(s):
-        return np.full(s.shape[:-1], value)
-
-    def du(s):
-        return np.zeros(s.shape)
-
-    def d2u(s):
-        return np.zeros(s.shape + (s.shape[-1],))
-
-    return u, du, d2u
-
-
 def criterion_randomized_harness() -> CriterionVerdict:
     """Randomized graphs always show the forced curvature-comparison sign."""
     rng = np.random.default_rng(RANDOM_SEED)
@@ -285,7 +252,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
         worst = math.inf
         all_ok = True
         for a in amplitudes:
-            u, du, d2u = _cosine_profile(float(a))
+            u, du, d2u = cosine_profile(float(a))
             g = GraphSurface(name=f"random_a{a:.6f}", base=round_sphere(),
                              epsilon=eps, u=u, du=du, d2u=d2u)
             grid = grid_cache.setdefault(
@@ -299,7 +266,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
                        f"{want}; smallest margin {worst:.3e}"))
     for eps in (1, -1):
         for value in (0.0, 0.37, -0.2):
-            u, du, d2u = _constant_profile(value)
+            u, du, d2u = constant_profile(value)
             g = GraphSurface(name=f"const_{value}", base=round_sphere(),
                              epsilon=eps, u=u, du=du, d2u=d2u)
             grid = grid_cache.setdefault(
@@ -320,7 +287,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
 
 def criterion_constant_residuals() -> CriterionVerdict:
     """The graph curvature equation residual is exact on constant graphs."""
-    u, du, d2u = _constant_profile(0.3)
+    u, du, d2u = constant_profile(0.3)
     g = GraphSurface(name="const_03", base=round_sphere(), epsilon=1,
                      u=u, du=du, d2u=d2u)
     grid = QuadratureGrid.build(g.axes, 32)
@@ -342,9 +309,9 @@ def _probe_bytes() -> bytes:
     """Serialize a fixed computation from scratch (geometry to JSON)."""
     surface, grid, tol = instantiate("sphere_R3_homothetic",
                                      {"resolution": 32})
-    flux = integral_formula(surface, grid, tolerance=tol["integral_relative"])
+    flux = integral_formula(surface, grid, tolerance=tol.integral_relative)
     sol = solve_radial(-1, -2.0, n_samples=512)
-    match = closed_form_match(sol, tolerance=tol["radial_match"])
+    match = closed_form_match(sol, tolerance=tol.radial_match)
     envelope = make_envelope(
         "determinism-probe", {"resolution": 32, "n_samples": 512},
         [flux, match], flux.passed and match.passed, timestamp=False)

@@ -37,12 +37,11 @@ outputs carry matching batch dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import _smallmat
 from .errors import MissingKillingData, ParameterOutOfRange
 from .reports import CheckResult
 
@@ -57,7 +56,6 @@ __all__ = [
     "flat_torus",
     "round_three_sphere",
     "make_product",
-    "make_space_form",
     "make_ambient",
     "ambient_keys",
     "christoffel_fd",
@@ -333,16 +331,12 @@ class KillingData:
     differences when it is absent).  ``conformal_factor`` is the function
     ``phi`` with ``<grad_V T, W> + <V, grad_W T> = 2 phi <V, W>``; a genuine
     Killing field has ``phi = 0``, the homothetic position field ``phi = 1``.
-    ``timelike`` marks fields meant as a time orientation for the Lorentzian
-    ambients (the Minkowski position field is timelike on the region swept
-    by the hyperbolic-space scenarios, where ``<x, x> < 0``).
     """
 
     name: str
     field_at: Callable[[np.ndarray], np.ndarray]
     conformal_factor: Callable[[np.ndarray], np.ndarray]
     factor_gradient: Callable[[np.ndarray], np.ndarray]
-    timelike: bool
     jacobian_at: Callable[[np.ndarray], np.ndarray] | None = None
 
     def normal_derivative_of_factor(self, point: np.ndarray,
@@ -493,7 +487,6 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
         field_at=unit_t,
         conformal_factor=_const_field(0.0),
         factor_gradient=_zero_vector_field,
-        timelike=(epsilon < 0),
         jacobian_at=zero_jac,
     )
     suffix = "xR" if epsilon > 0 else "xR1"
@@ -523,6 +516,10 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
 # --------------------------------------------------------------------------
 
 def _flat_space_form(lorentzian: bool) -> AmbientSpace:
+    """Euclidean or Minkowski 3-space with the homothetic position field.
+
+    Minkowski space puts its time axis first.
+    """
     d = 3
     eta = np.diag([-1.0, 1.0, 1.0]) if lorentzian else np.eye(3)
 
@@ -550,7 +547,6 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
         field_at=position,
         conformal_factor=_const_field(1.0),
         factor_gradient=_zero_vector_field,
-        timelike=lorentzian,
         jacobian_at=position_jac,
     )
     return AmbientSpace(
@@ -570,6 +566,7 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
 
 
 def _round_sphere_form() -> AmbientSpace:
+    """The unit round 3-sphere with a Hopf Killing field."""
     s3 = round_three_sphere()
 
     def hopf(x):
@@ -595,7 +592,6 @@ def _round_sphere_form() -> AmbientSpace:
         field_at=hopf,
         conformal_factor=_const_field(0.0),
         factor_gradient=_zero_vector_field,
-        timelike=False,
         jacobian_at=hopf_jac,
     )
     return AmbientSpace(
@@ -614,27 +610,6 @@ def _round_sphere_form() -> AmbientSpace:
     )
 
 
-def make_space_form(dim: int, c: float, signature: str = "riemannian") -> AmbientSpace:
-    """One of the supported constant-curvature ambients.
-
-    Supported combinations: ``(3, 0, "riemannian")`` (Euclidean 3-space with
-    the homothetic position field), ``(3, 0, "lorentzian")`` (Minkowski
-    3-space, time axis first, same field), ``(3, 1, "riemannian")`` (unit
-    round 3-sphere with a Hopf Killing field).
-    """
-    key = (dim, float(c), signature)
-    if key == (3, 0.0, "riemannian"):
-        return _flat_space_form(lorentzian=False)
-    if key == (3, 0.0, "lorentzian"):
-        return _flat_space_form(lorentzian=True)
-    if key == (3, 1.0, "riemannian"):
-        return _round_sphere_form()
-    raise ParameterOutOfRange(
-        f"unsupported space form (dim={dim}, c={c}, signature={signature}); "
-        "supported: (3, 0, riemannian), (3, 0, lorentzian), (3, 1, riemannian)"
-    )
-
-
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
@@ -650,9 +625,9 @@ _AMBIENT_FACTORIES: dict[str, Callable[[], AmbientSpace]] = {
     "T2xR1": lambda: make_product(flat_torus(), -1),
     "S3xR": lambda: make_product(round_three_sphere(), +1),
     "S3xR1": lambda: make_product(round_three_sphere(), -1),
-    "R3_homothetic": lambda: make_space_form(3, 0.0, "riemannian"),
-    "R31_minkowski": lambda: make_space_form(3, 0.0, "lorentzian"),
-    "S3_hopf": lambda: make_space_form(3, 1.0, "riemannian"),
+    "R3_homothetic": lambda: _flat_space_form(lorentzian=False),
+    "R31_minkowski": lambda: _flat_space_form(lorentzian=True),
+    "S3_hopf": _round_sphere_form,
 }
 
 

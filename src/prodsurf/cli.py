@@ -12,10 +12,12 @@
 
 Every command can also be driven from a JSON config file
 (``{"command": ..., "scenario": ..., "overrides": {...}, "output": ...}``);
-explicit flags override config-file values.  Reports are JSON envelopes
-(or CSV for radial sample tables) and are byte-stable when ``--no-timestamp``
-is given.  Exit status: 0 when every executed check passed, 1 when any
-failed, 2 on usage or configuration errors.
+explicit flags override config-file values.  A ``tolerance_scale`` override
+is accepted only by ``integral`` and ``solve-radial``, whose verdicts rest
+on residual tolerances.  Reports are JSON envelopes (or CSV for radial
+sample tables) and are byte-stable when ``--no-timestamp`` is given.  Exit
+status: 0 when every executed check passed, 1 when any failed, 2 on usage
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from pathlib import Path
 from typing import Any
 
 from .acceptance import battery_passed, run_battery
-from .calculus import QuadratureGrid
 from .errors import GeometryError
 from .graphs import (closed_form_match, completeness_criterion, solve_radial,
                      theorem_harness)
 from .identities import run_suite
 from .integral import FORMULAS, available_formulas
 from .reports import dump_json, make_envelope
-from .zoo import instantiate, list_scenarios, scaled_tolerances
+from .shape import GraphSurface
+from .zoo import TOLERANCES, instantiate, list_scenarios
 
 COMMANDS = ("identities", "integral", "solve-radial", "harness",
             "zoo-list", "acceptance")
@@ -198,7 +200,8 @@ def _pop_number(overrides: dict[str, Any], key: str, default: float) -> float:
 def _cmd_identities(config: RunConfig):
     name = _require_scenario(config)
     overrides = dict(config.overrides)
-    _reject_keys(overrides, ("epsilon", "x0_max", "delta"), "identities")
+    _reject_keys(overrides, ("epsilon", "x0_max", "delta", "tolerance_scale"),
+                 "identities")
     refine = overrides.pop("refine", 1)
     if refine != int(refine) or int(refine) < 0:
         raise UsageError(f"refine must be a non-negative integer, got {refine}")
@@ -219,9 +222,9 @@ def _cmd_integral(config: RunConfig):
     names = available_formulas(surface, grid)
     if not names:
         raise UsageError(f"no balance law applies to scenario {name!r}")
-    tol_for = {"integral_formula": tol["integral_relative"],
-               "product_integral": tol["integral_relative"],
-               "einstein_integral": tol["einstein_absolute"]}
+    tol_for = {"integral_formula": tol.integral_relative,
+               "product_integral": tol.integral_relative,
+               "einstein_integral": tol.einstein_absolute}
     results = [FORMULAS[f](surface, grid, tolerance=tol_for[f]) for f in names]
     return results, all(r.passed for r in results), None
 
@@ -235,24 +238,23 @@ def _cmd_solve_radial(config: RunConfig):
         _reject_keys(overrides, ("epsilon",),
                      "solve-radial with a scenario (the scenario fixes it)")
         surface, _, tol = instantiate(config.scenario, overrides)
-        radial_K = getattr(surface, "radial_K", None)
-        if radial_K is None:
+        if not isinstance(surface, GraphSurface) or surface.radial_K is None:
             raise UsageError(f"scenario {config.scenario!r} is not a radial "
                              "profile; pick one of the radial scenarios or "
                              "pass --epsilon/--K directly")
-        epsilon, K = surface.epsilon, float(radial_K)
+        epsilon, K = surface.epsilon, float(surface.radial_K)
     else:
         if "epsilon" not in overrides or "K" not in overrides:
             raise UsageError("solve-radial needs --epsilon and --K "
                              "(or a radial scenario)")
         epsilon = int(overrides.pop("epsilon"))
         K = _pop_number(overrides, "K", 0.0)
-        tol = scaled_tolerances(_pop_number(overrides, "tolerance_scale", 1.0))
+        tol = TOLERANCES.scaled(_pop_number(overrides, "tolerance_scale", 1.0))
         if overrides:
             raise UsageError("unknown solve-radial overrides: "
                              + ", ".join(sorted(overrides)))
     solution = solve_radial(epsilon, K, x0_max=x0_max, delta=delta)
-    match = closed_form_match(solution, tolerance=tol["radial_match"])
+    match = closed_form_match(solution, tolerance=tol.radial_match)
     summary = {
         "kind": "radial_solution",
         "epsilon": solution.epsilon,
@@ -269,13 +271,13 @@ def _cmd_solve_radial(config: RunConfig):
 def _cmd_harness(config: RunConfig):
     name = _require_scenario(config)
     overrides = dict(config.overrides)
-    _reject_keys(overrides, ("refine", "epsilon", "x0_max", "delta"),
-                 "harness")
+    _reject_keys(overrides, ("refine", "epsilon", "x0_max", "delta",
+                             "tolerance_scale"), "harness")
     surface, grid, _ = instantiate(name, overrides)
-    if not hasattr(surface, "du"):
+    if not isinstance(surface, GraphSurface):
         raise UsageError(f"scenario {name!r} is not a graph; the harness "
                          "compares graphs against slices")
-    if getattr(surface, "radial_K", None) is not None:
+    if surface.radial_K is not None:
         verdict = completeness_criterion(surface, grid)
         passed = verdict.bound_respected and (
             verdict.criterion_met if surface.epsilon == -1 else True)

@@ -60,7 +60,7 @@ from .calculus import FrameFields, QuadratureGrid
 from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
                      SingularPoint, StepFailure, WrongAmbient)
 from .reports import CheckResult, CompletenessVerdict, HarnessReport
-from .shape import GraphSurface
+from .shape import GraphSurface, covariant_hessian, gradient_sq
 
 __all__ = [
     "closed_form_f",
@@ -197,8 +197,7 @@ class RadialSolution:
 
     def __post_init__(self):
         if self.epsilon == -1:
-            x0, fp = self.samples[:, 0], self.samples[:, 2]
-            grad_sq = fp ** 2 * (x0 ** 2 - 1.0)
+            grad_sq = self.gradient_sq()
             if np.any(grad_sq >= 1.0):
                 raise NotSpacelike(
                     "integrated Lorentzian profile leaves the spacelike "
@@ -219,20 +218,10 @@ class RadialSolution:
 
     def completeness(self, bound_slack: float = 1.0e-10) -> CompletenessVerdict:
         """Spacelike-bound verdict from this solution's sample table."""
-        vals = self.gradient_sq()
-        sup = float(self.epsilon * (1.0 + self.K) / (-self.K))
-        sampled_max = float(vals.max())
-        return CompletenessVerdict(
-            epsilon=self.epsilon,
-            K=self.K,
-            sup_du_sq=sup,
-            closed_form_value=sup,
-            sampled_max=sampled_max,
-            sample_range=(float(self.samples[0, 0]), float(self.samples[-1, 0])),
-            samples=self.samples.shape[0],
-            criterion_met=bool(sup < 1.0),
-            bound_respected=bool(sampled_max <= sup + bound_slack),
-        )
+        return _completeness_verdict(
+            self.epsilon, self.K, self.gradient_sq(),
+            (float(self.samples[0, 0]), float(self.samples[-1, 0])),
+            bound_slack)
 
 
 def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
@@ -353,11 +342,9 @@ def radial_graph(epsilon: int, K: float, box: float = 1.2):
         return (fpp / x0 ** 2 - fp / x0 ** 3)[..., None, None] * mm \
             + (fp / x0)[..., None, None] * eye
     sign = "m" if K < -1 else "p"
-    surface = GraphSurface(
+    return GraphSurface(
         name=f"radial_eps{epsilon:+d}_K{sign}{abs(K):g}".replace(".", "_"),
-        base=base, epsilon=epsilon, u=height, du=grad, d2u=hess)
-    surface.radial_K = K
-    return surface
+        base=base, epsilon=epsilon, u=height, du=grad, d2u=hess, radial_K=K)
 
 
 # --------------------------------------------------------------------------
@@ -376,21 +363,16 @@ def _graph_equation_pieces(g, m):
             f"got {g.base.name!r} of dimension {g.base.dim}")
     m = np.asarray(m, dtype=float)
     base = g.base
-    ginv = base.metric_inverse_at(m)
-    detg = base.metric_det_at(m)
-    gam = base.christoffel_at(m)
     du = g.du(m)
-    d2u = g.d2u(m)
-    hess = d2u - np.einsum("...kij,...k->...ij", gam, du)
-    grad_sq = np.einsum("...i,...ij,...j->...", du, ginv, du)
-    W = 1.0 + g.epsilon * grad_sq
+    hess = covariant_hessian(base, du, g.d2u(m), m)
+    W = 1.0 + g.epsilon * gradient_sq(base, du, m)
     if g.epsilon == -1 and np.any(W <= 0.0):
         raise NotSpacelike(
             f"graph {g.name!r} is not spacelike: min(1 - |Du|^2) = "
             f"{W.min():.6f}")
     det_h = (hess[..., 0, 0] * hess[..., 1, 1]
              - hess[..., 0, 1] * hess[..., 1, 0])
-    return W, base.curvature_at(m), det_h / detg
+    return W, base.curvature_at(m), det_h / base.metric_det_at(m)
 
 
 def graph_curvature(g, s) -> np.ndarray:
@@ -441,44 +423,44 @@ def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
 # completeness criterion and the theorem harness
 # --------------------------------------------------------------------------
 
-def completeness_criterion(obj, grid: QuadratureGrid | None = None,
-                           bound_slack: float = 1.0e-10,
-                           ) -> CompletenessVerdict:
-    """Supremum of |Du|^2, deciding the entire-graph completeness bound.
+def _completeness_verdict(epsilon: int, K: float | None, grad_sq: np.ndarray,
+                          sample_range: tuple[float, float],
+                          bound_slack: float) -> CompletenessVerdict:
+    """Judge sampled values of |Du|^2 against the completeness bound.
 
-    Accepts either a :class:`RadialSolution` (judged on its sample table
-    against the closed-form supremum) or a graph surface with a grid
-    (judged on the sampled maximum; the closed-form value is attached when
-    the graph is a radial profile).
+    For a radial profile (``K`` given) the supremum is the closed form
+    ``eps (1+K)/(-K)`` and the samples must stay below it; otherwise the
+    sampled maximum stands in for the supremum.
     """
-    if isinstance(obj, RadialSolution):
-        return obj.completeness(bound_slack=bound_slack)
-    if grid is None:
-        raise ParameterOutOfRange(
-            "completeness over a graph surface needs a grid")
-    m = grid.nodes
-    du = obj.du(m)
-    ginv = obj.base.metric_inverse_at(m)
-    grad_sq = np.einsum("...i,...ij,...j->...", du, ginv, du)
     sampled_max = float(grad_sq.max())
-    radial_K = getattr(obj, "radial_K", None)
-    if radial_K is not None:
-        closed = float(obj.epsilon * (1.0 + radial_K) / (-radial_K))
-        sup = closed
-    else:
-        closed = None
-        sup = sampled_max
+    closed = None if K is None else float(epsilon * (1.0 + K) / (-K))
+    sup = sampled_max if closed is None else closed
     return CompletenessVerdict(
-        epsilon=obj.epsilon,
-        K=radial_K,
+        epsilon=epsilon,
+        K=K,
         sup_du_sq=sup,
         closed_form_value=closed,
         sampled_max=sampled_max,
-        sample_range=(float(m[..., 0].min()), float(m[..., 0].max())),
+        sample_range=sample_range,
         samples=int(grad_sq.size),
         criterion_met=bool(sup < 1.0),
         bound_respected=bool(closed is None or sampled_max <= closed + bound_slack),
     )
+
+
+def completeness_criterion(g: GraphSurface, grid: QuadratureGrid,
+                           bound_slack: float = 1.0e-10,
+                           ) -> CompletenessVerdict:
+    """Supremum of |Du|^2 over a graph, deciding the completeness bound.
+
+    Judged on the sampled maximum over the grid; the closed-form supremum
+    is attached when the graph is a radial profile.  A numerically
+    integrated :class:`RadialSolution` has its own ``completeness``.
+    """
+    m = grid.nodes
+    return _completeness_verdict(
+        g.epsilon, g.radial_K, gradient_sq(g.base, g.du(m), m),
+        (float(m[..., 0].min()), float(m[..., 0].max())), bound_slack)
 
 
 def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
@@ -500,11 +482,11 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     fields = FrameFields(g, grid)
     frame = fields.frame
     theta_range = (float(frame.theta.min()), float(frame.theta.max()))
+    kappa = g.base.curvature_at(m)
 
     if float(np.max(np.abs(du))) == 0.0:
         # Slice of the product: totally geodesic, curvature equals the base.
         witness = tuple(float(c) for c in np.reshape(m, (-1, n))[0])
-        kappa = g.base.curvature_at(m)
         if n == 2:
             gap = float(np.max(np.abs(graph_curvature(g, m) - kappa)))
         else:
@@ -531,7 +513,6 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
             },
         )
 
-    kappa = g.base.curvature_at(m)
     if n == 2:
         gap = graph_curvature(g, m) - kappa
         measure = "gauss_curvature"

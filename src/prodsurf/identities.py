@@ -1,19 +1,19 @@
 """Pointwise residual checks for the differential identities of the engine.
 
 Each ``check_*`` function evaluates one identity over a whole grid of frames
-and reports the maximum absolute residual.  Identities that are exact given
-analytic frame data (no grid stencils involved) are judged against a fixed
-absolute tolerance; stencil-limited identities are judged by their measured
-convergence order between two resolutions (see :func:`with_convergence`),
-because their absolute residual is a property of the grid, not of the
-geometry.
+and reports the maximum absolute residual.  Every identity involves grid
+stencils, so it is judged by its measured convergence order between two
+resolutions (see :func:`run_suite`), because its absolute residual is a
+property of the grid, not of the geometry.  The order floors come from
+:data:`prodsurf.zoo.TOLERANCES`.
 
 The checks, with the frame quantities they tie together:
 
 * ``norm_grad_h``      -- |grad h|^2 = eps (1 - Theta^2) in products;
 * ``hessian_h``        -- Hess h = Theta <A . , . > and Lap h = eps n H Theta;
 * ``gauss_scalar``     -- scalar curvature from metric stencils alone equals
-                          the Gauss-equation value from ambient data + A;
+                          the frame's S (Gauss equation, ambient data + A),
+                          and in products also its product expansion;
 * ``codazzi``          -- <Rbar(X,Y)Z, N> = <(grad_Y A)X - (grad_X A)Y, Z>;
 * ``laplacian_theta``  -- the second-order formula for Lap Theta in terms of
                           grad H, S, Ricci and the conformal data;
@@ -31,12 +31,9 @@ from .calculus import FrameFields, QuadratureGrid, partial_derivative
 from .errors import WrongAmbient
 from .reports import CheckResult
 from .shape import intrinsic_curvature_oracle
+from .zoo import TOLERANCES
 
 __all__ = [
-    "ANALYTIC_TOL",
-    "RESIDUAL_FLOOR",
-    "MIN_ORDER_DEFAULT",
-    "MIN_ORDER_STACKED",
     "CHECKS",
     "check_norm_grad_h",
     "check_hessian_h",
@@ -44,14 +41,8 @@ __all__ = [
     "check_codazzi",
     "check_laplacian_theta",
     "check_div_T_top",
-    "with_convergence",
     "run_suite",
 ]
-
-ANALYTIC_TOL = 1e-8        # residuals that involve no grid stencils
-RESIDUAL_FLOOR = 1e-8      # below this, order estimates measure rounding noise
-MIN_ORDER_DEFAULT = 1.7
-MIN_ORDER_STACKED = 1.5    # third-order stacked stencils (Lap Theta)
 
 
 def _require_product(fields: FrameFields, check: str) -> None:
@@ -66,15 +57,14 @@ def _max_abs(residual: np.ndarray) -> float:
 
 
 def _result(name: str, fields: FrameFields, residual: float, *,
-            min_order: float | None) -> CheckResult:
-    tol = None if min_order is not None else ANALYTIC_TOL
+            min_order: float = TOLERANCES.min_order) -> CheckResult:
+    """A single-resolution result; ``_attach_order`` gives the verdict."""
     return CheckResult(
         name=name,
         scenario=fields.surface.name,
         resolution=fields.grid.resolution,
         max_residual=float(residual),
-        passed=(min_order is not None) or (residual <= ANALYTIC_TOL),
-        tolerance=tol,
+        passed=True,
         min_order=min_order,
     )
 
@@ -92,7 +82,7 @@ def check_norm_grad_h(fields: FrameFields) -> CheckResult:
     norm_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
     norm_sq -= eps * (1.0 - fr.theta ** 2)
     residual = _max_abs(norm_sq)
-    return _result("norm_grad_h", fields, residual, min_order=MIN_ORDER_DEFAULT)
+    return _result("norm_grad_h", fields, residual)
 
 
 def check_hessian_h(fields: FrameFields) -> CheckResult:
@@ -107,8 +97,7 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
     lap = fields.laplacian(fr.height).values
     lap -= eps * n * fr.mean_curvature * fr.theta
     traced = _max_abs(lap)
-    out = _result("hessian_h", fields, max(comp, traced),
-                  min_order=MIN_ORDER_DEFAULT)
+    out = _result("hessian_h", fields, max(comp, traced))
     out.note = f"componentwise {comp:.3e}, traced {traced:.3e}"
     return out
 
@@ -117,10 +106,12 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     """Scalar curvature: metric-only stencil oracle vs the Gauss equation.
 
     The reference value is the frame pipeline's ``scalar_curvature`` (exact
-    given analytic jets); in product ambients it is additionally replaced by
-    the product-space expansion ``(n-2) kappa + 2 kappa Theta^2 +
-    2 eps sum_{i<j} k_i k_j`` with the base curvature ``kappa`` sampled
-    pointwise, so the product form of the Gauss equation is what is tested.
+    given analytic jets), the ``S`` that the balance laws and the sign
+    harness consume.  In product ambients the product-space expansion
+    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps sum_{i<j} k_i k_j``, with the
+    base curvature ``kappa`` sampled pointwise, must match that ``S`` too;
+    its residual is folded into the maximum, so the product form of the
+    Gauss equation is tested as well.
     """
     fr = fields.frame
     surface = fields.surface
@@ -131,17 +122,20 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     oracle = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
     if n == 2:
         oracle *= 2.0
-    if surface.ambient.kind == "product":
-        eps = surface.ambient.epsilon
-        nb = surface.ambient.base.dim
-        kappa = surface.ambient.base.curvature_at(fr.point[..., :nb])
-        reference = ((n - 2) * kappa + 2.0 * kappa * fr.theta ** 2
-                     + 2.0 * eps * fr.pair_sum)
-    else:
-        reference = fr.scalar_curvature
-    oracle -= reference
+    oracle -= fr.scalar_curvature
     residual = _max_abs(oracle)
-    return _result("gauss_scalar", fields, residual, min_order=MIN_ORDER_DEFAULT)
+    if surface.ambient.kind != "product":
+        return _result("gauss_scalar", fields, residual)
+    eps = surface.ambient.epsilon
+    nb = surface.ambient.base.dim
+    kappa = surface.ambient.base.curvature_at(fr.point[..., :nb])
+    expansion = ((n - 2) * kappa + 2.0 * kappa * fr.theta ** 2
+                 + 2.0 * eps * fr.pair_sum)
+    expansion -= fr.scalar_curvature
+    product = _max_abs(expansion)
+    out = _result("gauss_scalar", fields, max(residual, product))
+    out.note = f"oracle {residual:.3e}, product expansion {product:.3e}"
+    return out
 
 
 def check_codazzi(fields: FrameFields) -> CheckResult:
@@ -172,7 +166,7 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
                 lhs[..., j, i, k] = -val
     lhs -= rhs
     residual = _max_abs(lhs)
-    return _result("codazzi", fields, residual, min_order=MIN_ORDER_DEFAULT)
+    return _result("codazzi", fields, residual)
 
 
 def check_laplacian_theta(fields: FrameFields) -> CheckResult:
@@ -202,7 +196,7 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
     lap_theta -= rhs
     residual = _max_abs(lap_theta)
     return _result("laplacian_theta", fields, residual,
-                   min_order=MIN_ORDER_STACKED)
+                   min_order=TOLERANCES.min_order_stacked)
 
 
 def check_div_T_top(fields: FrameFields) -> CheckResult:
@@ -214,7 +208,7 @@ def check_div_T_top(fields: FrameFields) -> CheckResult:
     div_tau -= n * phi
     div_tau -= n * fr.mean_curvature * fr.theta
     residual = _max_abs(div_tau)
-    return _result("div_T_top", fields, residual, min_order=MIN_ORDER_DEFAULT)
+    return _result("div_T_top", fields, residual)
 
 
 CHECKS: dict[str, Callable[[FrameFields], CheckResult]] = {
@@ -247,10 +241,8 @@ def _attach_order(coarse: CheckResult, fine: CheckResult,
     """
     fine.coarse_resolution = resolution
     fine.coarse_residual = coarse.max_residual
-    if fine.min_order is None:
-        # analytic check: tolerance-based verdict already final
-        return fine
-    if max(fine.max_residual, coarse.max_residual) <= RESIDUAL_FLOOR:
+    floor = TOLERANCES.residual_floor
+    if max(fine.max_residual, coarse.max_residual) <= floor:
         fine.floored = True
         fine.passed = True
         fine.note = (fine.note + "; " if fine.note else "") + \
@@ -261,16 +253,6 @@ def _attach_order(coarse: CheckResult, fine: CheckResult,
     fine.convergence_order = math.log2(max(ratio, 1e-300)) / steps
     fine.passed = fine.convergence_order >= fine.min_order
     return fine
-
-
-def with_convergence(check: Callable[[FrameFields], CheckResult],
-                     surface, resolution: int, fine_resolution: int | None = None
-                     ) -> CheckResult:
-    """Run ``check`` at two resolutions and attach the convergence order."""
-    fine_resolution = fine_resolution or 2 * resolution
-    coarse = check(FrameFields(surface, QuadratureGrid.build(surface.axes, resolution)))
-    fine = check(FrameFields(surface, QuadratureGrid.build(surface.axes, fine_resolution)))
-    return _attach_order(coarse, fine, resolution, fine_resolution)
 
 
 def applicable_checks(surface, names: tuple[str, ...] | None = None,

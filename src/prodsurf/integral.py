@@ -50,12 +50,12 @@ import numpy as np
 from .calculus import FrameFields, QuadratureGrid
 from .errors import NotEinstein
 from .reports import IntegralReport
+from .zoo import TOLERANCES
 
-# Pass thresholds.  The flux and product balances are judged relative to the
-# cancellation mass; the Einstein balance is judged on the raw integral, to
-# match how it is used downstream (a nonzero value rules surfaces out).
-RELATIVE_TOL = 1.0e-6
-EINSTEIN_ABS_TOL = 1.0e-5
+# Pass thresholds come from zoo.TOLERANCES.  The flux and product balances
+# are judged relative to the cancellation mass; the Einstein balance is
+# judged on the raw integral, to match how it is used downstream (a nonzero
+# value rules surfaces out).
 
 
 def _cancellation_mass(fields: FrameFields) -> float:
@@ -97,7 +97,8 @@ def _as_fields(surface, grid) -> FrameFields:
 
 
 def integral_formula(surface, grid,
-                     tolerance: float = RELATIVE_TOL) -> IntegralReport:
+                     tolerance: float = TOLERANCES.integral_relative,
+                     ) -> IntegralReport:
     """Balance law for a closed conformal field in a general ambient.
 
     Parameters
@@ -126,7 +127,8 @@ def integral_formula(surface, grid,
 
 
 def product_integral(surface, grid,
-                     tolerance: float = RELATIVE_TOL) -> IntegralReport:
+                     tolerance: float = TOLERANCES.integral_relative,
+                     ) -> IntegralReport:
     """Killing specialisation of the balance law in a metric product."""
     fields = _as_fields(surface, grid)
     ambient = fields.surface.ambient
@@ -144,7 +146,8 @@ def product_integral(surface, grid,
 
 
 def einstein_integral(surface, grid,
-                      tolerance: float = EINSTEIN_ABS_TOL) -> IntegralReport:
+                      tolerance: float = TOLERANCES.einstein_absolute,
+                      ) -> IntegralReport:
     """Killing specialisation of the balance law in an Einstein ambient.
 
     Raises ``NotEinstein`` unless the ambient is Einstein and its

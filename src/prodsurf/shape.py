@@ -154,6 +154,7 @@ class GraphSurface:
     du: Callable[[np.ndarray], np.ndarray]
     d2u: Callable[[np.ndarray], np.ndarray]
     orientation: str = ""
+    radial_K: float | None = None   # K of a graphs.radial_graph profile
 
     def __post_init__(self):
         self.ambient = make_product(self.base, self.epsilon)
@@ -477,14 +478,14 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
 
 
 # --------------------------------------------------------------------------
-# closed-form graph quantities (used as an independent route in tests)
+# closed-form graph quantities (an independent route to the frame, used
+# in tests and by the graph curvature equation of prodsurf.graphs)
 # --------------------------------------------------------------------------
 
-def _graph_w(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
-    """|Du|^2 in the base metric."""
-    s = np.asarray(s, dtype=float)
-    du = graph.du(s)
-    ginv = graph.base.metric_inverse_at(s)
+def gradient_sq(base: BaseManifold, du: np.ndarray, s: np.ndarray
+                ) -> np.ndarray:
+    """``|Du|^2`` of a function on the base manifold, in the base metric."""
+    ginv = base.metric_inverse_at(s)
     return np.einsum("...i,...ij,...j->...", du, ginv, du)
 
 
@@ -494,7 +495,8 @@ def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     Always strictly negative; in the Lorentzian case ``theta <= -1`` and the
     spacelike condition ``|Du|^2 < 1`` is enforced.
     """
-    w = _graph_w(graph, s)
+    s = np.asarray(s, dtype=float)
+    w = gradient_sq(graph.base, graph.du(s), s)
     arg = 1.0 + graph.epsilon * w
     if np.any(arg <= 0.0):
         raise NotSpacelike(
@@ -519,11 +521,11 @@ def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     change.
     """
     s = np.asarray(s, dtype=float)
-    w = _graph_w(graph, s)
-    arg = 1.0 + graph.epsilon * w
+    du = graph.du(s)
+    arg = 1.0 + graph.epsilon * gradient_sq(graph.base, du, s)
     if np.any(arg <= 0.0):
         raise NotSpacelike(f"{graph.name}: graph is not spacelike")
-    hess = covariant_hessian(graph.base, graph.du(s), graph.d2u(s), s)
+    hess = covariant_hessian(graph.base, du, graph.d2u(s), s)
     gM = graph.base.metric_at(s)
     L = np.linalg.cholesky(gM)
     E = np.swapaxes(_smallmat.inv(L), -1, -2)      # columns: orthonormal frame

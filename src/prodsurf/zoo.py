@@ -4,8 +4,9 @@ Every check in the package (pointwise identities, integral balances, the
 graph harness, the radial profiles) runs against surfaces drawn from this
 catalog.  Each scenario carries analytic jets through second order -- no
 finite differencing enters a scenario definition -- together with a default
-resolution, tolerance policies, and a small map of expected quantities with
-a note on how each value is known.
+resolution and a small map of expected quantities with a note on how each
+value is known.  The module also holds the package's one tolerance policy,
+:data:`TOLERANCES`, and the graph profiles the acceptance battery shares.
 
 The catalog covers:
 
@@ -26,7 +27,7 @@ the parameters each scenario declares, each gated to its admissible range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -43,29 +44,57 @@ __all__ = [
     "list_scenarios",
     "scenario_names",
     "instantiate",
-    "DEFAULT_TOLERANCES",
+    "TOLERANCES",
+    "cosine_profile",
+    "constant_profile",
 ]
 
 DEFAULT_RESOLUTION = 64
 REDUCED_RESOLUTION_3D = 16   # three-dimensional grids refine 16 -> 32
 
-# Tolerance policy keys; "min_order*" entries are convergence-order floors
-# and are never rescaled, the rest are residual tolerances multiplied by a
-# "tolerance_scale" override.
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "min_order": 1.7,
-    "min_order_stacked": 1.5,
-    "analytic": 1.0e-8,
-    "integral_relative": 1.0e-6,
-    "einstein_absolute": 1.0e-5,
-    "radial_match": 1.0e-6,
-}
-_UNSCALED_KEYS = ("min_order", "min_order_stacked")
-
 _GLOBAL_RANGES: dict[str, tuple[float, float]] = {
     "resolution": (10, 512),
     "tolerance_scale": (1.0e-6, 1.0e6),
 }
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerance policy every verdict in the package reads.
+
+    ``min_order`` and ``min_order_stacked`` are convergence-order floors
+    (the latter for the third-order stacked stencils of Lap Theta), and
+    ``residual_floor`` is the level below which an order estimate measures
+    rounding noise; these describe the methods and the arithmetic, so
+    ``scaled`` leaves them alone.  The remaining fields are residual
+    tolerances of the balance laws and the radial closed-form match, which
+    a ``tolerance_scale`` override multiplies.
+    """
+
+    min_order: float = 1.7
+    min_order_stacked: float = 1.5
+    residual_floor: float = 1.0e-8
+    integral_relative: float = 1.0e-6
+    einstein_absolute: float = 1.0e-5
+    radial_match: float = 1.0e-6
+
+    def scaled(self, scale: float) -> Tolerances:
+        """This policy with its residual tolerances multiplied by ``scale``.
+
+        The scale is gated to the range of the ``tolerance_scale`` override.
+        """
+        scale = float(scale)
+        lo, hi = _GLOBAL_RANGES["tolerance_scale"]
+        if not (lo <= scale <= hi):
+            raise OverrideOutOfRange(
+                f"tolerance_scale={scale} outside [{lo}, {hi}]")
+        return replace(self,
+                       integral_relative=self.integral_relative * scale,
+                       einstein_absolute=self.einstein_absolute * scale,
+                       radial_match=self.radial_match * scale)
+
+
+TOLERANCES = Tolerances()
 
 _EVENNESS_TOL = 1.0e-12
 
@@ -85,23 +114,13 @@ class Scenario:
     description: str = ""
     expected: dict[str, Any] = field(default_factory=dict)
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "ambient": self.ambient_key,
-            "kind": self.kind,
-            "params": dict(self.params),
-            "default_resolution": self.default_resolution,
-            "compact": self.compact,
-            "description": self.description,
-        }
-
 
 # --------------------------------------------------------------------------
 # graph profiles (analytic height functions with their jets)
 # --------------------------------------------------------------------------
 
-def _const_profile(t0: float):
+def constant_profile(t0: float):
+    """u = t0, the height of a slice."""
     def u(m):
         m = np.asarray(m, dtype=float)
         return np.full(m.shape[:-1], t0)
@@ -117,8 +136,12 @@ def _const_profile(t0: float):
     return u, du, d2u
 
 
-def _polar_cos_profile(a: float):
-    """u = a cos(theta) on a colatitude/longitude chart."""
+def cosine_profile(a: float):
+    """u = a cos(m_0) in any dimension.
+
+    On the colatitude/longitude chart of the sphere this is ``a cos(theta)``,
+    on the hyperspherical chart of the 3-sphere ``a cos(chi)``.
+    """
     def u(m):
         return a * np.cos(m[..., 0])
 
@@ -130,7 +153,7 @@ def _polar_cos_profile(a: float):
 
     def d2u(m):
         m = np.asarray(m, dtype=float)
-        out = np.zeros(m.shape[:-1] + (2, 2))
+        out = np.zeros(m.shape + (m.shape[-1],))
         out[..., 0, 0] = -a * np.cos(m[..., 0])
         return out
     return u, du, d2u
@@ -185,25 +208,6 @@ def _torus_wave_profile(a: float):
         out[..., 0, 0] = -a * np.sin(x) * np.cos(y)
         out[..., 0, 1] = out[..., 1, 0] = -a * np.cos(x) * np.sin(y)
         out[..., 1, 1] = -a * np.sin(x) * np.cos(y)
-        return out
-    return u, du, d2u
-
-
-def _coschi_profile(a: float):
-    """u = a cos(chi) on the hyperspherical 3-sphere chart."""
-    def u(m):
-        return a * np.cos(m[..., 0])
-
-    def du(m):
-        m = np.asarray(m, dtype=float)
-        out = np.zeros(m.shape)
-        out[..., 0] = -a * np.sin(m[..., 0])
-        return out
-
-    def d2u(m):
-        m = np.asarray(m, dtype=float)
-        out = np.zeros(m.shape[:-1] + (3, 3))
-        out[..., 0, 0] = -a * np.cos(m[..., 0])
         return out
     return u, du, d2u
 
@@ -360,23 +364,19 @@ def _cylinder_jet():
 # scenario builders
 # --------------------------------------------------------------------------
 
-def _slice_builder(base_factory: Callable, epsilon: int):
-    def build(params):
-        u, du, d2u = _const_profile(params["t0"])
-        return GraphSurface(name=params["_name"], base=base_factory(),
-                            epsilon=epsilon, u=u, du=du, d2u=d2u)
-    return build
-
-
 def _graph_builder(base_factory: Callable, epsilon: int, profile: Callable,
-                   even_gate: bool = False):
+                   even_gate: bool = False, param: str = "amplitude"):
     def build(params):
-        u, du, d2u = profile(params["amplitude"])
+        u, du, d2u = profile(params[param])
         if even_gate:
             _check_antipodally_even(u, params["_name"])
         return GraphSurface(name=params["_name"], base=base_factory(),
                             epsilon=epsilon, u=u, du=du, d2u=d2u)
     return build
+
+
+def _slice_builder(base_factory: Callable, epsilon: int):
+    return _graph_builder(base_factory, epsilon, constant_profile, param="t0")
 
 
 def _parametric_builder(ambient_key: str, axes, jet_factory: Callable,
@@ -454,13 +454,13 @@ def _catalog() -> list[Scenario]:
         # ---- product graphs, n = 2 ---------------------------------------
         Scenario(
             name="graph_S2xR_cos03", ambient_key="S2xR", kind="graph",
-            builder=_graph_builder(round_sphere, +1, _polar_cos_profile),
+            builder=_graph_builder(round_sphere, +1, cosine_profile),
             params={"amplitude": 0.3}, ranges={"amplitude": (0.0, 0.45)},
             description="axisymmetric graph over the round sphere",
         ),
         Scenario(
             name="graph_S2xR1_cos02", ambient_key="S2xR1", kind="graph",
-            builder=_graph_builder(round_sphere, -1, _polar_cos_profile),
+            builder=_graph_builder(round_sphere, -1, cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.45)},
             description="spacelike axisymmetric graph, Lorentzian product",
         ),
@@ -494,14 +494,14 @@ def _catalog() -> list[Scenario]:
         # ---- product graphs, n = 3 ---------------------------------------
         Scenario(
             name="graph_S3xR_coschi02", ambient_key="S3xR", kind="graph",
-            builder=_graph_builder(round_three_sphere, +1, _coschi_profile),
+            builder=_graph_builder(round_three_sphere, +1, cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
             default_resolution=REDUCED_RESOLUTION_3D,
             description="three-dimensional graph over the round 3-sphere",
         ),
         Scenario(
             name="graph_S3xR1_coschi02", ambient_key="S3xR1", kind="graph",
-            builder=_graph_builder(round_three_sphere, -1, _coschi_profile),
+            builder=_graph_builder(round_three_sphere, -1, cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
             default_resolution=REDUCED_RESOLUTION_3D,
             description="spacelike three-dimensional graph, Lorentzian",
@@ -633,23 +633,11 @@ def _gate(name: str, key: str, value, lo, hi):
             f"scenario {name!r}: override {key}={value} outside [{lo}, {hi}]")
 
 
-def scaled_tolerances(scale: float = 1.0, context: str = "tolerances") -> dict[str, float]:
-    """The default tolerance policy with residual tolerances rescaled.
-
-    Convergence-order floors are never rescaled.  The scale itself is gated
-    to the same global range as the ``tolerance_scale`` override.
-    """
-    scale = float(scale)
-    lo, hi = _GLOBAL_RANGES["tolerance_scale"]
-    _gate(context, "tolerance_scale", scale, lo, hi)
-    return {
-        key: (value if key in _UNSCALED_KEYS else value * scale)
-        for key, value in DEFAULT_TOLERANCES.items()
-    }
-
-
 def instantiate(name: str, overrides: dict[str, Any] | None = None):
     """Build (surface, grid, tolerances) for a named scenario.
+
+    ``tolerances`` is :data:`TOLERANCES`, scaled by a ``tolerance_scale``
+    override when one is given.
 
     ``overrides`` may set ``resolution``, ``tolerance_scale``, and any
     parameter the scenario declares a range for; values outside the
@@ -671,9 +659,7 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
         resolution = int(resolution)
         _gate(name, "resolution", resolution, lo, hi)
 
-    scale = 1.0
-    if "tolerance_scale" in overrides:
-        scale = float(overrides.pop("tolerance_scale"))
+    tolerances = TOLERANCES.scaled(overrides.pop("tolerance_scale", 1.0))
 
     params = dict(sc.params)
     for key, value in overrides.items():
@@ -690,4 +676,4 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
 
     surface = sc.builder(params)
     grid = QuadratureGrid.build(surface.axes, resolution)
-    return surface, grid, scaled_tolerances(scale, context=name)
+    return surface, grid, tolerances

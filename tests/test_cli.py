@@ -162,6 +162,23 @@ def test_rejected_invocations_exit_two(args):
     assert "error" in proc.stderr.lower() or "usage" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("command, scenario", [
+    ("identities", "slice_T2xR_t1.2"),
+    ("harness", "graph_S2xR_cos03"),
+])
+def test_tolerance_scale_is_rejected_where_nothing_reads_it(tmp_path, command,
+                                                           scenario):
+    cfg = tmp_path / "scaled.json"
+    cfg.write_text(json.dumps({
+        "command": command,
+        "scenario": scenario,
+        "overrides": {"resolution": 16, "tolerance_scale": 10.0},
+    }))
+    proc = run_cli("--config", str(cfg), "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "tolerance_scale" in proc.stderr
+
+
 def test_unknown_config_key_exits_two(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "zoo-list", "bogus": 1}))

@@ -1,10 +1,12 @@
 """Pointwise identity checks: residuals, convergence orders, applicability."""
 
+import dataclasses
+
 import pytest
 
+from prodsurf import calculus
 from prodsurf.errors import MissingKillingData, WrongAmbient
-from prodsurf.identities import (CHECKS, applicable_checks, run_suite,
-                                 with_convergence)
+from prodsurf.identities import CHECKS, applicable_checks, run_suite
 
 ALL_CHECKS = ("norm_grad_h", "hessian_h", "gauss_scalar", "codazzi",
               "laplacian_theta", "div_T_top")
@@ -42,10 +44,33 @@ def test_rounding_limited_checks_pass_via_floor(zoo):
     # stacked FD check measures pure conditioning noise that grows under
     # refinement; the floor carve-out must classify it as satisfied.
     surface, _, _ = zoo("sphere_R3_homothetic")
-    result = with_convergence(CHECKS["laplacian_theta"], surface, 64)
+    (result,) = run_suite(surface, 64, names=("laplacian_theta",))
     assert result.floored
     assert result.passed
     assert result.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("scenario, resolution", [
+    ("graph_S2xR_cos03", 32), ("graph_S3xR_coschi02", 16),
+])
+def test_gauss_scalar_catches_a_defect_in_the_frame_S(zoo, monkeypatch,
+                                                      scenario, resolution):
+    # The frame's scalar_curvature is the S that the balance laws and the
+    # sign harness consume; in product ambients too, gauss_scalar must see
+    # a relative defect of 1e-3 in it.
+    surface, _, _ = zoo(scenario)
+    (clean,) = run_suite(surface, resolution, names=("gauss_scalar",))
+    assert clean.passed, clean
+    frame_at = calculus.frame_at
+
+    def defective_frame_at(surface, s):
+        fr = frame_at(surface, s)
+        return dataclasses.replace(
+            fr, scalar_curvature=fr.scalar_curvature * (1.0 + 1.0e-3))
+
+    monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
+    (result,) = run_suite(surface, resolution, names=("gauss_scalar",))
+    assert not result.passed, result
 
 
 def test_applicability_filters(zoo):

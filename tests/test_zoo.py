@@ -1,5 +1,6 @@
 """The scenario catalog: coverage, determinism, gates, tolerance policy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from prodsurf.calculus import FrameFields
 from prodsurf.errors import OverrideOutOfRange, UnknownScenario
 from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
-from prodsurf.zoo import (DEFAULT_TOLERANCES, REDUCED_RESOLUTION_3D,
-                          instantiate, list_scenarios, scaled_tolerances,
-                          scenario_names)
+from prodsurf.identities import run_suite
+from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, instantiate,
+                          list_scenarios, scenario_names)
 
 REQUIRED = (
     "slice_S2xR_t0.7",
@@ -36,7 +37,7 @@ def test_every_scenario_instantiates_at_reduced_resolution():
     for sc in list_scenarios():
         surface, grid, tol = instantiate(sc.name, SMALL)
         assert grid.resolution == 12
-        assert tol == DEFAULT_TOLERANCES
+        assert tol == TOLERANCES
         if hasattr(surface, "epsilon"):
             assert surface.epsilon in (+1, -1)
         # frames build everywhere the scenario samples
@@ -141,19 +142,47 @@ def test_radial_scenario_rejects_curvature_outside_existence_range():
 def test_tolerance_scaling_leaves_order_floors_alone():
     _, _, tol = instantiate("slice_S2xR_t0.7",
                             {"tolerance_scale": 10.0, "resolution": 12})
-    assert tol["min_order"] == DEFAULT_TOLERANCES["min_order"]
-    assert tol["min_order_stacked"] == DEFAULT_TOLERANCES["min_order_stacked"]
-    assert tol["analytic"] == pytest.approx(1e-7)
-    assert tol["integral_relative"] == pytest.approx(1e-5)
-    assert tol["radial_match"] == pytest.approx(1e-5)
+    assert tol.min_order == TOLERANCES.min_order
+    assert tol.min_order_stacked == TOLERANCES.min_order_stacked
+    assert tol.residual_floor == TOLERANCES.residual_floor
+    assert tol.integral_relative == pytest.approx(1e-5)
+    assert tol.einstein_absolute == pytest.approx(1e-4)
+    assert tol.radial_match == pytest.approx(1e-5)
 
-    direct = scaled_tolerances(10.0)
+    direct = TOLERANCES.scaled(10.0)
     assert direct == tol
 
 
+def test_scaled_leaves_both_order_floors_unchanged():
+    for scale in (1e-6, 0.5, 1e6):
+        tol = TOLERANCES.scaled(scale)
+        assert tol.min_order == 1.7
+        assert tol.min_order_stacked == 1.5
+
+
 def test_scaled_tolerances_gates_the_scale():
-    with pytest.raises(OverrideOutOfRange):
-        scaled_tolerances(1e7)
+    for scale in (1e7, 1e-7, 0.0, -1.0):
+        with pytest.raises(OverrideOutOfRange, match="tolerance_scale"):
+            TOLERANCES.scaled(scale)
+
+
+def test_tolerance_record_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOLERANCES.min_order = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TOLERANCES.scaled(2.0).radial_match = 1.0
+    assert TOLERANCES.min_order == 1.7
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "sphere_R3_homothetic"])
+def test_identity_results_carry_the_record_floors(zoo, name):
+    surface, _, _ = zoo(name)
+    results = run_suite(surface, 12, refine=0)
+    assert len(results) >= 4
+    for r in results:
+        want = (TOLERANCES.min_order_stacked if r.name == "laplacian_theta"
+                else TOLERANCES.min_order)
+        assert r.min_order == want, r.name
 
 
 def test_noncompact_scenarios_are_flagged():
