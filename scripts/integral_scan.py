@@ -14,7 +14,7 @@ Usage:
 
 import argparse
 
-from prodsurf import available_formulas, run_formulas
+from prodsurf import run_formulas
 from prodsurf.zoo import instantiate
 
 DEFAULT_SCENARIOS = ("sphere_R3_homothetic", "ellipsoid_R3_homothetic",
@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     for name in names:
         for resolution in args.resolutions:
             surface, grid, _ = instantiate(name, {"resolution": resolution})
-            formulas = available_formulas(surface, grid)
-            for rep in run_formulas(surface, grid, names=formulas):
+            for rep in run_formulas(surface, grid):
                 worst = max(worst, rep.relative_residual)
                 print(f"{name:26s} {rep.formula:18s} {resolution:4d} "
                       f"{rep.lhs:12.5e} {rep.rhs:12.5e} "

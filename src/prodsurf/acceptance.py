@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from .graphs import (check_curvature_range, closed_form_match,
                      radial_graph, solve_radial, theorem_harness)
 from .identities import run_suite
 from .integral import einstein_integral, integral_formula, product_integral
-from .reports import dump_json, make_envelope
+from .reports import Report, dump_json, make_envelope
 from .shape import GraphSurface
-from .zoo import (TOLERANCES, constant_profile, cosine_profile, instantiate,
-                  list_scenarios)
+from .zoo import constant_profile, cosine_profile, instantiate, list_scenarios
 
 # -- pinned criterion constants ---------------------------------------------
-# Tolerances shared with the rest of the package live in zoo.TOLERANCES;
+# Tolerances shared with the rest of the package live in reports.TOLERANCES;
 # the constants here belong to one criterion each.
 
 IDENTITY_TIME_BUDGET = 180.0          # seconds for the full identity sweep
@@ -67,7 +66,7 @@ GEODESIC_SPHERE_RADII = (math.pi / 6, math.pi / 4, math.pi / 3)
 
 
 @dataclass
-class CriterionVerdict:
+class CriterionVerdict(Report):
     """One acceptance criterion with its evidence lines."""
 
     number: int
@@ -78,10 +77,6 @@ class CriterionVerdict:
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
         return f"{word} criterion {self.number}: {self.title}"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"number": self.number, "title": self.title,
-                "passed": self.passed, "details": list(self.details)}
 
 
 def _verdict(number: int, title: str, checks: list[tuple[bool, str]]
@@ -130,8 +125,8 @@ def criterion_product_integral() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in PRODUCT_GRAPH_SCENARIOS:
         surface, _, tol = instantiate(name)
-        fine = product_integral(surface, 128, tolerance=tol.integral_relative)
-        coarse = product_integral(surface, 64, tolerance=tol.integral_relative)
+        fine = product_integral(surface, 128, tol)
+        coarse = product_integral(surface, 64, tol)
         ok = fine.relative_residual <= tol.integral_relative
         checks.append((ok, f"{name}: relative residual "
                            f"{fine.relative_residual:.3e} at 128"))
@@ -154,7 +149,7 @@ def criterion_homothetic_flux() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in HOMOTHETIC_SCENARIOS:
         surface, grid, tol = instantiate(name)
-        rep = integral_formula(surface, grid, tolerance=tol.integral_relative)
+        rep = integral_formula(surface, grid, tol)
         checks.append((rep.relative_residual <= tol.integral_relative,
                        f"{name}: lhs {rep.lhs:.9f} rhs {rep.rhs:.9f} "
                        f"relative residual {rep.relative_residual:.3e}"))
@@ -175,7 +170,7 @@ def criterion_einstein_spheres() -> CriterionVerdict:
     for rho in GEODESIC_SPHERE_RADII:
         surface, grid, tol = instantiate("geodesic_sphere_S3",
                                          {"rho": rho, "resolution": 96})
-        rep = einstein_integral(surface, grid, tolerance=tol.einstein_absolute)
+        rep = einstein_integral(surface, grid, tol)
         checks.append((abs(rep.residual) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: balance residual {rep.residual:.3e}"))
         fields = FrameFields(surface, grid)
@@ -198,7 +193,7 @@ def criterion_radial_profiles() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for eps, K in ACCEPTED_PARAMETER_PAIRS:
         sol = solve_radial(eps, K)
-        rep = closed_form_match(sol, tolerance=TOLERANCES.radial_match)
+        rep = closed_form_match(sol)
         checks.append((rep.passed,
                        f"eps={eps:+d} K={K}: profile deviation "
                        f"{rep.max_residual:.3e}"))
@@ -309,7 +304,7 @@ def _probe_bytes() -> bytes:
     """Serialize a fixed computation from scratch (geometry to JSON)."""
     surface, grid, tol = instantiate("sphere_R3_homothetic",
                                      {"resolution": 32})
-    flux = integral_formula(surface, grid, tolerance=tol.integral_relative)
+    flux = integral_formula(surface, grid, tol)
     sol = solve_radial(-1, -2.0, n_samples=512)
     match = closed_form_match(sol, tolerance=tol.radial_match)
     envelope = make_envelope(

@@ -326,9 +326,9 @@ def round_three_sphere() -> BaseManifold:
 class KillingData:
     """A conformal Killing field ``T`` of an ambient space.
 
-    ``jacobian_at`` returns the chart partials ``J[..., a, b] = d_b T^a``;
-    it is analytic for every built-in field (checks fall back to central
-    differences when it is absent).  ``conformal_factor`` is the function
+    ``jacobian_at`` returns the analytic chart partials
+    ``J[..., a, b] = d_b T^a``, which the conformal Killing check reads.
+    ``conformal_factor`` is the function
     ``phi`` with ``<grad_V T, W> + <V, grad_W T> = 2 phi <V, W>``; a genuine
     Killing field has ``phi = 0``, the homothetic position field ``phi = 1``.
     """
@@ -337,7 +337,7 @@ class KillingData:
     field_at: Callable[[np.ndarray], np.ndarray]
     conformal_factor: Callable[[np.ndarray], np.ndarray]
     factor_gradient: Callable[[np.ndarray], np.ndarray]
-    jacobian_at: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian_at: Callable[[np.ndarray], np.ndarray]
 
     def normal_derivative_of_factor(self, point: np.ndarray,
                                     normal: np.ndarray) -> np.ndarray:
@@ -712,7 +712,6 @@ def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
 
 
 def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
-                             fd_step: float = 1e-6,
                              tolerance: float = 1e-7) -> CheckResult:
     """Check the conformal Killing equation of the ambient's field at points.
 
@@ -724,17 +723,9 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
     if ambient.killing is None:
         raise MissingKillingData(f"ambient {ambient.name} carries no Killing data")
     x = np.asarray(points, dtype=float)
-    d = x.shape[-1]
     K = ambient.killing
     T = K.field_at(x)
-    if K.jacobian_at is not None:
-        J = K.jacobian_at(x)
-    else:
-        J = np.zeros(x.shape + (d,))
-        for b in range(d):
-            e = np.zeros(d)
-            e[b] = fd_step
-            J[..., :, b] = (K.field_at(x + e) - K.field_at(x - e)) / (2.0 * fd_step)
+    J = K.jacobian_at(x)
     Gam = ambient.christoffel_at(x)
     G = ambient.metric_at(x)
     # covariant derivative (a up, b down), then lower the upper index

@@ -4,8 +4,10 @@ Provides quadrature grids over the parameter charts (Gauss-Legendre in the
 cosine of polar angles, trapezoid on periodic angles, midpoint on open
 intervals), first-derivative stencils that continue fields across chart
 poles via the deck transformations declared on each :class:`AxisSpec`, and
-the surface operators built from them: gradient, divergence,
-Laplace-Beltrami and covariant Hessians with respect to the induced metric.
+the surface operators built from them.  The operators (gradient,
+divergence, Laplace-Beltrami and covariant Hessians with respect to the
+induced metric) are methods of :class:`FrameFields` that take and return
+plain arrays on the grid.
 
 All higher operators are compositions of the first-derivative stencil, so
 one resolution knob controls every discretization error.  Stencils are
@@ -34,9 +36,6 @@ __all__ = [
     "QuadratureGrid",
     "SurfaceField",
     "partial_derivative",
-    "surface_gradient",
-    "surface_divergence",
-    "laplace_beltrami",
     "integrate",
     "FrameFields",
 ]
@@ -253,49 +252,6 @@ def partial_derivative(values: np.ndarray, grid: QuadratureGrid, axis: int,
     return np.sum(gathered, axis=-1)
 
 
-def _as_field(f) -> tuple[np.ndarray, QuadratureGrid, int]:
-    if isinstance(f, SurfaceField):
-        return f.values, f.grid, f.index_rank
-    raise TypeError("expected a SurfaceField")
-
-
-def surface_gradient(f: SurfaceField, metric_inv: np.ndarray) -> SurfaceField:
-    """Gradient of a scalar field: (grad f)^i = g^ij d_j f."""
-    values, grid, rank = _as_field(f)
-    if rank != 0:
-        raise ValueError("surface_gradient expects a scalar field")
-    n = len(grid.axes)
-    df = np.stack([partial_derivative(values, grid, a) for a in range(n)], axis=-1)
-    grad = np.einsum("...ij,...j->...i", metric_inv, df)
-    return SurfaceField(grad, grid, index_rank=1)
-
-
-def surface_divergence(X: SurfaceField, christoffels: np.ndarray) -> SurfaceField:
-    """Divergence of a tangent field: div X = d_i X^i + Gamma^i_ik X^k.
-
-    The covariant form is used rather than the density form
-    ``(1/sqrt g) d_i(sqrt g X^i)``: the flux ``sqrt(g) X^i`` is a vector
-    density, and densities acquire a ``|det J|`` factor under the polar deck
-    maps that the tensor ghost machinery deliberately does not apply.
-    """
-    values, grid, rank = _as_field(X)
-    if rank != 1:
-        raise ValueError("surface_divergence expects a tangent-vector field")
-    n = len(grid.axes)
-    acc = np.einsum("...iik->...k", christoffels.reshape(
-        christoffels.shape[:-3] + (n, n, n)))
-    acc = np.einsum("...k,...k->...", acc, values)
-    for a in range(n):
-        acc = acc + partial_derivative(values, grid, a, index_rank=1)[..., a]
-    return SurfaceField(acc, grid, index_rank=0)
-
-
-def laplace_beltrami(f: SurfaceField, metric_inv: np.ndarray,
-                     christoffels: np.ndarray) -> SurfaceField:
-    """Laplace-Beltrami of a scalar: div(grad f), by nested stencils."""
-    return surface_divergence(surface_gradient(f, metric_inv), christoffels)
-
-
 def integrate(f: SurfaceField, area_elements: np.ndarray, *,
               quotient_factor: float = 1.0, compact: bool = True) -> float:
     """Integral over the surface: sum of f * weight * area element.
@@ -307,10 +263,9 @@ def integrate(f: SurfaceField, area_elements: np.ndarray, *,
     """
     if not compact:
         raise NonCompactDomain("surface integral requested on a non-compact scenario")
-    values, grid, rank = _as_field(f)
-    if rank != 0:
+    if f.index_rank != 0:
         raise ValueError("integrate expects a scalar field")
-    contrib = values * grid.weights
+    contrib = f.values * f.grid.weights
     contrib *= area_elements
     flat = contrib.ravel(order="C")
     return quotient_factor * math.fsum(itertools.chain.from_iterable(
@@ -347,10 +302,7 @@ class FrameFields:
     @cached_property
     def metric_partials(self) -> np.ndarray:
         """dg[..., a, i, j] = d_a g_ij by grid stencils."""
-        n = len(self.grid.axes)
-        return np.stack(
-            [partial_derivative(self.frame.metric, self.grid, a, index_rank=2)
-             for a in range(n)], axis=-3)
+        return self.partials(self.frame.metric, index_rank=2)
 
     @cached_property
     def christoffels(self) -> np.ndarray:
@@ -365,36 +317,40 @@ class FrameFields:
                 out[..., :, i, j] = np.einsum("...kl,...l->...k", ginv, brk)
         return out
 
-    def scalar(self, values: np.ndarray) -> SurfaceField:
-        return SurfaceField(np.asarray(values, dtype=float), self.grid, 0)
+    # -- surface operators (arrays in, arrays out) ---------------------------
 
-    def vector(self, values: np.ndarray) -> SurfaceField:
-        return SurfaceField(np.asarray(values, dtype=float), self.grid, 1)
-
-    def gradient(self, f: SurfaceField | np.ndarray) -> SurfaceField:
-        if not isinstance(f, SurfaceField):
-            f = self.scalar(f)
-        return surface_gradient(f, self.frame.metric_inv)
-
-    def divergence(self, X: SurfaceField | np.ndarray) -> SurfaceField:
-        if not isinstance(X, SurfaceField):
-            X = self.vector(X)
-        return surface_divergence(X, self.christoffels)
-
-    def laplacian(self, f: SurfaceField | np.ndarray) -> SurfaceField:
-        if not isinstance(f, SurfaceField):
-            f = self.scalar(f)
-        return laplace_beltrami(f, self.frame.metric_inv, self.christoffels)
-
-    def covariant_hessian(self, f: SurfaceField | np.ndarray) -> np.ndarray:
-        """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f (induced connection)."""
-        if not isinstance(f, SurfaceField):
-            f = self.scalar(f)
+    def partials(self, values: np.ndarray, index_rank: int = 0) -> np.ndarray:
+        """d_a of a field, stacked on a new axis before the field's indices."""
         n = len(self.grid.axes)
-        df = np.stack([partial_derivative(f.values, self.grid, a) for a in range(n)],
-                      axis=-1)
-        ddf = np.stack([partial_derivative(df, self.grid, a, index_rank=1)
-                        for a in range(n)], axis=-2)
+        return np.stack([partial_derivative(values, self.grid, a, index_rank)
+                         for a in range(n)], axis=-1 - index_rank)
+
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar field: (grad f)^i = g^ij d_j f."""
+        return np.einsum("...ij,...j->...i", self.frame.metric_inv, self.partials(f))
+
+    def divergence(self, X: np.ndarray) -> np.ndarray:
+        """Divergence of a tangent field: div X = d_i X^i + Gamma^i_ik X^k.
+
+        The covariant form is used rather than the density form
+        ``(1/sqrt g) d_i(sqrt g X^i)``: the flux ``sqrt(g) X^i`` is a vector
+        density, and densities acquire a ``|det J|`` factor under the polar
+        deck maps that the tensor ghost machinery deliberately does not apply.
+        """
+        acc = np.einsum("...iik->...k", self.christoffels)
+        acc = np.einsum("...k,...k->...", acc, X)
+        for a in range(len(self.grid.axes)):
+            acc = acc + partial_derivative(X, self.grid, a, index_rank=1)[..., a]
+        return acc
+
+    def laplacian(self, f: np.ndarray) -> np.ndarray:
+        """Laplace-Beltrami of a scalar: div(grad f), by nested stencils."""
+        return self.divergence(self.gradient(f))
+
+    def covariant_hessian(self, f: np.ndarray) -> np.ndarray:
+        """Hess f_ij = d_i d_j f - Gamma^k_ij d_k f (induced connection)."""
+        df = self.partials(f)
+        ddf = self.partials(df, index_rank=1)
         ddf = 0.5 * (ddf + np.swapaxes(ddf, -1, -2))
         return ddf - np.einsum("...kij,...k->...ij", self.christoffels, df)
 
@@ -404,18 +360,14 @@ class FrameFields:
         Returns shape (..., a, l, i): partial plus Gamma correction on the
         upper index, minus on the lower one.
         """
-        n = len(self.grid.axes)
         Gam = self.christoffels
-        dA = np.stack([partial_derivative(A, self.grid, a, index_rank=2)
-                       for a in range(n)], axis=-3)
         up = np.einsum("...lam,...mi->...ali", Gam, A)
         down = np.einsum("...mai,...lm->...ali", Gam, A)
-        return dA + up - down
+        return self.partials(A, index_rank=2) + up - down
 
-    def integrate(self, f: SurfaceField | np.ndarray) -> float:
-        if not isinstance(f, SurfaceField):
-            f = self.scalar(f)
-        return integrate(f, self.area_elements,
+    def integrate(self, f: np.ndarray) -> float:
+        return integrate(SurfaceField(np.asarray(f, dtype=float), self.grid),
+                         self.area_elements,
                          quotient_factor=self.surface.quotient_factor,
                          compact=self.surface.compact)
 

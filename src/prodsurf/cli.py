@@ -35,10 +35,10 @@ from .errors import GeometryError
 from .graphs import (closed_form_match, completeness_criterion, solve_radial,
                      theorem_harness)
 from .identities import run_suite
-from .integral import FORMULAS, available_formulas
-from .reports import dump_json, make_envelope
+from .integral import run_formulas
+from .reports import TOLERANCES, dump_json, make_envelope
 from .shape import GraphSurface
-from .zoo import TOLERANCES, instantiate, list_scenarios
+from .zoo import instantiate, list_scenarios
 
 COMMANDS = ("identities", "integral", "solve-radial", "harness",
             "zoo-list", "acceptance")
@@ -219,13 +219,9 @@ def _cmd_integral(config: RunConfig):
     if not surface.compact:
         raise UsageError(f"scenario {name!r} is not compact; the balance "
                          "laws integrate over closed surfaces")
-    names = available_formulas(surface, grid)
-    if not names:
+    results = run_formulas(surface, grid, tol)
+    if not results:
         raise UsageError(f"no balance law applies to scenario {name!r}")
-    tol_for = {"integral_formula": tol.integral_relative,
-               "product_integral": tol.integral_relative,
-               "einstein_integral": tol.einstein_absolute}
-    results = [FORMULAS[f](surface, grid, tolerance=tol_for[f]) for f in names]
     return results, all(r.passed for r in results), None
 
 

@@ -59,8 +59,8 @@ from .ambient import hyperbolic_plane
 from .calculus import FrameFields, QuadratureGrid
 from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
                      SingularPoint, StepFailure, WrongAmbient)
-from .reports import CheckResult, CompletenessVerdict, HarnessReport
-from .shape import GraphSurface, covariant_hessian, gradient_sq
+from .reports import TOLERANCES, CheckResult, CompletenessVerdict, HarnessReport
+from .shape import GraphSurface, covariant_hessian, gradient_sq, spacelike_w
 
 __all__ = [
     "closed_form_f",
@@ -76,8 +76,6 @@ __all__ = [
     "completeness_criterion",
     "theorem_harness",
 ]
-
-SELF_CONSISTENCY_TOL = 1.0e-8
 
 
 # --------------------------------------------------------------------------
@@ -216,12 +214,11 @@ class RadialSolution:
             buf.write(f"{float(x0)!r},{float(f)!r},{float(fp)!r}\n")
         return buf.getvalue()
 
-    def completeness(self, bound_slack: float = 1.0e-10) -> CompletenessVerdict:
+    def completeness(self) -> CompletenessVerdict:
         """Spacelike-bound verdict from this solution's sample table."""
         return _completeness_verdict(
             self.epsilon, self.K, self.gradient_sq(),
-            (float(self.samples[0, 0]), float(self.samples[-1, 0])),
-            bound_slack)
+            (float(self.samples[0, 0]), float(self.samples[-1, 0])))
 
 
 def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
@@ -279,7 +276,7 @@ def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
 
 
 def closed_form_match(solution: RadialSolution,
-                      tolerance: float = 1.0e-6,
+                      tolerance: float = TOLERANCES.radial_match,
                       anchor: float = 2.0) -> CheckResult:
     """Compare a numeric radial profile against the explicit solution.
 
@@ -365,11 +362,7 @@ def _graph_equation_pieces(g, m):
     base = g.base
     du = g.du(m)
     hess = covariant_hessian(base, du, g.d2u(m), m)
-    W = 1.0 + g.epsilon * gradient_sq(base, du, m)
-    if g.epsilon == -1 and np.any(W <= 0.0):
-        raise NotSpacelike(
-            f"graph {g.name!r} is not spacelike: min(1 - |Du|^2) = "
-            f"{W.min():.6f}")
+    W = spacelike_w(g, du, m)
     det_h = (hess[..., 0, 0] * hess[..., 1, 1]
              - hess[..., 0, 1] * hess[..., 1, 0])
     return W, base.curvature_at(m), det_h / base.metric_det_at(m)
@@ -387,7 +380,7 @@ def graph_curvature(g, s) -> np.ndarray:
 
 
 def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
-                                tolerance: float = SELF_CONSISTENCY_TOL,
+                                tolerance: float = TOLERANCES.corollary_residual,
                                 ) -> CheckResult:
     """Pointwise residual of the prescribed-curvature graph equation.
 
@@ -424,13 +417,14 @@ def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
 # --------------------------------------------------------------------------
 
 def _completeness_verdict(epsilon: int, K: float | None, grad_sq: np.ndarray,
-                          sample_range: tuple[float, float],
-                          bound_slack: float) -> CompletenessVerdict:
+                          sample_range: tuple[float, float]
+                          ) -> CompletenessVerdict:
     """Judge sampled values of |Du|^2 against the completeness bound.
 
     For a radial profile (``K`` given) the supremum is the closed form
     ``eps (1+K)/(-K)`` and the samples must stay below it; otherwise the
-    sampled maximum stands in for the supremum.
+    sampled maximum stands in for the supremum.  Rounding above the closed
+    form is allowed up to ``TOLERANCES.completeness_slack``.
     """
     sampled_max = float(grad_sq.max())
     closed = None if K is None else float(epsilon * (1.0 + K) / (-K))
@@ -444,12 +438,12 @@ def _completeness_verdict(epsilon: int, K: float | None, grad_sq: np.ndarray,
         sample_range=sample_range,
         samples=int(grad_sq.size),
         criterion_met=bool(sup < 1.0),
-        bound_respected=bool(closed is None or sampled_max <= closed + bound_slack),
+        bound_respected=bool(closed is None or sampled_max
+                             <= closed + TOLERANCES.completeness_slack),
     )
 
 
-def completeness_criterion(g: GraphSurface, grid: QuadratureGrid,
-                           bound_slack: float = 1.0e-10,
+def completeness_criterion(g: GraphSurface, grid: QuadratureGrid
                            ) -> CompletenessVerdict:
     """Supremum of |Du|^2 over a graph, deciding the completeness bound.
 
@@ -460,7 +454,7 @@ def completeness_criterion(g: GraphSurface, grid: QuadratureGrid,
     m = grid.nodes
     return _completeness_verdict(
         g.epsilon, g.radial_K, gradient_sq(g.base, g.du(m), m),
-        (float(m[..., 0].min()), float(m[..., 0].max())), bound_slack)
+        (float(m[..., 0].min()), float(m[..., 0].max())))
 
 
 def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:

@@ -5,7 +5,7 @@ and reports the maximum absolute residual.  Every identity involves grid
 stencils, so it is judged by its measured convergence order between two
 resolutions (see :func:`run_suite`), because its absolute residual is a
 property of the grid, not of the geometry.  The order floors come from
-:data:`prodsurf.zoo.TOLERANCES`.
+:data:`prodsurf.reports.TOLERANCES`.
 
 The checks, with the frame quantities they tie together:
 
@@ -29,9 +29,8 @@ import numpy as np
 
 from .calculus import FrameFields, QuadratureGrid, partial_derivative
 from .errors import WrongAmbient
-from .reports import CheckResult
+from .reports import TOLERANCES, CheckResult
 from .shape import intrinsic_curvature_oracle
-from .zoo import TOLERANCES
 
 __all__ = [
     "CHECKS",
@@ -78,7 +77,7 @@ def check_norm_grad_h(fields: FrameFields) -> CheckResult:
     _require_product(fields, "check_norm_grad_h")
     fr = fields.frame
     eps = fields.surface.ambient.epsilon
-    grad = fields.gradient(fr.height).values
+    grad = fields.gradient(fr.height)
     norm_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
     norm_sq -= eps * (1.0 - fr.theta ** 2)
     residual = _max_abs(norm_sq)
@@ -94,7 +93,7 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
     hess = fields.covariant_hessian(fr.height)
     hess -= fr.theta[..., None, None] * fr.second_form
     comp = _max_abs(hess)
-    lap = fields.laplacian(fr.height).values
+    lap = fields.laplacian(fr.height)
     lap -= eps * n * fr.mean_curvature * fr.theta
     traced = _max_abs(lap)
     out = _result("hessian_h", fields, max(comp, traced))
@@ -181,7 +180,7 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
     surface = fields.surface
     eps = fr.normal_sign
     n = fr.dimension
-    lap_theta = fields.laplacian(fr.theta).values
+    lap_theta = fields.laplacian(fr.theta)
     dH = np.stack(
         [partial_derivative(fr.mean_curvature, fields.grid, a) for a in range(n)],
         axis=-1)
@@ -204,7 +203,7 @@ def check_div_T_top(fields: FrameFields) -> CheckResult:
     fr = fields.frame
     n = fr.dimension
     phi = fields.conformal_factor
-    div_tau = fields.divergence(fr.tau).values
+    div_tau = fields.divergence(fr.tau)
     div_tau -= n * phi
     div_tau -= n * fr.mean_curvature * fr.theta
     residual = _max_abs(div_tau)

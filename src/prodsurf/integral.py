@@ -33,8 +33,14 @@ conformal factor of the distinguished field, and the quadrature itself).
 
         I [ Theta * (S - S_amb + S_amb / (n+1)) ] dA  =  0.
 
-Each evaluation returns an :class:`~prodsurf.reports.IntegralReport`.  The
-residual ``lhs - rhs`` is reported both raw and relative to the mass
+Each evaluation takes the tolerance record (``tolerances``, default
+:data:`~prodsurf.reports.TOLERANCES`) and judges itself against its own
+field of it: the flux and product balances against ``integral_relative``
+on the residual relative to the cancellation mass, the Einstein balance
+against ``einstein_absolute`` on the raw integral, to match how it is used
+downstream (a nonzero value rules surfaces out).  Each returns an
+:class:`~prodsurf.reports.IntegralReport`.  The residual ``lhs - rhs`` is
+reported both raw and relative to the mass
 
     normalization = I [ |Theta| * (|S| + |S_amb| + |Ric(N, N)|) ] dA
 
@@ -49,13 +55,7 @@ import numpy as np
 
 from .calculus import FrameFields, QuadratureGrid
 from .errors import NotEinstein
-from .reports import IntegralReport
-from .zoo import TOLERANCES
-
-# Pass thresholds come from zoo.TOLERANCES.  The flux and product balances
-# are judged relative to the cancellation mass; the Einstein balance is
-# judged on the raw integral, to match how it is used downstream (a nonzero
-# value rules surfaces out).
+from .reports import TOLERANCES, IntegralReport, Tolerances
 
 
 def _cancellation_mass(fields: FrameFields) -> float:
@@ -96,8 +96,7 @@ def _as_fields(surface, grid) -> FrameFields:
     return FrameFields(surface, grid)
 
 
-def integral_formula(surface, grid,
-                     tolerance: float = TOLERANCES.integral_relative,
+def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
                      ) -> IntegralReport:
     """Balance law for a closed conformal field in a general ambient.
 
@@ -108,6 +107,8 @@ def integral_formula(surface, grid,
         data (``MissingKillingData`` otherwise).
     grid : QuadratureGrid or int
         Quadrature grid, or a resolution from which to build one.
+    tolerances : Tolerances
+        Tolerance record; this law reads ``integral_relative``.
     """
     fields = _as_fields(surface, grid)
     fr = fields.frame
@@ -122,12 +123,11 @@ def integral_formula(surface, grid,
     dphi_dn = fields.conformal_factor_normal_derivative
     rhs = (n * fields.integrate(np.broadcast_to(dphi_dn, fr.theta.shape))
            - n * (n - 1) * fields.integrate(eps_n * fr.mean_curvature * phi))
-    return _report("integral_formula", fields, lhs, rhs, tolerance,
-                   relative_pass=True)
+    return _report("integral_formula", fields, lhs, rhs,
+                   tolerances.integral_relative, relative_pass=True)
 
 
-def product_integral(surface, grid,
-                     tolerance: float = TOLERANCES.integral_relative,
+def product_integral(surface, grid, tolerances: Tolerances = TOLERANCES
                      ) -> IntegralReport:
     """Killing specialisation of the balance law in a metric product."""
     fields = _as_fields(surface, grid)
@@ -141,12 +141,11 @@ def product_integral(surface, grid,
     integrand = fr.theta * ((fr.scalar_curvature - n * kappa)
                             + kappa * (1.0 - fr.theta ** 2))
     lhs = fields.integrate(integrand)
-    return _report("product_integral", fields, lhs, 0.0, tolerance,
-                   relative_pass=True)
+    return _report("product_integral", fields, lhs, 0.0,
+                   tolerances.integral_relative, relative_pass=True)
 
 
-def einstein_integral(surface, grid,
-                      tolerance: float = TOLERANCES.einstein_absolute,
+def einstein_integral(surface, grid, tolerances: Tolerances = TOLERANCES
                       ) -> IntegralReport:
     """Killing specialisation of the balance law in an Einstein ambient.
 
@@ -166,8 +165,8 @@ def einstein_integral(surface, grid,
     s_amb = fr.ambient_scalar
     integrand = fr.theta * (fr.scalar_curvature - s_amb + s_amb / ambient.dim)
     lhs = fields.integrate(integrand)
-    return _report("einstein_integral", fields, lhs, 0.0, tolerance,
-                   relative_pass=False)
+    return _report("einstein_integral", fields, lhs, 0.0,
+                   tolerances.einstein_absolute, relative_pass=False)
 
 
 def available_formulas(surface, grid) -> list[str]:
@@ -193,7 +192,7 @@ FORMULAS = {
 }
 
 
-def run_formulas(surface, grid,
+def run_formulas(surface, grid, tolerances: Tolerances = TOLERANCES,
                  names: list[str] | None = None) -> list[IntegralReport]:
     """Evaluate every applicable balance law (or the named subset).
 
@@ -202,4 +201,4 @@ def run_formulas(surface, grid,
     fields = _as_fields(surface, grid)
     if names is None:
         names = available_formulas(fields, None)
-    return [FORMULAS[name](fields, None) for name in names]
+    return [FORMULAS[name](fields, None, tolerances) for name in names]

@@ -1,10 +1,11 @@
-"""Plain result records and their JSON serialization.
+"""Plain result records, their JSON serialization, and the tolerance policy.
 
 All CLI output and all acceptance bookkeeping flow through the dataclasses
 here, so the on-disk format lives in exactly one place.  Serialization is
 deterministic: keys are sorted, floats use Python's shortest round-trip repr
 (the ``json`` default), and the timestamp is optional so byte-identical
-reruns are possible.
+reruns are possible.  The tolerance record :data:`TOLERANCES` that every
+verdict reads lives here too, so that every module can import it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,70 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
+from .errors import OverrideOutOfRange
+
 SCHEMA_VERSION = 1
+TOLERANCE_SCALE_RANGE = (1.0e-6, 1.0e6)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerance policy every verdict in the package reads.
+
+    ``min_order`` and ``min_order_stacked`` are convergence-order floors
+    (the latter for the third-order stacked stencils of Lap Theta), and
+    ``residual_floor`` is the level below which an order estimate measures
+    rounding noise.  ``corollary_residual`` is the rounding-level residual
+    of the graph curvature equation on a declared solution, and
+    ``completeness_slack`` the rounding allowance of a sampled |Du|^2 above
+    its closed-form supremum.  These describe the methods and the
+    arithmetic, so ``scaled`` leaves them alone.  The remaining fields are
+    residual tolerances of the balance laws and the radial closed-form
+    match, which a ``tolerance_scale`` override multiplies.
+    """
+
+    min_order: float = 1.7
+    min_order_stacked: float = 1.5
+    residual_floor: float = 1.0e-8
+    corollary_residual: float = 1.0e-8
+    completeness_slack: float = 1.0e-10
+    integral_relative: float = 1.0e-6
+    einstein_absolute: float = 1.0e-5
+    radial_match: float = 1.0e-6
+
+    def scaled(self, scale: float) -> Tolerances:
+        """This policy with its residual tolerances multiplied by ``scale``.
+
+        The scale is gated to :data:`TOLERANCE_SCALE_RANGE`, the range of
+        the ``tolerance_scale`` override.
+        """
+        scale = float(scale)
+        lo, hi = TOLERANCE_SCALE_RANGE
+        if not (lo <= scale <= hi):
+            raise OverrideOutOfRange(
+                f"tolerance_scale={scale} outside [{lo}, {hi}]")
+        return replace(self,
+                       integral_relative=self.integral_relative * scale,
+                       einstein_absolute=self.einstein_absolute * scale,
+                       radial_match=self.radial_match * scale)
+
+
+TOLERANCES = Tolerances()
 
 
 @dataclass
-class CheckResult:
+class Report:
+    """Base of the report records: one serializer for all of them."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return dataclasses.asdict(self)
+
+
+@dataclass
+class CheckResult(Report):
     """Outcome of one pointwise identity (or residual) check.
 
     ``convergence_order`` is the observed order between the two finest
@@ -40,12 +97,9 @@ class CheckResult:
     min_order: float | None = None
     note: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 @dataclass
-class IntegralReport:
+class IntegralReport(Report):
     """Two sides of an integral identity on one compact surface."""
 
     formula: str
@@ -59,12 +113,9 @@ class IntegralReport:
     passed: bool
     tolerance: float | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 @dataclass
-class HarnessReport:
+class HarnessReport(Report):
     """Curvature comparison of a graph against the slice value of its base.
 
     For a genuine graph the report records the signed gap between the scalar
@@ -86,16 +137,9 @@ class HarnessReport:
     theta_range: tuple[float, float]
     detail: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["witness_min"] = list(self.witness_min)
-        d["witness_max"] = list(self.witness_max)
-        d["theta_range"] = list(self.theta_range)
-        return d
-
 
 @dataclass
-class CompletenessVerdict:
+class CompletenessVerdict(Report):
     """Spacelike-bound bookkeeping for the Lorentzian radial graphs.
 
     ``sup_du_sq`` is the supremum of |Du|^2 over the whole graph, available in
@@ -113,11 +157,6 @@ class CompletenessVerdict:
     samples: int
     criterion_met: bool
     bound_respected: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        d = dataclasses.asdict(self)
-        d["sample_range"] = list(self.sample_range)
-        return d
 
 
 def make_envelope(command: str, config: dict[str, Any], results: list[Any],

@@ -113,6 +113,14 @@ def default_orientation(ambient: AmbientSpace) -> str:
     return "adjugate"
 
 
+def resolve_orientation(policy: str, ambient: AmbientSpace) -> str:
+    """The given policy, or the ambient's default when it is empty; validated."""
+    policy = policy or default_orientation(ambient)
+    if policy not in ORIENTATION_POLICIES:
+        raise ValueError(f"unknown orientation policy {policy!r}")
+    return policy
+
+
 @dataclass(eq=False)
 class ParamSurface:
     """A parametrized hypersurface with an analytic 2-jet."""
@@ -126,10 +134,7 @@ class ParamSurface:
     orientation: str = ""
 
     def __post_init__(self):
-        if not self.orientation:
-            self.orientation = default_orientation(self.ambient)
-        if self.orientation not in ORIENTATION_POLICIES:
-            raise ValueError(f"unknown orientation policy {self.orientation!r}")
+        self.orientation = resolve_orientation(self.orientation, self.ambient)
 
     @property
     def dimension(self) -> int:
@@ -161,10 +166,7 @@ class GraphSurface:
         self.axes = self.base.axes
         self.compact = self.base.compact
         self.quotient_factor = self.base.quotient_factor
-        if not self.orientation:
-            self.orientation = default_orientation(self.ambient)
-        if self.orientation not in ORIENTATION_POLICIES:
-            raise ValueError(f"unknown orientation policy {self.orientation!r}")
+        self.orientation = resolve_orientation(self.orientation, self.ambient)
 
     @property
     def dimension(self) -> int:
@@ -489,6 +491,22 @@ def gradient_sq(base: BaseManifold, du: np.ndarray, s: np.ndarray
     return np.einsum("...i,...ij,...j->...", du, ginv, du)
 
 
+def spacelike_w(graph: GraphSurface, du: np.ndarray, s: np.ndarray
+                ) -> np.ndarray:
+    """``W = 1 + eps |Du|^2`` of a graph, gated to the spacelike range.
+
+    Raises ``NotSpacelike`` where ``W <= 0``, which can only happen in a
+    Lorentzian product (``|Du|^2 >= 1``).
+    """
+    w = gradient_sq(graph.base, du, s)
+    W = 1.0 + graph.epsilon * w
+    if np.any(W <= 0.0):
+        raise NotSpacelike(
+            f"{graph.name}: |Du|^2 reaches {float(np.max(w)):.6f}; "
+            "the graph is not spacelike")
+    return W
+
+
 def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     """Normal angle function of a graph: ``theta = -1 / sqrt(1 + eps |Du|^2)``.
 
@@ -496,13 +514,7 @@ def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     spacelike condition ``|Du|^2 < 1`` is enforced.
     """
     s = np.asarray(s, dtype=float)
-    w = gradient_sq(graph.base, graph.du(s), s)
-    arg = 1.0 + graph.epsilon * w
-    if np.any(arg <= 0.0):
-        raise NotSpacelike(
-            f"{graph.name}: |Du|^2 reaches {float(np.max(w)):.6f}; "
-            "the graph is not spacelike")
-    return -1.0 / np.sqrt(arg)
+    return -1.0 / np.sqrt(spacelike_w(graph, graph.du(s), s))
 
 
 def covariant_hessian(base: BaseManifold, du: np.ndarray, d2u: np.ndarray,
@@ -522,15 +534,13 @@ def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     du = graph.du(s)
-    arg = 1.0 + graph.epsilon * gradient_sq(graph.base, du, s)
-    if np.any(arg <= 0.0):
-        raise NotSpacelike(f"{graph.name}: graph is not spacelike")
+    W = spacelike_w(graph, du, s)
     hess = covariant_hessian(graph.base, du, graph.d2u(s), s)
     gM = graph.base.metric_at(s)
     L = np.linalg.cholesky(gM)
     E = np.swapaxes(_smallmat.inv(L), -1, -2)      # columns: orthonormal frame
     framed = np.einsum("...ia,...ab,...bj->...ij", np.swapaxes(E, -1, -2), hess, E)
-    return -framed / np.sqrt(arg)[..., None, None]
+    return -framed / np.sqrt(W)[..., None, None]
 
 
 # --------------------------------------------------------------------------

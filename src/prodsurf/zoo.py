@@ -5,8 +5,9 @@ graph harness, the radial profiles) runs against surfaces drawn from this
 catalog.  Each scenario carries analytic jets through second order -- no
 finite differencing enters a scenario definition -- together with a default
 resolution and a small map of expected quantities with a note on how each
-value is known.  The module also holds the package's one tolerance policy,
-:data:`TOLERANCES`, and the graph profiles the acceptance battery shares.
+value is known.  The module also holds the graph profiles the acceptance
+battery shares, and re-exports the package's one tolerance policy,
+:data:`TOLERANCES` (defined in :mod:`prodsurf.reports`).
 
 The catalog covers:
 
@@ -27,7 +28,7 @@ the parameters each scenario declares, each gated to its admissible range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ from .ambient import (AxisSpec, flat_torus, hyperbolic_plane, make_ambient,
 from .calculus import QuadratureGrid
 from .errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from .graphs import radial_graph
+from .reports import TOLERANCES, Tolerances
 from .shape import GraphSurface, ParamSurface
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "scenario_names",
     "instantiate",
     "TOLERANCES",
+    "Tolerances",
     "cosine_profile",
     "constant_profile",
 ]
@@ -52,49 +55,7 @@ __all__ = [
 DEFAULT_RESOLUTION = 64
 REDUCED_RESOLUTION_3D = 16   # three-dimensional grids refine 16 -> 32
 
-_GLOBAL_RANGES: dict[str, tuple[float, float]] = {
-    "resolution": (10, 512),
-    "tolerance_scale": (1.0e-6, 1.0e6),
-}
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The tolerance policy every verdict in the package reads.
-
-    ``min_order`` and ``min_order_stacked`` are convergence-order floors
-    (the latter for the third-order stacked stencils of Lap Theta), and
-    ``residual_floor`` is the level below which an order estimate measures
-    rounding noise; these describe the methods and the arithmetic, so
-    ``scaled`` leaves them alone.  The remaining fields are residual
-    tolerances of the balance laws and the radial closed-form match, which
-    a ``tolerance_scale`` override multiplies.
-    """
-
-    min_order: float = 1.7
-    min_order_stacked: float = 1.5
-    residual_floor: float = 1.0e-8
-    integral_relative: float = 1.0e-6
-    einstein_absolute: float = 1.0e-5
-    radial_match: float = 1.0e-6
-
-    def scaled(self, scale: float) -> Tolerances:
-        """This policy with its residual tolerances multiplied by ``scale``.
-
-        The scale is gated to the range of the ``tolerance_scale`` override.
-        """
-        scale = float(scale)
-        lo, hi = _GLOBAL_RANGES["tolerance_scale"]
-        if not (lo <= scale <= hi):
-            raise OverrideOutOfRange(
-                f"tolerance_scale={scale} outside [{lo}, {hi}]")
-        return replace(self,
-                       integral_relative=self.integral_relative * scale,
-                       einstein_absolute=self.einstein_absolute * scale,
-                       radial_match=self.radial_match * scale)
-
-
-TOLERANCES = Tolerances()
+_RESOLUTION_RANGE = (10, 512)
 
 _EVENNESS_TOL = 1.0e-12
 
@@ -652,7 +613,7 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
     resolution = sc.default_resolution
     if "resolution" in overrides:
         resolution = overrides.pop("resolution")
-        lo, hi = _GLOBAL_RANGES["resolution"]
+        lo, hi = _RESOLUTION_RANGE
         if resolution != int(resolution):
             raise OverrideOutOfRange(
                 f"scenario {name!r}: resolution must be an integer")

@@ -128,8 +128,7 @@ def test_hopf_field_is_unit_length():
     assert np.allclose(ambient.killing.conformal_factor(pts), 0.0)
 
 
-@pytest.mark.parametrize("key", ["S2xR", "H2xR1", "T2xR",
-                                 "R3_homothetic", "R31_minkowski", "S3_hopf"])
+@pytest.mark.parametrize("key", ambient_keys())
 def test_distinguished_fields_satisfy_conformal_equation(key):
     ambient = make_ambient(key)
     rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import pytest
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import MissingKillingData, NonCompactDomain
+from prodsurf.zoo import instantiate
 
 
 def test_grid_rejects_too_coarse_resolution(zoo):
@@ -68,14 +69,28 @@ def test_stencil_weights_equal_row_by_row_reference(zoo, name):
             assert np.array_equal(wts[i], row)
 
 
-def test_laplacian_eigenfunction_on_the_sphere(fields):
-    # cos(theta) is an l = 1 spherical harmonic: Lap u = -2 u
+def _first_harmonic_residuals(name, overrides, n):
+    # cos of the first polar angle is a first spherical harmonic on S^n:
+    # Lap u = -n u; max |Lap u + n u| at resolutions 16 and 32
     residuals = {}
     for res in (16, 32):
-        ff = fields("slice_S2xR_t0.7", res)
-        u = np.cos(ff.grid.nodes[..., 0])
-        lap = ff.laplacian(ff.scalar(u))
-        residuals[res] = float(np.max(np.abs(lap.values + 2.0 * u)))
+        surface, grid, _ = instantiate(name, {**overrides, "resolution": res})
+        u = np.cos(grid.nodes[..., 0])
+        lap = FrameFields(surface, grid).laplacian(u)
+        residuals[res] = float(np.max(np.abs(lap + n * u)))
+    return residuals
+
+
+def test_laplacian_eigenfunction_on_the_sphere():
+    residuals = _first_harmonic_residuals("slice_S2xR_t0.7", {}, 2)
+    assert residuals[32] < 2.0e-4
+    assert residuals[32] < residuals[16] / 4.0  # at least second order
+
+
+def test_laplacian_eigenfunction_on_the_three_sphere():
+    # the slice of S^3 x R: the zero-amplitude graph over the round 3-sphere
+    residuals = _first_harmonic_residuals("graph_S3xR_coschi02",
+                                          {"amplitude": 0.0}, 3)
     assert residuals[32] < 2.0e-4
     assert residuals[32] < residuals[16] / 4.0  # at least second order
 
@@ -83,11 +98,9 @@ def test_laplacian_eigenfunction_on_the_sphere(fields):
 def test_gradient_of_height_is_tangential_projection(fields):
     ff = fields("graph_S2xR_cos03", 24)
     fr = ff.frame
-    height = ff.scalar(fr.height)
-    grad = ff.gradient(height)          # contravariant surface gradient
+    grad = ff.gradient(fr.height)       # contravariant surface gradient
     # |grad h|^2 in the induced metric must equal 1 - Theta^2 here
-    grad_sq = np.einsum("...i,...ij,...j->...", grad.values, fr.metric,
-                        grad.values)
+    grad_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
     # stencil truncation at this resolution; tight orders are checked in the
     # identity suite
     assert np.max(np.abs(grad_sq - (1.0 - fr.theta ** 2))) < 5e-6
@@ -96,16 +109,16 @@ def test_gradient_of_height_is_tangential_projection(fields):
 def test_covariant_hessian_is_symmetric(fields):
     ff = fields("graph_T2xR_wave04", 24)
     u = np.sin(ff.grid.nodes[..., 0]) * np.cos(ff.grid.nodes[..., 1])
-    hess = ff.covariant_hessian(ff.scalar(u))
+    hess = ff.covariant_hessian(u)
     assert np.allclose(hess, np.swapaxes(hess, -1, -2), atol=1e-10)
 
 
 def test_divergence_of_gradient_matches_laplacian(fields):
     ff = fields("slice_T2xR_t1.2", 24)
     u = np.sin(ff.grid.nodes[..., 0]) + np.cos(2.0 * ff.grid.nodes[..., 1])
-    lhs = ff.divergence(ff.gradient(ff.scalar(u)))
-    rhs = ff.laplacian(ff.scalar(u))
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9
+    lhs = ff.divergence(ff.gradient(u))
+    rhs = ff.laplacian(u)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_killing_accessors_require_killing_data(zoo):

@@ -74,6 +74,29 @@ def test_integral_run_reports_both_sides():
     assert rep["passed"] is True
 
 
+_COUNT_FRAMES = """
+import sys
+from prodsurf import calculus, cli
+calls = []
+frame_at = calculus.frame_at
+calculus.frame_at = lambda *args: calls.append(1) or frame_at(*args)
+status = cli.main(sys.argv[1:])
+print(status, len(calls), file=sys.stderr)
+"""
+
+
+def test_integral_computes_the_frame_once():
+    # graph_T2xR_wave04 has all three balance laws; they share one bundle
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_FRAMES, "integral", "--scenario",
+         "graph_T2xR_wave04", "--resolution", "16", "--no-timestamp"],
+        capture_output=True, text=True)
+    formulas = [r["formula"] for r in json.loads(proc.stdout)["results"]]
+    assert formulas == ["integral_formula", "product_integral",
+                        "einstein_integral"]
+    assert proc.stderr.split()[-2:] == ["0", "1"]
+
+
 def test_solve_radial_csv_has_contract_header():
     proc = run_cli("solve-radial", "--epsilon", "-1", "--K", "-2.0",
                    "--x0-max", "3.0", "--format", "csv")

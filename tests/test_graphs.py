@@ -24,6 +24,7 @@ from prodsurf.graphs import (check_curvature_range, closed_form_f,
                              corollary_equation_residual, graph_curvature,
                              radial_graph, radial_ode_rhs, solve_radial,
                              theorem_harness)
+from prodsurf.reports import TOLERANCES
 from prodsurf.shape import GraphSurface, frame_at
 
 # (epsilon, K) -> (f(2), f'(2), f''(2), f'(1+)); 20-digit symbolic values
@@ -169,6 +170,15 @@ def test_corollary_residual_accepts_field_and_callable():
     assert corollary_equation_residual(g, ones, grid).max_residual == 0.0
     assert corollary_equation_residual(
         g, lambda m: np.ones(m.shape[:-1]), grid).max_residual == 0.0
+
+
+def test_graph_checks_default_to_the_tolerance_record():
+    sol = solve_radial(-1, -2.0, x0_max=2.0, n_samples=64)
+    assert closed_form_match(sol).tolerance == TOLERANCES.radial_match
+    g = _constant_graph(1)
+    grid = QuadratureGrid.build(g.axes, 16)
+    assert corollary_equation_residual(g, 1.0, grid).tolerance == \
+        TOLERANCES.corollary_residual
 
 
 def test_corollary_restricted_to_spherical_bases(zoo):

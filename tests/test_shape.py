@@ -10,6 +10,7 @@ from prodsurf import _smallmat, shape
 from prodsurf.ambient import AxisSpec, make_ambient, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike
+from prodsurf.graphs import graph_curvature
 from prodsurf.shape import (ORIENTATION_POLICIES, GraphSurface, ParamSurface,
                             default_orientation, frame_at, graph_second_form,
                             graph_theta, intrinsic_curvature_oracle)
@@ -146,6 +147,10 @@ def test_lorentzian_graph_must_be_spacelike():
     grid = QuadratureGrid.build(g.axes, 16)
     with pytest.raises(NotSpacelike):
         frame_at(g, grid.nodes)
+    # the closed-form routes share one spacelike gate
+    for route in (graph_theta, graph_second_form, graph_curvature):
+        with pytest.raises(NotSpacelike, match="reaches"):
+            route(g, grid.nodes)
 
 
 def test_intrinsic_oracle_agrees_with_gauss_equation(zoo):

@@ -145,6 +145,8 @@ def test_tolerance_scaling_leaves_order_floors_alone():
     assert tol.min_order == TOLERANCES.min_order
     assert tol.min_order_stacked == TOLERANCES.min_order_stacked
     assert tol.residual_floor == TOLERANCES.residual_floor
+    assert tol.corollary_residual == TOLERANCES.corollary_residual == 1e-8
+    assert tol.completeness_slack == TOLERANCES.completeness_slack == 1e-10
     assert tol.integral_relative == pytest.approx(1e-5)
     assert tol.einstein_absolute == pytest.approx(1e-4)
     assert tol.radial_match == pytest.approx(1e-5)
