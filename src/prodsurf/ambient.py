@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingKillingData, ParameterOutOfRange
-from .reports import CheckResult
+from .reports import TOLERANCES, CheckResult
 
 __all__ = [
     "AxisSpec",
@@ -712,7 +712,8 @@ def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
 
 
 def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
-                             tolerance: float = 1e-7) -> CheckResult:
+                             tolerance: float = TOLERANCES.conformal_killing,
+                             ) -> CheckResult:
     """Check the conformal Killing equation of the ambient's field at points.
 
     The equation is bilinear in the two directions, so it holds for all

@@ -9,6 +9,7 @@ from prodsurf.ambient import (ambient_keys, christoffel_fd,
                               round_sphere, round_three_sphere,
                               verify_conformal_killing)
 from prodsurf.errors import ParameterOutOfRange
+from prodsurf.reports import TOLERANCES
 
 ALL_KEYS = ("S2xR", "S2xR1", "RP2xR", "RP2xR1", "H2xR", "H2xR1",
             "T2xR", "T2xR1", "S3xR", "S3xR1",
@@ -136,6 +137,13 @@ def test_distinguished_fields_satisfy_conformal_equation(key):
                     for _ in range(ambient.dim)], axis=-1)
     result = verify_conformal_killing(ambient, pts)
     assert result.passed, result
+
+
+def test_conformal_killing_check_defaults_to_the_tolerance_record():
+    pts = np.array([[0.7, 0.9, 1.0]])
+    result = verify_conformal_killing(make_ambient("S2xR"), pts)
+    assert result.tolerance == TOLERANCES.conformal_killing == 1e-7
+    assert TOLERANCES.scaled(10.0).conformal_killing == 1e-7
 
 
 def test_projective_plane_halves_the_sphere():

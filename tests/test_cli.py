@@ -233,3 +233,13 @@ def test_downstream_closing_the_pipe_is_not_an_error():
     assert rc == 0
     assert proc.stderr.read() == ""
     proc.stderr.close()
+
+
+def test_cli_import_does_not_load_scipy():
+    """The package needs numpy only; scipy's import would double cold start."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, prodsurf.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from prodsurf.ambient import round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
+from prodsurf import graphs
 from prodsurf.errors import (NotSpacelike, ParameterOutOfRange, SingularPoint,
-                             WrongAmbient)
-from prodsurf.graphs import (check_curvature_range, closed_form_f,
+                             StepFailure, WrongAmbient)
+from prodsurf.graphs import (RadialSolution, StepControl,
+                             check_curvature_range, closed_form_f,
                              closed_form_f_double_prime, closed_form_f_prime,
                              closed_form_gradient_sq, closed_form_match,
                              completeness_criterion,
@@ -104,6 +106,95 @@ def test_match_check_fails_honestly_below_integration_error():
     assert rep.max_residual > 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, -1]), st.data())
+def test_numeric_profile_matches_explicit_solution_everywhere(eps, data):
+    K = data.draw(riemannian_K if eps == 1 else lorentzian_K)
+    assert closed_form_match(solve_radial(eps, K)).max_residual <= 1e-8
+
+
+def test_integrator_reports_accepted_steps():
+    # frozen from scipy's RK45 on the same problem: 194 accepted steps, and
+    # 2 + 6 (194 + 7 rejected) right-hand-side evaluations
+    stats = solve_radial(-1, -2.0).integrator_stats
+    assert stats["steps"] == 194
+    assert stats["nfev"] == 1208
+
+
+@pytest.mark.parametrize("eps,K,max_step", [
+    (-1, -2.0, np.inf), (+1, -0.5, np.inf), (+1, -0.9, np.inf),
+    (-1, -1.1, np.inf), (-1, -5.0, np.inf), (+1, -0.1, np.inf),
+    (-1, -2.0, 0.05)])
+def test_stepper_takes_the_steps_of_scipy_rk45(eps, K, max_step):
+    integrate = pytest.importorskip("scipy.integrate")
+    sol = solve_radial(eps, K, step_control=StepControl(max_step=max_step))
+    start = 1.0 + 1e-6
+    nodes = np.linspace(start, 10.0, 2048)
+    ref = integrate.solve_ivp(
+        lambda t, y: (y[1], radial_ode_rhs(eps, K, t, y[1])), (start, 10.0),
+        (0.0, math.sqrt(eps * (1.0 + K))), method="RK45", t_eval=nodes,
+        rtol=1e-10, atol=1e-12, max_step=max_step)
+    assert ref.success
+    assert sol.integrator_stats["nfev"] == ref.nfev
+    assert np.array_equal(sol.samples[:, 0], ref.t)
+    assert np.max(np.abs(sol.samples[:, 1:].T - ref.y)) <= 1e-12
+
+
+@pytest.mark.parametrize("cut", [3.0, 1.0])
+def test_non_finite_right_hand_side_stops_the_integration(monkeypatch, cut):
+    # past x0 = 1 the right-hand side is NaN from the start, and so is the
+    # initial step
+    exact = graphs.radial_ode_rhs
+
+    def poisoned(eps, K, x0, fp):
+        return math.nan if x0 > cut else exact(eps, K, x0, fp)
+
+    monkeypatch.setattr(graphs, "radial_ode_rhs", poisoned)
+    with pytest.raises(StepFailure, match="stopped at x0=") as info:
+        solve_radial(-1, -2.0)
+    stop = float(str(info.value).split("x0=")[1].split(":")[0])
+    assert stop == pytest.approx(cut, abs=1e-5)
+
+
+def test_max_step_bounds_every_step():
+    x0_max, delta = 4.0, 1e-6
+    sol = solve_radial(+1, -0.5, x0_max=x0_max, delta=delta,
+                       step_control=StepControl(max_step=0.05))
+    assert sol.integrator_stats["steps"] >= (x0_max - 1.0 - delta) / 0.05
+
+
+def test_rtol_is_floored_at_a_hundred_machine_epsilons():
+    floor = 100 * np.finfo(float).eps
+    tiny = solve_radial(+1, -0.5, x0_max=1.5,
+                        step_control=StepControl(rtol=1e-30))
+    floored = solve_radial(+1, -0.5, x0_max=1.5,
+                           step_control=StepControl(rtol=floor))
+    assert np.array_equal(tiny.samples, floored.samples)
+    assert tiny.integrator_stats["nfev"] == floored.integrator_stats["nfev"]
+
+
+@pytest.mark.parametrize("control", [dict(rtol=-1e-10), dict(atol=-1.0),
+                                     dict(max_step=0.0),
+                                     dict(max_step=math.nan)])
+def test_step_control_rejects_invalid_settings(control):
+    with pytest.raises(ParameterOutOfRange):
+        StepControl(**control)
+
+
+def test_csv_matches_per_row_float_formatting():
+    tiny = np.nextafter(0.0, 1.0)
+    samples = np.array([[1.000001, -0.0, 0.0],
+                        [tiny, -tiny, 2.2250738585072014e-308 / 3],
+                        [1e300, -1e300, 1.7976931348623157e308],
+                        [0.1, 1.0 / 3.0, -2.5e-17]])
+    sol = RadialSolution(epsilon=+1, K=-0.5, delta=1e-6, x0_max=2.0,
+                         samples=samples)
+    rows = "".join(f"{float(a)!r},{float(b)!r},{float(c)!r}\n"
+                   for a, b, c in samples)
+    assert sol.to_csv() == "x0,f,f_prime\n" + rows
+    assert "-0.0,0.0" in sol.to_csv() and "5e-324" in sol.to_csv()
+
+
 def test_csv_table_has_contract_header():
     sol = solve_radial(-1, -2.0, x0_max=2.0)
     lines = sol.to_csv().splitlines()
@@ -135,7 +226,6 @@ def test_lorentzian_solution_enforces_spacelike_range():
     with pytest.raises(NotSpacelike):
         # K in (-1, 0) makes eps(1+K) negative for eps=-1 before the gate,
         # so instead exceed the bound by integrating a doctored table
-        from prodsurf.graphs import RadialSolution
         samples = np.array([[2.0, 0.0, 1.0]])  # |Du|^2 = 3 >= 1
         RadialSolution(epsilon=-1, K=-2.0, delta=1e-6, x0_max=2.0,
                        samples=samples, integrator_stats={})
