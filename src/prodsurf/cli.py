@@ -31,14 +31,14 @@ from pathlib import Path
 from typing import Any
 
 from .acceptance import battery_passed, run_battery
-from .errors import GeometryError
+from .errors import GeometryError, OverrideOutOfRange
 from .graphs import (closed_form_match, completeness_criterion, solve_radial,
                      theorem_harness)
 from .identities import run_suite
 from .integral import run_formulas
 from .reports import TOLERANCES, dump_json, make_envelope
 from .shape import GraphSurface
-from .zoo import instantiate, list_scenarios
+from .zoo import RESOLUTION_RANGE, instantiate, list_scenarios, override_number
 
 COMMANDS = ("identities", "integral", "solve-radial", "harness",
             "zoo-list", "acceptance")
@@ -187,12 +187,12 @@ def _reject_keys(overrides: dict[str, Any], keys: tuple[str, ...],
         raise UsageError(f"{command} does not accept: {', '.join(bad)}")
 
 
-def _pop_number(overrides: dict[str, Any], key: str, default: float) -> float:
-    value = overrides.pop(key, default)
+def _pop_number(overrides: dict[str, Any], key: str, default: float,
+                integer: bool = False) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key} must be a number, got {value!r}") from exc
+        return override_number(key, overrides.pop(key, default), integer)
+    except OverrideOutOfRange as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # -- command executors --------------------------------------------------------
@@ -202,11 +202,17 @@ def _cmd_identities(config: RunConfig):
     overrides = dict(config.overrides)
     _reject_keys(overrides, ("epsilon", "x0_max", "delta", "tolerance_scale"),
                  "identities")
-    refine = overrides.pop("refine", 1)
-    if refine != int(refine) or int(refine) < 0:
+    refine = int(_pop_number(overrides, "refine", 1, integer=True))
+    if refine < 0:
         raise UsageError(f"refine must be a non-negative integer, got {refine}")
-    surface, grid, _ = instantiate(name, overrides)
-    results = run_suite(surface, grid.resolution, refine=int(refine))
+    surface, grid, _ = instantiate(name, overrides)   # grid nodes stay unbuilt
+    # the fine grid has 2**refine times the resolution; a shift capped at
+    # hi.bit_length() keeps the comparison without forming 2**refine
+    hi = RESOLUTION_RANGE[1]
+    if grid.resolution << min(refine, hi.bit_length()) > hi:
+        raise UsageError(f"refine={refine}: the fine resolution "
+                         f"{grid.resolution} * 2**{refine} exceeds {hi}")
+    results = run_suite(surface, grid.resolution, refine=refine)
     return results, all(r.passed for r in results), None
 
 
@@ -243,7 +249,7 @@ def _cmd_solve_radial(config: RunConfig):
         if "epsilon" not in overrides or "K" not in overrides:
             raise UsageError("solve-radial needs --epsilon and --K "
                              "(or a radial scenario)")
-        epsilon = int(overrides.pop("epsilon"))
+        epsilon = int(_pop_number(overrides, "epsilon", 0, integer=True))
         K = _pop_number(overrides, "K", 0.0)
         tol = TOLERANCES.scaled(_pop_number(overrides, "tolerance_scale", 1.0))
         if overrides:

@@ -66,7 +66,6 @@ __all__ = [
     "closed_form_f_double_prime",
     "closed_form_gradient_sq",
     "radial_ode_rhs",
-    "StepControl",
     "RadialSolution",
     "solve_radial",
     "graph_curvature",
@@ -166,25 +165,6 @@ def radial_ode_rhs(epsilon: int, K: float, x0: float,
 # numerical integration of the radial profile
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepControl:
-    """Adaptive step-control settings for the radial integration.
-
-    ``rtol`` below 100 machine epsilons is raised to that floor, where the
-    error estimate stops meaning anything.
-    """
-
-    rtol: float = 1.0e-10
-    atol: float = 1.0e-12
-    max_step: float = np.inf
-
-    def __post_init__(self):
-        if not (self.rtol >= 0.0 and self.atol >= 0.0 and self.max_step > 0.0):
-            raise ParameterOutOfRange(
-                "step control needs rtol >= 0, atol >= 0 and max_step > 0, "
-                f"got {self}")
-
-
 # Dormand-Prince 5(4) (Dormand & Prince 1980): nodes C, stage weights A, the
 # fifth-order weights B, the error weights E (fifth minus fourth order, over
 # the six stages and the first-same-as-last seventh), and the quartic dense
@@ -215,13 +195,13 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5            # -1 / (error estimator order + 1)
-_RTOL_FLOOR = 100 * float(np.finfo(float).eps)
+_RTOL, _ATOL = 1.0e-10, 1.0e-12     # tolerances of the reported pass
 _SQRT2 = 2 ** 0.5                   # RMS norm over the two components
 
 
 def _dormand_prince(rhs, start: float, stop: float, y0: tuple[float, float],
-                    rtol: float, atol: float, max_step: float,
-                    nodes: np.ndarray) -> tuple[np.ndarray, int, int]:
+                    rtol: float, atol: float, nodes: np.ndarray
+                    ) -> tuple[np.ndarray, int, int]:
     """Integrate ``f' = p, p' = rhs(x0, p)`` from ``start`` to ``stop``.
 
     Adaptive Dormand-Prince 5(4) on Python floats.  The local error of a
@@ -229,81 +209,86 @@ def _dormand_prince(rhs, start: float, stop: float, y0: tuple[float, float],
     rtol``.  A step is accepted below 1 and the next step scaled by
     ``0.9 err^(-1/5)``, clipped to [0.2, 10] and not grown right after a
     rejection; the first step follows Hairer-Norsett-Wanner II.4.  Steps
-    shorter than ``10 ulp(x0)`` raise :class:`StepFailure`.
+    shorter than ``10 ulp(x0)``, a non-finite profile and an overflow in
+    ``rhs`` raise :class:`StepFailure`.
 
     Returns ``(y, steps, nfev)`` with ``y`` of shape ``(2, nodes.size)``
     from each step's quartic dense output at the ``nodes`` it covers (a node
     on a step boundary belongs to the step that ends there).
     """
-    rtol = max(rtol, _RTOL_FLOOR)
     t = start
     f, p = y0
-    q = rhs(t, p)
-    # initial step
-    s_f, s_p = atol + abs(f) * rtol, atol + abs(p) * rtol
-    d0 = math.sqrt((f / s_f) ** 2 + (p / s_p) ** 2) / _SQRT2
-    d1 = math.sqrt((p / s_f) ** 2 + (q / s_p) ** 2) / _SQRT2
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, stop - t)
-    p1 = p + h0 * q
-    q1 = rhs(t + h0, p1)
-    d2 = math.sqrt(((p1 - p) / s_f) ** 2 + ((q1 - q) / s_p) ** 2) / _SQRT2 / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, stop - t, max_step)
-    nfev = 2
+    steps = []                      # (t, t_new, f, p, the 7 stage p, 7 q)
 
     def fail(reason):
-        raise StepFailure(f"radial integration stopped at x0={t:.6f}: {reason}")
+        raise StepFailure(f"radial integration stopped at x0={t:.7g}: {reason}")
 
-    steps = []                      # (t, t_new, f, p, the 7 stage p, 7 q)
-    while t < stop:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                fail(f"step size {h_abs:.3e} is below 10 ulp of x0 or NaN")
-            t_new = min(t + h_abs, stop)
-            h = h_abs = t_new - t
-            p2 = p + (_A21 * q) * h
-            q2 = rhs(t + _C2 * h, p2)
-            p3 = p + (_A31 * q + _A32 * q2) * h
-            q3 = rhs(t + _C3 * h, p3)
-            p4 = p + (_A41 * q + _A42 * q2 + _A43 * q3) * h
-            q4 = rhs(t + _C4 * h, p4)
-            p5 = p + (_A51 * q + _A52 * q2 + _A53 * q3 + _A54 * q4) * h
-            q5 = rhs(t + _C5 * h, p5)
-            p6 = p + (_A61 * q + _A62 * q2 + _A63 * q3 + _A64 * q4
-                      + _A65 * q5) * h
-            q6 = rhs(t + h, p6)
-            f_new = f + h * (_B1 * p + _B3 * p3 + _B4 * p4 + _B5 * p5
-                             + _B6 * p6)
-            p_new = p + h * (_B1 * q + _B3 * q3 + _B4 * q4 + _B5 * q5
-                             + _B6 * q6)
-            q_new = rhs(t + h, p_new)
-            nfev += 6
-            e_f = (_E1 * p + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
-                   + _E7 * p_new) * h
-            e_p = (_E1 * q + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6
-                   + _E7 * q_new) * h
-            e_f /= atol + max(abs(f), abs(f_new)) * rtol
-            e_p /= atol + max(abs(p), abs(p_new)) * rtol
-            err = math.sqrt(e_f * e_f + e_p * e_p) / _SQRT2
-            if err < 1.0:
-                factor = (_MAX_FACTOR if err == 0.0 else
-                          min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-        if not (math.isfinite(f_new) and math.isfinite(p_new)):
-            fail(f"the profile went non-finite (f={f_new}, f'={p_new})")
-        steps.append((t, t_new, f, p, p, p2, p3, p4, p5, p6, p_new,
-                      q, q2, q3, q4, q5, q6, q_new))
-        t, f, p, q = t_new, f_new, p_new, q_new
+    try:
+        q = rhs(t, p)
+        # initial step
+        s_f, s_p = atol + abs(f) * rtol, atol + abs(p) * rtol
+        d0 = math.sqrt((f / s_f) ** 2 + (p / s_p) ** 2) / _SQRT2
+        d1 = math.sqrt((p / s_f) ** 2 + (q / s_p) ** 2) / _SQRT2
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, stop - t)
+        p1 = p + h0 * q
+        q1 = rhs(t + h0, p1)
+        d2 = (math.sqrt(((p1 - p) / s_f) ** 2 + ((q1 - q) / s_p) ** 2)
+              / _SQRT2 / h0)
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h_abs = min(100 * h0, h1, stop - t)
+        nfev = 2
+
+        while t < stop:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:
+                    fail(f"step size {h_abs:.3e} is below 10 ulp of x0 or NaN")
+                t_new = min(t + h_abs, stop)
+                h = h_abs = t_new - t
+                p2 = p + (_A21 * q) * h
+                q2 = rhs(t + _C2 * h, p2)
+                p3 = p + (_A31 * q + _A32 * q2) * h
+                q3 = rhs(t + _C3 * h, p3)
+                p4 = p + (_A41 * q + _A42 * q2 + _A43 * q3) * h
+                q4 = rhs(t + _C4 * h, p4)
+                p5 = p + (_A51 * q + _A52 * q2 + _A53 * q3 + _A54 * q4) * h
+                q5 = rhs(t + _C5 * h, p5)
+                p6 = p + (_A61 * q + _A62 * q2 + _A63 * q3 + _A64 * q4
+                          + _A65 * q5) * h
+                q6 = rhs(t + h, p6)
+                f_new = f + h * (_B1 * p + _B3 * p3 + _B4 * p4 + _B5 * p5
+                                 + _B6 * p6)
+                p_new = p + h * (_B1 * q + _B3 * q3 + _B4 * q4 + _B5 * q5
+                                 + _B6 * q6)
+                q_new = rhs(t + h, p_new)
+                nfev += 6
+                e_f = (_E1 * p + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                       + _E7 * p_new) * h
+                e_p = (_E1 * q + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6
+                       + _E7 * q_new) * h
+                e_f /= atol + max(abs(f), abs(f_new)) * rtol
+                e_p /= atol + max(abs(p), abs(p_new)) * rtol
+                err = math.sqrt(e_f * e_f + e_p * e_p) / _SQRT2
+                if err < 1.0:
+                    factor = (_MAX_FACTOR if err == 0.0 else
+                              min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected = True
+            if not (math.isfinite(f_new) and math.isfinite(p_new)):
+                fail(f"the profile went non-finite (f={f_new}, f'={p_new})")
+            steps.append((t, t_new, f, p, p, p2, p3, p4, p5, p6, p_new,
+                          q, q2, q3, q4, q5, q6, q_new))
+            t, f, p, q = t_new, f_new, p_new, q_new
+    except OverflowError:
+        fail("the right-hand side overflowed")
 
     table = np.array(steps)
     t_old, t_end, y_old = table[:, 0], table[:, 1], table[:, 2:4]
@@ -358,30 +343,29 @@ class RadialSolution:
 
 
 def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
-                 delta: float = 1.0e-6,
-                 step_control: StepControl | None = None,
-                 n_samples: int = 2048) -> RadialSolution:
+                 delta: float = 1.0e-6, n_samples: int = 2048
+                 ) -> RadialSolution:
     """Integrate the radial curvature equation from the cone point.
 
     Starts at ``x0 = 1 + delta`` with ``f = 0`` and ``f'`` seeded from the
     analytic limit ``f'(1+) = sqrt(eps (1+K))``, then advances with the
     explicit Dormand-Prince 5(4) pair: fifth-order steps, sized by the
-    embedded fourth-order error estimate against ``step_control`` (RMS norm,
-    step factor ``0.9 err^(-1/5)`` clipped to [0.2, 10], at most
-    ``max_step``; the step control and tableau of scipy's RK45).  The
-    returned sample table is uniform on ``[1 + delta, x0_max]``, read from
-    each step's quartic dense-output polynomial.  ``integrator_stats``
+    embedded fourth-order error estimate against ``rtol = 1e-10`` and
+    ``atol = 1e-12`` (RMS norm, step factor ``0.9 err^(-1/5)`` clipped to
+    [0.2, 10]; the step control and tableau of scipy's RK45).  The returned
+    sample table is uniform on ``[1 + delta, x0_max]``, read from each
+    step's quartic dense-output polynomial.  ``integrator_stats``
     records the accepted step count and the right-hand-side evaluations of
     that pass, and an a-posteriori error estimate: the sup-norm difference
     from a second pass at 100x tighter tolerances.
     """
     check_curvature_range(epsilon, K)
-    if delta <= 0.0:
-        raise ParameterOutOfRange(f"start offset delta must be > 0, got {delta}")
-    if x0_max <= 1.0 + delta:
+    if not (delta > 0.0 and math.isfinite(delta)):
         raise ParameterOutOfRange(
-            f"x0_max must exceed 1 + delta, got {x0_max}")
-    ctrl = step_control or StepControl()
+            f"start offset delta must be finite and > 0, got {delta}")
+    if not (x0_max > 1.0 + delta and math.isfinite(x0_max)):
+        raise ParameterOutOfRange(
+            f"x0_max must be finite and exceed 1 + delta, got {x0_max}")
     rhs = radial_ode_rhs            # looked up per solve, so it can be wrapped
     nodes = np.linspace(1.0 + delta, x0_max, n_samples)
 
@@ -389,15 +373,15 @@ def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
         return _dormand_prince(
             lambda x0, fp: rhs(epsilon, K, x0, fp), 1.0 + delta,
             float(x0_max), (0.0, math.sqrt(epsilon * (1.0 + K))), rtol, atol,
-            ctrl.max_step, nodes)
+            nodes)
 
-    y, steps, nfev = integrate(ctrl.rtol, ctrl.atol)
-    refined, _, _ = integrate(ctrl.rtol * 1e-2, ctrl.atol * 1e-2)
+    y, steps, nfev = integrate(_RTOL, _ATOL)
+    refined, _, _ = integrate(_RTOL * 1e-2, _ATOL * 1e-2)
     stats = {
         "steps": steps,
         "nfev": nfev,
-        "rtol": ctrl.rtol,
-        "atol": ctrl.atol,
+        "rtol": _RTOL,
+        "atol": _ATOL,
         "max_error_estimate": float(np.max(np.abs(y - refined))),
     }
     samples = np.column_stack([nodes, y[0], y[1]])

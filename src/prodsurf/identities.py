@@ -178,7 +178,7 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
     """
     fr = fields.frame
     surface = fields.surface
-    eps = fr.normal_sign
+    eps = surface.ambient.epsilon
     n = fr.dimension
     lap_theta = fields.laplacian(fr.theta)
     dH = np.stack(

@@ -113,7 +113,7 @@ def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
     fields = _as_fields(surface, grid)
     fr = fields.frame
     n = fr.tangent.shape[-2]
-    eps_n = fr.normal_sign
+    eps_n = fields.surface.ambient.epsilon
 
     integrand = fr.theta * (fr.scalar_curvature - fr.ambient_scalar
                             + eps_n * fr.ricci_normal)

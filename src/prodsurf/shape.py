@@ -11,14 +11,15 @@ function and its derivatives.
 ``frame_at`` turns the jet into the full pointwise dictionary of the
 hypersurface: induced metric, unit normal (with a deterministic orientation
 policy), second fundamental form ``h_ij = <sec_ij, N>``, shape operator
-``A = g^{-1} h`` (so that ``A = -grad N`` as an endomorphism), principal
-curvatures, mean curvature ``H = (eps_N / n) tr A``, and the scalar
-curvature from the contracted Gauss equation
+``A = g^{-1} h`` (so that ``A = -grad N`` as an endomorphism), mean
+curvature ``H = (eps_N / n) tr A``, and the scalar curvature from the
+contracted Gauss equation
 
-    S = Sbar - 2 eps_N Ric_bar(N, N) + 2 eps_N sum_{i<j} k_i k_j
+    S = Sbar - 2 eps_N Ric_bar(N, N) + 2 eps_N e_2(A),
+    e_2(A) = ((tr A)^2 - tr A^2) / 2,
 
 with ``eps_N = <N, N>`` (+1 in Riemannian ambients, -1 for spacelike
-hypersurfaces of Lorentzian ones).
+hypersurfaces of Lorentzian ones; the ambient's ``epsilon``).
 
 ``frame_at`` splits the flattened batch into contiguous blocks of
 ``_BLOCK`` points and writes each block into outputs of the full batch
@@ -99,9 +100,7 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
 # index at once.
 _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
 
-ORIENTATION_POLICIES = (
-    "adjugate", "adjugate_neg", "future", "theta_nonpositive", "theta_nonnegative",
-)
+ORIENTATION_POLICIES = ("adjugate", "future", "theta_nonpositive")
 
 
 def default_orientation(ambient: AmbientSpace) -> str:
@@ -190,19 +189,16 @@ class GraphSurface:
 class GeometryFrame:
     """Pointwise geometric data of a hypersurface (batched arrays)."""
 
-    params: np.ndarray
     point: np.ndarray
     tangent: np.ndarray            # (..., n, d) coordinate tangent vectors
     metric: np.ndarray             # induced metric g_ij
     metric_inv: np.ndarray
     metric_det: np.ndarray
     normal: np.ndarray             # unit normal, oriented per policy
-    normal_sign: int               # eps_N = <N, N>
     second_form: np.ndarray        # h_ij = <sec_ij, N>
     shape_operator: np.ndarray     # A^i_j = g^{ik} h_kj
-    principal_curvatures: np.ndarray   # ascending, (..., n)
     mean_curvature: np.ndarray     # H = (eps_N / n) tr A
-    pair_sum: np.ndarray           # sum_{i<j} k_i k_j
+    pair_sum: np.ndarray           # e_2(A) = sum_{i<j} k_i k_j
     scalar_curvature: np.ndarray   # S from the contracted Gauss equation
     ambient_scalar: np.ndarray     # Sbar at the point
     ricci_normal: np.ndarray       # Ric_bar(N, N)
@@ -213,13 +209,6 @@ class GeometryFrame:
     @property
     def dimension(self) -> int:
         return self.tangent.shape[-2]
-
-    @property
-    def gauss_curvature(self) -> np.ndarray:
-        """Intrinsic Gauss curvature K = S / 2 (surfaces only)."""
-        if self.dimension != 2:
-            raise ValueError("gauss_curvature is defined for n = 2 only")
-        return 0.5 * self.scalar_curvature
 
 
 _pools: dict[int, ThreadPoolExecutor] = {}     # thread count -> pool
@@ -329,7 +318,6 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
             store(start, fields)
 
     return GeometryFrame(
-        params=s, normal_sign=surface.ambient.epsilon,
         **{key: None if value is None else value.reshape(batch + value.shape[1:])
            for key, value in out.items()})
 
@@ -402,10 +390,11 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     GT = None if T is None else np.einsum("...ab,...b->...a", G, T)
     th_raw = None if T is None else np.einsum("...a,...a->...", N, GT)
 
-    # orientation policy
+    # orientation policy: "future" and "theta_nonpositive" ask for
+    # <N, T> <= 0, "future" strictly
     policy = surface.orientation
-    if policy in ("adjugate", "adjugate_neg"):
-        chosen = +1 if policy == "adjugate" else -1
+    if policy == "adjugate":
+        chosen = +1
     else:
         if T is None:
             raise DegenerateFrame(
@@ -413,10 +402,8 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         if policy == "future" and np.any(th_raw == 0.0):
             raise DegenerateFrame(
                 f"{surface.name}: normal orthogonal to the time orientation")
-        # sign <N, T> must take; "future" asks for it strictly
-        want = +1.0 if policy == "theta_nonnegative" else -1.0
-        keep = bool(np.any(want * th_raw > 0.0))
-        turn = bool(np.any(want * th_raw < 0.0))
+        keep = bool(np.any(th_raw < 0.0))
+        turn = bool(np.any(th_raw > 0.0))
         if keep and turn:
             raise _theta_sign_change(surface)
         chosen = -1 if turn else (+1 if keep else None)
@@ -441,21 +428,6 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     trA2 = np.einsum("...ij,...ji->...", A, A)
     e2 = 0.5 * (trA * trA - trA2)
 
-    # principal curvatures from the symmetric pencil (h, g)
-    if n == 2:
-        # A is conjugate to a symmetric matrix, so its spectrum is real; the
-        # discriminant tr^2 - 4 det is taken as (A00 - A11)^2 + 4 A01 A10,
-        # which does not cancel at umbilic points
-        trace = A[..., 0, 0] + A[..., 1, 1]
-        split = A[..., 0, 0] - A[..., 1, 1]
-        disc = np.sqrt(np.maximum(split * split
-                                  + 4.0 * A[..., 0, 1] * A[..., 1, 0], 0.0))
-        kap = np.stack([0.5 * (trace - disc), 0.5 * (trace + disc)], axis=-1)
-    else:
-        Linv = _smallmat.inv(np.linalg.cholesky(g))
-        kap = np.linalg.eigvalsh(np.einsum("...ik,...kl,...jl->...ij",
-                                           Linv, h, Linv, optimize=_PAIRWISE))
-
     Sbar = ambient.scalar_curvature(x)
     ricNN = ambient.ricci_quadratic(x, N)
     return dict(
@@ -467,7 +439,6 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         normal=N,
         second_form=h,
         shape_operator=A,
-        principal_curvatures=kap,
         mean_curvature=(eps / n) * trA,
         pair_sum=e2,
         scalar_curvature=Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2,

@@ -46,6 +46,8 @@ __all__ = [
     "list_scenarios",
     "scenario_names",
     "instantiate",
+    "override_number",
+    "RESOLUTION_RANGE",
     "TOLERANCES",
     "Tolerances",
     "cosine_profile",
@@ -55,7 +57,7 @@ __all__ = [
 DEFAULT_RESOLUTION = 64
 REDUCED_RESOLUTION_3D = 16   # three-dimensional grids refine 16 -> 32
 
-_RESOLUTION_RANGE = (10, 512)
+RESOLUTION_RANGE = (10, 512)
 
 _EVENNESS_TOL = 1.0e-12
 
@@ -594,15 +596,32 @@ def _gate(name: str, key: str, value, lo, hi):
             f"scenario {name!r}: override {key}={value} outside [{lo}, {hi}]")
 
 
+def override_number(key: str, value, integer: bool = False) -> float:
+    """An override value as a finite float, a whole number if ``integer``.
+
+    Raises ``OverrideOutOfRange`` for a value that is not a number, not
+    finite, or (with ``integer``) not whole.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise OverrideOutOfRange(f"override {key} must be {kind}, got {value!r}")
+    return number
+
+
 def instantiate(name: str, overrides: dict[str, Any] | None = None):
     """Build (surface, grid, tolerances) for a named scenario.
 
     ``tolerances`` is :data:`TOLERANCES`, scaled by a ``tolerance_scale``
     override when one is given.
 
-    ``overrides`` may set ``resolution``, ``tolerance_scale``, and any
-    parameter the scenario declares a range for; values outside the
-    declared ranges raise ``OverrideOutOfRange``.
+    ``overrides`` may set ``resolution`` (an integer in
+    :data:`RESOLUTION_RANGE`), ``tolerance_scale``, and any parameter the
+    scenario declares a range for; values that are not finite numbers, or
+    lie outside the declared ranges, raise ``OverrideOutOfRange``.
     """
     sc = _SCENARIOS.get(name)
     if sc is None:
@@ -612,15 +631,12 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
 
     resolution = sc.default_resolution
     if "resolution" in overrides:
-        resolution = overrides.pop("resolution")
-        lo, hi = _RESOLUTION_RANGE
-        if resolution != int(resolution):
-            raise OverrideOutOfRange(
-                f"scenario {name!r}: resolution must be an integer")
-        resolution = int(resolution)
-        _gate(name, "resolution", resolution, lo, hi)
+        resolution = int(override_number(
+            "resolution", overrides.pop("resolution"), integer=True))
+        _gate(name, "resolution", resolution, *RESOLUTION_RANGE)
 
-    tolerances = TOLERANCES.scaled(overrides.pop("tolerance_scale", 1.0))
+    tolerances = TOLERANCES.scaled(
+        override_number("tolerance_scale", overrides.pop("tolerance_scale", 1.0)))
 
     params = dict(sc.params)
     for key, value in overrides.items():
@@ -629,9 +645,8 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
             raise OverrideOutOfRange(
                 f"scenario {name!r} does not accept override {key!r} "
                 f"(declared: {declared})")
-        lo, hi = sc.ranges[key]
-        value = float(value)
-        _gate(name, key, value, lo, hi)
+        value = override_number(key, value)
+        _gate(name, key, value, *sc.ranges[key])
         params[key] = value
     params["_name"] = name
 

@@ -185,6 +185,30 @@ def test_rejected_invocations_exit_two(args):
     assert "error" in proc.stderr.lower() or "usage" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("command, scenario, overrides, key", [
+    ("identities", "sphere_R3_homothetic", '{"resolution": "abc"}', "resolution"),
+    ("identities", "sphere_R3_homothetic", '{"resolution": NaN}', "resolution"),
+    ("identities", "sphere_R3_homothetic", '{"resolution": 1e400}', "resolution"),
+    ("identities", "sphere_R3_homothetic", '{"refine": NaN}', "refine"),
+    ("identities", "sphere_R3_homothetic", '{"resolution": 257, "refine": 1}',
+     "refine"),
+    ("identities", "graph_S2xR_cos03", '{"amplitude": "x"}', "amplitude"),
+    ("solve-radial", None, '{"epsilon": "x", "K": -0.5}', "epsilon"),
+    ("solve-radial", None, '{"epsilon": -1.5, "K": -2.0}', "epsilon"),
+])
+def test_malformed_overrides_exit_two(tmp_path, command, scenario, overrides,
+                                      key):
+    # non-numeric, non-finite and fractional values, and a refinement past
+    # the largest resolution, are rejected before any check runs
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(f'{{"command": "{command}", "scenario": '
+                   f'{json.dumps(scenario)}, "overrides": {overrides}}}')
+    proc = run_cli("--config", str(cfg), "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stderr.startswith("error: ") and key in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command, scenario", [
     ("identities", "slice_T2xR_t1.2"),
     ("harness", "graph_S2xR_cos03"),

@@ -1,0 +1,84 @@
+"""Fault injection: which checks catch a defect in each frame field.
+
+Every array field of ``GeometryFrame`` is scaled in turn by ``1 + 1e-3``
+(through a wrapper around ``calculus.frame_at``, so the package needs no
+hook), and the identity suite at 32 -> 64 plus the balance laws at 64 run
+on ``graph_S2xR_cos03``.  The set of failing checks must equal the literal
+matrix below.  A field that leaves the matrix, or a check that stops
+catching its defect, fails this test.
+"""
+
+import dataclasses
+
+import pytest
+
+from prodsurf import calculus
+from prodsurf.identities import run_suite
+from prodsurf.integral import run_formulas
+from prodsurf.shape import GeometryFrame
+
+SCENARIO = "graph_S2xR_cos03"
+DEFECT = 1.0e-3
+
+# field -> the identity checks and balance laws that fail
+CAUGHT = {
+    "point": {"codazzi"},
+    "tangent": {"codazzi"},
+    "normal": {"codazzi"},
+    "shape_operator": {"codazzi"},
+    "second_form": {"hessian_h"},
+    "height": {"norm_grad_h", "hessian_h"},
+    "tau": {"laplacian_theta", "div_T_top"},
+    "mean_curvature": {"hessian_h", "laplacian_theta", "div_T_top"},
+    "metric": {"norm_grad_h", "hessian_h", "codazzi", "laplacian_theta",
+               "div_T_top"},
+    "metric_inv": {"norm_grad_h", "hessian_h", "codazzi", "laplacian_theta",
+                   "div_T_top"},
+    "ambient_scalar": {"laplacian_theta", "integral_formula"},
+    "ricci_normal": {"laplacian_theta", "integral_formula"},
+    "scalar_curvature": {"gauss_scalar", "laplacian_theta",
+                         "integral_formula", "product_integral"},
+    "theta": {"norm_grad_h", "hessian_h", "gauss_scalar", "laplacian_theta",
+              "div_T_top", "product_integral"},
+}
+
+# Fields whose uniform relative defect no check sees, and why.
+UNCAUGHT = {
+    "metric_det": "every balance law is homogeneous in the area element, "
+                  "so a uniform scale of it cancels",
+    "pair_sum": "only gauss_scalar's product expansion reads it, where it "
+                "cancels against its copy inside the frame's S",
+}
+
+
+def _failing(surface) -> set[str]:
+    suite = run_suite(surface, 32, refine=1)
+    laws = run_formulas(surface, 64)
+    assert len(suite) == 6 and len(laws) == 2
+    return ({r.name for r in suite if not r.passed}
+            | {r.formula for r in laws if not r.passed})
+
+
+def test_matrix_names_every_array_field_once():
+    fields = {f.name for f in dataclasses.fields(GeometryFrame)}
+    assert not set(CAUGHT) & set(UNCAUGHT)
+    assert set(CAUGHT) | set(UNCAUGHT) == fields
+
+
+def test_clean_frame_fails_no_check(zoo):
+    surface, _, _ = zoo(SCENARIO)
+    assert _failing(surface) == set()
+
+
+@pytest.mark.parametrize("field", sorted(CAUGHT) + sorted(UNCAUGHT))
+def test_defect_in_one_field_fails_the_named_checks(zoo, monkeypatch, field):
+    surface, _, _ = zoo(SCENARIO)
+    frame_at = calculus.frame_at
+
+    def defective_frame_at(surface, s):
+        fr = frame_at(surface, s)
+        return dataclasses.replace(
+            fr, **{field: getattr(fr, field) * (1.0 + DEFECT)})
+
+    monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
+    assert _failing(surface) == CAUGHT.get(field, set())

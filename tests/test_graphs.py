@@ -18,7 +18,7 @@ from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf import graphs
 from prodsurf.errors import (NotSpacelike, ParameterOutOfRange, SingularPoint,
                              StepFailure, WrongAmbient)
-from prodsurf.graphs import (RadialSolution, StepControl,
+from prodsurf.graphs import (RadialSolution,
                              check_curvature_range, closed_form_f,
                              closed_form_f_double_prime, closed_form_f_prime,
                              closed_form_gradient_sq, closed_form_match,
@@ -121,13 +121,13 @@ def test_integrator_reports_accepted_steps():
     assert stats["nfev"] == 1208
 
 
+# max_step is scipy's setting; solve_radial never caps a step
 @pytest.mark.parametrize("eps,K,max_step", [
     (-1, -2.0, np.inf), (+1, -0.5, np.inf), (+1, -0.9, np.inf),
-    (-1, -1.1, np.inf), (-1, -5.0, np.inf), (+1, -0.1, np.inf),
-    (-1, -2.0, 0.05)])
+    (-1, -1.1, np.inf), (-1, -5.0, np.inf), (+1, -0.1, np.inf)])
 def test_stepper_takes_the_steps_of_scipy_rk45(eps, K, max_step):
     integrate = pytest.importorskip("scipy.integrate")
-    sol = solve_radial(eps, K, step_control=StepControl(max_step=max_step))
+    sol = solve_radial(eps, K)
     start = 1.0 + 1e-6
     nodes = np.linspace(start, 10.0, 2048)
     ref = integrate.solve_ivp(
@@ -156,29 +156,23 @@ def test_non_finite_right_hand_side_stops_the_integration(monkeypatch, cut):
     assert stop == pytest.approx(cut, abs=1e-5)
 
 
-def test_max_step_bounds_every_step():
-    x0_max, delta = 4.0, 1e-6
-    sol = solve_radial(+1, -0.5, x0_max=x0_max, delta=delta,
-                       step_control=StepControl(max_step=0.05))
-    assert sol.integrator_stats["steps"] >= (x0_max - 1.0 - delta) / 0.05
+@pytest.mark.parametrize("window", [dict(x0_max=math.nan),
+                                    dict(delta=math.nan),
+                                    dict(x0_max=math.inf),
+                                    dict(delta=math.inf)])
+def test_non_finite_window_is_rejected(window):
+    with pytest.raises(ParameterOutOfRange, match="finite"):
+        solve_radial(+1, -0.5, **window)
 
 
-def test_rtol_is_floored_at_a_hundred_machine_epsilons():
-    floor = 100 * np.finfo(float).eps
-    tiny = solve_radial(+1, -0.5, x0_max=1.5,
-                        step_control=StepControl(rtol=1e-30))
-    floored = solve_radial(+1, -0.5, x0_max=1.5,
-                           step_control=StepControl(rtol=floor))
-    assert np.array_equal(tiny.samples, floored.samples)
-    assert tiny.integrator_stats["nfev"] == floored.integrator_stats["nfev"]
-
-
-@pytest.mark.parametrize("control", [dict(rtol=-1e-10), dict(atol=-1.0),
-                                     dict(max_step=0.0),
-                                     dict(max_step=math.nan)])
-def test_step_control_rejects_invalid_settings(control):
-    with pytest.raises(ParameterOutOfRange):
-        StepControl(**control)
+@pytest.mark.parametrize("window", [dict(x0_max=1e300),
+                                    dict(delta=1e300, x0_max=1e301)])
+def test_overflow_in_the_right_hand_side_stops_the_integration(window):
+    # x0 ** 2 overflows near x0 = 1.3e154, or at once from a start at 1e300
+    with pytest.raises(StepFailure, match="overflowed") as info:
+        solve_radial(+1, -0.5, **window)
+    stop = float(str(info.value).split("x0=")[1].split(":")[0])
+    assert 1e150 < stop < 1e302
 
 
 def test_csv_matches_per_row_float_formatting():

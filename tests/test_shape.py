@@ -23,23 +23,18 @@ def test_round_sphere_frame_frozen_values(fields):
     assert np.allclose(fr.theta, 1.0, atol=1e-12)
     assert np.allclose(fr.mean_curvature, -1.0, atol=1e-12)
     assert np.allclose(fr.scalar_curvature, 2.0, atol=1e-11)
-    assert np.allclose(fr.principal_curvatures, -1.0, atol=1e-12)
-    assert fr.normal_sign == 1
-
-
-def test_umbilic_principal_curvatures_do_not_lose_digits(fields):
-    # every point of the round sphere is umbilic, where tr^2 - 4 det of the
-    # shape operator cancels and its square root keeps only half the digits
-    fr = fields("sphere_R3_homothetic").frame
-    assert np.max(np.abs(fr.principal_curvatures + 1.0)) < 1e-13
+    assert np.allclose(fr.shape_operator, -np.eye(2), atol=1e-12)
 
 
 def test_hyperboloid_frame_frozen_values(fields):
-    fr = fields("hyperboloid_R31_minkowski", 16).frame
+    ff = fields("hyperboloid_R31_minkowski", 16)
+    fr = ff.frame
     assert np.allclose(fr.theta, -1.0, atol=1e-12)
     assert np.allclose(fr.mean_curvature, 1.0, atol=1e-12)
     assert np.allclose(fr.scalar_curvature, -2.0, atol=1e-11)
-    assert fr.normal_sign == -1  # timelike normal
+    G = ff.surface.ambient.metric_at(fr.point)
+    assert np.allclose(np.einsum("...a,...ab,...b->...", fr.normal, G, fr.normal),
+                       -1.0, atol=1e-12)  # timelike normal
     # induced metric is Riemannian (spacelike surface)
     assert np.all(np.linalg.eigvalsh(fr.metric) > 0.0)
 
@@ -50,8 +45,9 @@ def test_geodesic_sphere_principal_curvatures(zoo):
     rho = math.pi / 4
     assert np.allclose(fr.scalar_curvature, 2.0 / math.sin(rho) ** 2,
                        atol=1e-10)
-    assert np.allclose(np.abs(fr.principal_curvatures),
-                       1.0 / math.tan(rho), atol=1e-10)
+    # umbilic: A = +-cot(rho) I
+    assert np.allclose(np.abs(fr.shape_operator),
+                       np.eye(2) / math.tan(rho), atol=1e-10)
 
 
 def test_clifford_torus_is_minimal_flat_and_orthogonal(fields):
@@ -84,19 +80,19 @@ def test_default_orientation_policies():
     assert default_orientation(make_ambient("S2xR")) == "theta_nonpositive"
     assert default_orientation(make_ambient("S2xR1")) == "future"
     assert default_orientation(make_ambient("R3_homothetic")) == "adjugate"
-    for policy in ("adjugate", "adjugate_neg", "future",
-                   "theta_nonpositive", "theta_nonnegative"):
-        assert policy in ORIENTATION_POLICIES
+    assert ORIENTATION_POLICIES == ("adjugate", "future", "theta_nonpositive")
 
 
 def test_opposite_orientation_flips_odd_quantities(zoo):
+    # the slice's adjugate normal has Theta = +1, the default policy's -1
     surface, grid, _ = zoo("slice_S2xR_t0.7", 16)
     flipped = GraphSurface(name="flipped", base=surface.base,
                            epsilon=surface.epsilon, u=surface.u,
                            du=surface.du, d2u=surface.d2u,
-                           orientation="theta_nonnegative")
+                           orientation="adjugate")
     fr = frame_at(surface, grid.nodes)
     fr2 = frame_at(flipped, grid.nodes)
+    assert np.allclose(fr.theta, -1.0) and np.allclose(fr2.theta, 1.0)
     assert np.allclose(fr2.theta, -fr.theta)
     assert np.allclose(fr2.normal, -fr.normal)
     # scalar curvature is even in the normal
@@ -380,7 +376,7 @@ def test_tiny_round_sphere_has_a_frame():
     surface = ParamSurface(name="tiny_sphere", ambient=make_ambient("R3_homothetic"),
                            axes=round_sphere().axes, jet=_ellipsoid_jet(r, r, r))
     fr = frame_at(surface, QuadratureGrid.build(surface.axes, 16).nodes)
-    assert np.allclose(fr.principal_curvatures, -1.0 / r, rtol=1e-7)
+    assert np.allclose(fr.shape_operator, -np.eye(2) / r, rtol=1e-7, atol=1e-7 / r)
     assert np.allclose(fr.scalar_curvature, 2.0 / r ** 2, rtol=1e-10)
     assert np.allclose(fr.theta, r, rtol=1e-12)
 
@@ -407,10 +403,8 @@ def _bent_product_surface(orientation: str = "") -> ParamSurface:
 
 def test_theta_policy_rejects_a_sign_change_of_theta():
     nodes = QuadratureGrid.build(_bent_product_surface().axes, 16).nodes
-    for policy in ("theta_nonpositive", "theta_nonnegative"):
-        surface = _bent_product_surface(policy)
-        with pytest.raises(DegenerateFrame, match=f"bent_cylinder.*{policy}"):
-            frame_at(surface, nodes)
+    with pytest.raises(DegenerateFrame, match="bent_cylinder.*theta_nonpositive"):
+        frame_at(_bent_product_surface("theta_nonpositive"), nodes)
     fr = frame_at(_bent_product_surface("adjugate"), nodes)
     assert np.min(fr.theta) < 0.0 < np.max(fr.theta)
 
@@ -443,33 +437,35 @@ def test_frame_on_blocks_equals_frame_on_row_slices(zoo):
 
 
 def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
-    # theta = pi/2 + p(a) b with p = 0 for a <= 1: <N, T> vanishes exactly
-    # on the first blocks and is negative afterwards, so "theta_nonnegative"
-    # must flip the normal of every block, also those evaluated before
-    axes = (AxisSpec("a", 0.0, 2.0, "open"), AxisSpec("b", -0.5, 0.5, "open"))
+    # theta = pi/2 + p(a) b with p = 0 for a <= 1, parametrized as (b, a):
+    # with a slowest in the batch, <N, T> vanishes exactly on the first
+    # blocks and the adjugate normal has it positive afterwards, so
+    # "theta_nonpositive" must flip the normal of every block, also those
+    # evaluated before
+    axes = (AxisSpec("b", -0.5, 0.5, "open"), AxisSpec("a", 0.0, 2.0, "open"))
 
     def jet(s):
-        a, b = s[..., 0], s[..., 1]
+        b, a = s[..., 0], s[..., 1]
         q = np.maximum(a - 1.0, 0.0)
         x = np.stack([0.5 * math.pi + q ** 3 * b, a, b], axis=-1)
         dx = np.zeros(s.shape[:-1] + (2, 3))
-        dx[..., 0, 0] = 3.0 * q ** 2 * b
-        dx[..., 0, 1] = 1.0
-        dx[..., 1, 0] = q ** 3
-        dx[..., 1, 2] = 1.0
+        dx[..., 0, 0] = q ** 3
+        dx[..., 0, 2] = 1.0
+        dx[..., 1, 0] = 3.0 * q ** 2 * b
+        dx[..., 1, 1] = 1.0
         ddx = np.zeros(s.shape[:-1] + (2, 2, 3))
-        ddx[..., 0, 0, 0] = 6.0 * q * b
+        ddx[..., 1, 1, 0] = 6.0 * q * b
         ddx[..., 0, 1, 0] = ddx[..., 1, 0, 0] = 3.0 * q ** 2
         return x, dx, ddx
 
     surface = ParamSurface(name="half_vertical", ambient=make_ambient("S2xR"),
                            axes=axes, jet=jet, compact=False,
-                           orientation="theta_nonnegative")
-    nodes = QuadratureGrid.build(axes, 16).nodes
+                           orientation="theta_nonpositive")
+    nodes = np.swapaxes(QuadratureGrid.build(axes, 16).nodes, 0, 1)
     one_block = frame_at(surface, nodes)
     monkeypatch.setattr(shape, "_BLOCK", 64)
     blocked = frame_at(surface, nodes)
-    assert np.all(one_block.theta >= 0.0) and np.any(one_block.theta > 0.0)
+    assert np.all(one_block.theta <= 0.0) and np.any(one_block.theta < 0.0)
     assert np.all(one_block.theta[: len(nodes) // 2] == 0.0)
     for key, value in vars(one_block).items():
         if isinstance(value, np.ndarray):
