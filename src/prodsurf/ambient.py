@@ -121,7 +121,8 @@ class BaseManifold:
     ``Ric_M = kappa * g_M`` pointwise: the Gauss curvature for n = 2, the
     Einstein constant (a third of the scalar curvature) for the round
     3-sphere.  The sectional curvature, where constant, is
-    ``kappa / (dim - 1)``.
+    ``kappa / (dim - 1)``.  ``metric_at`` returns a new array on every
+    call; ``GraphSurface.induced_metric`` adds to it in place.
     """
 
     name: str

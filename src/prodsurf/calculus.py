@@ -295,7 +295,7 @@ class FrameFields:
 
     @cached_property
     def area_elements(self) -> np.ndarray:
-        return np.sqrt(self.frame.metric_det)
+        return np.sqrt(_smallmat.det(self.frame.metric))
 
     # -- induced-metric differential structure ------------------------------
 

@@ -107,10 +107,11 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     The reference value is the frame pipeline's ``scalar_curvature`` (exact
     given analytic jets), the ``S`` that the balance laws and the sign
     harness consume.  In product ambients the product-space expansion
-    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps sum_{i<j} k_i k_j``, with the
-    base curvature ``kappa`` sampled pointwise, must match that ``S`` too;
-    its residual is folded into the maximum, so the product form of the
-    Gauss equation is tested as well.
+    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps e_2(A)``, with the base
+    curvature ``kappa`` sampled pointwise and ``e_2(A) = ((tr A)^2 -
+    tr A^2) / 2`` taken from the frame's shape operator, must match that
+    ``S`` too; its residual is folded into the maximum, so the product form
+    of the Gauss equation is tested as well.
     """
     fr = fields.frame
     surface = fields.surface
@@ -128,8 +129,10 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     eps = surface.ambient.epsilon
     nb = surface.ambient.base.dim
     kappa = surface.ambient.base.curvature_at(fr.point[..., :nb])
-    expansion = ((n - 2) * kappa + 2.0 * kappa * fr.theta ** 2
-                 + 2.0 * eps * fr.pair_sum)
+    A = fr.shape_operator
+    trA = np.einsum("...ii->...", A)
+    e2 = 0.5 * (trA * trA - np.einsum("...ij,...ji->...", A, A))
+    expansion = (n - 2) * kappa + 2.0 * kappa * fr.theta ** 2 + 2.0 * eps * e2
     expansion -= fr.scalar_curvature
     product = _max_abs(expansion)
     out = _result("gauss_scalar", fields, max(residual, product))

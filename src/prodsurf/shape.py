@@ -42,12 +42,17 @@ The module also hosts the *independent* intrinsic-curvature oracle: Gauss
 curvature by the Brioschi formula (n = 2) and the scalar curvature by direct
 finite differencing of the induced metric (n = 3).  The oracle never touches
 normals or second fundamental forms, so agreement with the frame values is a
-genuine two-route check of the Gauss equation.  Its metric derivatives come
-from a single pass over a stencil lattice around the evaluation points:
-each lattice point is sampled once, added with its weights to every
-derivative that uses it, and dropped.  Mixed second derivatives use the
-8-point diagonal stencil ``_MIXED_TABLE``, so one pass takes 17 metric
-samples for n = 2 and 49 for n = 3.  Like ``frame_at``, the oracle runs
+genuine two-route check of the Gauss equation.  Its samples of the metric
+come from ``induced_metric_sampler``: each folds the parameters back into
+the chart (``normalize_params``) and asks the surface for its metric there.
+A ``ParamSurface`` contracts its jet, ``g = t G t^T``; a ``GraphSurface``
+reads its height's first partials only, ``g = g_M + eps du (x) du``, so for
+graphs the oracle does not even share the frame's metric contraction.  The
+metric derivatives come from a single pass over a stencil lattice around
+the evaluation points: each lattice point is sampled once, added with its
+weights to every derivative that uses it, and dropped.  Mixed second
+derivatives use the 8-point diagonal stencil ``_MIXED_TABLE``, so one pass
+takes 17 metric samples for n = 2 and 49 for n = 3.  Like ``frame_at``, the oracle runs
 the flattened batch in blocks of ``_BLOCK`` points through ``_block_map``;
 it is pointwise, so the result depends neither on the block size nor on
 the number of workers.
@@ -139,6 +144,12 @@ class ParamSurface:
     def dimension(self) -> int:
         return len(self.axes)
 
+    def induced_metric(self, s: np.ndarray) -> np.ndarray:
+        """Induced metric ``g_ij = <t_i, t_j>`` at chart parameters ``s``."""
+        x, tx, _ = self.jet(s)
+        return np.einsum("...ia,...ab,...jb->...ij", tx,
+                         self.ambient.metric_at(x), tx, optimize=_PAIRWISE)
+
 
 @dataclass(eq=False)
 class GraphSurface:
@@ -184,6 +195,24 @@ class GraphSurface:
         ddx[..., :, :, n] = self.d2u(s)
         return x, dx, ddx
 
+    def induced_metric(self, s: np.ndarray) -> np.ndarray:
+        """Induced metric ``g = g_M + eps du (x) du`` at chart parameters ``s``.
+
+        It reads the height's first partials and the base metric only, so
+        it is a second route to the ``t G t^T`` contraction of ``frame_at``.
+        """
+        s = np.asarray(s, dtype=float)
+        du = self.du(s)
+        g = self.base.metric_at(s)      # a new array, completed in place
+        n = du.shape[-1]
+        for i in range(n):
+            for j in range(i, n):
+                term = self.epsilon * (du[..., i] * du[..., j])
+                g[..., i, j] += term
+                if j != i:
+                    g[..., j, i] += term
+        return g
+
 
 @dataclass(eq=False)
 class GeometryFrame:
@@ -193,12 +222,10 @@ class GeometryFrame:
     tangent: np.ndarray            # (..., n, d) coordinate tangent vectors
     metric: np.ndarray             # induced metric g_ij
     metric_inv: np.ndarray
-    metric_det: np.ndarray
     normal: np.ndarray             # unit normal, oriented per policy
     second_form: np.ndarray        # h_ij = <sec_ij, N>
     shape_operator: np.ndarray     # A^i_j = g^{ik} h_kj
     mean_curvature: np.ndarray     # H = (eps_N / n) tr A
-    pair_sum: np.ndarray           # e_2(A) = sum_{i<j} k_i k_j
     scalar_curvature: np.ndarray   # S from the contracted Gauss equation
     ambient_scalar: np.ndarray     # Sbar at the point
     ricci_normal: np.ndarray       # Ric_bar(N, N)
@@ -364,7 +391,6 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
                     f"{surface.name}: induced metric not positive definite {what}")
             raise DegenerateFrame(
                 f"{surface.name}: tangent vectors degenerate {what}")
-    detg = minor
     ginv = _smallmat.inv(g)
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
@@ -435,12 +461,10 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         tangent=tx,
         metric=g,
         metric_inv=ginv,
-        metric_det=detg,
         normal=N,
         second_form=h,
         shape_operator=A,
         mean_curvature=(eps / n) * trA,
-        pair_sum=e2,
         scalar_curvature=Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2,
         ambient_scalar=Sbar,
         ricci_normal=ricNN,
@@ -519,54 +543,72 @@ def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def normalize_params(axes: tuple[AxisSpec, ...], s: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Fold parameters back into the chart and track direction signs.
 
     Periodic axes wrap; polar axes reflect through their endpoints, applying
-    the partner shifts/reversals recorded on the axis.  The returned ``signs``
-    array holds the diagonal Jacobian of the folding map, i.e. the sign each
-    coordinate direction picks up; tensor components at the unfolded point
-    equal the folded values times one sign per index.  Only single
-    reflections are handled (ample for stencil-sized excursions).
+    the partner shifts/reversals recorded on the axis.  Only the rows that
+    cross a polar edge are rewritten.  ``signs`` holds the diagonal Jacobian
+    of the folding map, i.e. the sign each coordinate direction picks up;
+    tensor components at the unfolded point equal the folded values times
+    one sign per index.  It is ``None`` when no row crosses a polar edge,
+    where every sign would be +1.  Only single reflections are handled
+    (ample for stencil-sized excursions).
     """
-    s = np.array(np.asarray(s, dtype=float), copy=True)
-    signs = np.ones_like(s)
+    s = np.array(s, dtype=float, order="C")
+    flat = s.reshape(-1, s.shape[-1])          # a view: rows are points
+    signs = None
     for a, ax in enumerate(axes):
         if not ax.polar:
             continue
-        for edge, beyond in ((ax.lo, s[..., a] < ax.lo), (ax.hi, s[..., a] > ax.hi)):
+        for edge, beyond in ((ax.lo, flat[:, a] < ax.lo),
+                             (ax.hi, flat[:, a] > ax.hi)):
             if not np.any(beyond):
                 continue
-            s[..., a] = np.where(beyond, 2.0 * edge - s[..., a], s[..., a])
+            rows = flat[beyond]
+            rows[:, a] = 2.0 * edge - rows[:, a]
             for p in ax.shift:
-                s[..., p] = np.where(beyond, s[..., p] + 0.5 * axes[p].period,
-                                     s[..., p])
+                rows[:, p] += 0.5 * axes[p].period
             for r in ax.reverse:
-                s[..., r] = np.where(beyond, axes[r].lo + axes[r].hi - s[..., r],
-                                     s[..., r])
-            flip_vec = np.ones(len(axes))
-            flip_vec[list(ax.flip)] = -1.0
-            signs = np.where(beyond[..., None], signs * flip_vec, signs)
+                rows[:, r] = axes[r].lo + axes[r].hi - rows[:, r]
+            flat[beyond] = rows
+            if signs is None:
+                signs = np.ones_like(flat)
+            if ax.flip:
+                flip_vec = np.ones(len(axes))
+                flip_vec[list(ax.flip)] = -1.0
+                signs[beyond] *= flip_vec
     for a, ax in enumerate(axes):
         if ax.kind == "periodic":
-            s[..., a] = ax.lo + np.mod(s[..., a] - ax.lo, ax.period)
-    return s, signs
+            # np.mod leaves an offset in [0, period) as it is, so only the
+            # offsets outside it are reduced
+            offset = flat[:, a] - ax.lo
+            seam = (offset < 0.0) | (offset >= ax.period)
+            if np.any(seam):
+                offset[seam] = np.mod(offset[seam], ax.period)
+            flat[:, a] = ax.lo + offset
+    return s, None if signs is None else signs.reshape(s.shape)
 
 
 def induced_metric_sampler(surface) -> Callable[[np.ndarray], np.ndarray]:
     """Induced metric as a function of (possibly out-of-chart) parameters.
 
-    Folding plus sign conjugation make the sampled components smooth across
-    poles and periodic seams, which is what lets centered stencils run right
-    up to (and beyond) the chart boundary.
+    Each sample folds the parameters into the chart (``normalize_params``),
+    asks the surface for its metric there (``surface.induced_metric``: the
+    ``t G t^T`` contraction of the jet for a ``ParamSurface``, ``g_M + eps
+    du (x) du`` for a ``GraphSurface``) and, where a row crossed a polar
+    edge, conjugates it with the fold's signs.  Folding plus sign
+    conjugation make the sampled components smooth across poles and
+    periodic seams, which is what lets centered stencils run right up to
+    (and beyond) the chart boundary.
     """
     def sample(s: np.ndarray) -> np.ndarray:
         s_in, signs = normalize_params(surface.axes, s)
-        x, tx, _ = surface.jet(s_in)
-        G = surface.ambient.metric_at(x)
-        g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx,
-                      optimize=_PAIRWISE)
-        return g * signs[..., :, None] * signs[..., None, :]
+        g = surface.induced_metric(s_in)
+        if signs is not None:
+            g *= signs[..., :, None]
+            g *= signs[..., None, :]
+        return g
     return sample
 
 

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import AxisSpec, make_ambient, round_sphere
+from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
+                              projective_plane, round_sphere,
+                              round_three_sphere)
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike
 from prodsurf.graphs import graph_curvature
 from prodsurf.shape import (ORIENTATION_POLICIES, GraphSurface, ParamSurface,
                             default_orientation, frame_at, graph_second_form,
                             graph_theta, intrinsic_curvature_oracle)
-from prodsurf.zoo import _ellipsoid_jet, scenario_names
+from prodsurf.zoo import _ellipsoid_jet, instantiate, scenario_names
 
 
 def test_round_sphere_frame_frozen_values(fields):
@@ -158,7 +160,8 @@ def test_intrinsic_oracle_agrees_with_gauss_equation(zoo):
 
 
 @pytest.mark.parametrize("name,samples", [("graph_S2xR_cos03", 17),
-                                          ("graph_S3xR_coschi02", 49)])
+                                          ("graph_S3xR_coschi02", 49),
+                                          ("sphere_R3_homothetic", 17)])
 def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples):
     surface, grid, _ = zoo(name, 16)
     calls = []
@@ -176,6 +179,164 @@ def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples)
     points = grid.nodes.reshape(-1, surface.dimension)[:4]
     intrinsic_curvature_oracle(surface, points)
     assert len(calls) == samples
+
+
+def _past_the_edges(surface, grid) -> np.ndarray:
+    """Grid nodes, and the nodes moved 1 .. reach oracle steps past each
+    polar edge and periodic seam, one axis at a time (reach: the pure-axis
+    stencil's, 2 steps for n = 2 and 4 for n = 3)."""
+    n = surface.dimension
+    nodes = grid.nodes.reshape(-1, n)
+    steps = [0.5 * np.min(np.diff(z)) for z in grid.nodes_1d]
+    reach = 2 if n == 2 else 4
+    points = [nodes]
+    for a, ax in enumerate(surface.axes):
+        if ax.kind == "open":
+            continue
+        for edge, out in ((ax.lo, -1.0), (ax.hi, 1.0)):
+            for k in range(1, reach + 1):
+                moved = nodes.copy()
+                moved[:, a] = edge + out * k * steps[a]
+                points.append(moved)
+    return np.concatenate(points)
+
+
+@pytest.mark.parametrize("name", [n for n in scenario_names()
+                                  if n.startswith(("graph_", "slice_"))])
+def test_graph_metric_equals_the_jet_contraction(zoo, name):
+    # g_M + eps du du against t G t^T of the jet, at the nodes and at the
+    # folded parameters of every sample past an edge or seam; measured at
+    # most 0.92 ulps of max|g| (graph_S2xR_cos03), 0 on every slice
+    surface, grid, _ = zoo(name, 16)
+    s, _ = shape.normalize_params(surface.axes, _past_the_edges(surface, grid))
+    x, tx, _ = surface.jet(s)
+    contracted = np.einsum("...ia,...ab,...jb->...ij", tx,
+                           surface.ambient.metric_at(x), tx,
+                           optimize=shape._PAIRWISE)
+    g = surface.induced_metric(s)
+    ulp = np.finfo(float).eps * np.max(np.abs(contracted))
+    assert np.max(np.abs(g - contracted)) <= 2.0 * ulp
+    if name.startswith("slice_"):
+        assert np.array_equal(g, contracted)
+
+
+def _cartesian_height(base, epsilon: int) -> GraphSurface:
+    """Graph of 0.3 x_1, a Cartesian coordinate of the unit sphere S^2 or
+    S^3: smooth on the sphere, so its chart formulas extend across poles
+    and seams, and its metric has off-diagonal terms there."""
+    def u(s):
+        return 0.3 * np.prod(np.sin(s[..., :-1]), axis=-1) * np.cos(s[..., -1])
+
+    def du(s):
+        sines, phi = np.sin(s[..., :-1]), s[..., -1]
+        out = np.empty(s.shape)
+        for a in range(s.shape[-1] - 1):
+            others = np.prod(np.delete(sines, a, axis=-1), axis=-1)
+            out[..., a] = 0.3 * others * np.cos(s[..., a]) * np.cos(phi)
+        out[..., -1] = -0.3 * np.prod(sines, axis=-1) * np.sin(phi)
+        return out
+
+    def d2u(s):
+        raise AssertionError("not needed for the metric")
+
+    return GraphSurface(name=f"x1_over_{base.name}", base=base,
+                        epsilon=epsilon, u=u, du=du, d2u=d2u)
+
+
+@pytest.mark.parametrize("make", [
+    lambda zoo: zoo("ellipsoid_R3_homothetic", 16)[0],
+    lambda zoo: _cartesian_height(round_sphere(), +1),
+    lambda zoo: _cartesian_height(round_three_sphere(), -1)],
+    ids=["ellipsoid", "x1_over_S2xR", "x1_over_S3xR1"])
+def test_sampler_past_the_edges_equals_the_unfolded_metric(zoo, make):
+    # the folded, sign-conjugated sample must equal the metric evaluated at
+    # the unfolded parameters (measured within 8.9e-16); the off-diagonal
+    # g_ij make the signs matter
+    surface = make(zoo)
+    grid = QuadratureGrid.build(surface.axes, 16)
+    s = _past_the_edges(surface, grid)
+    sampled = shape.induced_metric_sampler(surface)(s)
+    unfolded = surface.induced_metric(s)
+    assert np.max(np.abs(unfolded[..., 0, -1])) > 0.01
+    assert np.allclose(sampled, unfolded, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
+def test_graph_sampler_reads_only_the_first_jet(monkeypatch, name):
+    surface, grid, _ = instantiate(name, {"resolution": 16})
+    n = surface.dimension
+    points = grid.nodes.reshape(-1, n)[::37]
+    expected = intrinsic_curvature_oracle(surface, points)
+
+    def forbidden(s):
+        raise AssertionError("the metric sampler read more than du")
+
+    for attr in ("u", "d2u", "jet"):
+        monkeypatch.setattr(surface, attr, forbidden)
+    assert np.array_equal(intrinsic_curvature_oracle(surface, points), expected)
+
+
+def _reference_normalize_params(axes, s):
+    """The whole-block fold: one np.where per edge and partner axis."""
+    s = np.array(np.asarray(s, dtype=float), copy=True)
+    signs = np.ones_like(s)
+    for a, ax in enumerate(axes):
+        if not ax.polar:
+            continue
+        for edge, beyond in ((ax.lo, s[..., a] < ax.lo), (ax.hi, s[..., a] > ax.hi)):
+            if not np.any(beyond):
+                continue
+            s[..., a] = np.where(beyond, 2.0 * edge - s[..., a], s[..., a])
+            for p in ax.shift:
+                s[..., p] = np.where(beyond, s[..., p] + 0.5 * axes[p].period,
+                                     s[..., p])
+            for r in ax.reverse:
+                s[..., r] = np.where(beyond, axes[r].lo + axes[r].hi - s[..., r],
+                                     s[..., r])
+            flip_vec = np.ones(len(axes))
+            flip_vec[list(ax.flip)] = -1.0
+            signs = np.where(beyond[..., None], signs * flip_vec, signs)
+    for a, ax in enumerate(axes):
+        if ax.kind == "periodic":
+            s[..., a] = ax.lo + np.mod(s[..., a] - ax.lo, ax.period)
+    return s, signs
+
+
+@pytest.mark.parametrize("base", [round_sphere, projective_plane,
+                                  round_three_sphere, flat_torus])
+def test_fold_equals_the_whole_block_fold(base):
+    # random points up to an eighth of the axis period past every polar
+    # edge and periodic seam (two oracle steps at resolution 8), one axis at
+    # a time and all at once, and a single point
+    axes = base().axes
+    n = len(axes)
+    rng = np.random.default_rng(23)
+    reach = [ax.period / 8 for ax in axes]
+    batches = [rng.uniform([ax.lo for ax in axes], [ax.hi for ax in axes],
+                           size=(50, n))]
+    for a, ax in enumerate(axes):
+        for edge, out in ((ax.lo, -1.0), (ax.hi, 1.0)):
+            s = rng.uniform([ax.lo for ax in axes], [ax.hi for ax in axes],
+                            size=(50, n))
+            s[:, a] = edge + out * rng.uniform(0.0, reach[a], size=50)
+            batches.append(s)
+    lo = [ax.lo - r for ax, r in zip(axes, reach)]
+    hi = [ax.hi + r for ax, r in zip(axes, reach)]
+    batches.append(rng.uniform(lo, hi, size=(4, 100, n)))
+    batches.append(np.array([ax.lo - 0.5 * r for ax, r in zip(axes, reach)]))
+    polar = [a for a, ax in enumerate(axes) if ax.polar]
+    for s in batches:
+        folded, signs = shape.normalize_params(axes, s)
+        ref, ref_signs = _reference_normalize_params(axes, s)
+        assert folded.tobytes() == ref.tobytes() and folded.shape == ref.shape
+        crossed = any(np.any((s[..., a] < axes[a].lo) | (s[..., a] > axes[a].hi))
+                      for a in polar)
+        if crossed:
+            assert signs.tobytes() == ref_signs.tobytes()
+        else:
+            assert signs is None and np.all(ref_signs == 1.0)
+    assert polar == [] or any(                  # every chart with a pole folds
+        shape.normalize_params(axes, s)[1] is not None for s in batches)
 
 
 @pytest.mark.parametrize("name", ["graph_S3xR_coschi02", "graph_S3xR1_coschi02"])
