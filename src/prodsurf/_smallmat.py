@@ -54,14 +54,14 @@ def inv(m: np.ndarray) -> np.ndarray:
     return out / d[..., None, None]
 
 
-def generalized_cross(tangents: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def generalized_cross(tangents: np.ndarray) -> np.ndarray:
     """Raw-index normal covector of a batch of tangent frames.
 
     ``tangents`` has shape (..., n, d) with d = n + 1; the result w has shape
-    (..., d) with components ``w_a = scale * eps_{a b1 .. bn} t1^{b1} .. tn^{bn}``
-    (the Levi-Civita alternation of the tangent rows).  With ``scale`` equal
-    to sqrt|det G| this is the metric volume-form contraction, so w annihilates
-    every tangent row and ``G^{-1} w`` is a (possibly non-unit) normal vector.
+    (..., d) with components ``w_a = eps_{a b1 .. bn} t1^{b1} .. tn^{bn}``
+    (the Levi-Civita alternation of the tangent rows).  w annihilates every
+    tangent row, so for any metric G the vector ``G^{-1} w`` is a (possibly
+    non-unit) normal vector.
     """
     n, d = tangents.shape[-2:]
     if d != n + 1:
@@ -75,7 +75,7 @@ def generalized_cross(tangents: np.ndarray, scale: np.ndarray) -> np.ndarray:
             w[..., a] = ((-1) ** a) * det(tangents[..., :, cols])
     else:
         raise ValueError(f"generalized_cross: unsupported ambient dimension {d}")
-    return scale[..., None] * w
+    return w
 
 
 def lagrange_derivative_weights(xs: np.ndarray, x0: np.ndarray) -> np.ndarray:

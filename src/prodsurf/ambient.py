@@ -15,7 +15,9 @@ conformal factor ``phi`` (so that symmetrizing the covariant derivative of
 ``T`` gives ``2 phi`` times the metric).  The products carry the parallel
 unit field along the line (``phi = 0``), the flat spaces the homothetic
 position field (``phi = 1``), and the round 3-sphere a Hopf circle field
-(a genuine Killing field, ``phi = 0``).
+(a genuine Killing field, ``phi = 0``).  On every ambient ``phi`` is a
+constant, so its normal derivative ``dphi/dN`` vanishes and no check
+evaluates it.
 
 Curvature sign conventions used throughout the package::
 
@@ -42,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingKillingData, ParameterOutOfRange
+from .errors import ParameterOutOfRange
 from .reports import TOLERANCES, CheckResult
 
 __all__ = [
@@ -130,11 +132,9 @@ class BaseManifold:
     axes: tuple[AxisSpec, ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
     metric_inverse_at: Callable[[np.ndarray], np.ndarray]
-    metric_det_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     curvature_at: Callable[[np.ndarray], np.ndarray]
     compact: bool
-    constant_curvature: bool
     quotient_factor: float = 1.0
 
 
@@ -162,10 +162,6 @@ def round_sphere() -> BaseManifold:
         g[..., 1, 1] = np.sin(x[..., 0]) ** -2
         return g
 
-    def metric_det(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(x[..., 0]) ** 2
-
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         th = x[..., 0]
@@ -178,9 +174,8 @@ def round_sphere() -> BaseManifold:
         AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,), flip=(0,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("S2", 2, axes, metric, metric_inv, metric_det,
-                        christoffel, _const_field(1.0), compact=True,
-                        constant_curvature=True)
+    return BaseManifold("S2", 2, axes, metric, metric_inv, christoffel,
+                        _const_field(1.0), compact=True)
 
 
 def projective_plane() -> BaseManifold:
@@ -193,8 +188,7 @@ def projective_plane() -> BaseManifold:
     """
     s2 = round_sphere()
     return BaseManifold("RP2", 2, s2.axes, s2.metric_at, s2.metric_inverse_at,
-                        s2.metric_det_at, s2.christoffel_at, s2.curvature_at,
-                        compact=True, constant_curvature=True,
+                        s2.christoffel_at, s2.curvature_at, compact=True,
                         quotient_factor=0.5)
 
 
@@ -228,10 +222,6 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
                 g[..., i, j] = (1.0 if i == j else 0.0) + x[..., i] * x[..., j]
         return g
 
-    def metric_det(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 / _x0sq(x)
-
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         g = metric(x)
@@ -241,9 +231,8 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
         AxisSpec("x1", -box, box, "open"),
         AxisSpec("x2", -box, box, "open"),
     )
-    return BaseManifold("H2", 2, axes, metric, metric_inv, metric_det,
-                        christoffel, _const_field(-1.0), compact=False,
-                        constant_curvature=True)
+    return BaseManifold("H2", 2, axes, metric, metric_inv, christoffel,
+                        _const_field(-1.0), compact=False)
 
 
 def flat_torus() -> BaseManifold:
@@ -263,9 +252,8 @@ def flat_torus() -> BaseManifold:
         AxisSpec("s1", 0.0, 2.0 * np.pi, "periodic"),
         AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("T2", 2, axes, metric, metric, _const_field(1.0),
-                        christoffel, _const_field(0.0), compact=True,
-                        constant_curvature=True)
+    return BaseManifold("T2", 2, axes, metric, metric, christoffel,
+                        _const_field(0.0), compact=True)
 
 
 def round_three_sphere() -> BaseManifold:
@@ -291,10 +279,6 @@ def round_three_sphere() -> BaseManifold:
             out[..., i, i] = 1.0 / g[..., i, i]
         return out
 
-    def metric_det(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(x[..., 0]) ** 4 * np.sin(x[..., 1]) ** 2
-
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         chi, th = x[..., 0], x[..., 1]
@@ -314,9 +298,8 @@ def round_three_sphere() -> BaseManifold:
         AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,), flip=(1,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("S3", 3, axes, metric, metric_inv, metric_det,
-                        christoffel, _const_field(2.0), compact=True,
-                        constant_curvature=True)
+    return BaseManifold("S3", 3, axes, metric, metric_inv, christoffel,
+                        _const_field(2.0), compact=True)
 
 
 # --------------------------------------------------------------------------
@@ -329,27 +312,15 @@ class KillingData:
 
     ``jacobian_at`` returns the analytic chart partials
     ``J[..., a, b] = d_b T^a``, which the conformal Killing check reads.
-    ``conformal_factor`` is the function
-    ``phi`` with ``<grad_V T, W> + <V, grad_W T> = 2 phi <V, W>``; a genuine
-    Killing field has ``phi = 0``, the homothetic position field ``phi = 1``.
+    ``conformal_factor`` is the constant ``phi`` with
+    ``<grad_V T, W> + <V, grad_W T> = 2 phi <V, W>``; a genuine Killing
+    field has ``phi = 0``, the homothetic position field ``phi = 1``.
     """
 
     name: str
     field_at: Callable[[np.ndarray], np.ndarray]
-    conformal_factor: Callable[[np.ndarray], np.ndarray]
-    factor_gradient: Callable[[np.ndarray], np.ndarray]
+    conformal_factor: float
     jacobian_at: Callable[[np.ndarray], np.ndarray]
-
-    def normal_derivative_of_factor(self, point: np.ndarray,
-                                    normal: np.ndarray) -> np.ndarray:
-        """Directional derivative of the conformal factor along ``normal``."""
-        grad = self.factor_gradient(point)
-        return np.einsum("...a,...a->...", np.asarray(normal, dtype=float), grad)
-
-
-def _zero_vector_field(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.zeros(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -363,22 +334,21 @@ class AmbientSpace:
     ``epsilon`` is the metric sign of the distinguished direction: for
     products it is the coefficient of ``dt^2``; for space forms it is ``-1``
     exactly when the signature is Lorentzian.  Spacelike hypersurfaces have
-    unit normals squaring to this sign.
+    unit normals squaring to this sign.  ``killing`` is the distinguished
+    conformal Killing field, which every ambient carries.
     """
 
     name: str
     kind: str                      # "product" | "space_form"
     dim: int
-    signature: str                 # "riemannian" | "lorentzian"
     epsilon: int
     metric_at: Callable[[np.ndarray], np.ndarray]
     metric_inverse_at: Callable[[np.ndarray], np.ndarray]
-    metric_det_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     is_einstein: bool
+    killing: KillingData
     base: BaseManifold | None = None
     c: float | None = None
-    killing: KillingData | None = None
 
     # -- inner products -----------------------------------------------------
 
@@ -463,10 +433,6 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
         G[..., nb, nb] = float(epsilon)   # 1/epsilon == epsilon
         return G
 
-    def metric_det(x):
-        x = np.asarray(x, dtype=float)
-        return float(epsilon) * base.metric_det_at(x[..., :nb])
-
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         G = np.zeros(x.shape[:-1] + (d, d, d))
@@ -486,8 +452,7 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
     killing = KillingData(
         name="vertical",
         field_at=unit_t,
-        conformal_factor=_const_field(0.0),
-        factor_gradient=_zero_vector_field,
+        conformal_factor=0.0,
         jacobian_at=zero_jac,
     )
     suffix = "xR" if epsilon > 0 else "xR1"
@@ -495,18 +460,14 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
         name=base.name + suffix,
         kind="product",
         dim=d,
-        signature="riemannian" if epsilon > 0 else "lorentzian",
         epsilon=epsilon,
         metric_at=metric,
         metric_inverse_at=metric_inv,
-        metric_det_at=metric_det,
         christoffel_at=christoffel,
         # A metric product with a line is Einstein only when it is Ricci
         # flat, i.e. when the base is flat.
-        is_einstein=bool(
-            base.constant_curvature
-            and base.curvature_at(
-                np.array([0.5 * (ax.lo + ax.hi) for ax in base.axes])) == 0.0),
+        is_einstein=bool(base.curvature_at(
+            np.array([0.5 * (ax.lo + ax.hi) for ax in base.axes])) == 0.0),
         base=base,
         killing=killing,
     )
@@ -528,10 +489,6 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(eta, x.shape[:-1] + (d, d)).copy()
 
-    def metric_det(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], -1.0 if lorentzian else 1.0)
-
     def christoffel(x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (d, d, d))
@@ -546,19 +503,16 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
     killing = KillingData(
         name="homothetic_position",
         field_at=position,
-        conformal_factor=_const_field(1.0),
-        factor_gradient=_zero_vector_field,
+        conformal_factor=1.0,
         jacobian_at=position_jac,
     )
     return AmbientSpace(
         name="R3_1" if lorentzian else "R3",
         kind="space_form",
         dim=d,
-        signature="lorentzian" if lorentzian else "riemannian",
         epsilon=-1 if lorentzian else +1,
         metric_at=metric,
         metric_inverse_at=metric,
-        metric_det_at=metric_det,
         christoffel_at=christoffel,
         is_einstein=True,
         c=0.0,
@@ -591,19 +545,16 @@ def _round_sphere_form() -> AmbientSpace:
     killing = KillingData(
         name="hopf_circle",
         field_at=hopf,
-        conformal_factor=_const_field(0.0),
-        factor_gradient=_zero_vector_field,
+        conformal_factor=0.0,
         jacobian_at=hopf_jac,
     )
     return AmbientSpace(
         name="S3",
         kind="space_form",
         dim=3,
-        signature="riemannian",
         epsilon=+1,
         metric_at=s3.metric_at,
         metric_inverse_at=s3.metric_inverse_at,
-        metric_det_at=s3.metric_det_at,
         christoffel_at=s3.christoffel_at,
         is_einstein=True,
         c=1.0,
@@ -722,8 +673,6 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
     ``2 phi`` times the metric componentwise; the check is on components and
     needs no direction sampling.
     """
-    if ambient.killing is None:
-        raise MissingKillingData(f"ambient {ambient.name} carries no Killing data")
     x = np.asarray(points, dtype=float)
     K = ambient.killing
     T = K.field_at(x)
@@ -733,8 +682,7 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
     # covariant derivative (a up, b down), then lower the upper index
     covJ = J + np.einsum("...abc,...c->...ab", Gam, T)
     lowered = np.einsum("...ka,...ab->...kb", G, covJ)   # (grad T)_{k;b}
-    phi = K.conformal_factor(x)
-    resid = lowered + np.swapaxes(lowered, -1, -2) - 2.0 * phi[..., None, None] * G
+    resid = lowered + np.swapaxes(lowered, -1, -2) - 2.0 * K.conformal_factor * G
     worst = float(np.max(np.abs(resid))) if resid.size else 0.0
     return CheckResult(
         name="conformal_killing",

@@ -15,6 +15,11 @@ five-point Lagrange rules on the actual (generally non-uniform) node
 positions; near chart poles the inverse metric amplifies truncation error
 by powers of the pole distance, and the wide stencil keeps the composed
 operators convergent there.
+
+The bundle holds no Killing-field data of its own.  Every ambient carries
+its distinguished field ``T``: ``<N, T>`` and the tangential part of ``T``
+are frame fields, and the conformal factor ``phi`` is a constant read from
+``ambient.killing``, so ``dphi/dN = 0``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _smallmat
 from .ambient import AxisSpec
-from .errors import MissingKillingData, NonCompactDomain
+from .errors import NonCompactDomain
 from .shape import frame_at
 
 __all__ = [
@@ -92,7 +97,6 @@ class QuadratureGrid:
     resolution: int
     nodes_1d: tuple[np.ndarray, ...]
     weights_1d: tuple[np.ndarray, ...]
-    rule: str
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -100,13 +104,9 @@ class QuadratureGrid:
         if resolution < 2 * _STENCIL_WIDTH:
             raise ValueError(f"resolution {resolution} too coarse for the stencils")
         rules = [_axis_rule(ax, resolution) for ax in axes]
-        rule = " x ".join(
-            {"periodic": "trapezoid", "polar_cos": "gauss-cos", "open": "midpoint"}[ax.kind]
-            for ax in axes)
         return cls(axes=tuple(axes), resolution=resolution,
                    nodes_1d=tuple(r[0] for r in rules),
-                   weights_1d=tuple(r[1] for r in rules),
-                   rule=rule)
+                   weights_1d=tuple(r[1] for r in rules))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -370,22 +370,3 @@ class FrameFields:
                          self.area_elements,
                          quotient_factor=self.surface.quotient_factor,
                          compact=self.surface.compact)
-
-    # -- Killing-field data on the surface -----------------------------------
-
-    @cached_property
-    def killing(self):
-        ambient = self.surface.ambient
-        if ambient.killing is None:
-            raise MissingKillingData(
-                f"ambient {ambient.name!r} has no distinguished Killing data")
-        return ambient.killing
-
-    @cached_property
-    def conformal_factor(self) -> np.ndarray:
-        return self.killing.conformal_factor(self.frame.point)
-
-    @cached_property
-    def conformal_factor_normal_derivative(self) -> np.ndarray:
-        return self.killing.normal_derivative_of_factor(
-            self.frame.point, self.frame.normal)

@@ -15,10 +15,6 @@ class WrongAmbient(GeometryError):
     (e.g. a height-function identity outside a product ambient)."""
 
 
-class MissingKillingData(GeometryError):
-    """The ambient space carries no conformal Killing field."""
-
-
 class NotEinstein(GeometryError):
     """The Einstein specialization of the integral formula was requested on
     an ambient whose Ricci tensor is not a multiple of the metric."""

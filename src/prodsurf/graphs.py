@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _smallmat
 from .ambient import hyperbolic_plane
 from .calculus import FrameFields, QuadratureGrid
 from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
@@ -477,9 +478,8 @@ def _graph_equation_pieces(g, m):
     du = g.du(m)
     hess = covariant_hessian(base, du, g.d2u(m), m)
     W = spacelike_w(g, du, m)
-    det_h = (hess[..., 0, 0] * hess[..., 1, 1]
-             - hess[..., 0, 1] * hess[..., 1, 0])
-    return W, base.curvature_at(m), det_h / base.metric_det_at(m)
+    return (W, base.curvature_at(m),
+            _smallmat.det(hess) / _smallmat.det(base.metric_at(m)))
 
 
 def graph_curvature(g, s) -> np.ndarray:

@@ -110,7 +110,7 @@ ORIENTATION_POLICIES = ("adjugate", "future", "theta_nonpositive")
 
 def default_orientation(ambient: AmbientSpace) -> str:
     """Orientation policy used when a surface does not pin one explicitly."""
-    if ambient.signature == "lorentzian":
+    if ambient.epsilon < 0:
         return "future"
     if ambient.kind == "product":
         return "theta_nonpositive"
@@ -229,8 +229,8 @@ class GeometryFrame:
     scalar_curvature: np.ndarray   # S from the contracted Gauss equation
     ambient_scalar: np.ndarray     # Sbar at the point
     ricci_normal: np.ndarray       # Ric_bar(N, N)
-    theta: np.ndarray | None       # <N, T> when Killing data exists
-    tau: np.ndarray | None         # tangential part of T in surface coords
+    theta: np.ndarray              # <N, T>
+    tau: np.ndarray                # tangential part of T in surface coords
     height: np.ndarray | None      # product height coordinate of the point
 
     @property
@@ -386,7 +386,7 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
             at = where(bad)
             what = (f"(leading minor {k + 1} is {float(minor[bad][0]):.3e} "
                     f"at index {at})")
-            if ambient.signature == "lorentzian":
+            if ambient.epsilon < 0:
                 raise NotSpacelike(
                     f"{surface.name}: induced metric not positive definite {what}")
             raise DegenerateFrame(
@@ -395,14 +395,15 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
-    w = _smallmat.generalized_cross(
-        tx, np.sqrt(np.abs(ambient.metric_det_at(x))))
+    w = _smallmat.generalized_cross(tx)
     Nraw = np.einsum("...ab,...b->...a", ambient.metric_inverse_at(x), w)
     nsq = np.einsum("...a,...a->...", w, Nraw)
-    bad = ~(np.abs(nsq) > _DEGENERACY_TOL * np.einsum("...a,...a->...", w, w))
+    # a normal through a chart pole meets an infinite G^{-1}: nsq is not finite
+    bad = ~(np.isfinite(nsq)
+            & (np.abs(nsq) > _DEGENERACY_TOL * np.einsum("...a,...a->...", w, w)))
     if np.any(bad):
-        raise DegenerateFrame(f"{surface.name}: null or vanishing normal "
-                              f"direction at index {where(bad)}")
+        raise DegenerateFrame(f"{surface.name}: null, vanishing or non-finite "
+                              f"normal direction at index {where(bad)}")
     eps = _uniform_sign(nsq, f"{surface.name}: <N, N>")
     if eps != ambient.epsilon:
         raise NotSpacelike(
@@ -411,10 +412,8 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     length = np.sqrt(np.abs(nsq))[..., None]
     N = Nraw / length
 
-    killing = ambient.killing
-    T = killing.field_at(x) if killing is not None else None
-    GT = None if T is None else np.einsum("...ab,...b->...a", G, T)
-    th_raw = None if T is None else np.einsum("...a,...a->...", N, GT)
+    GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
+    th_raw = np.einsum("...a,...a->...", N, GT)
 
     # orientation policy: "future" and "theta_nonpositive" ask for
     # <N, T> <= 0, "future" strictly
@@ -422,9 +421,6 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     if policy == "adjugate":
         chosen = +1
     else:
-        if T is None:
-            raise DegenerateFrame(
-                f"{surface.name}: orientation {policy!r} needs Killing data")
         if policy == "future" and np.any(th_raw == 0.0):
             raise DegenerateFrame(
                 f"{surface.name}: normal orthogonal to the time orientation")
@@ -438,11 +434,9 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
         N = -N
     Nlow = w * (sign / length)      # G N
 
-    theta = tau = None
-    if T is not None:
-        theta = th_raw if sign > 0 else -th_raw
-        tau = np.einsum("...ij,...j->...i", ginv,
-                        np.einsum("...jb,...b->...j", tx, GT))
+    theta = th_raw if sign > 0 else -th_raw
+    tau = np.einsum("...ij,...j->...i", ginv,
+                    np.einsum("...jb,...b->...j", tx, GT))
 
     # h_ij = <txx_ij + Gam(t_i, t_j), N>, contracted through the lowered normal
     GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(x), Nlow)

@@ -7,7 +7,7 @@ import pytest
 
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
-from prodsurf.errors import MissingKillingData, NonCompactDomain
+from prodsurf.errors import NonCompactDomain
 from prodsurf.zoo import instantiate
 
 
@@ -119,19 +119,3 @@ def test_divergence_of_gradient_matches_laplacian(fields):
     lhs = ff.divergence(ff.gradient(u))
     rhs = ff.laplacian(u)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_killing_accessors_require_killing_data(zoo):
-    surface, grid, _ = zoo("slice_S2xR_t0.7", 16)
-    ff = FrameFields(surface, grid)
-    assert np.allclose(ff.conformal_factor, 0.0)
-
-    stripped = type(surface.ambient)(**{
-        **surface.ambient.__dict__, "killing": None})
-    surface2 = type(surface)(name="no_killing", base=surface.base,
-                             epsilon=surface.epsilon, u=surface.u,
-                             du=surface.du, d2u=surface.d2u)
-    surface2.ambient = stripped
-    ff2 = FrameFields(surface2, grid)
-    with pytest.raises(MissingKillingData):
-        ff2.conformal_factor

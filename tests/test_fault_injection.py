@@ -6,6 +6,10 @@ hook), and the identity suite at 32 -> 64 plus the balance laws at 64 run
 on ``graph_S2xR_cos03``.  The set of failing checks must equal the literal
 matrix below.  A field that leaves the matrix, or a check that stops
 catching its defect, fails this test.
+
+The conformal factor ``phi`` of the ambient's field is not a frame field;
+it is scaled the same way on ``sphere_R3_homothetic``, where ``phi = 1``
+(in a product ``phi = 0``, and a scale of it changes nothing).
 """
 
 import dataclasses
@@ -25,7 +29,7 @@ CAUGHT = {
     "point": {"codazzi"},
     "tangent": {"codazzi"},
     "normal": {"codazzi"},
-    "shape_operator": {"codazzi"},
+    "shape_operator": {"codazzi", "gauss_scalar"},
     "second_form": {"hessian_h"},
     "height": {"norm_grad_h", "hessian_h"},
     "tau": {"laplacian_theta", "div_T_top"},
@@ -46,10 +50,10 @@ CAUGHT = {
 UNCAUGHT: dict[str, str] = {}
 
 
-def _failing(surface) -> set[str]:
+def _failing(surface, n_checks: int = 6, n_laws: int = 2) -> set[str]:
     suite = run_suite(surface, 32, refine=1)
     laws = run_formulas(surface, 64)
-    assert len(suite) == 6 and len(laws) == 2
+    assert len(suite) == n_checks and len(laws) == n_laws
     return ({r.name for r in suite if not r.passed}
             | {r.formula for r in laws if not r.passed})
 
@@ -77,3 +81,15 @@ def test_defect_in_one_field_fails_the_named_checks(zoo, monkeypatch, field):
 
     monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
     assert _failing(surface) == CAUGHT.get(field, set())
+
+
+def test_defect_in_the_conformal_factor_fails_the_named_checks(zoo):
+    surface, _, _ = zoo("sphere_R3_homothetic")
+    killing = surface.ambient.killing
+    assert killing.conformal_factor == 1.0
+    assert _failing(surface, n_checks=4, n_laws=1) == set()
+    ambient = dataclasses.replace(surface.ambient, killing=dataclasses.replace(
+        killing, conformal_factor=killing.conformal_factor * (1.0 + DEFECT)))
+    defective = dataclasses.replace(surface, ambient=ambient)
+    assert _failing(defective, n_checks=4, n_laws=1) == {
+        "div_T_top", "laplacian_theta", "integral_formula"}

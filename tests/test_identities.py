@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from prodsurf import calculus
-from prodsurf.errors import MissingKillingData, WrongAmbient
+from prodsurf.errors import WrongAmbient
 from prodsurf.identities import CHECKS, applicable_checks, run_suite
 
 ALL_CHECKS = ("norm_grad_h", "hessian_h", "gauss_scalar", "codazzi",

@@ -655,6 +655,29 @@ def test_degenerate_point_is_named_by_its_index_in_the_batch():
         frame_at(surface, s)
 
 
+def test_tangent_plane_through_a_chart_pole_is_degenerate():
+    # the meridian strip x = (theta, 0.3, t) of S^2 x R passes the pole
+    # theta = 0 of the chart, where G^{-1} is infinite: the normal there is
+    # not finite, and the frame must name the point instead of returning NaN
+    axes = (AxisSpec("theta", 0.0, math.pi, "open"),
+            AxisSpec("t", -1.0, 1.0, "open"))
+
+    def jet(s):
+        x = np.stack([s[..., 0], np.full(s.shape[:-1], 0.3), s[..., 1]], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = 1.0
+        dx[..., 1, 2] = 1.0
+        return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
+
+    surface = ParamSurface(name="meridian_strip", ambient=make_ambient("S2xR"),
+                           axes=axes, jet=jet, compact=False,
+                           orientation="adjugate")
+    s = np.array([[0.5, 0.1], [0.0, 0.1], [1.0, 0.1]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateFrame, match=r"meridian_strip.*index \(1,\)"):
+            frame_at(surface, s)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
     # degenerate points in the second and fourth 64-point blocks; with four
