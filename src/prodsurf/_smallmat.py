@@ -27,18 +27,21 @@ def det(m: np.ndarray) -> np.ndarray:
     raise ValueError(f"det: unsupported block size {k}")
 
 
-def inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a batch of k x k matrices (k = 1, 2 or 3) via adjugates."""
+def inv(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a batch of k x k matrices (k = 1, 2 or 3) via adjugates.
+
+    The quotient is written into ``out`` when it is given.
+    """
     k = m.shape[-1]
     d = det(m)
-    out = np.empty_like(m)
+    adj = np.empty_like(m)
     if k == 1:
-        out[..., 0, 0] = 1.0
+        adj[..., 0, 0] = 1.0
     elif k == 2:
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        out[..., 1, 1] = m[..., 0, 0]
+        adj[..., 0, 0] = m[..., 1, 1]
+        adj[..., 0, 1] = -m[..., 0, 1]
+        adj[..., 1, 0] = -m[..., 1, 0]
+        adj[..., 1, 1] = m[..., 0, 0]
     elif k == 3:
         for i in range(3):
             for j in range(3):
@@ -48,10 +51,10 @@ def inv(m: np.ndarray) -> np.ndarray:
                     m[..., r[0], c[0]] * m[..., r[1], c[1]]
                     - m[..., r[0], c[1]] * m[..., r[1], c[0]]
                 )
-                out[..., i, j] = ((-1) ** (i + j)) * minor
+                adj[..., i, j] = ((-1) ** (i + j)) * minor
     else:
         raise ValueError(f"inv: unsupported block size {k}")
-    return out / d[..., None, None]
+    return np.divide(adj, d[..., None, None], out=out)
 
 
 def generalized_cross(tangents: np.ndarray) -> np.ndarray:

@@ -340,12 +340,19 @@ CRITERIA: tuple[Callable[[], CriterionVerdict], ...] = (
 
 
 def run_battery(progress=None) -> list[CriterionVerdict]:
-    """Evaluate every acceptance criterion, streaming one line per verdict."""
+    """Evaluate every acceptance criterion, streaming one line per verdict.
+
+    Each progress line is the verdict's ``line()`` followed by the
+    criterion's wall time, e.g. ``PASS criterion 1: ... (11.2 s)``.  The
+    time goes to ``progress`` only; the verdicts do not carry it.
+    """
     verdicts = []
     for make in CRITERIA:
+        start = time.perf_counter()
         verdict = make()
         if progress is not None:
-            print(verdict.line(), file=progress, flush=True)
+            elapsed = time.perf_counter() - start
+            print(f"{verdict.line()} ({elapsed:.1f} s)", file=progress, flush=True)
         verdicts.append(verdict)
     return verdicts
 

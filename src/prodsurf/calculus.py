@@ -16,6 +16,13 @@ positions; near chart poles the inverse metric amplifies truncation error
 by powers of the pole distance, and the wide stencil keeps the composed
 operators convergent there.
 
+``integrate`` sums the terms of an integral exactly and rounds once:
+integer mantissas are summed per binary exponent by ``np.bincount`` in
+pieces small enough that no partial sum rounds, the pieces are folded into
+one Python int, and one correctly rounded division gives the float.  The
+result is the correctly rounded sum, which is what ``math.fsum`` returns,
+so it equals ``fsum`` bit for bit without listing the terms.
+
 The bundle holds no Killing-field data of its own.  Every ambient carries
 its distinguished field ``T``: ``<N, T>`` and the tangential part of ``T``
 are frame fields, and the conformal factor ``phi`` is a constant read from
@@ -47,7 +54,15 @@ __all__ = [
 
 _STENCIL_WIDTH = 5          # Lagrange window per derivative
 _GHOST_DEPTH = 2            # layers continued across a polar endpoint
-_FSUM_CHUNK = 65536         # integrand values listed for math.fsum at a time
+# Terms summed per pass of the exact summation in `integrate`.  Each term's
+# 53-bit integer mantissa is split into a 27-bit high and a 26-bit low half,
+# and each half is summed per binary exponent by np.bincount in float64;
+# with at most 2**16 terms per pass every partial sum is an integer below
+# 2**43, so the pass is exact.  The chunk also bounds its temporaries.
+_FSUM_CHUNK = 65536
+_MANTISSA_BITS = 53
+_LOW_BITS = 26
+_EXPONENT_MIN = -1073       # np.frexp exponent of the smallest subnormal
 
 
 # --------------------------------------------------------------------------
@@ -252,14 +267,61 @@ def partial_derivative(values: np.ndarray, grid: QuadratureGrid, axis: int,
     return np.sum(gathered, axis=-1)
 
 
+def _fsum(flat: np.ndarray) -> float:
+    """``math.fsum`` of a flat array, listed ``_FSUM_CHUNK`` values at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        flat[start:start + _FSUM_CHUNK].tolist()
+        for start in range(0, flat.size, _FSUM_CHUNK)))
+
+
+def _exact_sum(flat: np.ndarray) -> float:
+    """The sum of a flat float64 array, bit-identical to ``math.fsum``.
+
+    Every finite term is ``M * 2**(e - 53)`` with an integer mantissa
+    ``|M| < 2**53`` (``np.frexp``).  Per ``_FSUM_CHUNK`` terms, the low
+    ``_LOW_BITS`` bits of ``M`` and the rest are summed per exponent by
+    ``np.bincount`` without rounding (see ``_FSUM_CHUNK``), and the sums are
+    folded into one Python int, the exact total in units of
+    ``2**(_EXPONENT_MIN - 53)``.  It is rounded once, by int / int true
+    division, which CPython rounds correctly (half to even, subnormals
+    included), as ``math.fsum`` rounds its exact sum; an exact zero gives
+    ``0.0`` in both.  Where ``fsum`` does something else, the terms go to
+    ``fsum`` itself: on a non-finite term (its inf, nan and ``ValueError``
+    rules), and when the terms are large enough that its partial sums
+    could overflow, where it raises ``OverflowError``.
+    """
+    total = 0
+    top = 0         # largest exponent bin of any term
+    for start in range(0, flat.size, _FSUM_CHUNK):
+        chunk = flat[start:start + _FSUM_CHUNK]
+        if not np.isfinite(chunk).all():
+            return _fsum(flat)
+        fraction, exponent = np.frexp(chunk)
+        mantissa = np.ldexp(fraction, _MANTISSA_BITS).astype(np.int64)
+        exponent -= _EXPONENT_MIN
+        high = np.bincount(exponent, weights=mantissa >> _LOW_BITS)
+        low = np.bincount(exponent, weights=mantissa & ((1 << _LOW_BITS) - 1))
+        top = max(top, high.size - 1)
+        bins = np.flatnonzero((high != 0.0) | (low != 0.0))
+        for k, hi, lo in zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()):
+            total += ((int(hi) << _LOW_BITS) + int(lo)) << k
+    # every term is below 2**(top + _EXPONENT_MIN), their absolute sum below
+    # flat.size times that and fsum's partials below three times the sum:
+    # under this bound neither fsum nor the division below can overflow
+    if top + _EXPONENT_MIN + flat.size.bit_length() + 2 > 1023:
+        return _fsum(flat)
+    return total / (1 << (_MANTISSA_BITS - _EXPONENT_MIN))
+
+
 def integrate(f: SurfaceField, area_elements: np.ndarray, *,
               quotient_factor: float = 1.0, compact: bool = True) -> float:
     """Integral over the surface: sum of f * weight * area element.
 
-    Summation is compensated (``math.fsum``) in fixed C order, so the
-    result is bit-reproducible across runs and worker counts.  The terms
-    reach ``fsum`` in chunks of ``_FSUM_CHUNK`` values, so no Python list
-    of the whole grid is built.
+    The terms are summed exactly and rounded once (``_exact_sum``), so the
+    result equals ``math.fsum`` of the terms bit for bit, and is
+    bit-reproducible across runs and worker counts.  The sum is vectorized
+    over ``_FSUM_CHUNK`` terms at a time, so no Python list of the grid's
+    terms is built.
     """
     if not compact:
         raise NonCompactDomain("surface integral requested on a non-compact scenario")
@@ -267,10 +329,7 @@ def integrate(f: SurfaceField, area_elements: np.ndarray, *,
         raise ValueError("integrate expects a scalar field")
     contrib = f.values * f.grid.weights
     contrib *= area_elements
-    flat = contrib.ravel(order="C")
-    return quotient_factor * math.fsum(itertools.chain.from_iterable(
-        flat[start:start + _FSUM_CHUNK].tolist()
-        for start in range(0, flat.size, _FSUM_CHUNK)))
+    return quotient_factor * _exact_sum(contrib.ravel(order="C"))
 
 
 # --------------------------------------------------------------------------
@@ -296,6 +355,15 @@ class FrameFields:
     @cached_property
     def area_elements(self) -> np.ndarray:
         return np.sqrt(_smallmat.det(self.frame.metric))
+
+    @cached_property
+    def cancellation_mass(self) -> float:
+        """I |Theta| (|S| + |S_amb| + |Ric(N,N)|) dA, the scale every
+        balance law of :mod:`prodsurf.integral` is judged against."""
+        fr = self.frame
+        return self.integrate(np.abs(fr.theta) * (np.abs(fr.scalar_curvature)
+                                                  + np.abs(fr.ambient_scalar)
+                                                  + np.abs(fr.ricci_normal)))
 
     # -- induced-metric differential structure ------------------------------
 

@@ -49,30 +49,21 @@ reported both raw and relative to the mass
 which measures the size of the cancellation the identity demands; the
 relative residual divides by ``max(normalization, 1)`` so surfaces with
 tiny mass are judged on an absolute scale rather than passed for free.
+The mass is integrated once per frame bundle
+(``FrameFields.cancellation_mass``) and shared by every law evaluated on it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .calculus import FrameFields, QuadratureGrid
 from .errors import NotEinstein
 from .reports import TOLERANCES, IntegralReport, Tolerances
 
 
-def _cancellation_mass(fields: FrameFields) -> float:
-    """I |Theta| (|S| + |S_amb| + |Ric(N,N)|) dA, the scale of the balance."""
-    fr = fields.frame
-    density = np.abs(fr.theta) * (np.abs(fr.scalar_curvature)
-                                  + np.abs(fr.ambient_scalar)
-                                  + np.abs(fr.ricci_normal))
-    return fields.integrate(density)
-
-
 def _report(formula: str, fields: FrameFields, lhs: float, rhs: float,
             tolerance: float, *, relative_pass: bool) -> IntegralReport:
     residual = lhs - rhs
-    normalization = _cancellation_mass(fields)
+    normalization = fields.cancellation_mass
     relative = abs(residual) / max(normalization, 1.0)
     passed = (relative <= tolerance) if relative_pass \
         else (abs(residual) <= tolerance)
@@ -121,8 +112,8 @@ def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
     lhs = fields.integrate(integrand)
 
     phi = fields.surface.ambient.killing.conformal_factor
-    # the sign sits in the integrand: fsum of zeros is +0.0, so a Killing
-    # field's right side is 0.0, never -0.0
+    # the sign sits in the integrand: an exact zero sum is +0.0, so a
+    # Killing field's right side is 0.0, never -0.0
     rhs = n * (n - 1) * fields.integrate(-eps_n * fr.mean_curvature * phi)
     return _report("integral_formula", fields, lhs, rhs,
                    tolerances.integral_relative, relative_pass=True)
@@ -169,10 +160,15 @@ def einstein_integral(surface, grid, tolerances: Tolerances = TOLERANCES
                    tolerances.einstein_absolute, relative_pass=False)
 
 
-def available_formulas(surface, grid) -> list[str]:
-    """Names of the balance laws that apply to this surface's ambient."""
-    fields = _as_fields(surface, grid)
-    ambient = fields.surface.ambient
+def available_formulas(surface) -> list[str]:
+    """Names of the balance laws that apply to this surface's ambient.
+
+    ``surface`` is a surface or a prebuilt ``FrameFields``; only its
+    ambient is read.
+    """
+    if isinstance(surface, FrameFields):
+        surface = surface.surface
+    ambient = surface.ambient
     names = ["integral_formula"]
     if ambient.kind == "product":
         names.append("product_integral")
@@ -196,5 +192,5 @@ def run_formulas(surface, grid, tolerances: Tolerances = TOLERANCES,
     """
     fields = _as_fields(surface, grid)
     if names is None:
-        names = available_formulas(fields, None)
+        names = available_formulas(fields)
     return [FORMULAS[name](fields, None, tolerances) for name in names]

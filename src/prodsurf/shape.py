@@ -21,9 +21,13 @@ contracted Gauss equation
 with ``eps_N = <N, N>`` (+1 in Riemannian ambients, -1 for spacelike
 hypersurfaces of Lorentzian ones; the ambient's ``epsilon``).
 
-``frame_at`` splits the flattened batch into contiguous blocks of
-``_BLOCK`` points and writes each block into outputs of the full batch
-shape, so its working set does not grow with the grid.  Blocks are
+``frame_at`` allocates its outputs once, at the full batch shape, and
+splits the flattened batch into contiguous blocks of ``_BLOCK`` points.
+Each block writes its fields straight into its rows of the outputs (with
+``out=`` where numpy takes it, by slice assignment where a surface or
+ambient callable returns a new array), so no block result is copied and
+the working set does not grow with the grid.  ``height`` is the view
+``point[..., -1]``.  Blocks are
 independent and run concurrently: ``_block_map`` evaluates up to
 ``_WORKERS`` of them at a time (the CPU-affinity count, capped at
 ``_MAX_WORKERS``) on the caller's thread and a thread pool, numpy releasing
@@ -292,14 +296,16 @@ def _uniform_sign(arr: np.ndarray, what: str) -> int:
 def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     """Evaluate the full geometric frame of ``surface`` at parameters ``s``.
 
-    ``s`` may carry arbitrary batch dimensions.  The flattened batch is
-    evaluated in contiguous blocks of ``_BLOCK`` points, up to ``_WORKERS``
-    blocks at a time (see ``_block_map``), each written into outputs of the
-    full batch shape, so no intermediate grows with the batch; a batch
-    smaller than one block is a single block on the caller's thread.  The
-    blocks carry no state between them and are reconciled in block order,
-    so the result depends neither on the block size nor on the number of
-    workers.
+    ``s`` may carry arbitrary batch dimensions.  The outputs are allocated
+    once, at the full batch shape (``_frame_outputs``).  The flattened batch
+    is evaluated in contiguous blocks of ``_BLOCK`` points, up to
+    ``_WORKERS`` blocks at a time (see ``_block_map``); each block writes
+    into its own rows of the outputs, so no intermediate grows with the
+    batch and no block result is copied.  A batch smaller than one block is
+    a single block on the caller's thread.  The blocks carry no state
+    between them and are reconciled in block order, so the result depends
+    neither on the block size nor on the number of workers.  In a product
+    ambient ``height`` is the view ``point[..., -1]``, not a copy.
 
     Raises ``NotSpacelike`` when a Lorentzian-ambient surface fails the
     spacelike test and ``DegenerateFrame`` when the tangent map loses rank
@@ -313,26 +319,20 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     s = np.asarray(s, dtype=float)
     batch = s.shape[:-1]
     flat = s.reshape(-1, s.shape[-1])
-    total = flat.shape[0]
+    total, n = flat.shape
     size = _BLOCK
     starts = range(0, max(total, 1), size)
-    out: dict[str, np.ndarray | None] = {}
+    out = _frame_outputs(total, n, surface.ambient.dim)
 
-    def block(start: int, flip: int | None = None) -> tuple[dict, int | None]:
-        return _frame_block(surface, flat[start:start + size], batch, start, flip)
-
-    def store(start: int, fields: dict) -> None:
-        for key, value in fields.items():
-            if key not in out:
-                out[key] = None if value is None else \
-                    np.empty((total,) + value.shape[1:], dtype=value.dtype)
-            if value is not None:
-                out[key][start:start + size] = value
+    def block(start: int, flip: int | None = None) -> int | None:
+        rows = slice(start, start + size)
+        return _frame_block(surface, flat[rows],
+                            {key: value[rows] for key, value in out.items()},
+                            batch, start, flip)
 
     flip = None
     undecided = []  # blocks whose <N, T> left the flip open; they used +1
-    for start, (fields, chosen) in zip(starts, _block_map(block, starts)):
-        store(start, fields)
+    for start, chosen in zip(starts, _block_map(block, starts)):
         if chosen is None:
             undecided.append(start)
         elif flip is None:
@@ -340,13 +340,25 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
         elif chosen != flip:
             raise _theta_sign_change(surface)
     if flip == -1 and undecided:
-        for start, (fields, _) in zip(
-                undecided, _block_map(lambda start: block(start, flip), undecided)):
-            store(start, fields)
+        for _ in _block_map(lambda start: block(start, flip), undecided):
+            pass
 
-    return GeometryFrame(
-        **{key: None if value is None else value.reshape(batch + value.shape[1:])
-           for key, value in out.items()})
+    fields = {key: value.reshape(batch + value.shape[1:])
+              for key, value in out.items()}
+    height = fields["point"][..., -1] if surface.ambient.kind == "product" else None
+    return GeometryFrame(**fields, height=height)
+
+
+def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
+    """Uninitialized flat outputs of ``frame_at`` for ``total`` points,
+    keyed like ``GeometryFrame`` (``height`` excepted)."""
+    vector, matrix, scalar = (total, d), (total, n, n), (total,)
+    shapes = dict(point=vector, tangent=(total, n, d), metric=matrix,
+                  metric_inv=matrix, normal=vector, second_form=matrix,
+                  shape_operator=matrix, mean_curvature=scalar,
+                  scalar_curvature=scalar, ambient_scalar=scalar,
+                  ricci_normal=scalar, theta=scalar, tau=(total, n))
+    return {key: np.empty(shape) for key, shape in shapes.items()}
 
 
 def _theta_sign_change(surface) -> DegenerateFrame:
@@ -355,27 +367,33 @@ def _theta_sign_change(surface) -> DegenerateFrame:
         f"orientation {surface.orientation!r} has no consistent normal")
 
 
-def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
-                 flip: int | None = None) -> tuple[dict, int | None]:
-    """Frame fields of the block ``s`` (shape ``(m, n)``) of a flat batch.
+def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
+                 batch: tuple[int, ...], offset: int,
+                 flip: int | None = None) -> int | None:
+    """Write the frame fields of the block ``s`` (shape ``(m, n)``) into ``out``.
 
-    ``offset`` is the block's first row in the flattened ``batch``; error
-    messages report points by their index in ``batch``.  Returns the fields
-    keyed like ``GeometryFrame`` and the orientation flip the block chose,
-    which is ``None`` when a ``<N, T>`` policy met ``<N, T> = 0`` on the
-    whole block.  Such a block is oriented by ``flip`` when given, and by
-    the adjugate normal otherwise.
+    ``out`` holds the block's rows of every ``frame_at`` output, keyed like
+    ``GeometryFrame``; each is written in place.  ``offset`` is the block's
+    first row in the flattened ``batch``; error messages report points by
+    their index in ``batch``.  Returns the orientation flip the block
+    chose, which is ``None`` when a ``<N, T>`` policy met ``<N, T> = 0`` on
+    the whole block.  Such a block is oriented by ``flip`` when given, and
+    by the adjugate normal otherwise.
     """
     ambient = surface.ambient
     n = s.shape[-1]
     x, tx, txx = surface.jet(s)
+    out["point"][...] = x
+    out["tangent"][...] = tx
+    x, tx = out["point"], out["tangent"]
     G = ambient.metric_at(x)
 
     def where(bad: np.ndarray) -> tuple[int, ...]:
         return tuple(int(i) for i in
                      np.unravel_index(offset + int(np.argmax(bad)), batch))
 
-    g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx, optimize=_PAIRWISE)
+    g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx, optimize=_PAIRWISE,
+                  out=out["metric"])
     # positive definiteness via leading principal minors, each measured
     # against the product of the squared Euclidean lengths of its tangents
     scale = np.cumprod(np.einsum("...ia,...ia->...i", tx, tx), axis=-1)
@@ -391,7 +409,7 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
                     f"{surface.name}: induced metric not positive definite {what}")
             raise DegenerateFrame(
                 f"{surface.name}: tangent vectors degenerate {what}")
-    ginv = _smallmat.inv(g)
+    ginv = _smallmat.inv(g, out=out["metric_inv"])
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
@@ -410,10 +428,10 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
             f"{surface.name}: normal has <N, N> = {eps}, expected "
             f"{ambient.epsilon} for this ambient")
     length = np.sqrt(np.abs(nsq))[..., None]
-    N = Nraw / length
+    N = np.divide(Nraw, length, out=out["normal"])
 
     GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
-    th_raw = np.einsum("...a,...a->...", N, GT)
+    theta = np.einsum("...a,...a->...", N, GT, out=out["theta"])
 
     # orientation policy: "future" and "theta_nonpositive" ask for
     # <N, T> <= 0, "future" strictly
@@ -421,51 +439,42 @@ def _frame_block(surface, s: np.ndarray, batch: tuple[int, ...], offset: int,
     if policy == "adjugate":
         chosen = +1
     else:
-        if policy == "future" and np.any(th_raw == 0.0):
+        if policy == "future" and np.any(theta == 0.0):
             raise DegenerateFrame(
                 f"{surface.name}: normal orthogonal to the time orientation")
-        keep = bool(np.any(th_raw < 0.0))
-        turn = bool(np.any(th_raw > 0.0))
+        keep = bool(np.any(theta < 0.0))
+        turn = bool(np.any(theta > 0.0))
         if keep and turn:
             raise _theta_sign_change(surface)
         chosen = -1 if turn else (+1 if keep else None)
     sign = chosen or flip or +1
     if sign < 0:
-        N = -N
+        np.negative(N, out=N)
+        np.negative(theta, out=theta)
     Nlow = w * (sign / length)      # G N
 
-    theta = th_raw if sign > 0 else -th_raw
-    tau = np.einsum("...ij,...j->...i", ginv,
-                    np.einsum("...jb,...b->...j", tx, GT))
+    np.einsum("...ij,...j->...i", ginv, np.einsum("...jb,...b->...j", tx, GT),
+              out=out["tau"])
 
-    # h_ij = <txx_ij + Gam(t_i, t_j), N>, contracted through the lowered normal
+    # h_ij = <txx_ij + Gam(t_i, t_j), N>, contracted through the lowered
+    # normal; the second partials are let go before the Christoffel symbols,
+    # the block's largest temporary, are formed
+    h = np.einsum("...ija,...a->...ij", txx, Nlow, out=out["second_form"])
+    del txx
     GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(x), Nlow)
-    h = (np.einsum("...ija,...a->...ij", txx, Nlow)
-         + np.einsum("...ib,...bc,...jc->...ij", tx, GamN, tx,
-                     optimize=_PAIRWISE))
-    A = ginv @ h
+    h += np.einsum("...ib,...bc,...jc->...ij", tx, GamN, tx, optimize=_PAIRWISE)
+    A = np.matmul(ginv, h, out=out["shape_operator"])
     trA = np.einsum("...ii->...", A)
     trA2 = np.einsum("...ij,...ji->...", A, A)
     e2 = 0.5 * (trA * trA - trA2)
 
-    Sbar = ambient.scalar_curvature(x)
-    ricNN = ambient.ricci_quadratic(x, N)
-    return dict(
-        point=x,
-        tangent=tx,
-        metric=g,
-        metric_inv=ginv,
-        normal=N,
-        second_form=h,
-        shape_operator=A,
-        mean_curvature=(eps / n) * trA,
-        scalar_curvature=Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2,
-        ambient_scalar=Sbar,
-        ricci_normal=ricNN,
-        theta=theta,
-        tau=tau,
-        height=x[..., -1] if ambient.kind == "product" else None,
-    ), chosen
+    np.multiply(eps / n, trA, out=out["mean_curvature"])
+    Sbar = out["ambient_scalar"]
+    Sbar[...] = ambient.scalar_curvature(x)
+    ricNN = out["ricci_normal"]
+    ricNN[...] = ambient.ricci_quadratic(x, N)
+    out["scalar_curvature"][...] = Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2
+    return chosen
 
 
 # --------------------------------------------------------------------------

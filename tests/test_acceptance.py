@@ -5,6 +5,8 @@ captured output) so a test run doubles as the acceptance report, then
 asserts the verdict with the evidence lines attached to any failure.
 """
 
+import io
+import re
 import subprocess
 import sys
 
@@ -16,8 +18,16 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
-def verdicts():
-    return run_battery()
+def battery():
+    """The verdicts of one battery run and the progress lines it streamed."""
+    progress = io.StringIO()
+    verdicts = run_battery(progress=progress)
+    return verdicts, progress.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def verdicts(battery):
+    return battery[0]
 
 
 @pytest.mark.parametrize("index", range(len(CRITERIA)),
@@ -35,6 +45,15 @@ def test_battery_passes_as_a_whole(verdicts):
     assert len(verdicts) == len(CRITERIA)
     numbers = [v.number for v in verdicts]
     assert numbers == sorted(numbers)
+
+
+def test_progress_lines_end_with_the_elapsed_time(battery):
+    verdicts, lines = battery
+    assert len(lines) == len(verdicts)
+    for verdict, line in zip(verdicts, lines):
+        head, _, tail = line.rpartition(" (")
+        assert head == verdict.line()
+        assert re.fullmatch(r"\d+\.\d s\)", tail), line
 
 
 def test_acceptance_command_is_bytewise_deterministic(tmp_path):

@@ -1,9 +1,12 @@
 """Quadrature, surface fields, and intrinsic differential operators."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
@@ -41,6 +44,85 @@ def test_integration_is_bit_reproducible(zoo):
     a = FrameFields(surface, grid).integrate(field)
     b = FrameFields(surface, grid).integrate(field)
     assert a == b  # exact equality: summation order is pinned
+
+
+def _sum_outcome(summer, values: np.ndarray):
+    """The bits of the sum, or the exception type it raised."""
+    try:
+        return struct.pack("<d", summer(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_sums_like_fsum(values) -> None:
+    values = np.asarray(values, dtype=float)
+    expected = _sum_outcome(lambda v: math.fsum(v.tolist()), values)
+    assert _sum_outcome(calculus._exact_sum, values) == expected
+
+
+def _exact_sum_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(20261018)
+    chunk = calculus._FSUM_CHUNK
+    wide = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 301, 4096)
+    subnormal = rng.integers(-2 ** 52, 2 ** 52, 4096) * 5e-324
+
+    def spread(size: int) -> np.ndarray:
+        return rng.standard_normal(size) * np.exp(rng.uniform(-30.0, 30.0, size))
+
+    return {
+        "cancellation": np.array([1e16, 1.0, -1e16]),
+        "magnitudes_1e300": wide,
+        "magnitudes_1e300_cancelled": np.concatenate([wide, [1e-300], -wide[::-1]]),
+        "subnormals": subnormal,
+        "subnormals_and_normals": np.concatenate(
+            [subnormal, [2.2250738585072014e-308, -5e-324], -subnormal]),
+        "tie_to_even": np.array([1.0, 2.0 ** -53]),
+        "just_above_the_tie": np.array([1.0, 2.0 ** -53, 2.0 ** -106]),
+        "plus_zeros": np.zeros(1000),
+        "minus_zeros": np.full(1000, -0.0),
+        "size_1": np.array([-3.25]),
+        "size_chunk_minus_1": spread(chunk - 1),
+        "size_chunk_plus_1": spread(chunk + 1),
+        "size_540800": spread(540_800),
+        "size_540800_1e300": rng.standard_normal(540_800)
+        * 10.0 ** rng.integers(-300, 301, 540_800),
+    }
+
+
+_EXACT_SUM_CASES = _exact_sum_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_SUM_CASES))
+def test_exact_sum_is_bit_equal_to_fsum(case):
+    _assert_sums_like_fsum(_EXACT_SUM_CASES[case])
+
+
+@pytest.mark.parametrize("values", [
+    [math.inf, 1.0], [-math.inf, 2.5, 1e300], [math.nan, 1.0],
+    [math.inf, -math.inf], [1.0, math.nan, math.inf, -math.inf],
+    [math.inf, 1e308, 1e308], [1e308, math.inf, 1e308],
+    [1e308, 1e308], [-1.7e308, -1.7e308, 1e300],
+    [1e308, 1e308, -1e308],
+], ids=repr)
+def test_exact_sum_of_non_finite_or_overflowing_terms_acts_as_fsum(values):
+    """Same result, or the same exception type, as ``math.fsum``; the last
+    two overflow although their exact sums are finite or overflow only in
+    fsum's partials."""
+    _assert_sums_like_fsum(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=40))
+def test_exact_sum_acts_as_fsum_on_any_floats(values):
+    _assert_sums_like_fsum(values)
+
+
+def test_integrate_is_the_exact_sum_of_its_terms(fields):
+    ff = fields("graph_S3xR_coschi02", 16)
+    f = ff.frame.theta * ff.frame.scalar_curvature
+    terms = f * ff.grid.weights * ff.area_elements
+    assert ff.integrate(f) == ff.surface.quotient_factor * math.fsum(
+        terms.ravel().tolist())
 
 
 def test_non_compact_surface_refuses_to_integrate(fields):

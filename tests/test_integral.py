@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodsurf import calculus
 from prodsurf.calculus import FrameFields
 from prodsurf.errors import NonCompactDomain, NotEinstein
 from prodsurf.integral import (available_formulas, einstein_integral,
@@ -90,7 +91,7 @@ def test_non_compact_scenarios_cannot_be_integrated(zoo):
 
 def test_available_formulas_and_runner(zoo):
     surface, grid, _ = zoo("slice_T2xR_t1.2", 16)
-    names = available_formulas(surface, grid)
+    names = available_formulas(surface)
     assert names == ["integral_formula", "product_integral",
                      "einstein_integral"]
     reports = run_formulas(surface, grid)
@@ -98,8 +99,28 @@ def test_available_formulas_and_runner(zoo):
     assert all(r.passed for r in reports)
 
     surface, grid, _ = zoo("geodesic_sphere_S3", 16)
-    assert available_formulas(surface, grid) == ["integral_formula",
-                                                 "einstein_integral"]
+    bundle = FrameFields(surface, grid)
+    assert available_formulas(surface) == available_formulas(bundle) == [
+        "integral_formula", "einstein_integral"]
+    assert "frame" not in vars(bundle)      # no frame was built to decide
+
+
+def test_run_formulas_integrates_the_mass_once_per_bundle(zoo, monkeypatch):
+    surface, grid, _ = zoo("graph_S2xR_cos03", 32)
+    calls = []
+    integrate = calculus.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].values.shape)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "integrate", counted)
+    reports = run_formulas(surface, grid)
+    assert [r.formula for r in reports] == ["integral_formula",
+                                            "product_integral"]
+    # lhs and rhs of the flux law, lhs of the product law, and one mass
+    assert len(calls) == 4
+    assert reports[0].normalization == reports[1].normalization
 
 
 def test_report_normalization_and_relative_residual(zoo):
