@@ -7,8 +7,11 @@ that is either
   ``g_M + epsilon dt^2`` (``epsilon = +1`` Riemannian, ``epsilon = -1``
   Lorentzian, in which case spacelike hypersurfaces are the objects of
   interest), or
-* a simply connected space of constant sectional curvature ``c`` (Euclidean
+* a simply connected space of constant sectional curvature (Euclidean
   3-space, Minkowski 3-space, the unit 3-sphere).
+
+Every base has constant curvature too, so each ambient's curvature is one
+number, ``AmbientSpace.sectional``, read through one model (see there).
 
 Every ambient carries a distinguished conformal Killing field ``T`` with
 conformal factor ``phi`` (so that symmetrizing the covariant derivative of
@@ -23,9 +26,9 @@ Curvature sign conventions used throughout the package::
 
     R(X, Y)Z = grad_[X,Y] Z - grad_X grad_Y Z + grad_Y grad_X Z
 
-so a space of constant sectional curvature ``c`` has
-``R(X, Y)Z = c (<X, Z> Y - <Y, Z> X)`` and the Ricci quadratic form of the
-unit round sphere is positive.  In chart components, with
+so a block of constant sectional curvature ``sectional`` has
+``R(X, Y)Z = sectional (<X, Z> Y - <Y, Z> X)`` and the Ricci quadratic
+form of the unit round sphere is positive.  In chart components, with
 ``Gamma^k_ij`` the Christoffel symbols,
 
     R^d_abc = d_b Gamma^d_ac - d_a Gamma^d_bc
@@ -39,7 +42,7 @@ outputs carry matching batch dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -119,12 +122,12 @@ class AxisSpec:
 class BaseManifold:
     """A base manifold ``M^n`` (n = 2 or 3) presented in a single chart.
 
-    ``curvature_at`` returns the Ricci proportionality factor ``kappa`` with
-    ``Ric_M = kappa * g_M`` pointwise: the Gauss curvature for n = 2, the
-    Einstein constant (a third of the scalar curvature) for the round
-    3-sphere.  The sectional curvature, where constant, is
-    ``kappa / (dim - 1)``.  ``metric_at`` returns a new array on every
-    call; ``GraphSurface.induced_metric`` adds to it in place.
+    ``kappa`` is the constant Ricci factor with ``Ric_M = kappa * g_M``:
+    the Gauss curvature for n = 2, the Einstein constant (a third of the
+    scalar curvature) for the round 3-sphere.  Every base has constant
+    sectional curvature ``kappa / (dim - 1)``.  ``metric_at`` returns a new
+    array on every call; ``GraphSurface.induced_metric`` adds to it in
+    place.
     """
 
     name: str
@@ -133,16 +136,9 @@ class BaseManifold:
     metric_at: Callable[[np.ndarray], np.ndarray]
     metric_inverse_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
-    curvature_at: Callable[[np.ndarray], np.ndarray]
+    kappa: float
     compact: bool
     quotient_factor: float = 1.0
-
-
-def _const_field(value: float):
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], value)
-    return f
 
 
 def round_sphere() -> BaseManifold:
@@ -175,7 +171,7 @@ def round_sphere() -> BaseManifold:
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("S2", 2, axes, metric, metric_inv, christoffel,
-                        _const_field(1.0), compact=True)
+                        1.0, compact=True)
 
 
 def projective_plane() -> BaseManifold:
@@ -183,13 +179,10 @@ def projective_plane() -> BaseManifold:
 
     The chart and metric are those of the covering sphere; integrals carry a
     factor 1/2, and only antipodally even functions (``u(pi - theta,
-    phi + pi) = u(theta, phi)``) descend to the quotient -- graph scenarios
-    over this base must respect that symmetry.
+    phi + pi) = u(theta, phi)``) descend to the quotient -- the catalog
+    gates every graph over a quotient base on that symmetry.
     """
-    s2 = round_sphere()
-    return BaseManifold("RP2", 2, s2.axes, s2.metric_at, s2.metric_inverse_at,
-                        s2.christoffel_at, s2.curvature_at, compact=True,
-                        quotient_factor=0.5)
+    return replace(round_sphere(), name="RP2", quotient_factor=0.5)
 
 
 def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
@@ -232,7 +225,7 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
         AxisSpec("x2", -box, box, "open"),
     )
     return BaseManifold("H2", 2, axes, metric, metric_inv, christoffel,
-                        _const_field(-1.0), compact=False)
+                        -1.0, compact=False)
 
 
 def flat_torus() -> BaseManifold:
@@ -253,7 +246,7 @@ def flat_torus() -> BaseManifold:
         AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("T2", 2, axes, metric, metric, christoffel,
-                        _const_field(0.0), compact=True)
+                        0.0, compact=True)
 
 
 def round_three_sphere() -> BaseManifold:
@@ -299,7 +292,7 @@ def round_three_sphere() -> BaseManifold:
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("S3", 3, axes, metric, metric_inv, christoffel,
-                        _const_field(2.0), compact=True)
+                        2.0, compact=True)
 
 
 # --------------------------------------------------------------------------
@@ -336,72 +329,71 @@ class AmbientSpace:
     exactly when the signature is Lorentzian.  Spacelike hypersurfaces have
     unit normals squaring to this sign.  ``killing`` is the distinguished
     conformal Killing field, which every ambient carries.
+
+    One curvature model serves both kinds.  The first ``curved`` chart
+    coordinates (all ``dim`` of a space form, ``base.dim`` of a product)
+    form a block of constant sectional curvature ``sectional``; a product's
+    line is flat.  With vectors cut to the block and ``< , >`` its metric
+    (a product's base metric)
+
+        R(X, Y)Z  = sectional (<X, Z> Y - <Y, Z> X),
+        Ric(V, V) = (curved - 1) sectional <V, V>,
+        Sbar      = curved (curved - 1) sectional,
+
+    and the ambient is Einstein iff it is a space form or ``sectional == 0``.
     """
 
     name: str
-    kind: str                      # "product" | "space_form"
     dim: int
     epsilon: int
     metric_at: Callable[[np.ndarray], np.ndarray]
     metric_inverse_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
-    is_einstein: bool
     killing: KillingData
+    sectional: float
     base: BaseManifold | None = None
-    c: float | None = None
 
-    # -- inner products -----------------------------------------------------
+    @property
+    def kind(self) -> str:
+        return "space_form" if self.base is None else "product"
 
-    def inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        G = self.metric_at(x)
-        return np.einsum("...a,...ab,...b->...", np.asarray(u, dtype=float),
-                         G, np.asarray(v, dtype=float))
+    @property
+    def curved(self) -> int:
+        return (self.base or self).dim
 
-    # -- curvature ----------------------------------------------------------
+    @property
+    def is_einstein(self) -> bool:
+        return self.base is None or self.sectional == 0.0
+
+    @property
+    def scalar_curvature(self) -> float:
+        """The constant ambient scalar curvature ``Sbar``."""
+        return self.curved * (self.curved - 1) * self.sectional
+
+    def _curved_metric(self, x: np.ndarray) -> np.ndarray:
+        """The metric of the curved block at the chart points ``x``."""
+        return (self.base or self).metric_at(x[..., :self.curved])
 
     def curvature_operator(self, x: np.ndarray, X: np.ndarray,
                            Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """``R(X, Y)Z`` in chart components (see module docstring for signs)."""
-        x = np.asarray(x, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        Z = np.asarray(Z, dtype=float)
-        if self.kind == "space_form":
-            ip_xz = self.inner(x, X, Z)
-            ip_yz = self.inner(x, Y, Z)
-            return self.c * (ip_xz[..., None] * Y - ip_yz[..., None] * X)
-        nb = self.base.dim
-        m = x[..., :nb]
-        gM = self.base.metric_at(m)
-        kappa = self.base.curvature_at(m)
-        c_sec = kappa / (nb - 1)
-        Xb, Yb, Zb = X[..., :nb], Y[..., :nb], Z[..., :nb]
-        ip_xz = np.einsum("...i,...ij,...j->...", Xb, gM, Zb)
-        ip_yz = np.einsum("...i,...ij,...j->...", Yb, gM, Zb)
-        out = np.zeros(np.broadcast(X, Y, Z).shape)
-        out[..., :nb] = c_sec[..., None] * (ip_xz[..., None] * Yb
-                                            - ip_yz[..., None] * Xb)
+        x, X, Y, Z = (np.asarray(v, dtype=float) for v in (x, X, Y, Z))
+        k = self.curved
+        G = self._curved_metric(x)
+        Xb, Yb, Zb = X[..., :k], Y[..., :k], Z[..., :k]
+        ip_xz = np.einsum("...i,...ij,...j->...", Xb, G, Zb)
+        ip_yz = np.einsum("...i,...ij,...j->...", Yb, G, Zb)
+        out = np.zeros(np.broadcast(x, X, Y, Z).shape)
+        out[..., :k] = self.sectional * (ip_xz[..., None] * Yb
+                                         - ip_yz[..., None] * Xb)
         return out
 
     def ricci_quadratic(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
         """The Ricci form ``Ric(V, V)`` (positive on round spheres)."""
         x = np.asarray(x, dtype=float)
-        V = np.asarray(V, dtype=float)
-        if self.kind == "space_form":
-            return (self.dim - 1) * self.c * self.inner(x, V, V)
-        nb = self.base.dim
-        m = x[..., :nb]
-        gM = self.base.metric_at(m)
-        Vb = V[..., :nb]
-        ip = np.einsum("...i,...ij,...j->...", Vb, gM, Vb)
-        return self.base.curvature_at(m) * ip
-
-    def scalar_curvature(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "space_form":
-            return np.full(x.shape[:-1], self.dim * (self.dim - 1) * self.c)
-        nb = self.base.dim
-        return nb * self.base.curvature_at(x[..., :nb])
+        Vb = np.asarray(V, dtype=float)[..., :self.curved]
+        ip = np.einsum("...i,...ij,...j->...", Vb, self._curved_metric(x), Vb)
+        return (self.curved - 1) * self.sectional * ip
 
 
 # --------------------------------------------------------------------------
@@ -458,18 +450,14 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
     suffix = "xR" if epsilon > 0 else "xR1"
     return AmbientSpace(
         name=base.name + suffix,
-        kind="product",
         dim=d,
         epsilon=epsilon,
         metric_at=metric,
         metric_inverse_at=metric_inv,
         christoffel_at=christoffel,
-        # A metric product with a line is Einstein only when it is Ricci
-        # flat, i.e. when the base is flat.
-        is_einstein=bool(base.curvature_at(
-            np.array([0.5 * (ax.lo + ax.hi) for ax in base.axes])) == 0.0),
-        base=base,
         killing=killing,
+        sectional=base.kappa / (nb - 1),
+        base=base,
     )
 
 
@@ -508,15 +496,13 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
     )
     return AmbientSpace(
         name="R3_1" if lorentzian else "R3",
-        kind="space_form",
         dim=d,
         epsilon=-1 if lorentzian else +1,
         metric_at=metric,
         metric_inverse_at=metric,
         christoffel_at=christoffel,
-        is_einstein=True,
-        c=0.0,
         killing=killing,
+        sectional=0.0,
     )
 
 
@@ -550,15 +536,13 @@ def _round_sphere_form() -> AmbientSpace:
     )
     return AmbientSpace(
         name="S3",
-        kind="space_form",
         dim=3,
         epsilon=+1,
         metric_at=s3.metric_at,
         metric_inverse_at=s3.metric_inverse_at,
         christoffel_at=s3.christoffel_at,
-        is_einstein=True,
-        c=1.0,
         killing=killing,
+        sectional=1.0,
     )
 
 

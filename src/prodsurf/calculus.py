@@ -361,8 +361,9 @@ class FrameFields:
         """I |Theta| (|S| + |S_amb| + |Ric(N,N)|) dA, the scale every
         balance law of :mod:`prodsurf.integral` is judged against."""
         fr = self.frame
+        sbar = abs(self.surface.ambient.scalar_curvature)
         return self.integrate(np.abs(fr.theta) * (np.abs(fr.scalar_curvature)
-                                                  + np.abs(fr.ambient_scalar)
+                                                  + sbar
                                                   + np.abs(fr.ricci_normal)))
 
     # -- induced-metric differential structure ------------------------------

@@ -466,8 +466,8 @@ def radial_graph(epsilon: int, K: float, box: float = 1.2):
 def _graph_equation_pieces(g, m):
     """Common pieces of the graph curvature equation at base points ``m``.
 
-    Returns ``(W, K_M, det_term)`` with ``W = 1 + eps |Du|^2`` and
-    ``det_term = det(Hess u) / det g_M``.
+    Returns ``(W, K_M, det_term)`` with ``W = 1 + eps |Du|^2``, ``K_M``
+    the base's constant curvature and ``det_term = det(Hess u) / det g_M``.
     """
     if g.base.dim != 2:
         raise WrongAmbient(
@@ -478,7 +478,7 @@ def _graph_equation_pieces(g, m):
     du = g.du(m)
     hess = covariant_hessian(base, du, g.d2u(m), m)
     W = spacelike_w(g, du, m)
-    return (W, base.curvature_at(m),
+    return (W, base.kappa,
             _smallmat.det(hess) / _smallmat.det(base.metric_at(m)))
 
 
@@ -590,7 +590,7 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     fields = FrameFields(g, grid)
     frame = fields.frame
     theta_range = (float(frame.theta.min()), float(frame.theta.max()))
-    kappa = g.base.curvature_at(m)
+    kappa = g.base.kappa
 
     if float(np.max(np.abs(du))) == 0.0:
         # Slice of the product: totally geodesic, curvature equals the base.

@@ -115,8 +115,8 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     The reference value is the frame pipeline's ``scalar_curvature`` (exact
     given analytic jets), the ``S`` that the balance laws and the sign
     harness consume.  In product ambients the product-space expansion
-    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps e_2(A)``, with the base
-    curvature ``kappa`` sampled pointwise and ``e_2(A) = ((tr A)^2 -
+    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps e_2(A)``, with the base's
+    constant Ricci factor ``kappa`` and ``e_2(A) = ((tr A)^2 -
     tr A^2) / 2`` taken from the frame's shape operator, must match that
     ``S`` too.  The expansion has no stencil, so its residual is judged on
     its own against ``residual_floor``, and the result's ``passed`` carries
@@ -136,8 +136,7 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     if surface.ambient.kind != "product":
         return _result("gauss_scalar", fields, residual)
     eps = surface.ambient.epsilon
-    nb = surface.ambient.base.dim
-    kappa = surface.ambient.base.curvature_at(fr.point[..., :nb])
+    kappa = surface.ambient.base.kappa
     A = fr.shape_operator
     trA = np.einsum("...ii->...", A)
     e2 = 0.5 * (trA * trA - np.einsum("...ij,...ji->...", A, A))
@@ -201,8 +200,9 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
     # <grad H, T> = <grad H, T^top> = dH_i tau^i (lowering cancels the raising)
     pair = np.einsum("...i,...i->...", dH, fr.tau)
     phi = surface.ambient.killing.conformal_factor
+    sbar = surface.ambient.scalar_curvature
     rhs = (-eps * n * pair
-           + fr.theta * (fr.scalar_curvature - fr.ambient_scalar
+           + fr.theta * (fr.scalar_curvature - sbar
                          + eps * (fr.ricci_normal - n ** 2 * fr.mean_curvature ** 2))
            - n * eps * fr.mean_curvature * phi)
     lap_theta -= rhs

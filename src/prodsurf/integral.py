@@ -14,7 +14,7 @@ conformal factor of the distinguished field, and the quadrature itself).
             = n * I [ dphi/dN ] dA  -  n (n - 1) eps_N * I [ H phi ] dA
 
     where ``Theta = <N, T>``, ``S`` is the scalar curvature of the surface,
-    ``S_amb`` the ambient scalar curvature at the surface, ``Ric(N, N)``
+    ``S_amb`` the ambient's constant scalar curvature, ``Ric(N, N)``
     the ambient Ricci form on the unit normal, ``H`` the mean curvature and
     ``n`` the surface dimension.  Every ambient carries its distinguished
     field, and its ``phi`` is a constant, so ``dphi/dN = 0`` and only the
@@ -22,7 +22,7 @@ conformal factor of the distinguished field, and the quadrature itself).
 
 ``product_integral``
     Specialisation to metric products (base x line), where the vertical
-    field is genuinely Killing (``phi = 0``).  With ``kappa`` the pointwise
+    field is genuinely Killing (``phi = 0``).  With ``kappa`` the constant
     Ricci factor of the base (``Ric_base = kappa * g_base``) the right-hand
     side vanishes and the statement collapses to
 
@@ -107,7 +107,8 @@ def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
     n = fr.tangent.shape[-2]
     eps_n = fields.surface.ambient.epsilon
 
-    integrand = fr.theta * (fr.scalar_curvature - fr.ambient_scalar
+    integrand = fr.theta * (fr.scalar_curvature
+                            - fields.surface.ambient.scalar_curvature
                             + eps_n * fr.ricci_normal)
     lhs = fields.integrate(integrand)
 
@@ -129,7 +130,7 @@ def product_integral(surface, grid, tolerances: Tolerances = TOLERANCES
             f"product integral needs a product ambient, got {ambient.name!r}")
     fr = fields.frame
     n = fr.tangent.shape[-2]
-    kappa = ambient.base.curvature_at(fr.point[..., :ambient.base.dim])
+    kappa = ambient.base.kappa
     integrand = fr.theta * ((fr.scalar_curvature - n * kappa)
                             + kappa * (1.0 - fr.theta ** 2))
     lhs = fields.integrate(integrand)
@@ -153,7 +154,7 @@ def einstein_integral(surface, grid, tolerances: Tolerances = TOLERANCES
             f"distinguished field of {ambient.name!r} is conformal but not "
             "Killing; the Einstein balance needs a genuine Killing field")
     fr = fields.frame
-    s_amb = fr.ambient_scalar
+    s_amb = ambient.scalar_curvature
     integrand = fr.theta * (fr.scalar_curvature - s_amb + s_amb / ambient.dim)
     lhs = fields.integrate(integrand)
     return _report("einstein_integral", fields, lhs, 0.0,

@@ -19,7 +19,8 @@ contracted Gauss equation
     e_2(A) = ((tr A)^2 - tr A^2) / 2,
 
 with ``eps_N = <N, N>`` (+1 in Riemannian ambients, -1 for spacelike
-hypersurfaces of Lorentzian ones; the ambient's ``epsilon``).
+hypersurfaces of Lorentzian ones; the ambient's ``epsilon``) and ``Sbar``
+the ambient's constant ``scalar_curvature``, which the frame does not store.
 
 ``frame_at`` allocates its outputs once, at the full batch shape, and
 splits the flattened batch into contiguous blocks of ``_BLOCK`` points.
@@ -231,7 +232,6 @@ class GeometryFrame:
     shape_operator: np.ndarray     # A^i_j = g^{ik} h_kj
     mean_curvature: np.ndarray     # H = (eps_N / n) tr A
     scalar_curvature: np.ndarray   # S from the contracted Gauss equation
-    ambient_scalar: np.ndarray     # Sbar at the point
     ricci_normal: np.ndarray       # Ric_bar(N, N)
     theta: np.ndarray              # <N, T>
     tau: np.ndarray                # tangential part of T in surface coords
@@ -356,8 +356,8 @@ def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
     shapes = dict(point=vector, tangent=(total, n, d), metric=matrix,
                   metric_inv=matrix, normal=vector, second_form=matrix,
                   shape_operator=matrix, mean_curvature=scalar,
-                  scalar_curvature=scalar, ambient_scalar=scalar,
-                  ricci_normal=scalar, theta=scalar, tau=(total, n))
+                  scalar_curvature=scalar, ricci_normal=scalar,
+                  theta=scalar, tau=(total, n))
     return {key: np.empty(shape) for key, shape in shapes.items()}
 
 
@@ -469,11 +469,10 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     e2 = 0.5 * (trA * trA - trA2)
 
     np.multiply(eps / n, trA, out=out["mean_curvature"])
-    Sbar = out["ambient_scalar"]
-    Sbar[...] = ambient.scalar_curvature(x)
     ricNN = out["ricci_normal"]
     ricNN[...] = ambient.ricci_quadratic(x, N)
-    out["scalar_curvature"][...] = Sbar - 2.0 * eps * ricNN + 2.0 * eps * e2
+    out["scalar_curvature"][...] = (ambient.scalar_curvature
+                                    - 2.0 * eps * ricNN + 2.0 * eps * e2)
     return chosen
 
 

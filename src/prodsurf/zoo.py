@@ -33,8 +33,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .ambient import (AxisSpec, flat_torus, hyperbolic_plane, make_ambient,
-                      projective_plane, round_sphere, round_three_sphere)
+from .ambient import AmbientSpace, AxisSpec, make_ambient, round_sphere
 from .calculus import QuadratureGrid
 from .errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from .graphs import radial_graph
@@ -64,12 +63,14 @@ _EVENNESS_TOL = 1.0e-12
 
 @dataclass(frozen=True)
 class Scenario:
-    """One catalog entry; ``builder(params)`` produces the surface."""
+    """One catalog entry; ``builder(scenario, ambient, params)`` produces
+    the surface in ``ambient = make_ambient(ambient_key)``, the one place a
+    scenario names its ambient (graphs take their base and sign from it)."""
 
     name: str
     ambient_key: str
     kind: str                       # slice | graph | parametric | radial_graph
-    builder: Callable[[dict[str, Any]], Any]
+    builder: Callable[["Scenario", AmbientSpace, dict[str, Any]], Any]
     params: dict[str, Any] = field(default_factory=dict)
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     default_resolution: int = DEFAULT_RESOLUTION
@@ -327,39 +328,31 @@ def _cylinder_jet():
 # scenario builders
 # --------------------------------------------------------------------------
 
-def _graph_builder(base_factory: Callable, epsilon: int, profile: Callable,
-                   even_gate: bool = False, param: str = "amplitude"):
-    def build(params):
+def _graph_builder(profile: Callable, param: str = "amplitude"):
+    """Graphs of ``profile(params[param])`` over the ambient's base; over a
+    quotient base the height must pass the antipodal-evenness gate."""
+    def build(sc, ambient, params):
         u, du, d2u = profile(params[param])
-        if even_gate:
-            _check_antipodally_even(u, params["_name"])
-        return GraphSurface(name=params["_name"], base=base_factory(),
-                            epsilon=epsilon, u=u, du=du, d2u=d2u)
+        if ambient.base.quotient_factor != 1:
+            _check_antipodally_even(u, sc.name)
+        return GraphSurface(name=sc.name, base=ambient.base,
+                            epsilon=ambient.epsilon, u=u, du=du, d2u=d2u)
     return build
 
 
-def _slice_builder(base_factory: Callable, epsilon: int):
-    return _graph_builder(base_factory, epsilon, constant_profile, param="t0")
-
-
-def _parametric_builder(ambient_key: str, axes, jet_factory: Callable,
-                        jet_params: tuple[str, ...], compact: bool = True,
-                        orientation: str = ""):
-    def build(params):
+def _parametric_builder(axes, jet_factory: Callable,
+                        jet_params: tuple[str, ...] = ()):
+    def build(sc, ambient, params):
         jet = jet_factory(*[params[k] for k in jet_params])
-        return ParamSurface(name=params["_name"],
-                            ambient=make_ambient(ambient_key),
-                            axes=axes, jet=jet, compact=compact,
-                            orientation=orientation)
+        return ParamSurface(name=sc.name, ambient=ambient, axes=axes, jet=jet,
+                            compact=sc.compact)
     return build
 
 
-def _radial_builder(epsilon: int):
-    def build(params):
-        surface = radial_graph(epsilon, params["K"], box=params["box"])
-        surface.name = params["_name"]
-        return surface
-    return build
+def _radial_builder(sc, ambient, params):
+    surface = radial_graph(ambient.epsilon, params["K"], box=params["box"])
+    surface.name = sc.name
+    return surface
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +365,7 @@ def _catalog() -> list[Scenario]:
         # ---- slices ------------------------------------------------------
         Scenario(
             name="slice_S2xR_t0.7", ambient_key="S2xR", kind="slice",
-            builder=_slice_builder(round_sphere, +1),
+            builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 0.7}, ranges={"t0": (-5.0, 5.0)},
             description="horizontal slice of the Riemannian sphere product",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -382,7 +375,7 @@ def _catalog() -> list[Scenario]:
         ),
         Scenario(
             name="slice_S2xR1_t0.7", ambient_key="S2xR1", kind="slice",
-            builder=_slice_builder(round_sphere, -1),
+            builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 0.7}, ranges={"t0": (-5.0, 5.0)},
             description="spacelike slice of the Lorentzian sphere product",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -390,7 +383,7 @@ def _catalog() -> list[Scenario]:
         ),
         Scenario(
             name="slice_RP2xR_t0.3", ambient_key="RP2xR", kind="slice",
-            builder=_slice_builder(projective_plane, +1),
+            builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 0.3}, ranges={"t0": (-5.0, 5.0)},
             description="slice of the projective-plane product (area 2 pi)",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -398,7 +391,7 @@ def _catalog() -> list[Scenario]:
         ),
         Scenario(
             name="slice_T2xR_t1.2", ambient_key="T2xR", kind="slice",
-            builder=_slice_builder(flat_torus, +1),
+            builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 1.2}, ranges={"t0": (-5.0, 5.0)},
             description="flat slice of the torus product",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -406,7 +399,7 @@ def _catalog() -> list[Scenario]:
         ),
         Scenario(
             name="slice_H2xR_t0.5", ambient_key="H2xR", kind="slice",
-            builder=_slice_builder(hyperbolic_plane, +1),
+            builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 0.5}, ranges={"t0": (-5.0, 5.0)},
             compact=False,
             description="slice of the hyperbolic product (non-compact, "
@@ -417,39 +410,37 @@ def _catalog() -> list[Scenario]:
         # ---- product graphs, n = 2 ---------------------------------------
         Scenario(
             name="graph_S2xR_cos03", ambient_key="S2xR", kind="graph",
-            builder=_graph_builder(round_sphere, +1, cosine_profile),
+            builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.3}, ranges={"amplitude": (0.0, 0.45)},
             description="axisymmetric graph over the round sphere",
         ),
         Scenario(
             name="graph_S2xR1_cos02", ambient_key="S2xR1", kind="graph",
-            builder=_graph_builder(round_sphere, -1, cosine_profile),
+            builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.45)},
             description="spacelike axisymmetric graph, Lorentzian product",
         ),
         Scenario(
             name="graph_RP2xR_even025", ambient_key="RP2xR", kind="graph",
-            builder=_graph_builder(projective_plane, +1,
-                                   _even_sphere_profile, even_gate=True),
+            builder=_graph_builder(_even_sphere_profile),
             params={"amplitude": 0.25}, ranges={"amplitude": (0.0, 0.45)},
             description="antipodally even graph over the projective plane",
         ),
         Scenario(
             name="graph_RP2xR1_even015", ambient_key="RP2xR1", kind="graph",
-            builder=_graph_builder(projective_plane, -1,
-                                   _even_sphere_profile, even_gate=True),
+            builder=_graph_builder(_even_sphere_profile),
             params={"amplitude": 0.15}, ranges={"amplitude": (0.0, 0.45)},
             description="spacelike even graph over the projective plane",
         ),
         Scenario(
             name="graph_T2xR_wave04", ambient_key="T2xR", kind="graph",
-            builder=_graph_builder(flat_torus, +1, _torus_wave_profile),
+            builder=_graph_builder(_torus_wave_profile),
             params={"amplitude": 0.4}, ranges={"amplitude": (0.0, 0.9)},
             description="doubly periodic wave over the flat torus",
         ),
         Scenario(
             name="graph_T2xR1_wave04", ambient_key="T2xR1", kind="graph",
-            builder=_graph_builder(flat_torus, -1, _torus_wave_profile),
+            builder=_graph_builder(_torus_wave_profile),
             params={"amplitude": 0.4}, ranges={"amplitude": (0.0, 0.9)},
             description="spacelike wave over the flat torus (flat ambient "
                         "is also Einstein)",
@@ -457,14 +448,14 @@ def _catalog() -> list[Scenario]:
         # ---- product graphs, n = 3 ---------------------------------------
         Scenario(
             name="graph_S3xR_coschi02", ambient_key="S3xR", kind="graph",
-            builder=_graph_builder(round_three_sphere, +1, cosine_profile),
+            builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
             default_resolution=REDUCED_RESOLUTION_3D,
             description="three-dimensional graph over the round 3-sphere",
         ),
         Scenario(
             name="graph_S3xR1_coschi02", ambient_key="S3xR1", kind="graph",
-            builder=_graph_builder(round_three_sphere, -1, cosine_profile),
+            builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
             default_resolution=REDUCED_RESOLUTION_3D,
             description="spacelike three-dimensional graph, Lorentzian",
@@ -473,7 +464,7 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="sphere_R3_homothetic", ambient_key="R3_homothetic",
             kind="parametric",
-            builder=_parametric_builder("R3_homothetic", _SPHERE_AXES,
+            builder=_parametric_builder(_SPHERE_AXES,
                                         _ellipsoid_jet, ("a", "b", "c")),
             params={"a": 1.0, "b": 1.0, "c": 1.0},
             ranges={"a": (0.3, 3.0), "b": (0.3, 3.0), "c": (0.3, 3.0)},
@@ -487,7 +478,7 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="ellipsoid_R3_homothetic", ambient_key="R3_homothetic",
             kind="parametric",
-            builder=_parametric_builder("R3_homothetic", _SPHERE_AXES,
+            builder=_parametric_builder(_SPHERE_AXES,
                                         _ellipsoid_jet, ("a", "b", "c")),
             params={"a": 1.3, "b": 1.0, "c": 0.8},
             ranges={"a": (0.3, 3.0), "b": (0.3, 3.0), "c": (0.3, 3.0)},
@@ -496,7 +487,7 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="torus_R3_homothetic", ambient_key="R3_homothetic",
             kind="parametric",
-            builder=_parametric_builder("R3_homothetic", _TWO_PERIODIC,
+            builder=_parametric_builder(_TWO_PERIODIC,
                                         _revolution_torus_jet, ("R", "r")),
             params={"R": 2.0, "r": 0.5},
             ranges={"R": (1.0, 4.0), "r": (0.05, 0.95)},
@@ -507,10 +498,9 @@ def _catalog() -> list[Scenario]:
             name="hyperboloid_R31_minkowski", ambient_key="R31_minkowski",
             kind="parametric",
             builder=_parametric_builder(
-                "R31_minkowski",
                 (AxisSpec("m1", -1.2, 1.2, "open"),
                  AxisSpec("m2", -1.2, 1.2, "open")),
-                _hyperboloid_jet, (), compact=False),
+                _hyperboloid_jet),
             compact=False,
             description="upper unit hyperboloid (spacelike, non-compact)",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -521,9 +511,8 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="geodesic_sphere_S3", ambient_key="S3_hopf",
             kind="parametric",
-            builder=lambda params: ParamSurface(
-                name=params["_name"], ambient=make_ambient("S3_hopf"),
-                axes=_SPHERE_AXES, jet=_geodesic_sphere_jet(params["rho"])),
+            builder=_parametric_builder(_SPHERE_AXES, _geodesic_sphere_jet,
+                                        ("rho",)),
             params={"rho": 0.25 * math.pi},
             ranges={"rho": (0.1, 1.47)},
             description="distance sphere about the chart pole, Hopf field",
@@ -533,8 +522,7 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="clifford_torus_S3", ambient_key="S3_hopf",
             kind="parametric",
-            builder=_parametric_builder("S3_hopf", _TWO_PERIODIC,
-                                        _clifford_torus_jet, ()),
+            builder=_parametric_builder(_TWO_PERIODIC, _clifford_torus_jet),
             description="minimal square torus; the Hopf field is tangent",
             expected={"theta": {"value": 0.0, "how": how_closed},
                       "scalar_curvature": {"value": 0.0, "how": how_closed},
@@ -543,7 +531,7 @@ def _catalog() -> list[Scenario]:
         # ---- explicit radial graphs over the hyperbolic plane -------------
         Scenario(
             name="example51_riemannian_K-0.5", ambient_key="H2xR",
-            kind="radial_graph", builder=_radial_builder(+1),
+            kind="radial_graph", builder=_radial_builder,
             params={"K": -0.5, "box": 1.2},
             ranges={"K": (-0.999, -0.001), "box": (0.3, 8.0)},
             compact=False,
@@ -553,7 +541,7 @@ def _catalog() -> list[Scenario]:
         ),
         Scenario(
             name="example51_lorentzian_K-2", ambient_key="H2xR1",
-            kind="radial_graph", builder=_radial_builder(-1),
+            kind="radial_graph", builder=_radial_builder,
             params={"K": -2.0, "box": 1.2},
             ranges={"K": (-100.0, -1.001), "box": (0.3, 8.0)},
             compact=False,
@@ -565,10 +553,9 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="cylinder_S2xR", ambient_key="S2xR", kind="parametric",
             builder=_parametric_builder(
-                "S2xR",
                 (AxisSpec("phi", 0.0, 2.0 * math.pi, "periodic"),
                  AxisSpec("t", -1.2, 1.2, "open")),
-                _cylinder_jet, (), compact=False, orientation="adjugate"),
+                _cylinder_jet),
             compact=False,
             description="flat cylinder over the equator; angle function 0",
             expected={"theta": {"value": 0.0, "how": how_closed},
@@ -648,8 +635,6 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
         value = override_number(key, value)
         _gate(name, key, value, *sc.ranges[key])
         params[key] = value
-    params["_name"] = name
-
-    surface = sc.builder(params)
+    surface = sc.builder(sc, make_ambient(sc.ambient_key), params)
     grid = QuadratureGrid.build(surface.axes, resolution)
     return surface, grid, tolerances

@@ -35,9 +35,7 @@ def test_unknown_ambient_key_raises():
     (round_three_sphere, 2.0),
 ])
 def test_base_curvature_fields(base, curv):
-    b = base()
-    mid = np.array([0.5 * (ax.lo + ax.hi) for ax in b.axes])
-    assert b.curvature_at(mid) == pytest.approx(curv, abs=1e-14)
+    assert base().kappa == curv
 
 
 # closed-form volume densities det g_M of the base charts
@@ -88,6 +86,40 @@ def test_curvature_operator_matches_finite_differences(key):
     exact = ambient.curvature_operator(pts, X, Y, Z)
     fd = curvature_operator_fd(ambient, pts, X, Y, Z)
     assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def _ricci_routes(ambient, pts, V):
+    """Ric(V, V) as a G^-1 trace of the curvature operator, Sbar as one of Ric.
+
+    With the package's sign convention ``Ric(V, V)`` is minus the trace of
+    ``X -> R(X, V)V``, i.e. ``-G^ab <R(e_a, V)V, e_b>``; ``Sbar`` is the
+    ``G^-1`` trace of the Ricci form, its bilinear entries taken from
+    ``ricci_quadratic`` by polarization.
+    """
+    d = ambient.dim
+    G, Ginv = ambient.metric_at(pts), ambient.metric_inverse_at(pts)
+    E = [np.broadcast_to(e, pts.shape) for e in np.eye(d)]
+    RV = np.stack([ambient.curvature_operator(pts, E[a], V, V)
+                   for a in range(d)], axis=-2)           # RV[..., a, :]
+    ric = -np.einsum("...ab,...ac,...cb->...", Ginv, RV, G)
+    q = ambient.ricci_quadratic
+    entries = np.stack([np.stack([0.25 * (q(pts, E[a] + E[b])
+                                          - q(pts, E[a] - E[b]))
+                                  for b in range(d)], axis=-1)
+                        for a in range(d)], axis=-2)
+    return ric, np.einsum("...ab,...ab->...", Ginv, entries)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_ricci_form_and_scalar_curvature_are_traces_of_the_curvature(key):
+    ambient = make_ambient(key)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(0.6, 1.1, size=(16, ambient.dim))
+    V = rng.uniform(-1.0, 1.0, size=pts.shape)
+    ric, sbar = _ricci_routes(ambient, pts, V)
+    assert np.allclose(ambient.ricci_quadratic(pts, V), ric,
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(sbar, ambient.scalar_curvature, rtol=1e-12, atol=1e-12)
 
 
 def test_lorentzian_flat_metric_is_time_first():

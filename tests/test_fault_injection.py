@@ -7,19 +7,35 @@ on ``graph_S2xR_cos03``.  The set of failing checks must equal the literal
 matrix below.  A field that leaves the matrix, or a check that stops
 catching its defect, fails this test.
 
-The conformal factor ``phi`` of the ambient's field is not a frame field;
-it is scaled the same way on ``sphere_R3_homothetic``, where ``phi = 1``
-(in a product ``phi = 0``, and a scale of it changes nothing).
+The constants upstream of the frame are scaled the same way:
+
+* the conformal factor ``phi`` of the ambient's field, on
+  ``sphere_R3_homothetic``, where ``phi = 1`` (in a product ``phi = 0``,
+  and a scale of it changes nothing);
+* the curvature constants, on ``graph_S2xR_cos03``: the base's ``kappa``
+  (the ambient is rebuilt from the base, so its ``sectional`` follows) and,
+  separately, the ambient's ``sectional`` alone;
+* the two pieces of ``graphs._graph_equation_pieces``, ``K_M`` and
+  ``det(Hess u) / det g_M``, judged by the checks that read them: the
+  harness sign on the graph, the exact slice verdict of the harness and
+  the corollary equation at ``K = 1`` on ``slice_S2xR_t0.7``, and the
+  frame's Gauss curvature ``S / 2`` as a second route to
+  ``graph_curvature``.  The harness sign of a clearly non-constant graph
+  is robust to a relative defect of 1e-3, so it catches neither piece.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from prodsurf import calculus
+from prodsurf import calculus, graphs
+from prodsurf.acceptance import EXACT_TOL
+from prodsurf.calculus import QuadratureGrid
 from prodsurf.identities import run_suite
 from prodsurf.integral import run_formulas
-from prodsurf.shape import GeometryFrame
+from prodsurf.reports import TOLERANCES
+from prodsurf.shape import GeometryFrame, frame_at
 
 SCENARIO = "graph_S2xR_cos03"
 DEFECT = 1.0e-3
@@ -38,7 +54,6 @@ CAUGHT = {
                "div_T_top"},
     "metric_inv": {"norm_grad_h", "hessian_h", "codazzi", "laplacian_theta",
                    "div_T_top"},
-    "ambient_scalar": {"laplacian_theta", "integral_formula"},
     "ricci_normal": {"laplacian_theta", "integral_formula"},
     "scalar_curvature": {"gauss_scalar", "laplacian_theta",
                          "integral_formula", "product_integral"},
@@ -48,6 +63,16 @@ CAUGHT = {
 
 # Fields whose uniform relative defect no check sees, and why.
 UNCAUGHT: dict[str, str] = {}
+
+# a scaled curvature constant of graph_S2xR_cos03 -> the checks that fail
+CURVATURE_CAUGHT = {"codazzi", "gauss_scalar", "laplacian_theta",
+                    "integral_formula", "product_integral"}
+
+# a scaled piece of graphs._graph_equation_pieces -> the checks that fail
+GRAPH_EQUATION_CAUGHT = {
+    "K_M": {"harness_slice", "corollary_equation", "graph_curvature_route"},
+    "det_term": {"graph_curvature_route"},
+}
 
 
 def _failing(surface, n_checks: int = 6, n_laws: int = 2) -> set[str]:
@@ -93,3 +118,61 @@ def test_defect_in_the_conformal_factor_fails_the_named_checks(zoo):
     defective = dataclasses.replace(surface, ambient=ambient)
     assert _failing(defective, n_checks=4, n_laws=1) == {
         "div_T_top", "laplacian_theta", "integral_formula"}
+
+
+def _scaled_kappa(surface):
+    base = surface.base
+    return dataclasses.replace(surface, base=dataclasses.replace(
+        base, kappa=base.kappa * (1.0 + DEFECT)))
+
+
+def _scaled_sectional(surface):
+    defective = dataclasses.replace(surface)
+    defective.ambient = dataclasses.replace(
+        surface.ambient, sectional=surface.ambient.sectional * (1.0 + DEFECT))
+    return defective
+
+
+@pytest.mark.parametrize("defect", [_scaled_kappa, _scaled_sectional],
+                         ids=["base.kappa", "ambient.sectional"])
+def test_defect_in_a_curvature_constant_fails_the_named_checks(zoo, defect):
+    surface, _, _ = zoo(SCENARIO)
+    defective = defect(surface)
+    assert defective.ambient.sectional == 1.0 + DEFECT
+    assert _failing(defective) == CURVATURE_CAUGHT
+
+
+def _graph_equation_failing(zoo) -> set[str]:
+    graph, _, _ = zoo(SCENARIO)
+    flat, _, _ = zoo("slice_S2xR_t0.7")
+    grid = QuadratureGrid.build(graph.axes, 16)
+    gauss = 0.5 * frame_at(graph, grid.nodes).scalar_curvature
+    route = np.max(np.abs(graphs.graph_curvature(graph, grid.nodes) - gauss))
+    checks = {
+        "harness_sign": graphs.theorem_harness(graph, grid).expected_sign_ok,
+        "harness_slice": graphs.theorem_harness(flat, grid).detail[
+            "max_curvature_gap"] <= EXACT_TOL,
+        "corollary_equation": graphs.corollary_equation_residual(
+            flat, 1.0, grid).passed,
+        "graph_curvature_route": route <= TOLERANCES.residual_floor,
+    }
+    return {name for name, ok in checks.items() if not ok}
+
+
+def test_clean_graph_equation_fails_no_check(zoo):
+    assert _graph_equation_failing(zoo) == set()
+
+
+@pytest.mark.parametrize("piece", sorted(GRAPH_EQUATION_CAUGHT))
+def test_defect_in_the_graph_equation_fails_the_named_checks(
+        zoo, monkeypatch, piece):
+    index = {"K_M": 1, "det_term": 2}[piece]
+    pieces = graphs._graph_equation_pieces
+
+    def defective_pieces(g, m):
+        out = list(pieces(g, m))
+        out[index] = out[index] * (1.0 + DEFECT)
+        return tuple(out)
+
+    monkeypatch.setattr(graphs, "_graph_equation_pieces", defective_pieces)
+    assert _graph_equation_failing(zoo) == GRAPH_EQUATION_CAUGHT[piece]

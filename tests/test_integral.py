@@ -129,7 +129,7 @@ def test_report_normalization_and_relative_residual(zoo):
     ff = FrameFields(surface, grid)
     fr = ff.frame
     mass = ff.integrate(np.abs(fr.theta) * (np.abs(fr.scalar_curvature)
-                                            + np.abs(fr.ambient_scalar)
+                                            + abs(surface.ambient.scalar_curvature)
                                             + np.abs(fr.ricci_normal)))
     assert rep.normalization == pytest.approx(mass, rel=1e-12)
     assert rep.relative_residual == pytest.approx(

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from prodsurf.ambient import make_ambient
 from prodsurf.calculus import FrameFields
-from prodsurf.errors import OverrideOutOfRange, UnknownScenario
+from prodsurf.errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
 from prodsurf.identities import run_suite
-from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, instantiate,
+from prodsurf.shape import GeometryFrame, frame_at
+from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, Scenario,
+                          _graph_builder, cosine_profile, instantiate,
                           list_scenarios, scenario_names)
 
 REQUIRED = (
@@ -43,6 +46,39 @@ def test_every_scenario_instantiates_at_reduced_resolution():
         # frames build everywhere the scenario samples
         frame = FrameFields(surface, grid).frame
         assert np.all(np.isfinite(frame.scalar_curvature))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_surface_lives_in_its_declared_ambient(name):
+    sc = next(s for s in list_scenarios() if s.name == name)
+    surface, _, _ = instantiate(name, SMALL)
+    declared = make_ambient(sc.ambient_key)
+    assert surface.name == name
+    assert surface.ambient.name == declared.name
+    assert surface.ambient.epsilon == declared.epsilon
+    assert surface.compact == sc.compact
+
+
+def test_graph_over_a_quotient_base_must_be_antipodally_even():
+    sc = Scenario(name="graph_RP2xR_cos03", ambient_key="RP2xR", kind="graph",
+                  builder=_graph_builder(cosine_profile),
+                  params={"amplitude": 0.3})
+    with pytest.raises(GeometryError, match="graph_RP2xR_cos03.*antipodally"):
+        sc.builder(sc, make_ambient(sc.ambient_key), dict(sc.params))
+
+
+def test_cylinder_default_orientation_is_the_adjugate_normal(zoo):
+    # <N, T> is exactly 0.0 on the cylinder, so the default policy leaves
+    # the adjugate normal as it is
+    surface, grid, _ = zoo("cylinder_S2xR")
+    default = frame_at(surface, grid.nodes)
+    assert np.all(default.theta == 0.0)
+    adjugate = frame_at(dataclasses.replace(surface, orientation="adjugate"),
+                        grid.nodes)
+    assert surface.orientation != "adjugate"
+    for f in dataclasses.fields(GeometryFrame):
+        ours, theirs = getattr(default, f.name), getattr(adjugate, f.name)
+        assert ours.tobytes() == theirs.tobytes(), f.name
 
 
 def test_catalog_descriptions_and_expected_notes():
