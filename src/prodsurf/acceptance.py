@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import round_sphere
+from .ambient import make_product, round_sphere
 from .calculus import FrameFields, QuadratureGrid
 from .errors import ParameterOutOfRange
 from .graphs import (check_curvature_range, closed_form_match,
@@ -244,12 +244,13 @@ def criterion_randomized_harness() -> CriterionVerdict:
     for eps, label, want in ((1, "Riemannian", "min(K - 1) < 0"),
                              (-1, "Lorentzian", "max(K - 1) > 0")):
         amplitudes = rng.uniform(0.005, 0.5, size=N_RANDOM_GRAPHS)
+        ambient = make_product(round_sphere(), eps)
         worst = math.inf
         all_ok = True
         for a in amplitudes:
             u, du, d2u = cosine_profile(float(a))
-            g = GraphSurface(name=f"random_a{a:.6f}", base=round_sphere(),
-                             epsilon=eps, u=u, du=du, d2u=d2u)
+            g = GraphSurface(name=f"random_a{a:.6f}", ambient=ambient,
+                             u=u, du=du, d2u=d2u)
             grid = grid_cache.setdefault(
                 len(g.axes), QuadratureGrid.build(g.axes, 16))
             rep = theorem_harness(g, grid)
@@ -260,10 +261,11 @@ def criterion_randomized_harness() -> CriterionVerdict:
                        f"{label}: {N_RANDOM_GRAPHS} random graphs all give "
                        f"{want}; smallest margin {worst:.3e}"))
     for eps in (1, -1):
+        ambient = make_product(round_sphere(), eps)
         for value in (0.0, 0.37, -0.2):
             u, du, d2u = constant_profile(value)
-            g = GraphSurface(name=f"const_{value}", base=round_sphere(),
-                             epsilon=eps, u=u, du=du, d2u=d2u)
+            g = GraphSurface(name=f"const_{value}", ambient=ambient,
+                             u=u, du=du, d2u=d2u)
             grid = grid_cache.setdefault(
                 len(g.axes), QuadratureGrid.build(g.axes, 16))
             rep = theorem_harness(g, grid)
@@ -283,7 +285,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
 def criterion_constant_residuals() -> CriterionVerdict:
     """The graph curvature equation residual is exact on constant graphs."""
     u, du, d2u = constant_profile(0.3)
-    g = GraphSurface(name="const_03", base=round_sphere(), epsilon=1,
+    g = GraphSurface(name="const_03", ambient=make_product(round_sphere(), 1),
                      u=u, du=du, d2u=d2u)
     grid = QuadratureGrid.build(g.axes, 32)
     at_one = corollary_equation_residual(g, 1.0, grid)

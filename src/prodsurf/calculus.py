@@ -14,7 +14,11 @@ one resolution knob controls every discretization error.  Stencils are
 five-point Lagrange rules on the actual (generally non-uniform) node
 positions; near chart poles the inverse metric amplifies truncation error
 by powers of the pole distance, and the wide stencil keeps the composed
-operators convergent there.
+operators convergent there.  ``partial_derivative`` contracts the stencil
+one column at a time, without gathering a ``(..., m, 5)`` window: with
+``v_c`` the center value it adds ``(v_k - v_c) w_k`` into the result for
+``k = 0 ... 4``, left to right.  That order is the contract that keeps its
+results bit-identical.
 
 ``integrate`` sums the terms of an integral exactly and rounds once:
 integer mantissas are summed per binary exponent by ``np.bincount`` in
@@ -251,20 +255,36 @@ def partial_derivative(values: np.ndarray, grid: QuadratureGrid, axis: int,
     ``index_rank`` trailing axes of ``values`` are surface-coordinate
     indices and acquire deck-map Jacobian signs when the stencil crosses a
     chart pole.
+
+    The result is ``sum_k (v_k - v_c) w_k`` over the stencil columns, the
+    terms added left to right, ``k = 0 ... 4`` (the order is part of the
+    contract).  With the exact zero-sum weights this is algebraically the
+    plain contraction, and constant fields come out as exact zeros.  Each
+    term is formed in one reused scratch array: column ``k`` is a shifted
+    view of the extended array on periodic and polar axes (windows
+    ``center - 2 ... center + 2``), and a gather on open axes, whose
+    windows are clipped at the ends.
     """
     values = np.asarray(values, dtype=float)
     ext = _extend_values(values, grid, axis, index_rank)
     idx, wts = _stencil_for_axis(grid, axis)
-    gathered = np.take(ext, idx, axis=axis)      # (..., m, w, ...) stencil axis after `axis`
-    gathered = np.moveaxis(gathered, axis + 1, -1)
-    # contract against differences from the center value: with the exact
-    # zero-sum weights this is algebraically identical, and constant fields
-    # come out as exact zeros; `gathered` is a fresh array, so both steps
-    # run in place
-    gathered -= values[..., None]
-    wshape = (1,) * axis + (grid.shape[axis],) + (1,) * (gathered.ndim - axis - 2) + (_STENCIL_WIDTH,)
-    gathered *= wts.reshape(wshape)
-    return np.sum(gathered, axis=-1)
+    m = grid.shape[axis]
+    wshape = (1,) * axis + (m,) + (1,) * (values.ndim - axis - 1)
+    clipped = grid.axes[axis].kind == "open"
+    lead = (slice(None),) * axis
+    out = np.empty_like(values)
+    term = np.empty_like(values)
+    for k in range(_STENCIL_WIDTH):
+        acc = out if k == 0 else term
+        if clipped:
+            np.take(ext, idx[:, k], axis=axis, out=acc)
+            acc -= values
+        else:
+            np.subtract(ext[lead + (slice(k, k + m),)], values, out=acc)
+        acc *= wts[:, k].reshape(wshape)
+        if k:
+            out += term
+    return out
 
 
 def _fsum(flat: np.ndarray) -> float:

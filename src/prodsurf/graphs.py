@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _smallmat
-from .ambient import hyperbolic_plane
+from .ambient import hyperbolic_plane, make_product
 from .calculus import FrameFields, QuadratureGrid
 from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
                      SingularPoint, StepFailure, WrongAmbient)
@@ -456,7 +456,8 @@ def radial_graph(epsilon: int, K: float, box: float = 1.2):
     sign = "m" if K < -1 else "p"
     return GraphSurface(
         name=f"radial_eps{epsilon:+d}_K{sign}{abs(K):g}".replace(".", "_"),
-        base=base, epsilon=epsilon, u=height, du=grad, d2u=hess, radial_K=K)
+        ambient=make_product(base, epsilon), u=height, du=grad, d2u=hess,
+        radial_K=K)
 
 
 # --------------------------------------------------------------------------

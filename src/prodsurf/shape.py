@@ -55,12 +55,13 @@ reads its height's first partials only, ``g = g_M + eps du (x) du``, so for
 graphs the oracle does not even share the frame's metric contraction.  The
 metric derivatives come from a single pass over a stencil lattice around
 the evaluation points: each lattice point is sampled once, added with its
-weights to every derivative that uses it, and dropped.  Mixed second
-derivatives use the 8-point diagonal stencil ``_MIXED_TABLE``, so one pass
-takes 17 metric samples for n = 2 and 49 for n = 3.  Like ``frame_at``, the oracle runs
-the flattened batch in blocks of ``_BLOCK`` points through ``_block_map``;
-it is pointwise, so the result depends neither on the block size nor on
-the number of workers.
+weights to every derivative that uses it, and dropped; each derivative is
+summed in a contiguous accumulator and written once into the jet.  Mixed
+second derivatives use the 8-point diagonal stencil ``_MIXED_TABLE``, so
+one pass takes 17 metric samples for n = 2 and 49 for n = 3.  Like
+``frame_at``, the oracle runs the flattened batch in blocks of ``_BLOCK``
+points through ``_block_map``; it is pointwise, so the result depends
+neither on the block size nor on the number of workers.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import _smallmat
-from .ambient import AmbientSpace, AxisSpec, BaseManifold, make_product
-from .errors import DegenerateFrame, NotSpacelike
+from .ambient import AmbientSpace, AxisSpec, BaseManifold
+from .errors import DegenerateFrame, NotSpacelike, WrongAmbient
 
 __all__ = [
     "ParamSurface",
@@ -139,8 +140,10 @@ class ParamSurface:
     axes: tuple[AxisSpec, ...]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     compact: bool = True
-    quotient_factor: float = 1.0
     orientation: str = ""
+
+    # a parametrized surface is never a quotient: its integrals are not scaled
+    quotient_factor = 1.0
 
     def __post_init__(self):
         self.orientation = resolve_orientation(self.orientation, self.ambient)
@@ -160,16 +163,17 @@ class ParamSurface:
 class GraphSurface:
     """The graph ``t = u(m)`` of a function over the base of a product.
 
-    ``u``, ``du`` and ``d2u`` are array-aware callables returning the height,
-    its chart partials ``(..., n)`` and its coordinate second partials
-    ``(..., n, n)``.  ``d2u`` holds plain partial derivatives; covariant
-    corrections happen downstream.  In a Lorentzian product the graph is
-    checked to be spacelike (``|Du|^2 < 1``) wherever frames are computed.
+    ``ambient`` is the product ``M x R`` (``make_product``); the base ``M``
+    and the line's sign ``epsilon`` are read from it.  ``u``, ``du`` and
+    ``d2u`` are array-aware callables returning the height, its chart
+    partials ``(..., n)`` and its coordinate second partials ``(..., n, n)``.
+    ``d2u`` holds plain partial derivatives; covariant corrections happen
+    downstream.  In a Lorentzian product the graph is checked to be
+    spacelike (``|Du|^2 < 1``) wherever frames are computed.
     """
 
     name: str
-    base: BaseManifold
-    epsilon: int
+    ambient: AmbientSpace
     u: Callable[[np.ndarray], np.ndarray]
     du: Callable[[np.ndarray], np.ndarray]
     d2u: Callable[[np.ndarray], np.ndarray]
@@ -177,7 +181,11 @@ class GraphSurface:
     radial_K: float | None = None   # K of a graphs.radial_graph profile
 
     def __post_init__(self):
-        self.ambient = make_product(self.base, self.epsilon)
+        if self.ambient.base is None:
+            raise WrongAmbient(f"graph {self.name!r} needs a product ambient, "
+                               f"got {self.ambient.name!r}")
+        self.base = self.ambient.base
+        self.epsilon = self.ambient.epsilon
         self.axes = self.base.axes
         self.compact = self.base.compact
         self.quotient_factor = self.base.quotient_factor
@@ -658,6 +666,11 @@ def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int
     derivative that uses it; only the centre sample is kept (it is ``g``).
     With the tables above that is ``1 + n * pure_order + 8 * n (n - 1) / 2``
     samples: 17 for n = 2 at order 4, 49 for n = 3 at order 8.
+
+    Each derivative is summed from zero, in table order, in a contiguous
+    ``(..., n, n)`` accumulator, each term formed in one reused product
+    buffer; the sum is then divided by the step straight into its slot of
+    ``dg`` or ``ddg`` (a mixed one is copied to its transposed slot too).
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[-1]
@@ -669,25 +682,30 @@ def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int
         return g_at(s + off)
 
     g = sample()
-    dg = np.zeros(g.shape[:-2] + (n, n, n))
-    ddg = np.zeros(g.shape[:-2] + (n, n, n, n))
+    dg = np.empty(g.shape[:-2] + (n, n, n))
+    ddg = np.empty(g.shape[:-2] + (n, n, n, n))
     d1 = dict(zip(*_D1_TABLES[pure_order]))
+    first = np.empty_like(g)        # contiguous accumulators, one block each
+    second = np.empty_like(g)
+    term = np.empty_like(g)         # the weighted sample being added
     for a in range(n):
+        first.fill(0.0)
+        second.fill(0.0)
         # the second-derivative offsets contain the first-derivative ones
         for m, w2 in zip(*_D2_TABLES[pure_order]):
             gm = g if m == 0 else sample((a, m))
             if m in d1:
-                dg[..., a, :, :] += d1[m] * gm
-            ddg[..., a, a, :, :] += w2 * gm
-        dg[..., a, :, :] /= h[a]
-        ddg[..., a, a, :, :] /= h[a] ** 2
+                first += np.multiply(d1[m], gm, out=term)
+            second += np.multiply(w2, gm, out=term)
+        np.divide(first, h[a], out=dg[..., a, :, :])
+        np.divide(second, h[a] ** 2, out=ddg[..., a, a, :, :])
     for a in range(n):
         for b in range(a + 1, n):
-            cross = ddg[..., a, b, :, :]
+            second.fill(0.0)
             for (ma, mb), w in zip(*_MIXED_TABLE):
-                cross += w * sample((a, ma), (b, mb))
-            cross /= h[a] * h[b]
-            ddg[..., b, a, :, :] = cross
+                second += np.multiply(w, sample((a, ma), (b, mb)), out=term)
+            np.divide(second, h[a] * h[b], out=ddg[..., a, b, :, :])
+            ddg[..., b, a, :, :] = ddg[..., a, b, :, :]
     return g, dg, ddg
 
 

@@ -335,8 +335,7 @@ def _graph_builder(profile: Callable, param: str = "amplitude"):
         u, du, d2u = profile(params[param])
         if ambient.base.quotient_factor != 1:
             _check_antipodally_even(u, sc.name)
-        return GraphSurface(name=sc.name, base=ambient.base,
-                            epsilon=ambient.epsilon, u=u, du=du, d2u=d2u)
+        return GraphSurface(name=sc.name, ambient=ambient, u=u, du=du, d2u=d2u)
     return build
 
 

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain
-from prodsurf.zoo import instantiate
+from prodsurf.zoo import instantiate, scenario_names
 
 
 def test_grid_rejects_too_coarse_resolution(zoo):
@@ -149,6 +150,67 @@ def test_stencil_weights_equal_row_by_row_reference(zoo, name):
             row[center - start] -= row.sum()
             assert np.array_equal(idx[i], window)
             assert np.array_equal(wts[i], row)
+
+
+def _gathered_window_derivative(values, grid, axis, index_rank=0):
+    # the contraction partial_derivative replaced: gather the whole
+    # (..., m, 5) window, subtract the center value, weight, and reduce
+    ext = calculus._extend_values(values, grid, axis, index_rank)
+    idx, wts = calculus._stencil_for_axis(grid, axis)
+    gathered = np.moveaxis(np.take(ext, idx, axis=axis), axis + 1, -1)
+    gathered -= values[..., None]
+    wshape = ((1,) * axis + (grid.shape[axis],)
+              + (1,) * (gathered.ndim - axis - 2) + (calculus._STENCIL_WIDTH,))
+    gathered *= wts.reshape(wshape)
+    return np.sum(gathered, axis=-1)
+
+
+def test_reference_scenarios_cover_every_axis_kind_and_deck_map(zoo):
+    axes = [ax for name in scenario_names() for ax in zoo(name)[1].axes]
+    assert {ax.kind for ax in axes} == {"periodic", "polar_cos", "open"}
+    assert all(any(getattr(ax, map_) for ax in axes)
+               for map_ in ("shift", "reverse", "flip"))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_partial_derivative_equals_gathered_window_reference(zoo, name):
+    # random fields of index rank 0, 1 and 2 at the catalog resolution and
+    # twice it, each holding a constant slab of axis-0 rows whose interior
+    # must differentiate to exact zeros; compared byte for byte, so signed
+    # zeros count
+    rng = np.random.default_rng(11)
+    base = zoo(name)[1].resolution
+    for resolution in (base, 2 * base):
+        _, grid, _ = zoo(name, resolution)
+        n = len(grid.axes)
+        slab = grid.shape[0] // 3
+        for rank in (0, 1, 2):
+            values = rng.standard_normal(grid.shape + (n,) * rank)
+            values[:slab] = 0.75
+            for axis in range(n):
+                got = calculus.partial_derivative(values, grid, axis, rank)
+                ref = _gathered_window_derivative(values, grid, axis, rank)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+                if rank == 0:
+                    assert not np.any(got[2:slab - 2])
+
+
+def test_partial_derivative_peak_allocation_stays_below_the_window(zoo):
+    # a gathered 5-wide window alone would be five times the field; the
+    # column-by-column contraction holds the extended field, the result and
+    # one scratch array
+    _, grid, _ = zoo("graph_S2xR_cos03", 64)
+    values = np.random.default_rng(5).standard_normal(grid.shape + (2, 2))
+    for axis in range(2):
+        calculus.partial_derivative(values, grid, axis, 2)   # stencil cache
+        tracemalloc.start()
+        try:
+            calculus.partial_derivative(values, grid, axis, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * values.nbytes
 
 
 def _first_harmonic_residuals(name, overrides, n):

@@ -31,6 +31,7 @@ import pytest
 
 from prodsurf import calculus, graphs
 from prodsurf.acceptance import EXACT_TOL
+from prodsurf.ambient import make_product
 from prodsurf.calculus import QuadratureGrid
 from prodsurf.identities import run_suite
 from prodsurf.integral import run_formulas
@@ -121,9 +122,8 @@ def test_defect_in_the_conformal_factor_fails_the_named_checks(zoo):
 
 
 def _scaled_kappa(surface):
-    base = surface.base
-    return dataclasses.replace(surface, base=dataclasses.replace(
-        base, kappa=base.kappa * (1.0 + DEFECT)))
+    base = dataclasses.replace(surface.base, kappa=surface.base.kappa * (1.0 + DEFECT))
+    return dataclasses.replace(surface, ambient=make_product(base, surface.epsilon))
 
 
 def _scaled_sectional(surface):

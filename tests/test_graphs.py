@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsurf.ambient import round_sphere
+from prodsurf.ambient import make_product, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf import graphs
 from prodsurf.errors import (NotSpacelike, ParameterOutOfRange, SingularPoint,
@@ -235,7 +235,7 @@ def _constant_graph(eps, value=0.3):
     def d2u(s):
         return np.zeros(s.shape + (s.shape[-1],))
 
-    return GraphSurface(name="const", base=round_sphere(), epsilon=eps,
+    return GraphSurface(name="const", ambient=make_product(round_sphere(), eps),
                         u=u, du=du, d2u=d2u)
 
 
@@ -307,7 +307,7 @@ def test_harness_sign_is_forced_on_cosine_graphs(amplitude, eps):
         out[..., 0, 0] = -amplitude * np.cos(s[..., 0])
         return out
 
-    g = GraphSurface(name="h", base=round_sphere(), epsilon=eps,
+    g = GraphSurface(name="h", ambient=make_product(round_sphere(), eps),
                      u=u, du=du, d2u=d2u)
     rep = theorem_harness(g, QuadratureGrid.build(g.axes, 12))
     assert rep.kind == "graph"

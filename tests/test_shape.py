@@ -8,10 +8,10 @@ import pytest
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
-                              projective_plane, round_sphere,
+                              make_product, projective_plane, round_sphere,
                               round_three_sphere)
 from prodsurf.calculus import FrameFields, QuadratureGrid
-from prodsurf.errors import DegenerateFrame, NotSpacelike
+from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
 from prodsurf.shape import (ORIENTATION_POLICIES, GraphSurface, ParamSurface,
                             default_orientation, frame_at, graph_second_form,
@@ -88,9 +88,8 @@ def test_default_orientation_policies():
 def test_opposite_orientation_flips_odd_quantities(zoo):
     # the slice's adjugate normal has Theta = +1, the default policy's -1
     surface, grid, _ = zoo("slice_S2xR_t0.7", 16)
-    flipped = GraphSurface(name="flipped", base=surface.base,
-                           epsilon=surface.epsilon, u=surface.u,
-                           du=surface.du, d2u=surface.d2u,
+    flipped = GraphSurface(name="flipped", ambient=surface.ambient,
+                           u=surface.u, du=surface.du, d2u=surface.d2u,
                            orientation="adjugate")
     fr = frame_at(surface, grid.nodes)
     fr2 = frame_at(flipped, grid.nodes)
@@ -99,6 +98,13 @@ def test_opposite_orientation_flips_odd_quantities(zoo):
     assert np.allclose(fr2.normal, -fr.normal)
     # scalar curvature is even in the normal
     assert np.allclose(fr2.scalar_curvature, fr.scalar_curvature)
+
+
+def test_graph_needs_a_product_ambient(zoo):
+    surface, _, _ = zoo("slice_S2xR_t0.7", 16)
+    with pytest.raises(WrongAmbient, match="product"):
+        GraphSurface(name="over_R3", ambient=make_ambient("R3_homothetic"),
+                     u=surface.u, du=surface.du, d2u=surface.d2u)
 
 
 def _rank_one_jet(scale: float):
@@ -140,7 +146,7 @@ def test_lorentzian_graph_must_be_spacelike():
         out[..., 0, 0] = -2.0 * np.cos(s[..., 0])
         return out
 
-    g = GraphSurface(name="steep", base=round_sphere(), epsilon=-1,
+    g = GraphSurface(name="steep", ambient=make_product(round_sphere(), -1),
                      u=u, du=du, d2u=d2u)
     grid = QuadratureGrid.build(g.axes, 16)
     with pytest.raises(NotSpacelike):
@@ -239,8 +245,8 @@ def _cartesian_height(base, epsilon: int) -> GraphSurface:
     def d2u(s):
         raise AssertionError("not needed for the metric")
 
-    return GraphSurface(name=f"x1_over_{base.name}", base=base,
-                        epsilon=epsilon, u=u, du=du, d2u=d2u)
+    return GraphSurface(name=f"x1_over_{base.name}",
+                        ambient=make_product(base, epsilon), u=u, du=du, d2u=d2u)
 
 
 @pytest.mark.parametrize("make", [
@@ -348,14 +354,28 @@ def test_intrinsic_oracle_agrees_with_gauss_equation_n3(zoo, name):
 
 
 @pytest.mark.parametrize("name,order", [("graph_S2xR_cos03", 4),
-                                        ("graph_S3xR_coschi02", 8)])
+                                        ("graph_S3xR_coschi02", 8),
+                                        ("graph_RP2xR_even025", 4),
+                                        ("torus_R3_homothetic", 4)])
 def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
-    # reference: every derivative summed from its own stencil table
+    # reference: every derivative summed from its own stencil table, at grid
+    # nodes and at points one step inside each polar edge and periodic seam,
+    # whose stencils cross it
     surface, grid, _ = zoo(name, 16)
-    s = grid.nodes.reshape(-1, surface.dimension)[::7]
     n = surface.dimension
     h = np.array([1e-2, 2e-2, 3e-2][:n])
+    nodes = grid.nodes.reshape(-1, n)
+    edges = []
+    for a, ax in enumerate(surface.axes):
+        for edge in (ax.lo + h[a], ax.hi - h[a]):
+            near = nodes[::29].copy()
+            near[:, a] = edge
+            edges.append(near)
+    s = np.concatenate([nodes[::7]] + edges)
     g_at = shape.induced_metric_sampler(surface)
+    polar = [ax.polar for ax in surface.axes]
+    beyond = s - np.where(polar, 2.0 * h, 0.0)      # the farthest stencil offset
+    assert not any(polar) or shape.normalize_params(surface.axes, beyond)[1] is not None
 
     def g(*offsets):
         off = np.zeros(n)
