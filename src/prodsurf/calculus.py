@@ -443,17 +443,6 @@ class FrameFields:
         ddf = 0.5 * (ddf + np.swapaxes(ddf, -1, -2))
         return ddf - np.einsum("...kij,...k->...ij", self.christoffels, df)
 
-    def covariant_derivative_mixed(self, A: np.ndarray) -> np.ndarray:
-        """(grad_a A)^l_i for a once-up once-down tensor field A^l_i.
-
-        Returns shape (..., a, l, i): partial plus Gamma correction on the
-        upper index, minus on the lower one.
-        """
-        Gam = self.christoffels
-        up = np.einsum("...lam,...mi->...ali", Gam, A)
-        down = np.einsum("...mai,...lm->...ali", Gam, A)
-        return self.partials(A, index_rank=2) + up - down
-
     def integrate(self, f: np.ndarray) -> float:
         return integrate(SurfaceField(np.asarray(f, dtype=float), self.grid),
                          self.area_elements,

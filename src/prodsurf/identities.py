@@ -14,7 +14,9 @@ The checks, with the frame quantities they tie together:
 * ``gauss_scalar``     -- scalar curvature from metric stencils alone equals
                           the frame's S (Gauss equation, ambient data + A),
                           and in products also its product expansion;
-* ``codazzi``          -- <Rbar(X,Y)Z, N> = <(grad_Y A)X - (grad_X A)Y, Z>;
+* ``codazzi``          -- <Rbar(X,Y)Z, N> = <(grad_Y A)X - (grad_X A)Y, Z>
+                          on pairs i < j, from the curl of grad A, in which
+                          the lower-index Christoffel term cancels;
 * ``laplacian_theta``  -- the second-order formula for Lap Theta in terms of
                           grad H, S, Ricci and the conformal data;
 * ``div_T_top``        -- div(T^top) = n phi + n H Theta.
@@ -150,33 +152,37 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
 
 
 def check_codazzi(fields: FrameFields) -> CheckResult:
-    """<Rbar(d_i, d_j) d_k, N> = <(grad_j A) d_i - (grad_i A) d_j, d_k>."""
+    """<Rbar(d_i, d_j) d_k, N> = g_kl ((grad_j A)^l_i - (grad_i A)^l_j), i < j.
+
+    Swapping ``i`` and ``j`` negates both sides, and ``i = j`` reads 0 = 0.
+    The term ``-A^l_m Gamma^m_ai`` of ``(grad_a A)^l_i`` is symmetric in
+    ``(a, i)`` (the connection is torsion-free) and cancels in the curl, so
+    the curl is taken of ``D[..., a, l, i] = d_a A^l_i + Gamma^l_am A^m_i``.
+    """
     fr = fields.frame
     ambient = fields.surface.ambient
     n = fr.dimension
-    covA = fields.covariant_derivative_mixed(fr.shape_operator)  # (..., a, l, i)
-    # lowered[..., i, j, k] = <(grad_j A) d_i, d_k> = g_kl (grad_j A)^l_i
-    lowered = np.einsum("...kl,...jli->...ijk", fr.metric, covA)
-    rhs = lowered - np.swapaxes(lowered, -3, -2)  # <(grad_j A)d_i - (grad_i A)d_j, d_k>
+    A = fr.shape_operator
+    D = fields.partials(A, index_rank=2)
+    gam = fields.christoffels  # gam[..., l, a, m] = Gamma^l_am
+    # the sum over m as one stacked (l a, m) @ (m, i) product
+    gam_A = np.matmul(gam.reshape(gam.shape[:-3] + (n * n, n)), A)
+    D += gam_A.reshape(gam.shape).swapaxes(-2, -3)
+    del gam_A
     # ambient curvature with tangent legs, paired against N
-    tangent = fr.tangent
-    point = fr.point
-    lhs = np.zeros(rhs.shape)
-    G = ambient.metric_at(point)
-    GN = np.einsum("...ab,...b->...a", G, fr.normal)
+    point, t = fr.point, fr.tangent
+    GN = np.einsum("...ab,...b->...a", ambient.metric_at(point), fr.normal)
+    residual = 0.0
     for i in range(n):
-        for j in range(n):
-            if j <= i:
-                continue
+        for j in range(i + 1, n):
+            rhs = np.einsum("...kl,...l->...k", fr.metric,
+                            D[..., j, :, i] - D[..., i, :, j])
             for k in range(n):
-                R = ambient.curvature_operator(
-                    point, tangent[..., i, :], tangent[..., j, :],
-                    tangent[..., k, :])
-                val = np.einsum("...a,...a->...", R, GN)
-                lhs[..., i, j, k] = val
-                lhs[..., j, i, k] = -val
-    lhs -= rhs
-    residual = _max_abs(lhs)
+                R = ambient.curvature_operator(point, t[..., i, :],
+                                               t[..., j, :], t[..., k, :])
+                lhs = np.einsum("...a,...a->...", R, GN)
+                lhs -= rhs[..., k]
+                residual = max(residual, _max_abs(lhs))
     return _result("codazzi", fields, residual)
 
 

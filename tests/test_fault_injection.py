@@ -22,6 +22,9 @@ The constants upstream of the frame are scaled the same way:
   frame's Gauss curvature ``S / 2`` as a second route to
   ``graph_curvature``.  The harness sign of a clearly non-constant graph
   is robust to a relative defect of 1e-3, so it catches neither piece.
+
+In n = 3, ``codazzi`` alone runs on ``graph_S3xR_coschi02`` at 16 -> 32,
+with each frame field that its route reads scaled in turn.
 """
 
 import dataclasses
@@ -65,6 +68,17 @@ CAUGHT = {
 # Fields whose uniform relative defect no check sees, and why.
 UNCAUGHT: dict[str, str] = {}
 
+# n = 3: the fields that check_codazzi reads, scaled one at a time on
+# CODAZZI_N3_SCENARIO; the caught ones fail codazzi, the others pass it
+CODAZZI_N3_SCENARIO = "graph_S3xR_coschi02"
+CODAZZI_N3_CAUGHT = {"point", "tangent", "metric", "normal", "shape_operator"}
+CODAZZI_N3_UNCAUGHT = {
+    "metric_inv": "it reaches codazzi only through Gamma^l_am A^m_i in the "
+                  "curl, which vanishes where A is umbilic; on this nearly "
+                  "umbilic graph the defect adds about 1.4e-6 at 32, and the "
+                  "order reads 1.711 against the 1.7 floor",
+}
+
 # a scaled curvature constant of graph_S2xR_cos03 -> the checks that fail
 CURVATURE_CAUGHT = {"codazzi", "gauss_scalar", "laplacian_theta",
                     "integral_formula", "product_integral"}
@@ -88,6 +102,8 @@ def test_matrix_names_every_array_field_once():
     fields = {f.name for f in dataclasses.fields(GeometryFrame)}
     assert not set(CAUGHT) & set(UNCAUGHT)
     assert set(CAUGHT) | set(UNCAUGHT) == fields
+    assert not CODAZZI_N3_CAUGHT & set(CODAZZI_N3_UNCAUGHT)
+    assert CODAZZI_N3_CAUGHT | set(CODAZZI_N3_UNCAUGHT) <= fields
 
 
 def test_clean_frame_fails_no_check(zoo):
@@ -95,9 +111,7 @@ def test_clean_frame_fails_no_check(zoo):
     assert _failing(surface) == set()
 
 
-@pytest.mark.parametrize("field", sorted(CAUGHT) + sorted(UNCAUGHT))
-def test_defect_in_one_field_fails_the_named_checks(zoo, monkeypatch, field):
-    surface, _, _ = zoo(SCENARIO)
+def _scale_frame_field(monkeypatch, field: str) -> None:
     frame_at = calculus.frame_at
 
     def defective_frame_at(surface, s):
@@ -106,7 +120,25 @@ def test_defect_in_one_field_fails_the_named_checks(zoo, monkeypatch, field):
             fr, **{field: getattr(fr, field) * (1.0 + DEFECT)})
 
     monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
+
+
+@pytest.mark.parametrize("field", sorted(CAUGHT) + sorted(UNCAUGHT))
+def test_defect_in_one_field_fails_the_named_checks(zoo, monkeypatch, field):
+    surface, _, _ = zoo(SCENARIO)
+    _scale_frame_field(monkeypatch, field)
     assert _failing(surface) == CAUGHT.get(field, set())
+
+
+@pytest.mark.parametrize("field", [pytest.param(None, id="clean")]
+                         + sorted(CODAZZI_N3_CAUGHT)
+                         + sorted(CODAZZI_N3_UNCAUGHT))
+def test_n3_codazzi_catches_a_defect_in_the_fields_it_reads(
+        zoo, monkeypatch, field):
+    surface, _, _ = zoo(CODAZZI_N3_SCENARIO)
+    if field is not None:
+        _scale_frame_field(monkeypatch, field)
+    (result,) = run_suite(surface, 16, names=("codazzi",))
+    assert result.passed == (field not in CODAZZI_N3_CAUGHT), result
 
 
 def test_defect_in_the_conformal_factor_fails_the_named_checks(zoo):

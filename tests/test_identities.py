@@ -1,12 +1,16 @@
 """Pointwise identity checks: residuals, convergence orders, applicability."""
 
 import dataclasses
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from prodsurf import calculus
+from prodsurf import calculus, zoo as catalog
+from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import WrongAmbient
-from prodsurf.identities import CHECKS, applicable_checks, run_suite
+from prodsurf.identities import (CHECKS, _attach_order, applicable_checks,
+                                 check_codazzi, run_suite)
 
 ALL_CHECKS = ("norm_grad_h", "hessian_h", "gauss_scalar", "codazzi",
               "laplacian_theta", "div_T_top")
@@ -85,7 +89,6 @@ def test_applicability_filters(zoo):
 
 def test_product_only_checks_reject_space_forms(zoo):
     surface, grid, _ = zoo("sphere_R3_homothetic", 16)
-    from prodsurf.calculus import FrameFields
     ff = FrameFields(surface, grid)
     with pytest.raises(WrongAmbient):
         CHECKS["norm_grad_h"](ff)
@@ -112,3 +115,81 @@ def test_codazzi_on_space_form_is_exact(zoo):
     results = run_suite(surface, 24, refine=1, names=("codazzi",))
     (r,) = results
     assert r.passed
+
+
+def _codazzi_full_tensor(fields):
+    """The full-tensor Codazzi residual ``res[..., i, j, k]``, every pair.
+
+    ``(grad_a A)^l_i`` with both Christoffel terms, lowered for all ``n^3``
+    components, against a left side filled on ``i < j`` and mirrored onto
+    ``j > i``: the route that ``check_codazzi`` reduces to its curl.
+    """
+    fr = fields.frame
+    ambient = fields.surface.ambient
+    n = fr.dimension
+    gam = fields.christoffels
+    A = fr.shape_operator
+    up = np.einsum("...lam,...mi->...ali", gam, A)
+    down = np.einsum("...mai,...lm->...ali", gam, A)
+    covA = fields.partials(A, index_rank=2) + up - down
+    lowered = np.einsum("...kl,...jli->...ijk", fr.metric, covA)
+    rhs = lowered - np.swapaxes(lowered, -3, -2)
+    lhs = np.zeros(rhs.shape)
+    GN = np.einsum("...ab,...b->...a", ambient.metric_at(fr.point), fr.normal)
+    t = fr.tangent
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                R = ambient.curvature_operator(fr.point, t[..., i, :],
+                                               t[..., j, :], t[..., k, :])
+                val = np.einsum("...a,...a->...", R, GN)
+                lhs[..., i, j, k] = val
+                lhs[..., j, i, k] = -val
+    return lhs - rhs
+
+
+COMPACT = [sc.name for sc in catalog.list_scenarios() if sc.compact]
+
+
+@pytest.mark.parametrize("scenario", COMPACT)
+def test_codazzi_curl_matches_the_full_tensor_route(zoo, scenario):
+    surface, grid, _ = zoo(scenario)
+    pairs = []
+    for resolution in (grid.resolution, 2 * grid.resolution):
+        fields = FrameFields(surface,
+                             QuadratureGrid.build(surface.axes, resolution))
+        res = np.abs(_codazzi_full_tensor(fields))
+        n = res.shape[-1]
+        for i in range(n):
+            assert not res[..., i, i, :].any()
+            for j in range(i + 1, n):
+                assert np.array_equal(res[..., j, i, :], res[..., i, j, :])
+        upper = max(res[..., i, j, :].max()
+                    for i in range(n) for j in range(i + 1, n))
+        assert res.max() == upper
+        curl = check_codazzi(fields)
+        assert abs(curl.max_residual - upper) <= 1e-15, (resolution, curl)
+        pairs.append((curl, dataclasses.replace(curl, max_residual=upper)))
+    (coarse, ref_coarse), (fine, ref_fine) = pairs
+    ours = _attach_order(coarse, fine, grid.resolution, 2 * grid.resolution)
+    ref = _attach_order(ref_coarse, ref_fine, grid.resolution,
+                        2 * grid.resolution)
+    assert ours.passed == ref.passed and ours.floored == ref.floored
+    if ref.convergence_order is not None:
+        assert abs(ours.convergence_order - ref.convergence_order) <= 1e-6
+
+
+def test_codazzi_forms_no_full_tensor_of_grad_A(zoo):
+    # One call on graph_S3xR_coschi02 at 32, with the frame and the
+    # Christoffel symbols built beforehand, peaks at 6.7x the bytes of the
+    # shape operator; the full-tensor route above peaks at 17.1x.
+    surface, _, _ = zoo("graph_S3xR_coschi02")
+    fields = FrameFields(surface, QuadratureGrid.build(surface.axes, 32))
+    fields.christoffels
+    tracemalloc.start()
+    try:
+        check_codazzi(fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * fields.frame.shape_operator.nbytes
