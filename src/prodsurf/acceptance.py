@@ -170,10 +170,10 @@ def criterion_einstein_spheres() -> CriterionVerdict:
     for rho in GEODESIC_SPHERE_RADII:
         surface, grid, tol = instantiate("geodesic_sphere_S3",
                                          {"rho": rho, "resolution": 96})
-        rep = einstein_integral(surface, grid, tol)
+        fields = FrameFields(surface, grid)
+        rep = einstein_integral(fields, grid, tol)
         checks.append((abs(rep.residual) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: balance residual {rep.residual:.3e}"))
-        fields = FrameFields(surface, grid)
         fr = fields.frame
         literal = fields.integrate(fr.theta * (fr.scalar_curvature - 6.0 + 1.5))
         checks.append((abs(literal) <= tol.einstein_absolute,

@@ -48,7 +48,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .reports import TOLERANCES, CheckResult
 
 __all__ = [
     "AxisSpec",
@@ -63,9 +62,6 @@ __all__ = [
     "make_product",
     "make_ambient",
     "ambient_keys",
-    "christoffel_fd",
-    "curvature_operator_fd",
-    "verify_conformal_killing",
 ]
 
 
@@ -303,17 +299,14 @@ def round_three_sphere() -> BaseManifold:
 class KillingData:
     """A conformal Killing field ``T`` of an ambient space.
 
-    ``jacobian_at`` returns the analytic chart partials
-    ``J[..., a, b] = d_b T^a``, which the conformal Killing check reads.
-    ``conformal_factor`` is the constant ``phi`` with
+    ``field_at`` returns the chart components of ``T``, which the frames
+    read.  ``conformal_factor`` is the constant ``phi`` with
     ``<grad_V T, W> + <V, grad_W T> = 2 phi <V, W>``; a genuine Killing
     field has ``phi = 0``, the homothetic position field ``phi = 1``.
     """
 
-    name: str
     field_at: Callable[[np.ndarray], np.ndarray]
     conformal_factor: float
-    jacobian_at: Callable[[np.ndarray], np.ndarray]
 
 
 # --------------------------------------------------------------------------
@@ -437,16 +430,7 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
         T[..., nb] = 1.0
         return T
 
-    def zero_jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (d,))
-
-    killing = KillingData(
-        name="vertical",
-        field_at=unit_t,
-        conformal_factor=0.0,
-        jacobian_at=zero_jac,
-    )
+    killing = KillingData(field_at=unit_t, conformal_factor=0.0)
     suffix = "xR" if epsilon > 0 else "xR1"
     return AmbientSpace(
         name=base.name + suffix,
@@ -484,16 +468,7 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
     def position(x):
         return np.asarray(x, dtype=float).copy()
 
-    def position_jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).copy()
-
-    killing = KillingData(
-        name="homothetic_position",
-        field_at=position,
-        conformal_factor=1.0,
-        jacobian_at=position_jac,
-    )
+    killing = KillingData(field_at=position, conformal_factor=1.0)
     return AmbientSpace(
         name="R3_1" if lorentzian else "R3",
         dim=d,
@@ -519,21 +494,7 @@ def _round_sphere_form() -> AmbientSpace:
         T[..., 2] = 1.0
         return T
 
-    def hopf_jac(x):
-        x = np.asarray(x, dtype=float)
-        chi, th = x[..., 0], x[..., 1]
-        J = np.zeros(x.shape + (3,))
-        J[..., 0, 1] = -np.sin(th)
-        J[..., 1, 0] = np.sin(th) / np.sin(chi) ** 2
-        J[..., 1, 1] = -np.cos(th) * np.cos(chi) / np.sin(chi)
-        return J
-
-    killing = KillingData(
-        name="hopf_circle",
-        field_at=hopf,
-        conformal_factor=0.0,
-        jacobian_at=hopf_jac,
-    )
+    killing = KillingData(field_at=hopf, conformal_factor=0.0)
     return AmbientSpace(
         name="S3",
         dim=3,
@@ -580,100 +541,3 @@ def make_ambient(key: str) -> AmbientSpace:
             f"unknown ambient {key!r}; known: {', '.join(ambient_keys())}"
         ) from None
     return factory()
-
-
-# --------------------------------------------------------------------------
-# finite-difference validators
-# --------------------------------------------------------------------------
-
-def christoffel_fd(metric_at: Callable[[np.ndarray], np.ndarray],
-                   x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Christoffel symbols from central differences of a metric callable.
-
-    A cross-check for the closed-form chart data; accurate to O(step^2) plus
-    rounding of order machine-eps / step.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    g = metric_at(x)
-    dg = np.zeros(x.shape[:-1] + (d, d, d))   # dg[..., a, i, j] = d_a g_ij
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = step
-        dg[..., a, :, :] = (metric_at(x + e) - metric_at(x - e)) / (2.0 * step)
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-    out = np.zeros_like(dg)
-    for i in range(d):
-        for j in range(d):
-            s = 0.5 * (dg[..., i, :, j] + dg[..., j, :, i] - dg[..., :, i, j])
-            out[..., :, i, j] = np.einsum("...kl,...l->...k", ginv, s)
-    return out
-
-
-def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
-                          Y: np.ndarray, Z: np.ndarray,
-                          step: float = 1e-5) -> np.ndarray:
-    """``R(X, Y)Z`` for constant chart-component fields, by differencing.
-
-    With constant components the bracket term vanishes and
-    ``R(X, Y)Z = -grad_X grad_Y Z + grad_Y grad_X Z``; the inner covariant
-    derivatives are formed analytically from the Christoffel symbols and the
-    outer ones by central differences.  Used in tests to pin the sign
-    convention of ``curvature_operator``.
-    """
-    x = np.asarray(x, dtype=float)
-    X = np.broadcast_to(np.asarray(X, dtype=float), x.shape).copy()
-    Y = np.broadcast_to(np.asarray(Y, dtype=float), x.shape).copy()
-    Z = np.broadcast_to(np.asarray(Z, dtype=float), x.shape).copy()
-    d = x.shape[-1]
-
-    def nabla(direction, field_fn, pt):
-        # grad_direction field, with field given as a function of the point
-        Gam = ambient.christoffel_at(pt)
-        val = field_fn(pt)
-        out = np.einsum("...kbc,...b,...c->...k", Gam, direction, val)
-        for b in range(d):
-            e = np.zeros(d)
-            e[b] = step
-            dfield = (field_fn(pt + e) - field_fn(pt - e)) / (2.0 * step)
-            out += direction[..., b, None] * dfield
-        return out
-
-    grad_y_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
-                                    ambient.christoffel_at(pt), Y, Z)
-    grad_x_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
-                                    ambient.christoffel_at(pt), X, Z)
-    return -nabla(X, grad_y_z, x) + nabla(Y, grad_x_z, x)
-
-
-def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
-                             tolerance: float = TOLERANCES.conformal_killing,
-                             ) -> CheckResult:
-    """Check the conformal Killing equation of the ambient's field at points.
-
-    The equation is bilinear in the two directions, so it holds for all
-    vector pairs iff the symmetrized lowered covariant derivative equals
-    ``2 phi`` times the metric componentwise; the check is on components and
-    needs no direction sampling.
-    """
-    x = np.asarray(points, dtype=float)
-    K = ambient.killing
-    T = K.field_at(x)
-    J = K.jacobian_at(x)
-    Gam = ambient.christoffel_at(x)
-    G = ambient.metric_at(x)
-    # covariant derivative (a up, b down), then lower the upper index
-    covJ = J + np.einsum("...abc,...c->...ab", Gam, T)
-    lowered = np.einsum("...ka,...ab->...kb", G, covJ)   # (grad T)_{k;b}
-    resid = lowered + np.swapaxes(lowered, -1, -2) - 2.0 * K.conformal_factor * G
-    worst = float(np.max(np.abs(resid))) if resid.size else 0.0
-    return CheckResult(
-        name="conformal_killing",
-        scenario=ambient.name,
-        resolution=int(np.prod(x.shape[:-1])) if x.ndim > 1 else 1,
-        max_residual=worst,
-        passed=bool(worst <= tolerance),
-        tolerance=tolerance,
-        note=f"field={K.name}",
-    )

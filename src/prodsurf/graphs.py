@@ -65,7 +65,6 @@ __all__ = [
     "closed_form_f",
     "closed_form_f_prime",
     "closed_form_f_double_prime",
-    "closed_form_gradient_sq",
     "radial_ode_rhs",
     "RadialSolution",
     "solve_radial",
@@ -128,14 +127,6 @@ def closed_form_f_double_prime(epsilon: int, K: float, x0) -> np.ndarray:
     x0 = _gate_x0(x0)
     return (math.sqrt(epsilon * (1.0 + K)) * K * x0
             / (1.0 - K * (x0 ** 2 - 1.0)) ** 1.5)
-
-
-def closed_form_gradient_sq(epsilon: int, K: float, x0) -> np.ndarray:
-    """|Du|^2 = f'^2 (x0^2 - 1) of the radial graph, in closed form."""
-    check_curvature_range(epsilon, K)
-    x0 = _gate_x0(x0)
-    return (epsilon * (1.0 + K) * (x0 ** 2 - 1.0)
-            / (1.0 - K * (x0 ** 2 - 1.0)))
 
 
 def radial_ode_rhs(epsilon: int, K: float, x0: float,

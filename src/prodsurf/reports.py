@@ -30,14 +30,12 @@ class Tolerances:
     (the latter for the third-order stacked stencils of Lap Theta), and
     ``residual_floor`` is the level below which an order estimate measures
     rounding noise.  ``corollary_residual`` is the rounding-level residual
-    of the graph curvature equation on a declared solution,
+    of the graph curvature equation on a declared solution, and
     ``completeness_slack`` the rounding allowance of a sampled |Du|^2 above
-    its closed-form supremum, and ``conformal_killing`` the residual
-    allowed in the conformal Killing equation of an ambient's analytic
-    field.  These describe the methods and the arithmetic, so ``scaled``
-    leaves them alone.  The remaining fields are residual tolerances of the
-    balance laws and the radial closed-form match, which a
-    ``tolerance_scale`` override multiplies.
+    its closed-form supremum.  These describe the methods and the
+    arithmetic, so ``scaled`` leaves them alone.  The remaining fields are
+    residual tolerances of the balance laws and the radial closed-form
+    match, which a ``tolerance_scale`` override multiplies.
     """
 
     min_order: float = 1.7
@@ -45,7 +43,6 @@ class Tolerances:
     residual_floor: float = 1.0e-8
     corollary_residual: float = 1.0e-8
     completeness_slack: float = 1.0e-10
-    conformal_killing: float = 1.0e-7
     integral_relative: float = 1.0e-6
     einstein_absolute: float = 1.0e-5
     radial_match: float = 1.0e-6

@@ -9,11 +9,11 @@ slots).  Graphs over a base manifold get their jet assembled from the height
 function and its derivatives.
 
 ``frame_at`` turns the jet into the full pointwise dictionary of the
-hypersurface: induced metric, unit normal (with a deterministic orientation
-policy), second fundamental form ``h_ij = <sec_ij, N>``, shape operator
-``A = g^{-1} h`` (so that ``A = -grad N`` as an endomorphism), mean
-curvature ``H = (eps_N / n) tr A``, and the scalar curvature from the
-contracted Gauss equation
+hypersurface: induced metric, unit normal (oriented by the ambient, see
+``default_orientation``), second fundamental form ``h_ij = <sec_ij, N>``,
+shape operator ``A = g^{-1} h`` (so that ``A = -grad N`` as an
+endomorphism), mean curvature ``H = (eps_N / n) tr A``, and the scalar
+curvature from the contracted Gauss equation
 
     S = Sbar - 2 eps_N Ric_bar(N, N) + 2 eps_N e_2(A),
     e_2(A) = ((tr A)^2 - tr A^2) / 2,
@@ -83,8 +83,6 @@ __all__ = [
     "GraphSurface",
     "GeometryFrame",
     "frame_at",
-    "graph_theta",
-    "graph_second_form",
     "normalize_params",
     "induced_metric_sampler",
     "intrinsic_curvature_oracle",
@@ -111,24 +109,20 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
 # index at once.
 _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
 
-ORIENTATION_POLICIES = ("adjugate", "future", "theta_nonpositive")
-
 
 def default_orientation(ambient: AmbientSpace) -> str:
-    """Orientation policy used when a surface does not pin one explicitly."""
+    """The normal orientation of every hypersurface of ``ambient``.
+
+    ``"future"`` in a Lorentzian ambient (``<N, T> < 0``),
+    ``"theta_nonpositive"`` in a Riemannian product (``<N, T> <= 0``), and
+    ``"adjugate"`` (the metric-adjugate normal as it is) in a Riemannian
+    space form.  No surface sets its own.
+    """
     if ambient.epsilon < 0:
         return "future"
     if ambient.kind == "product":
         return "theta_nonpositive"
     return "adjugate"
-
-
-def resolve_orientation(policy: str, ambient: AmbientSpace) -> str:
-    """The given policy, or the ambient's default when it is empty; validated."""
-    policy = policy or default_orientation(ambient)
-    if policy not in ORIENTATION_POLICIES:
-        raise ValueError(f"unknown orientation policy {policy!r}")
-    return policy
 
 
 @dataclass(eq=False)
@@ -140,13 +134,9 @@ class ParamSurface:
     axes: tuple[AxisSpec, ...]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     compact: bool = True
-    orientation: str = ""
 
     # a parametrized surface is never a quotient: its integrals are not scaled
     quotient_factor = 1.0
-
-    def __post_init__(self):
-        self.orientation = resolve_orientation(self.orientation, self.ambient)
 
     @property
     def dimension(self) -> int:
@@ -177,7 +167,6 @@ class GraphSurface:
     u: Callable[[np.ndarray], np.ndarray]
     du: Callable[[np.ndarray], np.ndarray]
     d2u: Callable[[np.ndarray], np.ndarray]
-    orientation: str = ""
     radial_K: float | None = None   # K of a graphs.radial_graph profile
 
     def __post_init__(self):
@@ -189,7 +178,6 @@ class GraphSurface:
         self.axes = self.base.axes
         self.compact = self.base.compact
         self.quotient_factor = self.base.quotient_factor
-        self.orientation = resolve_orientation(self.orientation, self.ambient)
 
     @property
     def dimension(self) -> int:
@@ -235,7 +223,7 @@ class GeometryFrame:
     tangent: np.ndarray            # (..., n, d) coordinate tangent vectors
     metric: np.ndarray             # induced metric g_ij
     metric_inv: np.ndarray
-    normal: np.ndarray             # unit normal, oriented per policy
+    normal: np.ndarray             # unit normal, oriented by the ambient
     second_form: np.ndarray        # h_ij = <sec_ij, N>
     shape_operator: np.ndarray     # A^i_j = g^{ik} h_kj
     mean_curvature: np.ndarray     # H = (eps_N / n) tr A
@@ -319,8 +307,9 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     spacelike test and ``DegenerateFrame`` when the tangent map loses rank
     or the normal direction becomes null, naming the first offending point
     by its index in the full batch; of several failing blocks, the first
-    one's error is raised.  The orientation policies that read ``<N, T>``
-    pick one flip for the whole batch and raise ``DegenerateFrame`` when the
+    one's error is raised.  Where the ambient's orientation reads
+    ``<N, T>`` (every ambient but a Riemannian space form), one flip is
+    picked for the whole batch, and ``DegenerateFrame`` is raised when the
     adjugate normal's ``<N, T>`` takes both strict signs, within a block or
     across blocks.
     """
@@ -372,7 +361,8 @@ def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
 def _theta_sign_change(surface) -> DegenerateFrame:
     return DegenerateFrame(
         f"{surface.name}: <N, T> changes sign across the batch, so "
-        f"orientation {surface.orientation!r} has no consistent normal")
+        f"orientation {default_orientation(surface.ambient)!r} has no "
+        "consistent normal")
 
 
 def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
@@ -443,7 +433,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
 
     # orientation policy: "future" and "theta_nonpositive" ask for
     # <N, T> <= 0, "future" strictly
-    policy = surface.orientation
+    policy = default_orientation(ambient)
     if policy == "adjugate":
         chosen = +1
     else:
@@ -485,8 +475,8 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
 
 
 # --------------------------------------------------------------------------
-# closed-form graph quantities (an independent route to the frame, used
-# in tests and by the graph curvature equation of prodsurf.graphs)
+# closed-form graph quantities, read by the graph curvature equation of
+# prodsurf.graphs (an independent route to the frame)
 # --------------------------------------------------------------------------
 
 def gradient_sq(base: BaseManifold, du: np.ndarray, s: np.ndarray
@@ -512,40 +502,11 @@ def spacelike_w(graph: GraphSurface, du: np.ndarray, s: np.ndarray
     return W
 
 
-def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
-    """Normal angle function of a graph: ``theta = -1 / sqrt(1 + eps |Du|^2)``.
-
-    Always strictly negative; in the Lorentzian case ``theta <= -1`` and the
-    spacelike condition ``|Du|^2 < 1`` is enforced.
-    """
-    s = np.asarray(s, dtype=float)
-    return -1.0 / np.sqrt(spacelike_w(graph, graph.du(s), s))
-
-
 def covariant_hessian(base: BaseManifold, du: np.ndarray, d2u: np.ndarray,
                       s: np.ndarray) -> np.ndarray:
     """Covariant Hessian ``D^2 u`` of a function on the base manifold."""
     Gam = base.christoffel_at(s)
     return d2u - np.einsum("...kij,...k->...ij", Gam, du)
-
-
-def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
-    """Second fundamental form of a graph in an orthonormal base frame.
-
-    Components are ``h(E_i, E_j) = -D^2 u(E_i, E_j) / sqrt(1 + eps |Du|^2)``
-    for a ``g_M``-orthonormal frame ``E_i`` (built from the inverse Cholesky
-    factor of the base metric), matching the frame route up to the frame
-    change.
-    """
-    s = np.asarray(s, dtype=float)
-    du = graph.du(s)
-    W = spacelike_w(graph, du, s)
-    hess = covariant_hessian(graph.base, du, graph.d2u(s), s)
-    gM = graph.base.metric_at(s)
-    L = np.linalg.cholesky(gM)
-    E = np.swapaxes(_smallmat.inv(L), -1, -2)      # columns: orthonormal frame
-    framed = np.einsum("...ia,...ab,...bj->...ij", np.swapaxes(E, -1, -2), hess, E)
-    return -framed / np.sqrt(W)[..., None, None]
 
 
 # --------------------------------------------------------------------------

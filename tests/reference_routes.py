@@ -1,0 +1,168 @@
+"""Independent reference routes that the tests compare the package against.
+
+Each route recomputes a quantity the package has in closed form (or reads
+from its frames) by another method: finite differences of the chart data,
+or the closed forms of a graph.  None of them is used by the package
+itself, so they live with the tests.  This module holds no tests.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from prodsurf import _smallmat
+from prodsurf.ambient import AmbientSpace
+from prodsurf.graphs import _gate_x0, check_curvature_range
+from prodsurf.reports import CheckResult
+from prodsurf.shape import GraphSurface, covariant_hessian, spacelike_w
+
+# Residual allowed in the conformal Killing equation of an ambient's field,
+# whose partials are taken by central differences of step 1e-6: about 1e-10
+# on the registered ambients.
+CONFORMAL_KILLING_TOLERANCE = 1.0e-7
+
+
+# --------------------------------------------------------------------------
+# ambient chart data by finite differences
+# --------------------------------------------------------------------------
+
+def christoffel_fd(metric_at: Callable[[np.ndarray], np.ndarray],
+                   x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Christoffel symbols from central differences of a metric callable.
+
+    A cross-check for the closed-form chart data; accurate to O(step^2) plus
+    rounding of order machine-eps / step.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    g = metric_at(x)
+    dg = np.zeros(x.shape[:-1] + (d, d, d))   # dg[..., a, i, j] = d_a g_ij
+    for a in range(d):
+        e = np.zeros(d)
+        e[a] = step
+        dg[..., a, :, :] = (metric_at(x + e) - metric_at(x - e)) / (2.0 * step)
+    ginv = np.linalg.inv(g)
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
+    out = np.zeros_like(dg)
+    for i in range(d):
+        for j in range(d):
+            s = 0.5 * (dg[..., i, :, j] + dg[..., j, :, i] - dg[..., :, i, j])
+            out[..., :, i, j] = np.einsum("...kl,...l->...k", ginv, s)
+    return out
+
+
+def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
+                          Y: np.ndarray, Z: np.ndarray,
+                          step: float = 1e-5) -> np.ndarray:
+    """``R(X, Y)Z`` for constant chart-component fields, by differencing.
+
+    With constant components the bracket term vanishes and
+    ``R(X, Y)Z = -grad_X grad_Y Z + grad_Y grad_X Z``; the inner covariant
+    derivatives are formed analytically from the Christoffel symbols and the
+    outer ones by central differences.  Pins the sign convention of
+    ``curvature_operator``.
+    """
+    x = np.asarray(x, dtype=float)
+    X = np.broadcast_to(np.asarray(X, dtype=float), x.shape).copy()
+    Y = np.broadcast_to(np.asarray(Y, dtype=float), x.shape).copy()
+    Z = np.broadcast_to(np.asarray(Z, dtype=float), x.shape).copy()
+    d = x.shape[-1]
+
+    def nabla(direction, field_fn, pt):
+        # grad_direction field, with field given as a function of the point
+        Gam = ambient.christoffel_at(pt)
+        val = field_fn(pt)
+        out = np.einsum("...kbc,...b,...c->...k", Gam, direction, val)
+        for b in range(d):
+            e = np.zeros(d)
+            e[b] = step
+            dfield = (field_fn(pt + e) - field_fn(pt - e)) / (2.0 * step)
+            out += direction[..., b, None] * dfield
+        return out
+
+    grad_y_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
+                                    ambient.christoffel_at(pt), Y, Z)
+    grad_x_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
+                                    ambient.christoffel_at(pt), X, Z)
+    return -nabla(X, grad_y_z, x) + nabla(Y, grad_x_z, x)
+
+
+def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
+                             tolerance: float = CONFORMAL_KILLING_TOLERANCE,
+                             step: float = 1e-6) -> CheckResult:
+    """Check the conformal Killing equation of the ambient's field at points.
+
+    The chart partials ``J[..., a, b] = d_b T^a`` are central differences of
+    ``killing.field_at``, the callable the frames read.  The equation is
+    bilinear in the two directions, so it holds for all vector pairs iff the
+    symmetrized lowered covariant derivative equals ``2 phi`` times the
+    metric componentwise; the check is on components and needs no direction
+    sampling.
+    """
+    x = np.asarray(points, dtype=float)
+    K = ambient.killing
+    d = x.shape[-1]
+    T = K.field_at(x)
+    J = np.empty(x.shape + (d,))
+    for b in range(d):
+        e = np.zeros(d)
+        e[b] = step
+        J[..., :, b] = (K.field_at(x + e) - K.field_at(x - e)) / (2.0 * step)
+    Gam = ambient.christoffel_at(x)
+    G = ambient.metric_at(x)
+    # covariant derivative (a up, b down), then lower the upper index
+    covJ = J + np.einsum("...abc,...c->...ab", Gam, T)
+    lowered = np.einsum("...ka,...ab->...kb", G, covJ)   # (grad T)_{k;b}
+    resid = lowered + np.swapaxes(lowered, -1, -2) - 2.0 * K.conformal_factor * G
+    worst = float(np.max(np.abs(resid))) if resid.size else 0.0
+    return CheckResult(
+        name="conformal_killing",
+        scenario=ambient.name,
+        resolution=int(np.prod(x.shape[:-1])) if x.ndim > 1 else 1,
+        max_residual=worst,
+        passed=bool(worst <= tolerance),
+        tolerance=tolerance,
+    )
+
+
+# --------------------------------------------------------------------------
+# closed-form graph quantities
+# --------------------------------------------------------------------------
+
+def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
+    """Normal angle function of a graph: ``theta = -1 / sqrt(1 + eps |Du|^2)``.
+
+    Always strictly negative; in the Lorentzian case ``theta <= -1`` and the
+    spacelike condition ``|Du|^2 < 1`` is enforced.
+    """
+    s = np.asarray(s, dtype=float)
+    return -1.0 / np.sqrt(spacelike_w(graph, graph.du(s), s))
+
+
+def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
+    """Second fundamental form of a graph in an orthonormal base frame.
+
+    Components are ``h(E_i, E_j) = -D^2 u(E_i, E_j) / sqrt(1 + eps |Du|^2)``
+    for a ``g_M``-orthonormal frame ``E_i`` (built from the inverse Cholesky
+    factor of the base metric), matching the frame route up to the frame
+    change.
+    """
+    s = np.asarray(s, dtype=float)
+    du = graph.du(s)
+    W = spacelike_w(graph, du, s)
+    hess = covariant_hessian(graph.base, du, graph.d2u(s), s)
+    gM = graph.base.metric_at(s)
+    L = np.linalg.cholesky(gM)
+    E = np.swapaxes(_smallmat.inv(L), -1, -2)      # columns: orthonormal frame
+    framed = np.einsum("...ia,...ab,...bj->...ij", np.swapaxes(E, -1, -2), hess, E)
+    return -framed / np.sqrt(W)[..., None, None]
+
+
+def closed_form_gradient_sq(epsilon: int, K: float, x0) -> np.ndarray:
+    """|Du|^2 = f'^2 (x0^2 - 1) of the radial graph, in closed form."""
+    check_curvature_range(epsilon, K)
+    x0 = _gate_x0(x0)
+    return (epsilon * (1.0 + K) * (x0 ** 2 - 1.0)
+            / (1.0 - K * (x0 ** 2 - 1.0)))

@@ -6,12 +6,15 @@ asserts the verdict with the evidence lines attached to any failure.
 """
 
 import io
+import math
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from prodsurf import acceptance
 from prodsurf.acceptance import CRITERIA, battery_passed, run_battery
 
 pytestmark = pytest.mark.slow
@@ -69,3 +72,24 @@ def test_acceptance_command_is_bytewise_deterministic(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 1000
+
+
+@pytest.mark.parametrize("coarse,passed", [(1.6e-7, True), (1.2e-8, False)],
+                         ids=["order-4", "order-0.26"])
+def test_product_integral_order_branch_judges_the_refinement(
+        monkeypatch, coarse, passed):
+    # relative residuals above RELATIVE_FLOOR take the refinement-order
+    # branch, which the real graphs (all floored) never reach
+    residuals = {64: coarse, 128: 1.0e-8}
+    assert min(residuals.values()) > acceptance.RELATIVE_FLOOR
+    monkeypatch.setattr(
+        acceptance, "product_integral", lambda surface, resolution, tol:
+        SimpleNamespace(relative_residual=residuals[resolution]))
+    verdict = acceptance.criterion_product_integral()
+    assert verdict.passed is passed
+    orders = [d for d in verdict.details if "refinement order" in d]
+    assert len(orders) == len(acceptance.PRODUCT_GRAPH_SCENARIOS)
+    order = math.log2(coarse / 1.0e-8)
+    assert all(d.endswith(f"refinement order {order:.2f}") for d in orders)
+    assert all(d.startswith("ok  " if passed else "BAD ") for d in orders)
+    assert not any("floored" in d for d in verdict.details)

@@ -1,15 +1,16 @@
 """Ambient spaces: metrics, connections, curvature fields, Killing data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from reference_routes import (CONFORMAL_KILLING_TOLERANCE, christoffel_fd,
+                              curvature_operator_fd, verify_conformal_killing)
 
-from prodsurf.ambient import (ambient_keys, christoffel_fd,
-                              curvature_operator_fd, flat_torus,
-                              hyperbolic_plane, make_ambient, projective_plane,
-                              round_sphere, round_three_sphere,
-                              verify_conformal_killing)
+from prodsurf.ambient import (ambient_keys, flat_torus, hyperbolic_plane,
+                              make_ambient, projective_plane, round_sphere,
+                              round_three_sphere)
 from prodsurf.errors import ParameterOutOfRange
-from prodsurf.reports import TOLERANCES
 
 ALL_KEYS = ("S2xR", "S2xR1", "RP2xR", "RP2xR1", "H2xR", "H2xR1",
             "T2xR", "T2xR1", "S3xR", "S3xR1",
@@ -166,21 +167,77 @@ def test_hopf_field_is_unit_length():
     assert ambient.killing.conformal_factor == 0.0
 
 
+def _killing_points(ambient):
+    rng = np.random.default_rng(5)
+    return np.stack([rng.uniform(0.6, 1.1, size=6)
+                     for _ in range(ambient.dim)], axis=-1)
+
+
 @pytest.mark.parametrize("key", ambient_keys())
 def test_distinguished_fields_satisfy_conformal_equation(key):
     ambient = make_ambient(key)
-    rng = np.random.default_rng(5)
-    pts = np.stack([rng.uniform(0.6, 1.1, size=6)
-                    for _ in range(ambient.dim)], axis=-1)
-    result = verify_conformal_killing(ambient, pts)
+    result = verify_conformal_killing(ambient, _killing_points(ambient))
     assert result.passed, result
 
 
-def test_conformal_killing_check_defaults_to_the_tolerance_record():
+def test_conformal_killing_check_defaults_to_its_tolerance():
     pts = np.array([[0.7, 0.9, 1.0]])
     result = verify_conformal_killing(make_ambient("S2xR"), pts)
-    assert result.tolerance == TOLERANCES.conformal_killing == 1e-7
-    assert TOLERANCES.scaled(10.0).conformal_killing == 1e-7
+    assert result.tolerance == CONFORMAL_KILLING_TOLERANCE == 1e-7
+
+
+def _with_killing(ambient, **changes):
+    return dataclasses.replace(
+        ambient, killing=dataclasses.replace(ambient.killing, **changes))
+
+
+def _scaled_field(ambient, scale):
+    field_at = ambient.killing.field_at
+    return _with_killing(ambient, field_at=lambda x: scale * field_at(x))
+
+
+def _scaled_chi_component(ambient):
+    # the d/dchi part of the Hopf field alone: no longer a Killing field
+    field_at = ambient.killing.field_at
+    return _with_killing(ambient, field_at=lambda x: field_at(x)
+                         * np.array([1.0 + 1e-3, 1.0, 1.0]))
+
+
+def _scaled_phi(ambient):
+    return _with_killing(ambient, conformal_factor=(
+        ambient.killing.conformal_factor * (1.0 + 1e-3)))
+
+
+def _shifted_phi(ambient):
+    # phi = 0 is left as it is by a scale
+    return _with_killing(ambient, conformal_factor=1e-3)
+
+
+@pytest.mark.parametrize("key,defect", [
+    ("R3_homothetic", lambda a: _scaled_field(a, 1.0 + 1e-3)),
+    ("R3_homothetic", _scaled_phi),
+    ("S3_hopf", _scaled_chi_component),
+    ("S3_hopf", _shifted_phi),
+], ids=["R3_homothetic-field", "R3_homothetic-phi",
+        "S3_hopf-field", "S3_hopf-phi"])
+def test_conformal_killing_check_catches_a_defective_field(key, defect):
+    # the check differentiates field_at itself: a field or factor off by
+    # 1e-3 leaves a residual of order 1e-3, a clean one stays at rounding
+    ambient = make_ambient(key)
+    pts = _killing_points(ambient)
+    clean = verify_conformal_killing(ambient, pts)
+    assert clean.passed and clean.max_residual <= 1e-9, clean
+    result = verify_conformal_killing(defect(ambient), pts)
+    assert not result.passed and result.max_residual > 1e-4, result
+
+
+def test_a_scaled_killing_field_is_still_killing():
+    # a constant multiple of the Hopf field is Killing too, so the check
+    # must not read a uniform scale as a defect
+    ambient = make_ambient("S3_hopf")
+    result = verify_conformal_killing(_scaled_field(ambient, 1.0 + 1e-3),
+                                      _killing_points(ambient))
+    assert result.passed and result.max_residual <= 1e-9, result
 
 
 def test_projective_plane_halves_the_sphere():

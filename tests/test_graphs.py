@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import closed_form_gradient_sq
 
 from prodsurf.ambient import make_product, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
@@ -21,7 +22,7 @@ from prodsurf.errors import (NotSpacelike, ParameterOutOfRange, SingularPoint,
 from prodsurf.graphs import (RadialSolution,
                              check_curvature_range, closed_form_f,
                              closed_form_f_double_prime, closed_form_f_prime,
-                             closed_form_gradient_sq, closed_form_match,
+                             closed_form_match,
                              completeness_criterion,
                              corollary_equation_residual, graph_curvature,
                              radial_graph, radial_ode_rhs, solve_radial,

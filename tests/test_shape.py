@@ -1,10 +1,12 @@
 """Hypersurface frames: frozen closed-form geometries and orientation."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
+from reference_routes import graph_second_form, graph_theta
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
@@ -13,9 +15,8 @@ from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
-from prodsurf.shape import (ORIENTATION_POLICIES, GraphSurface, ParamSurface,
-                            default_orientation, frame_at, graph_second_form,
-                            graph_theta, intrinsic_curvature_oracle)
+from prodsurf.shape import (GraphSurface, ParamSurface, default_orientation,
+                            frame_at, intrinsic_curvature_oracle)
 from prodsurf.zoo import _ellipsoid_jet, instantiate, scenario_names
 
 
@@ -82,18 +83,28 @@ def test_default_orientation_policies():
     assert default_orientation(make_ambient("S2xR")) == "theta_nonpositive"
     assert default_orientation(make_ambient("S2xR1")) == "future"
     assert default_orientation(make_ambient("R3_homothetic")) == "adjugate"
-    assert ORIENTATION_POLICIES == ("adjugate", "future", "theta_nonpositive")
+
+
+def _reversed_longitude(surface: ParamSurface) -> ParamSurface:
+    """The same surface in the chart ``(theta, phi) -> (theta, -phi)``."""
+    flip = np.array([1.0, -1.0])
+
+    def jet(s):
+        x, dx, ddx = surface.jet(s * flip)
+        return x, dx * flip[:, None], ddx * np.outer(flip, flip)[..., None]
+
+    return dataclasses.replace(surface, name="reversed", jet=jet)
 
 
 def test_opposite_orientation_flips_odd_quantities(zoo):
-    # the slice's adjugate normal has Theta = +1, the default policy's -1
-    surface, grid, _ = zoo("slice_S2xR_t0.7", 16)
-    flipped = GraphSurface(name="flipped", ambient=surface.ambient,
-                           u=surface.u, du=surface.du, d2u=surface.d2u,
-                           orientation="adjugate")
+    # the space form keeps the adjugate normal, which the reversed chart
+    # turns around: the sphere's Theta = +1 becomes -1 at the same points
+    surface, grid, _ = zoo("sphere_R3_homothetic", 16)
+    flipped = _reversed_longitude(surface)
     fr = frame_at(surface, grid.nodes)
-    fr2 = frame_at(flipped, grid.nodes)
-    assert np.allclose(fr.theta, -1.0) and np.allclose(fr2.theta, 1.0)
+    fr2 = frame_at(flipped, grid.nodes * np.array([1.0, -1.0]))
+    assert np.array_equal(fr2.point, fr.point)
+    assert np.allclose(fr.theta, 1.0) and np.allclose(fr2.theta, -1.0)
     assert np.allclose(fr2.theta, -fr.theta)
     assert np.allclose(fr2.normal, -fr.normal)
     # scalar curvature is even in the normal
@@ -562,7 +573,7 @@ def test_tiny_round_sphere_has_a_frame():
     assert np.allclose(fr.theta, r, rtol=1e-12)
 
 
-def _bent_product_surface(orientation: str = "") -> ParamSurface:
+def _bent_product_surface() -> ParamSurface:
     """{theta = pi/2 + 0.2 t^2} in S^2 x R; its <N, T> changes sign at t = 0."""
     axes = (AxisSpec("phi", 0.0, 2.0 * math.pi, "periodic"),
             AxisSpec("t", -1.0, 1.0, "open"))
@@ -579,15 +590,14 @@ def _bent_product_surface(orientation: str = "") -> ParamSurface:
         return x, dx, ddx
 
     return ParamSurface(name="bent_cylinder", ambient=make_ambient("S2xR"),
-                        axes=axes, jet=jet, compact=False, orientation=orientation)
+                        axes=axes, jet=jet, compact=False)
 
 
 def test_theta_policy_rejects_a_sign_change_of_theta():
-    nodes = QuadratureGrid.build(_bent_product_surface().axes, 16).nodes
+    surface = _bent_product_surface()
+    nodes = QuadratureGrid.build(surface.axes, 16).nodes
     with pytest.raises(DegenerateFrame, match="bent_cylinder.*theta_nonpositive"):
-        frame_at(_bent_product_surface("theta_nonpositive"), nodes)
-    fr = frame_at(_bent_product_surface("adjugate"), nodes)
-    assert np.min(fr.theta) < 0.0 < np.max(fr.theta)
+        frame_at(surface, nodes)
 
 
 def test_theta_policy_rejects_a_sign_change_across_blocks(monkeypatch):
@@ -640,8 +650,7 @@ def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
         return x, dx, ddx
 
     surface = ParamSurface(name="half_vertical", ambient=make_ambient("S2xR"),
-                           axes=axes, jet=jet, compact=False,
-                           orientation="theta_nonpositive")
+                           axes=axes, jet=jet, compact=False)
     nodes = np.swapaxes(QuadratureGrid.build(axes, 16).nodes, 0, 1)
     one_block = frame_at(surface, nodes)
     monkeypatch.setattr(shape, "_BLOCK", 64)
@@ -690,8 +699,7 @@ def test_tangent_plane_through_a_chart_pole_is_degenerate():
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
     surface = ParamSurface(name="meridian_strip", ambient=make_ambient("S2xR"),
-                           axes=axes, jet=jet, compact=False,
-                           orientation="adjugate")
+                           axes=axes, jet=jet, compact=False)
     s = np.array([[0.5, 0.1], [0.0, 0.1], [1.0, 0.1]])
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(DegenerateFrame, match=r"meridian_strip.*index \(1,\)"):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from prodsurf import _smallmat
 from prodsurf.ambient import make_ambient
 from prodsurf.calculus import FrameFields
 from prodsurf.errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
 from prodsurf.identities import run_suite
-from prodsurf.shape import GeometryFrame, frame_at
+from prodsurf.shape import frame_at
 from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, Scenario,
                           _graph_builder, cosine_profile, instantiate,
                           list_scenarios, scenario_names)
@@ -68,17 +69,19 @@ def test_graph_over_a_quotient_base_must_be_antipodally_even():
 
 
 def test_cylinder_default_orientation_is_the_adjugate_normal(zoo):
-    # <N, T> is exactly 0.0 on the cylinder, so the default policy leaves
-    # the adjugate normal as it is
+    # <N, T> is exactly 0.0 on the cylinder, so the product's policy leaves
+    # the adjugate normal as it is: G^-1 w normalized, w the covector that
+    # annihilates the tangents
     surface, grid, _ = zoo("cylinder_S2xR")
     default = frame_at(surface, grid.nodes)
     assert np.all(default.theta == 0.0)
-    adjugate = frame_at(dataclasses.replace(surface, orientation="adjugate"),
-                        grid.nodes)
-    assert surface.orientation != "adjugate"
-    for f in dataclasses.fields(GeometryFrame):
-        ours, theirs = getattr(default, f.name), getattr(adjugate, f.name)
-        assert ours.tobytes() == theirs.tobytes(), f.name
+    x, tx, _ = surface.jet(grid.nodes)
+    w = _smallmat.generalized_cross(tx)
+    raw = np.einsum("...ab,...b->...a", surface.ambient.metric_inverse_at(x), w)
+    length = np.sqrt(np.abs(np.einsum("...a,...a->...", w, raw)))
+    adjugate = raw / length[..., None]
+    assert np.max(np.abs(adjugate)) > 0.5
+    assert np.allclose(default.normal, adjugate, rtol=0.0, atol=1e-15)
 
 
 def test_catalog_descriptions_and_expected_notes():
