@@ -114,25 +114,23 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
 def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     """Scalar curvature: metric-only stencil oracle vs the Gauss equation.
 
-    The reference value is the frame pipeline's ``scalar_curvature`` (exact
-    given analytic jets), the ``S`` that the balance laws and the sign
-    harness consume.  In product ambients the product-space expansion
-    ``(n-2) kappa + 2 kappa Theta^2 + 2 eps e_2(A)``, with the base's
-    constant Ricci factor ``kappa`` and ``e_2(A) = ((tr A)^2 -
-    tr A^2) / 2`` taken from the frame's shape operator, must match that
-    ``S`` too.  The expansion has no stencil, so its residual is judged on
-    its own against ``residual_floor``, and the result's ``passed`` carries
-    that verdict; the order verdict of ``max_residual`` is the oracle's.
+    The oracle's ``S``, in every dimension, is compared with the frame
+    pipeline's ``scalar_curvature`` (exact given analytic jets), the ``S``
+    that the balance laws and the sign harness consume.  In product ambients
+    the product-space expansion ``(n-2) kappa + 2 kappa Theta^2 + 2 eps
+    e_2(A)``, with the base's constant Ricci factor ``kappa`` and ``e_2(A) =
+    ((tr A)^2 - tr A^2) / 2`` taken from the frame's shape operator, must
+    match that ``S`` too.  The expansion has no stencil, so its residual is
+    judged on its own against ``residual_floor``, and the result's ``passed``
+    carries that verdict; the order verdict of ``max_residual`` is the
+    oracle's.
     """
     fr = fields.frame
     surface = fields.surface
     n = fr.dimension
     grid = fields.grid
-    step = np.array([0.5 * np.min(np.diff(z)) if len(z) > 1 else 1e-2
-                     for z in grid.nodes_1d])
+    step = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
     oracle = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
-    if n == 2:
-        oracle *= 2.0
     oracle -= fr.scalar_curvature
     residual = _max_abs(oracle)
     if surface.ambient.kind != "product":

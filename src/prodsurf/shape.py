@@ -43,9 +43,9 @@ orientation flip and the index of a degenerate point refer to the full
 batch, and the result depends neither on the block size nor on the number
 of workers.
 
-The module also hosts the *independent* intrinsic-curvature oracle: Gauss
-curvature by the Brioschi formula (n = 2) and the scalar curvature by direct
-finite differencing of the induced metric (n = 3).  The oracle never touches
+The module also hosts the *independent* intrinsic-curvature oracle: the
+scalar curvature ``S`` (``2K`` when n = 2), by one route in every dimension,
+direct finite differencing of the induced metric.  The oracle never touches
 normals or second fundamental forms, so agreement with the frame values is a
 genuine two-route check of the Gauss equation.  Its samples of the metric
 come from ``induced_metric_sampler``: each folds the parameters back into
@@ -56,16 +56,17 @@ graphs the oracle does not even share the frame's metric contraction.  The
 metric derivatives come from a single pass over a stencil lattice around
 the evaluation points: each lattice point is sampled once, added with its
 weights to every derivative that uses it, and dropped; each derivative is
-summed in a contiguous accumulator and written once into the jet.  Mixed
-second derivatives use the 8-point diagonal stencil ``_MIXED_TABLE``, so
-one pass takes 17 metric samples for n = 2 and 49 for n = 3.  Like
-``frame_at``, the oracle runs the flattened batch in blocks of ``_BLOCK``
-points through ``_block_map``; it is pointwise, so the result depends
-neither on the block size nor on the number of workers.
+summed in a contiguous accumulator and written once into the jet.  Pure-axis
+derivatives take the order ``_PURE_ORDER[n]`` and mixed second derivatives
+the 8-point diagonal stencil ``_MIXED_TABLE``: 17 metric samples for n = 2
+and 49 for n = 3.  Like ``frame_at``, the oracle runs the flattened batch in
+blocks of ``_BLOCK`` points through ``_block_map``; it is pointwise, so the
+result depends neither on the block size nor on the number of workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -396,7 +397,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # against the product of the squared Euclidean lengths of its tangents
     scale = np.cumprod(np.einsum("...ia,...ia->...i", tx, tx), axis=-1)
     for k in range(n):
-        minor = g[..., 0, 0] if k == 0 else _smallmat.det(g[..., :k + 1, :k + 1])
+        minor = _smallmat.det(g[..., :k + 1, :k + 1])
         bad = ~(minor > _DEGENERACY_TOL * scale[..., k])
         if np.any(bad):
             at = where(bad)
@@ -583,13 +584,18 @@ def induced_metric_sampler(surface) -> Callable[[np.ndarray], np.ndarray]:
     return sample
 
 
-# High-order centered stencils, selectable by accuracy order.  Near chart
+# High-order centered stencils, selectable by accuracy order, and the order
+# the oracle's pure-axis derivatives take in each dimension.  Near chart
 # poles 1/sin^2 factors in the inverse metric amplify truncation error by
 # powers of the distance to the pole: second-order stencils stall under grid
 # refinement, and at a double pole (two polar axes meeting, amplification
 # ~ m^8 at resolution m) even fourth order grows like m.  Eighth-order
 # stencils keep the pure-axis truncation decaying ~ m^-11, which beats the
-# amplification everywhere on the grids used here.
+# amplification everywhere on the grids used here, so n = 3 takes them.  At
+# n = 2 they drive the rows next to a pole into rounding, which enters
+# through 1/h^2 and grows under refinement (orders -3.99 on
+# sphere_R3_homothetic, -4.36 on geodesic_sphere_S3): n = 2 takes order 4.
+_PURE_ORDER = {2: 4, 3: 8}
 _D1_TABLES = {
     4: ((-2, -1, 1, 2),
         (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
@@ -670,104 +676,75 @@ def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int
     return g, dg, ddg
 
 
-def _brioschi(g_at: Callable, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gauss curvature of a 2d metric by the Brioschi determinant formula."""
-    g00, dg, ddg = _metric_jet(g_at, s, h, pure_order=4)
-    du, dv = dg[..., 0, :, :], dg[..., 1, :, :]
-    E, F, Gc = g00[..., 0, 0], g00[..., 0, 1], g00[..., 1, 1]
-    E_u, F_u, G_u = du[..., 0, 0], du[..., 0, 1], du[..., 1, 1]
-    E_v, F_v, G_v = dv[..., 0, 0], dv[..., 0, 1], dv[..., 1, 1]
-    E_vv = ddg[..., 1, 1, 0, 0]
-    G_uu = ddg[..., 0, 0, 1, 1]
-    F_uv = ddg[..., 0, 1, 0, 1]
-
-    batch = E.shape
-    M1 = np.zeros(batch + (3, 3))
-    M1[..., 0, 0] = -0.5 * E_vv + F_uv - 0.5 * G_uu
-    M1[..., 0, 1] = 0.5 * E_u
-    M1[..., 0, 2] = F_u - 0.5 * E_v
-    M1[..., 1, 0] = F_v - 0.5 * G_u
-    M1[..., 1, 1] = E
-    M1[..., 1, 2] = F
-    M1[..., 2, 0] = 0.5 * G_v
-    M1[..., 2, 1] = F
-    M1[..., 2, 2] = Gc
-    M2 = np.zeros(batch + (3, 3))
-    M2[..., 0, 1] = M2[..., 1, 0] = 0.5 * E_v
-    M2[..., 0, 2] = M2[..., 2, 0] = 0.5 * G_u
-    M2[..., 1, 1] = E
-    M2[..., 1, 2] = M2[..., 2, 1] = F
-    M2[..., 2, 2] = Gc
-    denom = (E * Gc - F * F) ** 2
-    return (_smallmat.det(M1) - _smallmat.det(M2)) / denom
-
-
 def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray
                          ) -> np.ndarray:
     """Scalar curvature of an n-dim metric by direct finite differencing.
 
-    Pure-axis metric derivatives come from eighth-order centered stencils
-    (needed where two polar axes meet, see the stencil tables above); mixed
-    second derivatives, whose amplified truncation error stays benign, use
-    the cheaper fourth-order 8-point diagonal stencil ``_MIXED_TABLE``.
-    All of them are read from one pass of :func:`_metric_jet`, which
-    samples each lattice point once: 1 centre + 8 per axis + 8 per axis
-    pair, 49 samples for n = 3.  With the curvature sign convention of
-    :mod:`prodsurf.ambient`,
+    The metric and its partials come from one pass of :func:`_metric_jet`
+    at the pure-axis order ``_PURE_ORDER[n]``.  With the curvature sign
+    convention of :mod:`prodsurf.ambient`,
 
         S = g^ac (d_b Gam^b_ac - d_a Gam^b_bc + Gam^e_ac Gam^b_be
                   - Gam^e_bc Gam^b_ae),
 
-    assembled from the traces it needs in closed form, without the
-    derivatives of every Christoffel symbol or the Riemann tensor:
-    ``Gam^b_bc = g^bl d_c g_bl / 2`` and
+    which is ``2K`` when n = 2.  It is assembled from the traces it needs
+    in closed form, without the derivatives of every Christoffel symbol or
+    the Riemann tensor: ``Gam^b_bc = g^bl d_c g_bl / 2`` and
     ``d_b Gam^b_ac = d_b g^bl [l, ac] + g^bl d_b [l, ac]`` with the
-    Christoffel symbols of the first kind ``[l, ac]``.
+    Christoffel symbols of the first kind ``[l, ac]``.  The index ranges
+    are tiny, so each tensor is a dict of contiguous batch arrays, one per
+    index tuple, and each contraction a sum of elementwise products.
     """
-    g0, dg, ddg = _metric_jet(g_at, s, h, pure_order=8)
+    n = s.shape[-1]
+    g0, dg, ddg = _metric_jet(g_at, s, h, _PURE_ORDER[n])
     ginv = _smallmat.inv(g0)
-    # M[..., a, :, :] = g^-1 d_a g, so that d_a g^-1 = -M[..., a, :, :] g^-1
-    M = ginv[..., None, :, :] @ dg
-    # first kind [l, ac] = (d_a g_lc + d_c g_la - d_l g_ac) / 2, in [..., l, a, c]
-    lowered = np.swapaxes(dg, -3, -2)
-    first = 0.5 * (lowered + np.swapaxes(lowered, -1, -2) - dg)
-    Gam = np.einsum("...kl,...lac->...kac", ginv, first)
-    trace_gam = 0.5 * np.einsum("...cbb->...c", M)              # Gam^b_bc
-    first_g = np.einsum("...lac,...ac->...l", first, ginv)      # g^ac [l, ac]
-    div_ginv = -np.einsum("...bbn,...nl->...l", M, ginv)        # d_b g^bl
+    r = range(n)
+    pairs = list(itertools.product(r, repeat=2))
+    triples = list(itertools.product(r, repeat=3))
+    gi = {(i, j): ginv[..., i, j].copy() for i, j in pairs}
+    d = {(a, i, j): dg[..., a, i, j].copy() for a, i, j in triples}
+    # M[a, i, j] = (g^-1 d_a g)^i_j, so that d_a g^-1 = -M_a g^-1
+    M = {(a, i, j): sum(gi[i, k] * d[a, k, j] for k in r) for a, i, j in triples}
+    # first kind [l, ac] = (d_a g_lc + d_c g_la - d_l g_ac) / 2
+    first = {(l, a, c): 0.5 * (d[a, l, c] + d[c, l, a] - d[l, a, c])
+             for l, a, c in triples}
+    Gam = {(k, a, c): sum(gi[k, l] * first[l, a, c] for l in r)
+           for k, a, c in triples}
+    # Gam^b_bc, g^ac [l, ac] and d_b g^bl
+    trace_gam = [0.5 * sum(M[c, b, b] for b in r) for c in r]
+    first_g = [sum(first[l, a, c] * gi[a, c] for a, c in pairs) for l in r]
+    div_ginv = [-sum(M[b, b, m] * gi[m, l] for b, m in pairs) for l in r]
     # g^ac g^bl (d_b d_a g_lc - d_b d_l g_ac): the second partials of
     # g^ac g^bl d_b [l, ac] and of g^ac d_a Gam^b_bc, in one sum
-    ddg_g = (np.einsum("...balc,...ac->...bl", ddg, ginv)
-             - np.einsum("...blac,...ac->...bl", ddg, ginv))
-    MM = np.einsum("...aij,...cji->...ac", M, M)    # tr(M_a M_c)
-    return (np.einsum("...l,...l->...", div_ginv, first_g)
-            + np.einsum("...bl,...bl->...", ddg_g, ginv)
-            + 0.5 * np.einsum("...ac,...ac->...", MM, ginv)
-            + np.einsum("...el,...l,...e->...", ginv, first_g, trace_gam,
-                        optimize=_PAIRWISE)
-            - np.einsum("...bae,...ac,...ebc->...", Gam, ginv, Gam,
-                        optimize=_PAIRWISE))
+    ddg_g = sum(gi[b, l] * sum((ddg[..., b, a, l, c] - ddg[..., b, l, a, c])
+                               * gi[a, c] for a, c in pairs)
+                for b, l in pairs)
+    MM = sum(gi[a, c] * sum(M[a, i, j] * M[c, j, i] for i, j in pairs)
+             for a, c in pairs)                             # g^ac tr(M_a M_c)
+    return (sum(div_ginv[l] * first_g[l] for l in r) + ddg_g + 0.5 * MM
+            + sum(gi[e, l] * first_g[l] * trace_gam[e] for e, l in pairs)
+            - sum(Gam[b, a, e] * gi[a, c] * Gam[e, b, c]
+                  for b, a in pairs for e, c in pairs))
 
 
 def intrinsic_curvature_oracle(surface, s: np.ndarray,
                                step: float | np.ndarray = 1e-3) -> np.ndarray:
-    """Intrinsic curvature from metric samples alone.
+    """Scalar curvature ``S`` from metric samples alone (``2K`` when n = 2).
 
-    Returns the Gauss curvature for n = 2 (Brioschi formula, 17 metric
-    samples per point) and the scalar curvature for n = 3 (49 samples per
-    point).  ``step`` is the finite-difference step, a scalar or one value
-    per parameter axis.  The sampler is built once; the flattened batch is
-    then evaluated in contiguous blocks of ``_BLOCK`` points, up to
-    ``_WORKERS`` blocks at a time (see ``_block_map``), each block writing
-    its own slice of one output, so the metric samples held at a time do not
-    grow with the batch.  The oracle is pointwise, so the result depends
-    neither on the block size nor on the number of workers.
+    One route in every supported dimension, :func:`_fd_scalar_curvature`
+    (17 metric samples per point for n = 2, 49 for n = 3).  ``step`` is the
+    finite-difference step, a scalar or one value per parameter axis.  The
+    sampler is built once; the flattened batch is then evaluated in
+    contiguous blocks of ``_BLOCK`` points, up to ``_WORKERS`` blocks at a
+    time (see ``_block_map``), each block writing its own slice of one
+    output, so the metric samples held at a time do not grow with the
+    batch.  The oracle is pointwise, so the result depends neither on the
+    block size nor on the number of workers.
     """
     s = np.asarray(s, dtype=float)
     n = surface.dimension
-    if n not in (2, 3):
+    if n not in _PURE_ORDER:
         raise ValueError(f"oracle supports n = 2 or 3, got {n}")
-    curvature = _brioschi if n == 2 else _fd_scalar_curvature
     h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).astype(float)
     g_at = induced_metric_sampler(surface)
     flat = s.reshape(-1, s.shape[-1])
@@ -776,7 +753,7 @@ def intrinsic_curvature_oracle(surface, s: np.ndarray,
 
     def block(start: int) -> None:
         rows = slice(start, start + size)
-        out[rows] = curvature(g_at, flat[rows], h)
+        out[rows] = _fd_scalar_curvature(g_at, flat[rows], h)
 
     for _ in _block_map(block, range(0, flat.shape[0], size)):
         pass

@@ -1,10 +1,14 @@
-"""Every name a package module exports is used by the package or its tools.
+"""Every name a package module exports or defines at top level is used by
+the package or its tools.
 
 A helper that only tests call belongs with the tests (see
-``reference_routes``).  This scan reads the sources with ``ast``: a name
-counts as used when some top-level statement of ``src/``, ``scripts/`` or
-``perfbench/`` other than its own definition reads it, as a bare name or
-as an attribute.  Imports and the strings of ``__all__`` do not count.
+``reference_routes``), and one that a deletion leaves without callers goes
+with it.  This scan reads the sources with ``ast``: a name counts as used
+when some top-level statement of ``src/``, ``scripts/`` or ``perfbench/``
+other than its own definition reads it, as a bare name or as an attribute.
+Imports and the strings of ``__all__`` do not count.  The top-level names
+are every def, class and assignment of a package module, private ones
+included.
 """
 
 import ast
@@ -31,6 +35,8 @@ def _defined(node: ast.stmt) -> set[str]:
         return {node.name}
     if isinstance(node, ast.Assign):
         return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
     return set()
 
 
@@ -52,6 +58,10 @@ def _used_names() -> set[str]:
 
 EXPORTS = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
            for name in _exports(path) if not name.startswith("__")]
+DEFINED = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+           for stmt in ast.parse(path.read_text()).body
+           for name in sorted(_defined(stmt))
+           if not name.startswith("__") and name not in _exports(path)]
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +72,19 @@ def used():
 def test_every_package_module_is_scanned():
     assert {module for module, _ in EXPORTS} >= {
         "ambient", "calculus", "graphs", "identities", "shape", "zoo"}
+    assert {module for module, _ in DEFINED} >= {
+        path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 
 @pytest.mark.parametrize("module,name", EXPORTS,
                          ids=[f"{m}.{n}" for m, n in EXPORTS])
 def test_exported_name_is_used_outside_its_definition(used, module, name):
     assert name in used, (f"{module}.{name} is exported but nothing in src/, "
+                          "scripts/ or perfbench/ reads it")
+
+
+@pytest.mark.parametrize("module,name", DEFINED,
+                         ids=[f"{m}.{n}" for m, n in DEFINED])
+def test_top_level_name_is_used_outside_its_definition(used, module, name):
+    assert name in used, (f"{module}.{name} is defined but nothing in src/, "
                           "scripts/ or perfbench/ reads it")

@@ -13,7 +13,7 @@ from prodsurf.errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
 from prodsurf.identities import run_suite
-from prodsurf.shape import frame_at
+from prodsurf.shape import frame_at, intrinsic_curvature_oracle
 from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, Scenario,
                           _graph_builder, cosine_profile, instantiate,
                           list_scenarios, scenario_names)
@@ -124,6 +124,14 @@ def test_expected_values_are_reproduced(name, zoo):
             assert verdict.sampled_max <= want + 1e-10
         else:
             assert np.max(np.abs(got[key] - want)) < 5e-6, (name, key)
+        if (key in ("scalar_curvature", "gauss_curvature")
+                and not isinstance(want, str)):
+            # the metric-only oracle is a second route to S = 2K; at its
+            # default step it is off by at most 1.1e-7 at 24 (measured on
+            # sphere_R3_homothetic, the worst scenario)
+            S = want if key == "scalar_curvature" else 2.0 * want
+            oracle = intrinsic_curvature_oracle(surface, grid.nodes)
+            assert np.max(np.abs(oracle - S)) < 1e-6, (name, key, "oracle")
 
 
 def test_geodesic_sphere_expected_formula_evaluates():
