@@ -55,17 +55,23 @@ reads its height's first partials only, ``g = g_M + eps du (x) du``, so for
 graphs the oracle does not even share the frame's metric contraction.  The
 metric derivatives come from a single pass over a stencil lattice around
 the evaluation points: each lattice point is sampled once, added with its
-weights to every derivative that uses it, and dropped; each derivative is
-summed in a contiguous accumulator and written once into the jet.  Pure-axis
-derivatives take the order ``_PURE_ORDER[n]`` and mixed second derivatives
-the 8-point diagonal stencil ``_MIXED_TABLE``: 17 metric samples for n = 2
-and 49 for n = 3.  Like ``frame_at``, the oracle runs the flattened batch in
-blocks of ``_BLOCK`` points through ``_block_map``; it is pointwise, so the
-result depends neither on the block size nor on the number of workers.
+weights to every derivative that uses it, and dropped after its last use;
+each derivative is summed in a contiguous accumulator and written once into
+the jet.  Pure-axis derivatives take the order ``_PURE_ORDER[n]`` and mixed
+second derivatives the 8-point diagonal stencil ``_MIXED_TABLE``: 17 metric
+samples per point for n = 2 and 49 for n = 3.  Where the input's last array
+axis is a whole ring of a periodic last chart axis, sampled at twice the
+oracle step (the grids of ``check_gauss_scalar``), the offsets along it land
+on the ring's doubled lattice and neighbouring points share their samples:
+8 per point for n = 2 and 30 for n = 3.  Like ``frame_at``, the oracle runs
+the flattened batch in blocks of ``_BLOCK`` points (whole rings) through
+``_block_map``; a ring depends on no other, so the result depends neither
+on the block size nor on the number of workers.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
@@ -621,18 +627,30 @@ _MIXED_TABLE = (
 )
 
 
-def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int
+def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int,
+                ring: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Metric and its first and second partials from one pass of samples.
 
     Returns ``(g, dg, ddg)`` with ``dg[..., a, i, j] = d_a g_ij`` and
     ``ddg[..., a, b, i, j] = d_a d_b g_ij``.  Pure-axis derivatives use the
     centered stencils of order ``pure_order``; mixed second derivatives use
-    the fourth-order 8-point diagonal stencil ``_MIXED_TABLE``.  Every
-    lattice point is sampled once and added, with its weight, to each
-    derivative that uses it; only the centre sample is kept (it is ``g``).
-    With the tables above that is ``1 + n * pure_order + 8 * n (n - 1) / 2``
-    samples: 17 for n = 2 at order 4, 49 for n = 3 at order 8.
+    the fourth-order 8-point diagonal stencil ``_MIXED_TABLE``.  Each
+    distinct sample is evaluated once, as one batch ``g_at(s + key * h)``,
+    read by every stencil offset that lands on it, and dropped after its
+    last reader; only the centre batch is kept (it is ``g``).
+
+    ``ring`` is ``None`` or the length ``L`` of the rings the rows of ``s``
+    form: consecutive runs of ``L`` points that go once around the periodic
+    last chart axis at the spacing ``2 h[-1]``, the other coordinates fixed
+    along each run.  Without rings every offset is its own batch:
+    ``1 + n * pure_order + 8 * n (n - 1) / 2`` samples per point, 17 for
+    n = 2 at order 4 and 49 for n = 3 at order 8.  On rings an offset
+    ``o`` reads the batch keyed by its leading offsets and the parity ``p``
+    of ``o[-1]``, rolled by ``shift = (o[-1] - p) / 2`` nodes along the
+    ring (two slices, no copy): on the periodic axis ``s_j + o[-1] h[-1]``
+    is ``s_(j + shift) + p h[-1]``, up to the rounding of the coordinates.
+    That is 8 samples per point for n = 2 and 30 for n = 3.
 
     Each derivative is summed from zero, in table order, in a contiguous
     ``(..., n, n)`` accumulator, each term formed in one reused product
@@ -641,48 +659,86 @@ def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[-1]
+    length = ring or 1
+    lattice = (-1, length, n, n)
 
-    def sample(*offsets: tuple[int, int]) -> np.ndarray:
-        off = np.zeros(n)
-        for axis, mult in offsets:
-            off[axis] += mult * h[axis]
-        return g_at(s + off)
+    def along(*steps: tuple[int, int]) -> tuple[int, ...]:
+        off = [0] * n
+        for axis, mult in steps:
+            off[axis] += mult
+        return tuple(off)
 
-    g = sample()
+    def locate(off: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The batch an offset reads and its shift along the ring."""
+        if ring is None:
+            return off, 0
+        parity = off[-1] % 2
+        return off[:-1] + (parity,), (off[-1] - parity) // 2
+
+    pure_steps, pure_w2 = _D2_TABLES[pure_order]
+    pure = [[along((a, m)) for m in pure_steps] for a in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    mixed = [[along((a, ma), (b, mb)) for ma, mb in _MIXED_TABLE[0]]
+             for a, b in pairs]
+    centre = along()
+    readers = collections.Counter(locate(off)[0]
+                                  for row in pure + mixed for off in row)
+    readers[centre] += 1                  # the returned g holds it too
+    g = g_at(s + np.multiply(centre, h))
+    batches = {centre: g.reshape(lattice)}
     dg = np.empty(g.shape[:-2] + (n, n, n))
     ddg = np.empty(g.shape[:-2] + (n, n, n, n))
     d1 = dict(zip(*_D1_TABLES[pure_order]))
     first = np.empty_like(g)        # contiguous accumulators, one block each
     second = np.empty_like(g)
     term = np.empty_like(g)         # the weighted sample being added
+    term_lattice = term.reshape(lattice)
+
+    def add(off: tuple[int, ...], terms: list[tuple[float, np.ndarray]]
+            ) -> None:
+        """Add the sample at ``off``, times each ``w``, into its ``acc``."""
+        key, shift = locate(off)
+        if key not in batches:
+            batches[key] = g_at(s + np.multiply(key, h)).reshape(lattice)
+        batch = batches[key]
+        k = shift % length
+        for w, acc in terms:
+            np.multiply(w, batch[:, k:], out=term_lattice[:, :length - k])
+            if k:
+                np.multiply(w, batch[:, :k], out=term_lattice[:, length - k:])
+            acc += term
+        readers[key] -= 1
+        if not readers[key]:
+            del batches[key]
+
     for a in range(n):
         first.fill(0.0)
         second.fill(0.0)
         # the second-derivative offsets contain the first-derivative ones
-        for m, w2 in zip(*_D2_TABLES[pure_order]):
-            gm = g if m == 0 else sample((a, m))
+        for off, m, w2 in zip(pure[a], pure_steps, pure_w2):
+            terms = [(w2, second)]
             if m in d1:
-                first += np.multiply(d1[m], gm, out=term)
-            second += np.multiply(w2, gm, out=term)
+                terms.append((d1[m], first))
+            add(off, terms)
         np.divide(first, h[a], out=dg[..., a, :, :])
         np.divide(second, h[a] ** 2, out=ddg[..., a, a, :, :])
-    for a in range(n):
-        for b in range(a + 1, n):
-            second.fill(0.0)
-            for (ma, mb), w in zip(*_MIXED_TABLE):
-                second += np.multiply(w, sample((a, ma), (b, mb)), out=term)
-            np.divide(second, h[a] * h[b], out=ddg[..., a, b, :, :])
-            ddg[..., b, a, :, :] = ddg[..., a, b, :, :]
+    for (a, b), row in zip(pairs, mixed):
+        second.fill(0.0)
+        for off, w in zip(row, _MIXED_TABLE[1]):
+            add(off, [(w, second)])
+        np.divide(second, h[a] * h[b], out=ddg[..., a, b, :, :])
+        ddg[..., b, a, :, :] = ddg[..., a, b, :, :]
     return g, dg, ddg
 
 
-def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray
-                         ) -> np.ndarray:
+def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray,
+                         ring: int | None = None) -> np.ndarray:
     """Scalar curvature of an n-dim metric by direct finite differencing.
 
     The metric and its partials come from one pass of :func:`_metric_jet`
-    at the pure-axis order ``_PURE_ORDER[n]``.  With the curvature sign
-    convention of :mod:`prodsurf.ambient`,
+    at the pure-axis order ``_PURE_ORDER[n]``, sharing its samples along
+    the rings of ``s`` when ``ring`` gives their length.  With the curvature
+    sign convention of :mod:`prodsurf.ambient`,
 
         S = g^ac (d_b Gam^b_ac - d_a Gam^b_bc + Gam^e_ac Gam^b_be
                   - Gam^e_bc Gam^b_ae),
@@ -696,7 +752,7 @@ def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray
     index tuple, and each contraction a sum of elementwise products.
     """
     n = s.shape[-1]
-    g0, dg, ddg = _metric_jet(g_at, s, h, _PURE_ORDER[n])
+    g0, dg, ddg = _metric_jet(g_at, s, h, _PURE_ORDER[n], ring)
     ginv = _smallmat.inv(g0)
     r = range(n)
     pairs = list(itertools.product(r, repeat=2))
@@ -727,19 +783,48 @@ def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray
                   for b, a in pairs for e, c in pairs))
 
 
+def _ring_length(axis: AxisSpec, s: np.ndarray, h: float) -> int | None:
+    """Length of the last array axis of ``s`` if it forms rings, else None.
+
+    A ring runs exactly once around the periodic last chart axis ``axis``,
+    in increasing order at the uniform spacing ``2 h``, with the other
+    coordinates fixed along it.
+    """
+    if axis.kind != "periodic" or s.ndim < 2 or not s.size:
+        return None
+    z = s[..., -1]
+    gaps = np.diff(z, append=z[..., :1] + axis.period)
+    # uniform periodic nodes are at most 2 ulps of the period off their spacing
+    tol = 4.0 * np.spacing(abs(axis.lo) + axis.period)
+    if np.any(np.abs(gaps - 2.0 * h) > tol):
+        return None
+    fixed = s[..., :-1]
+    if not np.array_equal(fixed, np.broadcast_to(fixed[..., :1, :],
+                                                 fixed.shape)):
+        return None
+    return s.shape[-2]
+
+
 def intrinsic_curvature_oracle(surface, s: np.ndarray,
                                step: float | np.ndarray = 1e-3) -> np.ndarray:
     """Scalar curvature ``S`` from metric samples alone (``2K`` when n = 2).
 
-    One route in every supported dimension, :func:`_fd_scalar_curvature`
-    (17 metric samples per point for n = 2, 49 for n = 3).  ``step`` is the
-    finite-difference step, a scalar or one value per parameter axis.  The
-    sampler is built once; the flattened batch is then evaluated in
-    contiguous blocks of ``_BLOCK`` points, up to ``_WORKERS`` blocks at a
-    time (see ``_block_map``), each block writing its own slice of one
-    output, so the metric samples held at a time do not grow with the
-    batch.  The oracle is pointwise, so the result depends neither on the
-    block size nor on the number of workers.
+    One route in every supported dimension, :func:`_fd_scalar_curvature`.
+    ``step`` is the finite-difference step, a scalar or one value per
+    parameter axis.  When the last array axis of ``s`` runs exactly once
+    around a periodic last chart axis, in order, at the uniform spacing
+    ``2 * step``, with the other coordinates fixed along it (the grids of
+    ``check_gauss_scalar``), every stencil offset along that axis lands on
+    the ring's doubled lattice, and the jet shares its samples along the
+    ring: 8 metric samples per point for n = 2 and 30 for n = 3.  Any other
+    input samples every offset on its own: 17 per point for n = 2, 49 for
+    n = 3.  The sampler is built once; the flattened batch is then
+    evaluated in contiguous blocks of ``_BLOCK`` points (of whole rings,
+    at least one), up to ``_WORKERS`` blocks at a time (see
+    ``_block_map``), each block writing its own slice of one output, so
+    the metric samples held at a time do not grow with the batch.  A ring
+    depends on no other ring, so the result depends neither on the block
+    size nor on the number of workers.
     """
     s = np.asarray(s, dtype=float)
     n = surface.dimension
@@ -747,13 +832,15 @@ def intrinsic_curvature_oracle(surface, s: np.ndarray,
         raise ValueError(f"oracle supports n = 2 or 3, got {n}")
     h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).astype(float)
     g_at = induced_metric_sampler(surface)
+    ring = _ring_length(surface.axes[-1], s, h[-1])
     flat = s.reshape(-1, s.shape[-1])
     out = np.empty(flat.shape[0])
-    size = _BLOCK
+    length = ring or 1
+    size = length * max(1, _BLOCK // length)
 
     def block(start: int) -> None:
         rows = slice(start, start + size)
-        out[rows] = _fd_scalar_curvature(g_at, flat[rows], h)
+        out[rows] = _fd_scalar_curvature(g_at, flat[rows], h, ring)
 
     for _ in _block_map(block, range(0, flat.shape[0], size)):
         pass

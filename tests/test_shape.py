@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,94 @@ def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples)
     points = grid.nodes.reshape(-1, surface.dimension)[:4]
     intrinsic_curvature_oracle(surface, points)
     assert len(calls) == samples
+    # on whole rings at half the ring spacing, each block samples the
+    # doubled lattice of its rings once per leading offset and parity
+    calls.clear()
+    intrinsic_curvature_oracle(surface, grid.nodes, step=_ring_step(grid))
+    ring = grid.shape[-1]
+    blocks = math.ceil(grid.nodes[..., 0].size / (ring * (shape._BLOCK // ring)))
+    assert len(calls) == blocks * {2: 8, 3: 30}[surface.dimension]
+
+
+def _ring_step(grid) -> np.ndarray:
+    """The oracle step of check_gauss_scalar: half the closest node spacing."""
+    return np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
+
+
+@pytest.mark.parametrize("resolution", [16, 32])
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "torus_R3_homothetic",
+                                  "graph_S3xR_coschi02", "graph_T2xR_wave04"])
+def test_shared_ring_samples_equal_per_point_samples(zoo, name, resolution):
+    # the shared samples sit where the per-point ones do, up to the rounding
+    # of the sample coordinates: measured 0, 1.2e-13, 0 and 1.9e-13 at 32
+    # (the metrics of the first three do not depend on the ring coordinate);
+    # reading the ring one node off moves graph_T2xR_wave04 by 0.03 - 0.06
+    surface, grid, _ = zoo(name, resolution)
+    step = _ring_step(grid)
+    shared = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
+    per_point = intrinsic_curvature_oracle(
+        surface, grid.nodes.reshape(-1, surface.dimension), step=step)
+    assert np.max(np.abs(shared - per_point.reshape(shared.shape))) <= 5e-13
+
+
+def _not_rings(grid):
+    """Inputs whose last array axis is not a whole ring at the ring step."""
+    nodes = grid.nodes
+    order = np.random.default_rng(3).permutation(nodes.shape[-2])
+    step = _ring_step(grid)
+    return {"shuffled": (nodes[..., order, :], step),
+            "reversed": (nodes[..., ::-1, :], step),
+            "partial": (nodes[..., :-1, :], step),
+            "half": (nodes[..., : nodes.shape[-2] // 2, :], step),
+            "default_step": (nodes, 1e-3)}
+
+
+@pytest.mark.parametrize("case", ["shuffled", "reversed", "partial", "half",
+                                  "default_step"])
+@pytest.mark.parametrize("name", ["graph_T2xR_wave04", "graph_S3xR_coschi02"])
+def test_oracle_off_whole_rings_samples_per_point(zoo, name, case):
+    surface, grid, _ = zoo(name, 16)
+    points, step = _not_rings(grid)[case]
+    flat = points.reshape(-1, surface.dimension)
+    expected = intrinsic_curvature_oracle(surface, flat, step=step)
+    got = intrinsic_curvature_oracle(surface, points, step=step)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["graph_T2xR_wave04", "graph_S3xR_coschi02"])
+def test_oracle_blocks_whole_rings(zoo, monkeypatch, name):
+    # 50-point blocks hold one 32-node ring each, so no block may split one
+    surface, grid, _ = zoo(name, 16)
+    nodes, step = grid.nodes, _ring_step(grid)
+    monkeypatch.setattr(shape, "_BLOCK", nodes[..., 0].size)
+    one_block = intrinsic_curvature_oracle(surface, nodes, step=step)
+    monkeypatch.setattr(shape, "_BLOCK", 50)
+    assert 50 % grid.shape[-1]
+    rows = [intrinsic_curvature_oracle(surface, nodes[i:i + 1], step=step)
+            for i in range(len(nodes))]
+    assert np.concatenate(rows).tobytes() == one_block.tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(shape, "_WORKERS", workers)
+        got = intrinsic_curvature_oracle(surface, nodes, step=step)
+        assert got.tobytes() == one_block.tobytes()
+
+
+def test_oracle_drops_each_ring_sample_after_its_last_reader(zoo, monkeypatch):
+    # One call on graph_S3xR_coschi02 at 32, one block at a time, peaks at
+    # 9.9x the bytes of one block's dg; keeping all 30 sample batches of a
+    # block alive until its jet returns peaks at 15.8x.
+    surface, _, _ = zoo("graph_S3xR_coschi02")
+    grid = QuadratureGrid.build(surface.axes, 32)
+    nodes, step = grid.nodes, _ring_step(grid)
+    monkeypatch.setattr(shape, "_WORKERS", 1)
+    intrinsic_curvature_oracle(surface, nodes[:1], step=step)
+    tracemalloc.start()
+    try:
+        intrinsic_curvature_oracle(surface, nodes, step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * shape._BLOCK * 3 ** 3 * 8
 
 
 def _past_the_edges(surface, grid) -> np.ndarray:
