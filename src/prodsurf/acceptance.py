@@ -125,8 +125,9 @@ def criterion_product_integral() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in PRODUCT_GRAPH_SCENARIOS:
         surface, _, tol = instantiate(name)
-        fine = product_integral(surface, 128, tol)
-        coarse = product_integral(surface, 64, tol)
+        fine, coarse = (product_integral(FrameFields(
+            surface, QuadratureGrid.build(surface.axes, resolution)), tol)
+            for resolution in (128, 64))
         ok = fine.relative_residual <= tol.integral_relative
         checks.append((ok, f"{name}: relative residual "
                            f"{fine.relative_residual:.3e} at 128"))
@@ -149,7 +150,7 @@ def criterion_homothetic_flux() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in HOMOTHETIC_SCENARIOS:
         surface, grid, tol = instantiate(name)
-        rep = integral_formula(surface, grid, tol)
+        rep = integral_formula(FrameFields(surface, grid), tol)
         checks.append((rep.relative_residual <= tol.integral_relative,
                        f"{name}: lhs {rep.lhs:.9f} rhs {rep.rhs:.9f} "
                        f"relative residual {rep.relative_residual:.3e}"))
@@ -171,7 +172,7 @@ def criterion_einstein_spheres() -> CriterionVerdict:
         surface, grid, tol = instantiate("geodesic_sphere_S3",
                                          {"rho": rho, "resolution": 96})
         fields = FrameFields(surface, grid)
-        rep = einstein_integral(fields, grid, tol)
+        rep = einstein_integral(fields, tol)
         checks.append((abs(rep.residual) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: balance residual {rep.residual:.3e}"))
         fr = fields.frame
@@ -306,7 +307,7 @@ def _probe_bytes() -> bytes:
     """Serialize a fixed computation from scratch (geometry to JSON)."""
     surface, grid, tol = instantiate("sphere_R3_homothetic",
                                      {"resolution": 32})
-    flux = integral_formula(surface, grid, tol)
+    flux = integral_formula(FrameFields(surface, grid), tol)
     sol = solve_radial(-1, -2.0, n_samples=512)
     match = closed_form_match(sol, tolerance=tol.radial_match)
     envelope = make_envelope(

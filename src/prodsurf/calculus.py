@@ -45,7 +45,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _smallmat
 from .ambient import AxisSpec
-from .errors import NonCompactDomain
+from .errors import NonCompactDomain, ParameterOutOfRange
 from .shape import frame_at
 
 __all__ = [
@@ -121,7 +121,9 @@ class QuadratureGrid:
     @classmethod
     def build(cls, axes: tuple[AxisSpec, ...], resolution: int) -> "QuadratureGrid":
         if resolution < 2 * _STENCIL_WIDTH:
-            raise ValueError(f"resolution {resolution} too coarse for the stencils")
+            raise ParameterOutOfRange(
+                f"resolution {resolution} is too coarse for the stencils "
+                f"(minimum {2 * _STENCIL_WIDTH})")
         rules = [_axis_rule(ax, resolution) for ax in axes]
         return cls(axes=tuple(axes), resolution=resolution,
                    nodes_1d=tuple(r[0] for r in rules),

@@ -139,6 +139,10 @@ def _load_config(path: str) -> dict[str, Any]:
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise UsageError("config 'overrides' must be an object")
+    for key in ("command", "scenario", "output", "format"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise UsageError(f"config {key!r} must be a string, got "
+                             f"{json.dumps(raw[key])}")
     return raw
 
 

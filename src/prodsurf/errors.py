@@ -45,8 +45,9 @@ class StepFailure(GeometryError):
 
 
 class ParameterOutOfRange(GeometryError):
-    """A parameter left the validity range of a closed-form solution
-    (signature/curvature combinations, geodesic-sphere radii, ...)."""
+    """A parameter left its validity range: that of a closed-form solution
+    (signature/curvature combinations, geodesic-sphere radii, ...) or the
+    smallest grid resolution the stencils take."""
 
 
 class UnknownScenario(GeometryError):

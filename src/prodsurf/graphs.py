@@ -381,15 +381,19 @@ def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
                           samples=samples, integrator_stats=stats)
 
 
+# Height at which closed_form_match pins the additive constant of a profile.
+_MATCH_ANCHOR = 2.0
+
+
 def closed_form_match(solution: RadialSolution,
-                      tolerance: float = TOLERANCES.radial_match,
-                      anchor: float = 2.0) -> CheckResult:
+                      tolerance: float = TOLERANCES.radial_match
+                      ) -> CheckResult:
     """Compare a numeric radial profile against the explicit solution.
 
     The profile is determined only up to an additive constant, so both the
     numeric and the explicit height are shifted to vanish at the sample point
-    nearest ``anchor`` before taking the sup-norm difference over the whole
-    table.  The verdict is on the height profile; the slope column carries a
+    nearest ``_MATCH_ANCHOR`` before taking the sup-norm difference over the
+    whole table.  The verdict is on the height profile; the slope column carries a
     transient of size ``delta * |K| * f'(1+)`` at the first samples (the
     integration is seeded with the analytic limit slope at the singular cone
     point), so its sup-norm deviation is only recorded in the note.
@@ -399,7 +403,7 @@ def closed_form_match(solution: RadialSolution,
     fp_num = solution.samples[:, 2]
     f_exact = closed_form_f(solution.epsilon, solution.K, x0)
     fp_exact = closed_form_f_prime(solution.epsilon, solution.K, x0)
-    idx = int(np.argmin(np.abs(x0 - anchor)))
+    idx = int(np.argmin(np.abs(x0 - _MATCH_ANCHOR)))
     diff_f = np.abs((f_num - f_num[idx]) - (f_exact - f_exact[idx]))
     residual = float(diff_f.max())
     fp_dev = float(np.abs(fp_num - fp_exact).max())
@@ -485,8 +489,7 @@ def graph_curvature(g, s) -> np.ndarray:
     return K_M / W + g.epsilon * det_term / W ** 2
 
 
-def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
-                                tolerance: float = TOLERANCES.corollary_residual,
+def corollary_equation_residual(g, K_field, grid: QuadratureGrid
                                 ) -> CheckResult:
     """Pointwise residual of the prescribed-curvature graph equation.
 
@@ -495,6 +498,7 @@ def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
     base points).  Entire solutions over the round sphere are exactly the
     constants with ``K = K_M``, so the residual doubles as a non-solution
     witness: it vanishes iff the declared pair actually solves the equation.
+    It is judged against ``TOLERANCES.corollary_residual``.
     """
     if g.base.name not in ("S2", "RP2"):
         raise WrongAmbient(
@@ -508,6 +512,7 @@ def corollary_equation_residual(g, K_field, grid: QuadratureGrid,
         K_target = np.broadcast_to(np.asarray(K_field, dtype=float), W.shape)
     residual = W ** 2 * K_target - (W * K_M + g.epsilon * det_term)
     max_residual = float(np.max(np.abs(residual)))
+    tolerance = TOLERANCES.corollary_residual
     return CheckResult(
         name="corollary_equation",
         scenario=g.name,

@@ -114,7 +114,9 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
 def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     """Scalar curvature: metric-only stencil oracle vs the Gauss equation.
 
-    The oracle's ``S``, in every dimension, is compared with the frame
+    The oracle's ``S`` on the bundle's grid (its step is half the closest
+    node spacing on each axis, and it shares samples along the rings of a
+    periodic last axis), in every dimension, is compared with the frame
     pipeline's ``scalar_curvature`` (exact given analytic jets), the ``S``
     that the balance laws and the sign harness consume.  In product ambients
     the product-space expansion ``(n-2) kappa + 2 kappa Theta^2 + 2 eps
@@ -128,9 +130,7 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     fr = fields.frame
     surface = fields.surface
     n = fr.dimension
-    grid = fields.grid
-    step = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
-    oracle = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
+    oracle = intrinsic_curvature_oracle(surface, fields.grid)
     oracle -= fr.scalar_curvature
     residual = _max_abs(oracle)
     if surface.ambient.kind != "product":

@@ -35,8 +35,9 @@ conformal factor of the distinguished field, and the quadrature itself).
 
         I [ Theta * (S - S_amb + S_amb / (n+1)) ] dA  =  0.
 
-Each evaluation takes the tolerance record (``tolerances``, default
-:data:`~prodsurf.reports.TOLERANCES`) and judges itself against its own
+Each law takes the frame bundle (``FrameFields``) of a compact surface on
+its quadrature grid and the tolerance record (``tolerances``, default
+:data:`~prodsurf.reports.TOLERANCES`), and judges itself against its own
 field of it: the flux and product balances against ``integral_relative``
 on the residual relative to the cancellation mass, the Einstein balance
 against ``einstein_absolute`` on the raw integral, to match how it is used
@@ -50,7 +51,8 @@ which measures the size of the cancellation the identity demands; the
 relative residual divides by ``max(normalization, 1)`` so surfaces with
 tiny mass are judged on an absolute scale rather than passed for free.
 The mass is integrated once per frame bundle
-(``FrameFields.cancellation_mass``) and shared by every law evaluated on it.
+(``FrameFields.cancellation_mass``) and shared by every law evaluated on it;
+``run_formulas`` builds the one bundle from a surface and a grid.
 """
 
 from __future__ import annotations
@@ -81,28 +83,13 @@ def _report(formula: str, fields: FrameFields, lhs: float, rhs: float,
     )
 
 
-def _as_fields(surface, grid) -> FrameFields:
-    if isinstance(surface, FrameFields):
-        return surface
-    if not isinstance(grid, QuadratureGrid):
-        grid = QuadratureGrid.build(surface.axes, int(grid))
-    return FrameFields(surface, grid)
-
-
-def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
+def integral_formula(fields: FrameFields, tolerances: Tolerances = TOLERANCES
                      ) -> IntegralReport:
     """Balance law for a closed conformal field in a general ambient.
 
-    Parameters
-    ----------
-    surface : ParamSurface or GraphSurface (or a prebuilt FrameFields)
-        Compact hypersurface.
-    grid : QuadratureGrid or int
-        Quadrature grid, or a resolution from which to build one.
-    tolerances : Tolerances
-        Tolerance record; this law reads ``integral_relative``.
+    ``fields`` is the frame bundle of a compact hypersurface on its
+    quadrature grid; the law reads ``tolerances.integral_relative``.
     """
-    fields = _as_fields(surface, grid)
     fr = fields.frame
     n = fr.tangent.shape[-2]
     eps_n = fields.surface.ambient.epsilon
@@ -120,10 +107,9 @@ def integral_formula(surface, grid, tolerances: Tolerances = TOLERANCES
                    tolerances.integral_relative, relative_pass=True)
 
 
-def product_integral(surface, grid, tolerances: Tolerances = TOLERANCES
+def product_integral(fields: FrameFields, tolerances: Tolerances = TOLERANCES
                      ) -> IntegralReport:
     """Killing specialisation of the balance law in a metric product."""
-    fields = _as_fields(surface, grid)
     ambient = fields.surface.ambient
     if ambient.kind != "product":
         raise NotEinstein(
@@ -138,14 +124,13 @@ def product_integral(surface, grid, tolerances: Tolerances = TOLERANCES
                    tolerances.integral_relative, relative_pass=True)
 
 
-def einstein_integral(surface, grid, tolerances: Tolerances = TOLERANCES
+def einstein_integral(fields: FrameFields, tolerances: Tolerances = TOLERANCES
                       ) -> IntegralReport:
     """Killing specialisation of the balance law in an Einstein ambient.
 
     Raises ``NotEinstein`` unless the ambient is Einstein and its
     distinguished field is genuinely Killing (zero conformal factor).
     """
-    fields = _as_fields(surface, grid)
     ambient = fields.surface.ambient
     if not ambient.is_einstein:
         raise NotEinstein(f"ambient {ambient.name!r} is not Einstein")
@@ -162,13 +147,7 @@ def einstein_integral(surface, grid, tolerances: Tolerances = TOLERANCES
 
 
 def available_formulas(surface) -> list[str]:
-    """Names of the balance laws that apply to this surface's ambient.
-
-    ``surface`` is a surface or a prebuilt ``FrameFields``; only its
-    ambient is read.
-    """
-    if isinstance(surface, FrameFields):
-        surface = surface.surface
+    """Names of the balance laws that apply to this surface's ambient."""
     ambient = surface.ambient
     names = ["integral_formula"]
     if ambient.kind == "product":
@@ -185,13 +164,13 @@ FORMULAS = {
 }
 
 
-def run_formulas(surface, grid, tolerances: Tolerances = TOLERANCES,
-                 names: list[str] | None = None) -> list[IntegralReport]:
-    """Evaluate every applicable balance law (or the named subset).
+def run_formulas(surface, grid: QuadratureGrid,
+                 tolerances: Tolerances = TOLERANCES) -> list[IntegralReport]:
+    """Evaluate every applicable balance law on one frame bundle.
 
-    Builds the frame bundle once and shares it across formulas.
+    Builds the bundle of ``surface`` on ``grid`` once and shares it, and its
+    cancellation mass, across the laws.
     """
-    fields = _as_fields(surface, grid)
-    if names is None:
-        names = available_formulas(fields)
-    return [FORMULAS[name](fields, None, tolerances) for name in names]
+    fields = FrameFields(surface, grid)
+    return [FORMULAS[name](fields, tolerances)
+            for name in available_formulas(surface)]

@@ -59,14 +59,15 @@ weights to every derivative that uses it, and dropped after its last use;
 each derivative is summed in a contiguous accumulator and written once into
 the jet.  Pure-axis derivatives take the order ``_PURE_ORDER[n]`` and mixed
 second derivatives the 8-point diagonal stencil ``_MIXED_TABLE``: 17 metric
-samples per point for n = 2 and 49 for n = 3.  Where the input's last array
-axis is a whole ring of a periodic last chart axis, sampled at twice the
-oracle step (the grids of ``check_gauss_scalar``), the offsets along it land
-on the ring's doubled lattice and neighbouring points share their samples:
-8 per point for n = 2 and 30 for n = 3.  Like ``frame_at``, the oracle runs
-the flattened batch in blocks of ``_BLOCK`` points (whole rings) through
-``_block_map``; a ring depends on no other, so the result depends neither
-on the block size nor on the number of workers.
+samples per point for n = 2 and 49 for n = 3.  The oracle runs on the nodes
+of a quadrature grid and reads its step from them: half the closest node
+spacing on each axis.  Where the last chart axis is periodic, its nodes
+form rings at twice that step, so the offsets along it land on the ring's
+doubled lattice and neighbouring nodes share their samples: 8 per node for
+n = 2 and 30 for n = 3.  Like ``frame_at``, the oracle runs the flattened
+nodes in blocks of ``_BLOCK`` points (whole rings) through ``_block_map``;
+a ring depends on no other, so the result depends neither on the block
+size nor on the number of workers.
 """
 
 from __future__ import annotations
@@ -77,13 +78,16 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import _smallmat
 from .ambient import AmbientSpace, AxisSpec, BaseManifold
 from .errors import DegenerateFrame, NotSpacelike, WrongAmbient
+
+if TYPE_CHECKING:                   # calculus imports this module
+    from .calculus import QuadratureGrid
 
 __all__ = [
     "ParamSurface",
@@ -783,57 +787,29 @@ def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray,
                   for b, a in pairs for e, c in pairs))
 
 
-def _ring_length(axis: AxisSpec, s: np.ndarray, h: float) -> int | None:
-    """Length of the last array axis of ``s`` if it forms rings, else None.
+def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
+    """Scalar curvature ``S`` (``2K`` when n = 2) from metric samples alone,
+    on the nodes of ``grid``, of shape ``grid.shape``.
 
-    A ring runs exactly once around the periodic last chart axis ``axis``,
-    in increasing order at the uniform spacing ``2 h``, with the other
-    coordinates fixed along it.
-    """
-    if axis.kind != "periodic" or s.ndim < 2 or not s.size:
-        return None
-    z = s[..., -1]
-    gaps = np.diff(z, append=z[..., :1] + axis.period)
-    # uniform periodic nodes are at most 2 ulps of the period off their spacing
-    tol = 4.0 * np.spacing(abs(axis.lo) + axis.period)
-    if np.any(np.abs(gaps - 2.0 * h) > tol):
-        return None
-    fixed = s[..., :-1]
-    if not np.array_equal(fixed, np.broadcast_to(fixed[..., :1, :],
-                                                 fixed.shape)):
-        return None
-    return s.shape[-2]
-
-
-def intrinsic_curvature_oracle(surface, s: np.ndarray,
-                               step: float | np.ndarray = 1e-3) -> np.ndarray:
-    """Scalar curvature ``S`` from metric samples alone (``2K`` when n = 2).
-
-    One route in every supported dimension, :func:`_fd_scalar_curvature`.
-    ``step`` is the finite-difference step, a scalar or one value per
-    parameter axis.  When the last array axis of ``s`` runs exactly once
-    around a periodic last chart axis, in order, at the uniform spacing
-    ``2 * step``, with the other coordinates fixed along it (the grids of
-    ``check_gauss_scalar``), every stencil offset along that axis lands on
-    the ring's doubled lattice, and the jet shares its samples along the
-    ring: 8 metric samples per point for n = 2 and 30 for n = 3.  Any other
-    input samples every offset on its own: 17 per point for n = 2, 49 for
-    n = 3.  The sampler is built once; the flattened batch is then
-    evaluated in contiguous blocks of ``_BLOCK`` points (of whole rings,
-    at least one), up to ``_WORKERS`` blocks at a time (see
-    ``_block_map``), each block writing its own slice of one output, so
-    the metric samples held at a time do not grow with the batch.  A ring
-    depends on no other ring, so the result depends neither on the block
+    One route in every supported dimension, :func:`_fd_scalar_curvature`,
+    at the step of half the closest node spacing on each axis.  On a
+    periodic last chart axis the nodes sit at twice that step, so the jet
+    shares its samples along each ring of ``grid.shape[-1]`` nodes: 8 per
+    node for n = 2 and 30 for n = 3, against 17 and 49 on an open one.  The
+    sampler is built once; the flattened nodes are evaluated in contiguous
+    blocks of ``_BLOCK`` points (whole rings, at least one), up to
+    ``_WORKERS`` at a time (see ``_block_map``), each writing its own slice
+    of one output, so the samples held at a time do not grow with the grid.
+    A ring depends on no other, so the result depends neither on the block
     size nor on the number of workers.
     """
-    s = np.asarray(s, dtype=float)
     n = surface.dimension
     if n not in _PURE_ORDER:
         raise ValueError(f"oracle supports n = 2 or 3, got {n}")
-    h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).astype(float)
+    h = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
     g_at = induced_metric_sampler(surface)
-    ring = _ring_length(surface.axes[-1], s, h[-1])
-    flat = s.reshape(-1, s.shape[-1])
+    ring = grid.shape[-1] if grid.axes[-1].kind == "periodic" else None
+    flat = grid.nodes.reshape(-1, n)
     out = np.empty(flat.shape[0])
     length = ring or 1
     size = length * max(1, _BLOCK // length)
@@ -844,4 +820,4 @@ def intrinsic_curvature_oracle(surface, s: np.ndarray,
 
     for _ in _block_map(block, range(0, flat.shape[0], size)):
         pass
-    return out.reshape(s.shape[:-1])
+    return out.reshape(grid.shape)

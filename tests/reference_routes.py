@@ -2,8 +2,10 @@
 
 Each route recomputes a quantity the package has in closed form (or reads
 from its frames) by another method: finite differences of the chart data,
-or the closed forms of a graph.  None of them is used by the package
-itself, so they live with the tests.  This module holds no tests.
+or the closed forms of a graph.  One runs the package's intrinsic-curvature
+oracle off its grids, at scattered points and a free step.  None of them is
+used by the package itself, so they live with the tests.  This module holds
+no tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from prodsurf import _smallmat
+from prodsurf import _smallmat, shape
 from prodsurf.ambient import AmbientSpace
 from prodsurf.graphs import _gate_x0, check_curvature_range
 from prodsurf.reports import CheckResult
@@ -125,6 +127,28 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
         passed=bool(worst <= tolerance),
         tolerance=tolerance,
     )
+
+
+# --------------------------------------------------------------------------
+# the intrinsic-curvature oracle at scattered points
+# --------------------------------------------------------------------------
+
+def oracle_at(surface, s: np.ndarray, step: float | np.ndarray = 1e-3
+              ) -> np.ndarray:
+    """Scalar curvature from metric samples at arbitrary points ``s``.
+
+    The package's oracle runs on a quadrature grid at a step it reads from
+    the nodes.  This route runs the same finite-difference assembly
+    (``shape._fd_scalar_curvature``) at any points and any ``step`` (a
+    scalar or one value per axis), sampling every stencil offset of every
+    point on its own: the oracle's route on grids whose last axis is open.
+    """
+    s = np.asarray(s, dtype=float)
+    n = s.shape[-1]
+    h = np.broadcast_to(np.asarray(step, dtype=float), (n,)).astype(float)
+    g_at = shape.induced_metric_sampler(surface)
+    return shape._fd_scalar_curvature(g_at, s.reshape(-1, n), h).reshape(
+        s.shape[:-1])
 
 
 # --------------------------------------------------------------------------

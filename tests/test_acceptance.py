@@ -83,8 +83,8 @@ def test_product_integral_order_branch_judges_the_refinement(
     residuals = {64: coarse, 128: 1.0e-8}
     assert min(residuals.values()) > acceptance.RELATIVE_FLOOR
     monkeypatch.setattr(
-        acceptance, "product_integral", lambda surface, resolution, tol:
-        SimpleNamespace(relative_residual=residuals[resolution]))
+        acceptance, "product_integral", lambda fields, tol:
+        SimpleNamespace(relative_residual=residuals[fields.grid.resolution]))
     verdict = acceptance.criterion_product_integral()
     assert verdict.passed is passed
     orders = [d for d in verdict.details if "refinement order" in d]

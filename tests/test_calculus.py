@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
-from prodsurf.errors import NonCompactDomain
+from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
 from prodsurf.zoo import instantiate, scenario_names
 
 
 def test_grid_rejects_too_coarse_resolution(zoo):
     surface, _, _ = zoo("slice_S2xR_t0.7", 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterOutOfRange,
+                       match=r"resolution 4 .*\(minimum 10\)"):
         QuadratureGrid.build(surface.axes, 4)
 
 

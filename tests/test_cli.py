@@ -234,6 +234,22 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize("key, value", [
+    ("command", ["zoo-list"]),
+    ("scenario", ["graph_S2xR_cos03"]),
+    ("output", 5),
+    ("format", {"csv": True}),
+])
+def test_non_string_config_value_exits_two(tmp_path, key, value):
+    config = {"command": "integral", "scenario": "graph_S2xR_cos03", key: value}
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli("--config", str(cfg), "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stderr.startswith("error: ") and repr(key) in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_missing_command_exits_two():
     proc = run_cli()
     assert proc.returncode == 2

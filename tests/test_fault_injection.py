@@ -92,7 +92,7 @@ GRAPH_EQUATION_CAUGHT = {
 
 def _failing(surface, n_checks: int = 6, n_laws: int = 2) -> set[str]:
     suite = run_suite(surface, 32, refine=1)
-    laws = run_formulas(surface, 64)
+    laws = run_formulas(surface, QuadratureGrid.build(surface.axes, 64))
     assert len(suite) == n_checks and len(laws) == n_laws
     return ({r.name for r in suite if not r.passed}
             | {r.formula for r in laws if not r.passed})

@@ -15,7 +15,7 @@ from prodsurf.integral import (available_formulas, einstein_integral,
 
 def test_unit_sphere_flux_is_eight_pi(zoo):
     surface, grid, _ = zoo("sphere_R3_homothetic", 32)
-    rep = integral_formula(surface, grid)
+    rep = integral_formula(FrameFields(surface, grid))
     assert rep.lhs == pytest.approx(8.0 * math.pi, abs=1e-9)
     assert rep.rhs == pytest.approx(8.0 * math.pi, abs=1e-9)
     assert rep.passed
@@ -26,7 +26,7 @@ def test_unit_sphere_flux_is_eight_pi(zoo):
                                       "torus_R3_homothetic"])
 def test_homothetic_balance_on_non_round_surfaces(zoo, scenario):
     surface, grid, _ = zoo(scenario, 48)
-    rep = integral_formula(surface, grid)
+    rep = integral_formula(FrameFields(surface, grid))
     assert rep.relative_residual < 1e-8
     assert rep.passed
 
@@ -37,7 +37,7 @@ def test_homothetic_balance_on_non_round_surfaces(zoo, scenario):
 ])
 def test_product_balance_vanishes_on_graphs(zoo, scenario):
     surface, grid, _ = zoo(scenario, 32)
-    rep = product_integral(surface, grid)
+    rep = product_integral(FrameFields(surface, grid))
     assert rep.relative_residual < 1e-12
     assert rep.rhs == 0.0
     assert rep.passed
@@ -45,48 +45,49 @@ def test_product_balance_vanishes_on_graphs(zoo, scenario):
 
 def test_general_and_product_forms_agree_on_products(zoo):
     surface, grid, _ = zoo("graph_S2xR_cos03", 32)
-    general = integral_formula(surface, grid)
-    product = product_integral(surface, grid)
+    fields = FrameFields(surface, grid)
+    general = integral_formula(fields)
+    product = product_integral(fields)
     # two independent routes to the same balance: lhs - rhs must agree
     assert general.residual == pytest.approx(product.residual, abs=1e-12)
 
 
 def test_einstein_balance_on_geodesic_spheres(zoo):
     surface, grid, _ = zoo("geodesic_sphere_S3", 48)
-    rep = einstein_integral(surface, grid)
+    rep = einstein_integral(FrameFields(surface, grid))
     assert abs(rep.residual) < 1e-10
     assert rep.passed
 
 
 def test_einstein_balance_on_flat_product_slice(zoo):
     surface, grid, _ = zoo("slice_T2xR_t1.2", 16)
-    rep = einstein_integral(surface, grid)
+    rep = einstein_integral(FrameFields(surface, grid))
     assert abs(rep.residual) < 1e-12
 
 
 def test_einstein_rejects_non_einstein_ambients(zoo):
     surface, grid, _ = zoo("graph_S2xR_cos03", 16)
     with pytest.raises(NotEinstein):
-        einstein_integral(surface, grid)
+        einstein_integral(FrameFields(surface, grid))
 
 
 def test_einstein_rejects_conformal_non_killing_fields(zoo):
     # flat space is Einstein, but the homothetic field is only conformal
     surface, grid, _ = zoo("sphere_R3_homothetic", 16)
     with pytest.raises(NotEinstein):
-        einstein_integral(surface, grid)
+        einstein_integral(FrameFields(surface, grid))
 
 
 def test_product_integral_rejects_space_forms(zoo):
     surface, grid, _ = zoo("sphere_R3_homothetic", 16)
     with pytest.raises(NotEinstein):
-        product_integral(surface, grid)
+        product_integral(FrameFields(surface, grid))
 
 
 def test_non_compact_scenarios_cannot_be_integrated(zoo):
     surface, grid, _ = zoo("hyperboloid_R31_minkowski", 16)
     with pytest.raises(NonCompactDomain):
-        integral_formula(surface, grid)
+        integral_formula(FrameFields(surface, grid))
 
 
 def test_available_formulas_and_runner(zoo):
@@ -98,11 +99,9 @@ def test_available_formulas_and_runner(zoo):
     assert [r.formula for r in reports] == names
     assert all(r.passed for r in reports)
 
-    surface, grid, _ = zoo("geodesic_sphere_S3", 16)
-    bundle = FrameFields(surface, grid)
-    assert available_formulas(surface) == available_formulas(bundle) == [
-        "integral_formula", "einstein_integral"]
-    assert "frame" not in vars(bundle)      # no frame was built to decide
+    surface, _, _ = zoo("geodesic_sphere_S3", 16)
+    assert available_formulas(surface) == ["integral_formula",
+                                           "einstein_integral"]
 
 
 def test_run_formulas_integrates_the_mass_once_per_bundle(zoo, monkeypatch):
@@ -125,8 +124,8 @@ def test_run_formulas_integrates_the_mass_once_per_bundle(zoo, monkeypatch):
 
 def test_report_normalization_and_relative_residual(zoo):
     surface, grid, _ = zoo("graph_S2xR_cos03", 32)
-    rep = product_integral(surface, grid)
     ff = FrameFields(surface, grid)
+    rep = product_integral(ff)
     fr = ff.frame
     mass = ff.integrate(np.abs(fr.theta) * (np.abs(fr.scalar_curvature)
                                             + abs(surface.ambient.scalar_curvature)

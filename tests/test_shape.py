@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference_routes import graph_second_form, graph_theta
+from reference_routes import graph_second_form, graph_theta, oracle_at
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
@@ -172,42 +172,61 @@ def test_lorentzian_graph_must_be_spacelike():
 def test_intrinsic_oracle_agrees_with_gauss_equation(zoo):
     surface, grid, _ = zoo("graph_S2xR_cos03", 32)
     fr = frame_at(surface, grid.nodes)
-    oracle = intrinsic_curvature_oracle(surface, grid.nodes)
+    oracle = oracle_at(surface, grid.nodes)
     assert np.max(np.abs(oracle - fr.scalar_curvature)) < 1e-3
+
+
+def _grid_step(grid) -> np.ndarray:
+    """The oracle's step on a grid: half the closest node spacing."""
+    return np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
 
 
 @pytest.mark.parametrize("name,samples", [("graph_S2xR_cos03", 17),
                                           ("graph_S3xR_coschi02", 49),
-                                          ("sphere_R3_homothetic", 17)])
+                                          ("sphere_R3_homothetic", 17),
+                                          ("cylinder_S2xR", 17)])
 def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples):
     surface, grid, _ = zoo(name, 16)
-    calls = []
+    points = []
     make_sampler = shape.induced_metric_sampler
 
     def counting_sampler(surf):
         sample = make_sampler(surf)
 
         def counted(s):
-            calls.append(s.shape)
+            points.append(s[..., 0].size)
             return sample(s)
         return counted
 
     monkeypatch.setattr(shape, "induced_metric_sampler", counting_sampler)
-    points = grid.nodes.reshape(-1, surface.dimension)[:4]
-    intrinsic_curvature_oracle(surface, points)
-    assert len(calls) == samples
-    # on whole rings at half the ring spacing, each block samples the
-    # doubled lattice of its rings once per leading offset and parity
-    calls.clear()
-    intrinsic_curvature_oracle(surface, grid.nodes, step=_ring_step(grid))
-    ring = grid.shape[-1]
-    blocks = math.ceil(grid.nodes[..., 0].size / (ring * (shape._BLOCK // ring)))
-    assert len(calls) == blocks * {2: 8, 3: 30}[surface.dimension]
+    # per point, every stencil offset is a sample of its own
+    oracle_at(surface, grid.nodes.reshape(-1, surface.dimension)[:4])
+    assert points == [4] * samples
+    # on a periodic last axis each block samples the doubled lattice of its
+    # rings once per leading offset and parity; an open one samples per node
+    points.clear()
+    intrinsic_curvature_oracle(surface, grid)
+    nodes, ring = math.prod(grid.shape), grid.shape[-1]
+    per_node, size = samples, shape._BLOCK
+    if grid.axes[-1].kind == "periodic":
+        per_node = {2: 8, 3: 30}[surface.dimension]
+        size = ring * (shape._BLOCK // ring)
+    assert (name == "cylinder_S2xR") == (per_node == samples)
+    assert sum(points) == per_node * nodes
+    assert len(points) == math.ceil(nodes / size) * per_node
 
 
-def _ring_step(grid) -> np.ndarray:
-    """The oracle step of check_gauss_scalar: half the closest node spacing."""
-    return np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
+def test_oracle_on_an_open_last_axis_samples_per_point(zoo, monkeypatch):
+    # blocks of 100 points split the 32 x 16 cylinder grid mid-row
+    surface, grid, _ = zoo("cylinder_S2xR", 16)
+    assert grid.axes[-1].kind == "open"
+    flat = grid.nodes.reshape(-1, surface.dimension)
+    expected = shape._fd_scalar_curvature(shape.induced_metric_sampler(surface),
+                                          flat, _grid_step(grid), ring=None)
+    monkeypatch.setattr(shape, "_BLOCK", 100)
+    got = intrinsic_curvature_oracle(surface, grid)
+    assert got.shape == grid.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("resolution", [16, 32])
@@ -219,52 +238,27 @@ def test_shared_ring_samples_equal_per_point_samples(zoo, name, resolution):
     # (the metrics of the first three do not depend on the ring coordinate);
     # reading the ring one node off moves graph_T2xR_wave04 by 0.03 - 0.06
     surface, grid, _ = zoo(name, resolution)
-    step = _ring_step(grid)
-    shared = intrinsic_curvature_oracle(surface, grid.nodes, step=step)
-    per_point = intrinsic_curvature_oracle(
-        surface, grid.nodes.reshape(-1, surface.dimension), step=step)
-    assert np.max(np.abs(shared - per_point.reshape(shared.shape))) <= 5e-13
-
-
-def _not_rings(grid):
-    """Inputs whose last array axis is not a whole ring at the ring step."""
-    nodes = grid.nodes
-    order = np.random.default_rng(3).permutation(nodes.shape[-2])
-    step = _ring_step(grid)
-    return {"shuffled": (nodes[..., order, :], step),
-            "reversed": (nodes[..., ::-1, :], step),
-            "partial": (nodes[..., :-1, :], step),
-            "half": (nodes[..., : nodes.shape[-2] // 2, :], step),
-            "default_step": (nodes, 1e-3)}
-
-
-@pytest.mark.parametrize("case", ["shuffled", "reversed", "partial", "half",
-                                  "default_step"])
-@pytest.mark.parametrize("name", ["graph_T2xR_wave04", "graph_S3xR_coschi02"])
-def test_oracle_off_whole_rings_samples_per_point(zoo, name, case):
-    surface, grid, _ = zoo(name, 16)
-    points, step = _not_rings(grid)[case]
-    flat = points.reshape(-1, surface.dimension)
-    expected = intrinsic_curvature_oracle(surface, flat, step=step)
-    got = intrinsic_curvature_oracle(surface, points, step=step)
-    assert got.tobytes() == expected.tobytes()
+    shared = intrinsic_curvature_oracle(surface, grid)
+    per_point = oracle_at(surface, grid.nodes, step=_grid_step(grid))
+    assert np.max(np.abs(shared - per_point)) <= 5e-13
 
 
 @pytest.mark.parametrize("name", ["graph_T2xR_wave04", "graph_S3xR_coschi02"])
 def test_oracle_blocks_whole_rings(zoo, monkeypatch, name):
     # 50-point blocks hold one 32-node ring each, so no block may split one
     surface, grid, _ = zoo(name, 16)
-    nodes, step = grid.nodes, _ring_step(grid)
-    monkeypatch.setattr(shape, "_BLOCK", nodes[..., 0].size)
-    one_block = intrinsic_curvature_oracle(surface, nodes, step=step)
+    ring = grid.shape[-1]
+    monkeypatch.setattr(shape, "_BLOCK", math.prod(grid.shape))
+    one_block = intrinsic_curvature_oracle(surface, grid)
     monkeypatch.setattr(shape, "_BLOCK", 50)
-    assert 50 % grid.shape[-1]
-    rows = [intrinsic_curvature_oracle(surface, nodes[i:i + 1], step=step)
-            for i in range(len(nodes))]
-    assert np.concatenate(rows).tobytes() == one_block.tobytes()
+    assert 50 % ring
+    g_at = shape.induced_metric_sampler(surface)
+    rings = [shape._fd_scalar_curvature(g_at, nodes, _grid_step(grid), ring)
+             for nodes in grid.nodes.reshape(-1, ring, surface.dimension)]
+    assert np.concatenate(rings).tobytes() == one_block.tobytes()
     for workers in (1, 2, 3):
         monkeypatch.setattr(shape, "_WORKERS", workers)
-        got = intrinsic_curvature_oracle(surface, nodes, step=step)
+        got = intrinsic_curvature_oracle(surface, grid)
         assert got.tobytes() == one_block.tobytes()
 
 
@@ -274,12 +268,12 @@ def test_oracle_drops_each_ring_sample_after_its_last_reader(zoo, monkeypatch):
     # block alive until its jet returns peaks at 15.8x.
     surface, _, _ = zoo("graph_S3xR_coschi02")
     grid = QuadratureGrid.build(surface.axes, 32)
-    nodes, step = grid.nodes, _ring_step(grid)
+    grid.nodes                          # built before the trace starts
     monkeypatch.setattr(shape, "_WORKERS", 1)
-    intrinsic_curvature_oracle(surface, nodes[:1], step=step)
+    intrinsic_curvature_oracle(surface, QuadratureGrid.build(surface.axes, 10))
     tracemalloc.start()
     try:
-        intrinsic_curvature_oracle(surface, nodes, step=step)
+        intrinsic_curvature_oracle(surface, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,16 +363,14 @@ def test_sampler_past_the_edges_equals_the_unfolded_metric(zoo, make):
 @pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
 def test_graph_sampler_reads_only_the_first_jet(monkeypatch, name):
     surface, grid, _ = instantiate(name, {"resolution": 16})
-    n = surface.dimension
-    points = grid.nodes.reshape(-1, n)[::37]
-    expected = intrinsic_curvature_oracle(surface, points)
+    expected = intrinsic_curvature_oracle(surface, grid)
 
     def forbidden(s):
         raise AssertionError("the metric sampler read more than du")
 
     for attr in ("u", "d2u", "jet"):
         monkeypatch.setattr(surface, attr, forbidden)
-    assert np.array_equal(intrinsic_curvature_oracle(surface, points), expected)
+    assert np.array_equal(intrinsic_curvature_oracle(surface, grid), expected)
 
 
 def _reference_normalize_params(axes, s):
@@ -448,7 +440,7 @@ def test_fold_equals_the_whole_block_fold(base):
 def test_intrinsic_oracle_agrees_with_gauss_equation_n3(zoo, name):
     surface, grid, _ = zoo(name, 16)
     fr = frame_at(surface, grid.nodes)
-    oracle = intrinsic_curvature_oracle(surface, grid.nodes)
+    oracle = oracle_at(surface, grid.nodes)
     assert np.max(np.abs(oracle - fr.scalar_curvature)) < 1e-4
 
 
@@ -556,11 +548,13 @@ def test_oracle_on_blocks_equals_oracle_on_row_slices(zoo):
     surface, grid, _ = zoo("graph_S3xR_coschi02", 32)
     nodes = grid.nodes
     assert nodes[0].size // 3 < shape._BLOCK < nodes.size // 3 // 4
-    whole = intrinsic_curvature_oracle(surface, nodes)
-    rows = [intrinsic_curvature_oracle(surface, nodes[i:i + 1])
-            for i in range(len(nodes))]
-    assert whole.shape == nodes.shape[:-1]
-    assert np.array_equal(whole, np.concatenate(rows))
+    whole = intrinsic_curvature_oracle(surface, grid)
+    g_at = shape.induced_metric_sampler(surface)
+    rows = [shape._fd_scalar_curvature(g_at, row.reshape(-1, 3), _grid_step(grid),
+                                       grid.shape[-1]).reshape(row.shape[:-1])
+            for row in nodes]
+    assert whole.shape == grid.shape
+    assert np.array_equal(whole, np.stack(rows))
 
 
 @pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
@@ -568,9 +562,9 @@ def test_oracle_does_not_depend_on_the_block_size(zoo, monkeypatch, name):
     surface, grid, _ = zoo(name, 16)
     nodes = grid.nodes
     monkeypatch.setattr(shape, "_BLOCK", nodes.size)
-    one_block = intrinsic_curvature_oracle(surface, nodes)
+    one_block = intrinsic_curvature_oracle(surface, grid)
     monkeypatch.setattr(shape, "_BLOCK", 64)
-    assert np.array_equal(intrinsic_curvature_oracle(surface, nodes), one_block)
+    assert np.array_equal(intrinsic_curvature_oracle(surface, grid), one_block)
 
 
 def _full_riemann_scalar(g0, dg, ddg):
@@ -609,7 +603,7 @@ def test_scalar_curvature_assembly_equals_full_riemann_reference(zoo, name, orde
     # 2.8e-13, 1.2e-14, 3.2e-14 and 5e-16 (relative, in table order)
     surface, grid, _ = zoo(name, 16)
     s = grid.nodes.reshape(-1, surface.dimension)
-    h = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])
+    h = _grid_step(grid)
     g_at = shape.induced_metric_sampler(surface)
     reference = _full_riemann_scalar(*shape._metric_jet(g_at, s, h, order))
     assembled = shape._fd_scalar_curvature(g_at, s, h)
@@ -630,7 +624,7 @@ def test_blocks_do_not_depend_on_the_worker_count(zoo, monkeypatch, name):
         for workers in (1, 2, 3):
             monkeypatch.setattr(shape, "_WORKERS", workers)
             runs.append((frame_at(surface, nodes),
-                         intrinsic_curvature_oracle(surface, nodes)))
+                         intrinsic_curvature_oracle(surface, grid)))
     finally:
         sys.setswitchinterval(interval)
     (frame, oracle), rest = runs[0], runs[1:]
@@ -650,7 +644,7 @@ def test_one_block_batch_never_starts_the_pool(zoo, monkeypatch):
     monkeypatch.setattr(shape, "_WORKERS", 2)
     monkeypatch.setattr(shape, "_pools", {})
     frame_at(surface, nodes)
-    intrinsic_curvature_oracle(surface, nodes)
+    intrinsic_curvature_oracle(surface, grid)
     assert nodes[..., 0].size <= shape._BLOCK and shape._pools == {}
     monkeypatch.setattr(shape, "_BLOCK", 64)
     frame_at(surface, nodes)

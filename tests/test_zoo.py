@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_routes import oracle_at
 
 from prodsurf import _smallmat
 from prodsurf.ambient import make_ambient
@@ -13,7 +14,7 @@ from prodsurf.errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
 from prodsurf.identities import run_suite
-from prodsurf.shape import frame_at, intrinsic_curvature_oracle
+from prodsurf.shape import frame_at
 from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, Scenario,
                           _graph_builder, cosine_profile, instantiate,
                           list_scenarios, scenario_names)
@@ -115,7 +116,7 @@ def test_expected_values_are_reproduced(name, zoo):
             assert ff.integrate(np.ones(grid.shape)) == pytest.approx(
                 want, rel=1e-6)
         elif key == "flux_both_sides":
-            rep = integral_formula(surface, grid)
+            rep = integral_formula(ff)
             assert rep.lhs == pytest.approx(want, rel=1e-6)
             assert rep.rhs == pytest.approx(want, rel=1e-6)
         elif key == "sup_du_sq":
@@ -126,11 +127,11 @@ def test_expected_values_are_reproduced(name, zoo):
             assert np.max(np.abs(got[key] - want)) < 5e-6, (name, key)
         if (key in ("scalar_curvature", "gauss_curvature")
                 and not isinstance(want, str)):
-            # the metric-only oracle is a second route to S = 2K; at its
-            # default step it is off by at most 1.1e-7 at 24 (measured on
+            # the metric-only oracle is a second route to S = 2K; at the
+            # step 1e-3 it is off by at most 1.1e-7 at 24 (measured on
             # sphere_R3_homothetic, the worst scenario)
             S = want if key == "scalar_curvature" else 2.0 * want
-            oracle = intrinsic_curvature_oracle(surface, grid.nodes)
+            oracle = oracle_at(surface, grid.nodes)
             assert np.max(np.abs(oracle - S)) < 1e-6, (name, key, "oracle")
 
 
