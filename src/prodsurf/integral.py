@@ -58,7 +58,7 @@ The mass is integrated once per frame bundle
 from __future__ import annotations
 
 from .calculus import FrameFields, QuadratureGrid
-from .errors import NotEinstein
+from .errors import NotEinstein, WrongAmbient
 from .reports import TOLERANCES, IntegralReport, Tolerances
 
 
@@ -109,10 +109,13 @@ def integral_formula(fields: FrameFields, tolerances: Tolerances = TOLERANCES
 
 def product_integral(fields: FrameFields, tolerances: Tolerances = TOLERANCES
                      ) -> IntegralReport:
-    """Killing specialisation of the balance law in a metric product."""
+    """Killing specialisation of the balance law in a metric product.
+
+    Raises ``WrongAmbient`` unless the ambient is a product.
+    """
     ambient = fields.surface.ambient
     if ambient.kind != "product":
-        raise NotEinstein(
+        raise WrongAmbient(
             f"product integral needs a product ambient, got {ambient.name!r}")
     fr = fields.frame
     n = fr.tangent.shape[-2]

@@ -28,20 +28,20 @@ Each block writes its fields straight into its rows of the outputs (with
 ``out=`` where numpy takes it, by slice assignment where a surface or
 ambient callable returns a new array), so no block result is copied and
 the working set does not grow with the grid.  ``height`` is the view
-``point[..., -1]``.  Blocks are
-independent and run concurrently: ``_block_map`` evaluates up to
-``_WORKERS`` of them at a time (the CPU-affinity count, capped at
-``_MAX_WORKERS``) on the caller's thread and a thread pool, numpy releasing
-the interpreter lock in their array work, and hands the results back in
-block order.  Inside a block the contractions run two operands at a time,
-and ``h_ij`` is contracted through the lowered unit normal ``G N`` (the
-normalized adjugate covector) as
-``txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c``, without forming the
-second partials ``sec_ij`` in ambient components.  Checks over the whole
-batch stay batch wide: the blocks are reconciled in order, so the
-orientation flip and the index of a degenerate point refer to the full
-batch, and the result depends neither on the block size nor on the number
-of workers.
+``point[..., -1]``.  Blocks are independent and run concurrently:
+``_block_map`` runs them in fixed strides on the caller's thread and a
+pool, up to ``_WORKERS`` at a time (the CPU-affinity count, capped at
+``_MAX_WORKERS``), numpy releasing the interpreter lock in their array
+work, and returns once every block has finished.  Inside a block the
+contractions run two operands at a time, and ``h_ij`` is contracted
+through the lowered unit normal ``G N`` (the normalized adjugate covector)
+as ``txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c``, without forming the
+second partials ``sec_ij`` in ambient components.  Every block writes the
+adjugate-oriented frame; the orientation is chosen once for the whole
+batch, after all blocks, by negating the fields that are odd in ``N``.  An
+error names its point by its index in the full batch, and the first
+failing block's error is raised, so the result depends neither on the
+block size nor on the number of workers.
 
 The module also hosts the *independent* intrinsic-curvature oracle: the
 scalar curvature ``S`` (``2K`` when n = 2), by one route in every dimension,
@@ -78,7 +78,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -109,8 +109,8 @@ _DEGENERACY_TOL = 1e-14
 # the same.
 _BLOCK = 8192
 
-# Blocks of one batch in flight at a time: one per CPU this process may run
-# on, capped so that the block temporaries held at once stay bounded.
+# Threads that run the blocks of one batch: one per CPU this process may
+# run on, capped so that the block temporaries held at once stay bounded.
 _MAX_WORKERS = 4
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -261,43 +261,41 @@ def _pool(threads: int) -> ThreadPoolExecutor:
         return _pools[threads]
 
 
-def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> Iterator:
-    """``fn(start)`` for every block start, yielded in block order.
+def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> list:
+    """``fn(start)`` for every block start, returned in block order.
 
-    Up to ``_WORKERS`` blocks run at a time: the caller's thread takes the
-    first block of each group and a pool of ``_WORKERS - 1`` threads the
-    others.  Every block of a group has finished before the first result of
-    the group is yielded, so no block outlives a consumer that stops early.
-    An exception is raised at the position of its block; those of later
-    blocks in the same group are dropped.  A lone block runs inline, and the
-    pool is created by the first batch of several blocks.
+    With ``k = min(_WORKERS, len(starts))``, the caller's thread runs the
+    blocks ``0, k, 2k, ...`` and each of ``k - 1`` pool threads one other
+    such stride; every block has finished before the call returns or
+    raises, so no block outlives it, and with one block or one worker no
+    pool is used.  Every thread that allocates block temporaries keeps
+    memory of its own, so the caller works rather than waits and the
+    strides are fixed: on two CPUs an idle caller beside ``_WORKERS`` pool
+    threads raised the benchmark's ``identity_sweep`` peak RSS by 9 %, and
+    one queue that every thread drew from raised ``sign_radial_scan``'s by
+    5 %.  The first failing block's exception, in block order, is raised;
+    the others are dropped.
     """
-    workers = _WORKERS
-    if workers == 1 or len(starts) <= 1:
-        for start in starts:
-            yield fn(start)
-        return
-    pool = _pool(workers - 1)
-    for first in range(0, len(starts), workers):
-        group = starts[first:first + workers]
-        futures = [pool.submit(fn, start) for start in group[1:]]
-        try:
-            head = fn(group[0])
-        finally:
-            wait(futures)
-        yield head
-        for future in futures:
-            yield future.result()
+    results: list = [None] * len(starts)
+    errors: dict[int, Exception] = {}
+    stride = max(1, min(_WORKERS, len(starts)))
 
+    def run(first: int) -> None:
+        for i in range(first, len(starts), stride):
+            try:
+                results[i] = fn(starts[i])
+            except Exception as exc:
+                errors[i] = exc
 
-def _uniform_sign(arr: np.ndarray, what: str) -> int:
-    pos = bool(np.all(arr > 0.0))
-    neg = bool(np.all(arr < 0.0))
-    if pos:
-        return +1
-    if neg:
-        return -1
-    raise DegenerateFrame(f"{what} changes sign across the batch")
+    helpers = [_pool(_WORKERS - 1).submit(run, first)
+               for first in range(1, stride)]
+    try:
+        run(0)
+    finally:
+        wait(helpers)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def frame_at(surface, s: np.ndarray) -> GeometryFrame:
@@ -310,19 +308,20 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     into its own rows of the outputs, so no intermediate grows with the
     batch and no block result is copied.  A batch smaller than one block is
     a single block on the caller's thread.  The blocks carry no state
-    between them and are reconciled in block order, so the result depends
-    neither on the block size nor on the number of workers.  In a product
-    ambient ``height`` is the view ``point[..., -1]``, not a copy.
+    between them, so the result depends neither on the block size nor on
+    the number of workers.  In a product ambient ``height`` is the view
+    ``point[..., -1]``, not a copy.
 
     Raises ``NotSpacelike`` when a Lorentzian-ambient surface fails the
     spacelike test and ``DegenerateFrame`` when the tangent map loses rank
     or the normal direction becomes null, naming the first offending point
     by its index in the full batch; of several failing blocks, the first
-    one's error is raised.  Where the ambient's orientation reads
-    ``<N, T>`` (every ambient but a Riemannian space form), one flip is
-    picked for the whole batch, and ``DegenerateFrame`` is raised when the
-    adjugate normal's ``<N, T>`` takes both strict signs, within a block or
-    across blocks.
+    one's error is raised.  The blocks write the adjugate normal.  Where
+    the ambient's orientation reads ``<N, T>`` (every ambient but a
+    Riemannian space form), the orientation is then chosen once for the
+    whole batch: ``DegenerateFrame`` is raised when the adjugate normal's
+    ``<N, T>`` takes both strict signs, and where it is positive somewhere
+    the fields odd in ``N`` are negated in place.
     """
     s = np.asarray(s, dtype=float)
     batch = s.shape[:-1]
@@ -332,29 +331,34 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     starts = range(0, max(total, 1), size)
     out = _frame_outputs(total, n, surface.ambient.dim)
 
-    def block(start: int, flip: int | None = None) -> int | None:
+    def block(start: int) -> tuple[bool, bool]:
         rows = slice(start, start + size)
         return _frame_block(surface, flat[rows],
                             {key: value[rows] for key, value in out.items()},
-                            batch, start, flip)
+                            batch, start)
 
-    flip = None
-    undecided = []  # blocks whose <N, T> left the flip open; they used +1
-    for start, chosen in zip(starts, _block_map(block, starts)):
-        if chosen is None:
-            undecided.append(start)
-        elif flip is None:
-            flip = chosen
-        elif chosen != flip:
-            raise _theta_sign_change(surface)
-    if flip == -1 and undecided:
-        for _ in _block_map(lambda start: block(start, flip), undecided):
-            pass
+    signs = _block_map(block, starts)
+    policy = default_orientation(surface.ambient)
+    if policy != "adjugate":
+        negative = any(neg for neg, _ in signs)
+        positive = any(pos for _, pos in signs)
+        if negative and positive:
+            raise DegenerateFrame(
+                f"{surface.name}: <N, T> changes sign across the batch, so "
+                f"orientation {policy!r} has no consistent normal")
+        if positive:
+            for key in _ODD_IN_N:
+                np.negative(out[key], out=out[key])
 
     fields = {key: value.reshape(batch + value.shape[1:])
               for key, value in out.items()}
     height = fields["point"][..., -1] if surface.ambient.kind == "product" else None
     return GeometryFrame(**fields, height=height)
+
+
+# The frame_at outputs that change sign with the normal.
+_ODD_IN_N = ("normal", "theta", "second_form", "shape_operator",
+             "mean_curvature")
 
 
 def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
@@ -369,25 +373,16 @@ def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
     return {key: np.empty(shape) for key, shape in shapes.items()}
 
 
-def _theta_sign_change(surface) -> DegenerateFrame:
-    return DegenerateFrame(
-        f"{surface.name}: <N, T> changes sign across the batch, so "
-        f"orientation {default_orientation(surface.ambient)!r} has no "
-        "consistent normal")
-
-
 def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
-                 batch: tuple[int, ...], offset: int,
-                 flip: int | None = None) -> int | None:
+                 batch: tuple[int, ...], offset: int) -> tuple[bool, bool]:
     """Write the frame fields of the block ``s`` (shape ``(m, n)``) into ``out``.
 
     ``out`` holds the block's rows of every ``frame_at`` output, keyed like
     ``GeometryFrame``; each is written in place.  ``offset`` is the block's
     first row in the flattened ``batch``; error messages report points by
-    their index in ``batch``.  Returns the orientation flip the block
-    chose, which is ``None`` when a ``<N, T>`` policy met ``<N, T> = 0`` on
-    the whole block.  Such a block is oriented by ``flip`` when given, and
-    by the adjugate normal otherwise.
+    their index in ``batch``.  The normal is the adjugate one; the block
+    returns whether its ``<N, T>`` is negative and whether it is positive
+    anywhere, from which ``frame_at`` orients the whole batch.
     """
     ambient = surface.ambient
     n = s.shape[-1]
@@ -431,36 +426,26 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     if np.any(bad):
         raise DegenerateFrame(f"{surface.name}: null, vanishing or non-finite "
                               f"normal direction at index {where(bad)}")
-    eps = _uniform_sign(nsq, f"{surface.name}: <N, N>")
-    if eps != ambient.epsilon:
-        raise NotSpacelike(
-            f"{surface.name}: normal has <N, N> = {eps}, expected "
-            f"{ambient.epsilon} for this ambient")
+    eps = ambient.epsilon
+    bad = np.sign(nsq) != eps
+    if np.any(bad):
+        what = (f"normal has <N, N> of sign {int(np.sign(nsq[bad][0]))} at "
+                f"index {where(bad)}, expected {eps} for this ambient")
+        if eps < 0:
+            raise NotSpacelike(f"{surface.name}: {what}")
+        raise DegenerateFrame(f"{surface.name}: {what}")
     length = np.sqrt(np.abs(nsq))[..., None]
     N = np.divide(Nraw, length, out=out["normal"])
 
     GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
     theta = np.einsum("...a,...a->...", N, GT, out=out["theta"])
 
-    # orientation policy: "future" and "theta_nonpositive" ask for
-    # <N, T> <= 0, "future" strictly
-    policy = default_orientation(ambient)
-    if policy == "adjugate":
-        chosen = +1
-    else:
-        if policy == "future" and np.any(theta == 0.0):
-            raise DegenerateFrame(
-                f"{surface.name}: normal orthogonal to the time orientation")
-        keep = bool(np.any(theta < 0.0))
-        turn = bool(np.any(theta > 0.0))
-        if keep and turn:
-            raise _theta_sign_change(surface)
-        chosen = -1 if turn else (+1 if keep else None)
-    sign = chosen or flip or +1
-    if sign < 0:
-        np.negative(N, out=N)
-        np.negative(theta, out=theta)
-    Nlow = w * (sign / length)      # G N
+    # "future" asks for <N, T> < 0 at every point, so <N, T> = 0 fails
+    # whichever way frame_at turns the normal
+    if default_orientation(ambient) == "future" and np.any(theta == 0.0):
+        raise DegenerateFrame(
+            f"{surface.name}: normal orthogonal to the time orientation")
+    Nlow = w * (1.0 / length)       # G N
 
     np.einsum("...ij,...j->...i", ginv, np.einsum("...jb,...b->...j", tx, GT),
               out=out["tau"])
@@ -482,7 +467,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     ricNN[...] = ambient.ricci_quadratic(x, N)
     out["scalar_curvature"][...] = (ambient.scalar_curvature
                                     - 2.0 * eps * ricNN + 2.0 * eps * e2)
-    return chosen
+    return bool(np.any(theta < 0.0)), bool(np.any(theta > 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -818,6 +803,5 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
         rows = slice(start, start + size)
         out[rows] = _fd_scalar_curvature(g_at, flat[rows], h, ring)
 
-    for _ in _block_map(block, range(0, flat.shape[0], size)):
-        pass
+    _block_map(block, range(0, flat.shape[0], size))
     return out.reshape(grid.shape)

@@ -9,6 +9,11 @@ other than its own definition reads it, as a bare name or as an attribute.
 Imports and the strings of ``__all__`` do not count.  The top-level names
 are every def, class and assignment of a package module, private ones
 included.
+
+A package module also reads every name it imports at top level (in an
+``if`` block there too, such as ``if TYPE_CHECKING:``): a bare-name read
+anywhere in the module counts, and so does a listing in its own ``__all__``,
+which re-exports the name.
 """
 
 import ast
@@ -64,6 +69,26 @@ DEFINED = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
            if not name.startswith("__") and name not in _exports(path)]
 
 
+def _imported(body: list[ast.stmt]) -> list[str]:
+    names = []
+    for node in body:
+        if isinstance(node, ast.If):
+            names += _imported(node.body + node.orelse)
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"):
+            names += [(alias.asname or alias.name).partition(".")[0]
+                      for alias in node.names]
+    return names
+
+
+def _unread_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in _imported(tree.body)
+            if name not in read and name not in _exports(path)]
+
+
 @pytest.fixture(scope="module")
 def used():
     return _used_names()
@@ -88,3 +113,10 @@ def test_exported_name_is_used_outside_its_definition(used, module, name):
 def test_top_level_name_is_used_outside_its_definition(used, module, name):
     assert name in used, (f"{module}.{name} is defined but nothing in src/, "
                           "scripts/ or perfbench/ reads it")
+
+
+@pytest.mark.parametrize("module",
+                         sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_package_module_reads_every_name_it_imports(module):
+    unread = _unread_imports(PACKAGE / f"{module}.py")
+    assert not unread, f"{module} imports {unread} but never reads them"

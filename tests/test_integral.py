@@ -7,7 +7,7 @@ import pytest
 
 from prodsurf import calculus
 from prodsurf.calculus import FrameFields
-from prodsurf.errors import NonCompactDomain, NotEinstein
+from prodsurf.errors import NonCompactDomain, NotEinstein, WrongAmbient
 from prodsurf.integral import (available_formulas, einstein_integral,
                                integral_formula, product_integral,
                                run_formulas)
@@ -80,7 +80,7 @@ def test_einstein_rejects_conformal_non_killing_fields(zoo):
 
 def test_product_integral_rejects_space_forms(zoo):
     surface, grid, _ = zoo("sphere_R3_homothetic", 16)
-    with pytest.raises(NotEinstein):
+    with pytest.raises(WrongAmbient, match="product ambient"):
         product_integral(FrameFields(surface, grid))
 
 

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -612,8 +614,9 @@ def test_scalar_curvature_assembly_equals_full_riemann_reference(zoo, name, orde
 
 @pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
 def test_blocks_do_not_depend_on_the_worker_count(zoo, monkeypatch, name):
-    # 64-point blocks: 9 and 145 blocks, so many groups and a partial last
-    # one; a short switch interval interleaves the threads more often
+    # 64-point blocks: 9 and 145 blocks, more than the workers and a
+    # partial last one; a short switch interval interleaves the threads more
+    # often
     surface, grid, _ = zoo(name, 16)
     nodes = grid.nodes
     monkeypatch.setattr(shape, "_BLOCK", 64)
@@ -691,9 +694,8 @@ def test_theta_policy_rejects_a_sign_change_of_theta():
 
 
 def test_theta_policy_rejects_a_sign_change_across_blocks(monkeypatch):
-    # one sign of <N, T> per block, both signs in the batch: the first
-    # disagreeing block (the fifth) heads a group of two workers and sits
-    # inside a group of three
+    # one sign of <N, T> per block, both signs in the batch, the first
+    # disagreeing block being the fifth
     monkeypatch.setattr(shape, "_BLOCK", 64)
     surface = _bent_product_surface()
     s = QuadratureGrid.build(surface.axes, 16).nodes
@@ -799,7 +801,7 @@ def test_tangent_plane_through_a_chart_pole_is_degenerate():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
     # degenerate points in the second and fourth 64-point blocks; with four
-    # workers both blocks run in the pool within one group
+    # workers both blocks can be in flight at once
     ambient = make_ambient("R3_homothetic")
     axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
     s = np.stack(np.meshgrid(np.arange(10.0), np.arange(50.0), indexing="ij"),
@@ -821,6 +823,67 @@ def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
     monkeypatch.setattr(shape, "_WORKERS", workers)
     with pytest.raises(DegenerateFrame, match=r"index \(1, 30\)"):
         frame_at(surface, s)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_block_outlives_a_failing_batch(monkeypatch, workers):
+    # the jet fails in the second and fourth of eight 64-point blocks and
+    # is slow off the caller's thread, so pool threads are still in their
+    # blocks when the caller has run out of blocks; frame_at must wait for
+    # them before it raises
+    axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
+    s = np.stack(np.meshgrid(np.arange(10.0), np.arange(50.0), indexing="ij"),
+                 axis=-1)
+    bad = ((1, 30), (4, 10))      # flat indices 80 and 210
+
+    def jet(s):
+        for i, j in bad:
+            if np.any((s[..., 0] == i) & (s[..., 1] == j)):
+                raise RuntimeError(f"jet fails at {(i, j)}")
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+        x = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+        dx = np.zeros(s.shape[:-1] + (2, 3))
+        dx[..., 0, 0] = dx[..., 1, 1] = 1.0
+        return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
+
+    entered, exited = [], []
+    lock = threading.Lock()
+    frame_block = shape._frame_block
+
+    def counted(surface, block, out, batch, offset):
+        with lock:
+            entered.append(offset)
+        try:
+            return frame_block(surface, block, out, batch, offset)
+        finally:
+            with lock:
+                exited.append(offset)
+
+    surface = ParamSurface(name="failing_plane",
+                           ambient=make_ambient("R3_homothetic"), axes=axes,
+                           jet=jet, compact=False)
+    monkeypatch.setattr(shape, "_frame_block", counted)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    monkeypatch.setattr(shape, "_WORKERS", workers)
+    with pytest.raises(RuntimeError, match=r"jet fails at \(1, 30\)"):
+        frame_at(surface, s)
+    with lock:
+        assert sorted(entered) == sorted(exited)
+    assert 64 in entered
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S2xR1_cos02",
+                                  "hyperboloid_R31_minkowski"])
+def test_empty_batch_gives_empty_fields(zoo, name):
+    surface, _, _ = zoo(name)
+    n, d = surface.dimension, surface.ambient.dim
+    fr = frame_at(surface, np.empty((0, n)))
+    assert fr.tangent.shape == (0, n, d) and fr.normal.shape == (0, d)
+    assert fr.shape_operator.shape == (0, n, n) and fr.theta.shape == (0,)
+    for key, value in vars(fr).items():
+        if isinstance(value, np.ndarray):
+            assert value.size == 0, key
 
 
 @pytest.mark.parametrize("name", [n for n in scenario_names()
