@@ -241,7 +241,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
     """Randomized graphs always show the forced curvature-comparison sign."""
     rng = np.random.default_rng(RANDOM_SEED)
     checks: list[tuple[bool, str]] = []
-    grid_cache: dict[int, QuadratureGrid] = {}
+    grid = QuadratureGrid.build(round_sphere().axes, 16)
     for eps, label, want in ((1, "Riemannian", "min(K - 1) < 0"),
                              (-1, "Lorentzian", "max(K - 1) > 0")):
         amplitudes = rng.uniform(0.005, 0.5, size=N_RANDOM_GRAPHS)
@@ -252,8 +252,6 @@ def criterion_randomized_harness() -> CriterionVerdict:
             u, du, d2u = cosine_profile(float(a))
             g = GraphSurface(name=f"random_a{a:.6f}", ambient=ambient,
                              u=u, du=du, d2u=d2u)
-            grid = grid_cache.setdefault(
-                len(g.axes), QuadratureGrid.build(g.axes, 16))
             rep = theorem_harness(g, grid)
             margin = -rep.gap_min if eps == 1 else rep.gap_max
             worst = min(worst, margin)
@@ -267,8 +265,6 @@ def criterion_randomized_harness() -> CriterionVerdict:
             u, du, d2u = constant_profile(value)
             g = GraphSurface(name=f"const_{value}", ambient=ambient,
                              u=u, du=du, d2u=d2u)
-            grid = grid_cache.setdefault(
-                len(g.axes), QuadratureGrid.build(g.axes, 16))
             rep = theorem_harness(g, grid)
             d = rep.detail
             ok = (rep.kind == "slice"

@@ -152,22 +152,16 @@ class QuadratureGrid:
 
 @dataclass(eq=False)
 class SurfaceField:
-    """Sampled values on a grid: scalar, or a tensor in surface coordinates.
-
-    ``index_rank`` counts trailing coordinate-index axes (0 scalar, 1 vector,
-    2 two-index tensor).  The rank matters when a stencil crosses a chart
-    pole: each coordinate index picks up the sign of the deck-map Jacobian.
-    """
+    """Scalar values sampled on the nodes of a grid, the integrand of
+    :func:`integrate`."""
 
     values: np.ndarray
     grid: QuadratureGrid
-    index_rank: int = 0
 
     def __post_init__(self):
-        expected = self.grid.shape + (len(self.grid.axes),) * self.index_rank
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected}")
+        if self.values.shape != self.grid.shape:
+            raise ValueError(f"field shape {self.values.shape} does not match "
+                             f"grid {self.grid.shape}")
 
 
 def _deck_transform(values: np.ndarray, axes: tuple[AxisSpec, ...],
@@ -347,8 +341,6 @@ def integrate(f: SurfaceField, area_elements: np.ndarray, *,
     """
     if not compact:
         raise NonCompactDomain("surface integral requested on a non-compact scenario")
-    if f.index_rank != 0:
-        raise ValueError("integrate expects a scalar field")
     contrib = f.values * f.grid.weights
     contrib *= area_elements
     return quotient_factor * _exact_sum(contrib.ravel(order="C"))
@@ -391,14 +383,11 @@ class FrameFields:
     # -- induced-metric differential structure ------------------------------
 
     @cached_property
-    def metric_partials(self) -> np.ndarray:
-        """dg[..., a, i, j] = d_a g_ij by grid stencils."""
-        return self.partials(self.frame.metric, index_rank=2)
-
-    @cached_property
     def christoffels(self) -> np.ndarray:
-        """Surface Christoffel symbols Gamma^k_ij of the induced metric."""
-        dg = self.metric_partials
+        """Surface Christoffel symbols Gamma^k_ij of the induced metric,
+        from the metric partials ``dg[..., a, i, j] = d_a g_ij`` by grid
+        stencils, which are not kept."""
+        dg = self.partials(self.frame.metric, index_rank=2)
         ginv = self.frame.metric_inv
         n = len(self.grid.axes)
         out = np.zeros(self.grid.shape + (n, n, n))

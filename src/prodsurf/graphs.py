@@ -12,7 +12,7 @@ gradient norm.  Clearing denominators gives the polynomial form
 
     W^2 K  =  W K_M  +  epsilon * det(Hess u) / det g_M,
 
-whose pointwise residual for a *declared* target curvature is what
+whose pointwise residual for a *declared* constant target curvature is what
 ``corollary_equation_residual`` reports: entire solutions on the round
 sphere force ``u`` constant and ``K = K_M``, so any non-constant ``u``
 leaves a visible residual.
@@ -489,16 +489,16 @@ def graph_curvature(g, s) -> np.ndarray:
     return K_M / W + g.epsilon * det_term / W ** 2
 
 
-def corollary_equation_residual(g, K_field, grid: QuadratureGrid
+def corollary_equation_residual(g, K: float, grid: QuadratureGrid
                                 ) -> CheckResult:
     """Pointwise residual of the prescribed-curvature graph equation.
 
     Evaluates ``W^2 K - (W K_M + eps det(Hess u)/det g_M)`` on the grid for
-    a declared target curvature ``K_field`` (scalar, array, or callable on
-    base points).  Entire solutions over the round sphere are exactly the
-    constants with ``K = K_M``, so the residual doubles as a non-solution
-    witness: it vanishes iff the declared pair actually solves the equation.
-    It is judged against ``TOLERANCES.corollary_residual``.
+    a declared constant target curvature ``K``, a float.  Entire solutions
+    over the round sphere are exactly the constants with ``K = K_M``, so
+    the residual doubles as a non-solution witness: it vanishes iff the
+    declared pair actually solves the equation.  It is judged against
+    ``TOLERANCES.corollary_residual``.
     """
     if g.base.name not in ("S2", "RP2"):
         raise WrongAmbient(
@@ -506,11 +506,7 @@ def corollary_equation_residual(g, K_field, grid: QuadratureGrid
             f"its projective quotient, got base {g.base.name!r}")
     m = grid.nodes
     W, K_M, det_term = _graph_equation_pieces(g, m)
-    if callable(K_field):
-        K_target = np.asarray(K_field(m), dtype=float)
-    else:
-        K_target = np.broadcast_to(np.asarray(K_field, dtype=float), W.shape)
-    residual = W ** 2 * K_target - (W * K_M + g.epsilon * det_term)
+    residual = W ** 2 * float(K) - (W * K_M + g.epsilon * det_term)
     max_residual = float(np.max(np.abs(residual)))
     tolerance = TOLERANCES.corollary_residual
     return CheckResult(
@@ -576,7 +572,9 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     a strict sign somewhere: Riemannian graphs dip below it somewhere
     (``min(K - K_M) < 0``), spacelike Lorentzian graphs exceed it somewhere
     (``max(K - K_M) > 0``).  In dimension three and up the same scan runs
-    on scalar curvature.  Constant graphs route to a slice verdict instead.
+    on scalar curvature, ``S - n kappa`` with the base's Ricci factor
+    ``kappa``.  Constant graphs route to a slice verdict instead, whose
+    ``max_curvature_gap`` is the largest ``|gap|``.
     """
     if not g.compact:
         raise NonCompactDomain(
@@ -588,14 +586,16 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     frame = fields.frame
     theta_range = (float(frame.theta.min()), float(frame.theta.max()))
     kappa = g.base.kappa
+    if n == 2:
+        gap = graph_curvature(g, m) - kappa
+        measure = "gauss_curvature"
+    else:
+        gap = frame.scalar_curvature - n * kappa
+        measure = "scalar_curvature"
 
     if float(np.max(np.abs(du))) == 0.0:
         # Slice of the product: totally geodesic, curvature equals the base.
         witness = tuple(float(c) for c in np.reshape(m, (-1, n))[0])
-        if n == 2:
-            gap = float(np.max(np.abs(graph_curvature(g, m) - kappa)))
-        else:
-            gap = float(np.max(np.abs(frame.scalar_curvature - n * kappa)))
         return HarnessReport(
             kind="slice",
             scenario=g.name,
@@ -614,16 +614,9 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
                     np.max(np.abs(frame.theta ** 2 - 1.0))),
                 "max_shape_operator": float(
                     np.max(np.abs(frame.shape_operator))),
-                "max_curvature_gap": gap,
+                "max_curvature_gap": float(np.max(np.abs(gap))),
             },
         )
-
-    if n == 2:
-        gap = graph_curvature(g, m) - kappa
-        measure = "gauss_curvature"
-    else:
-        gap = frame.scalar_curvature - n * kappa
-        measure = "scalar_curvature"
 
     flat = np.reshape(gap, (-1,))
     pts = np.reshape(m, (-1, n))

@@ -272,19 +272,16 @@ def _attach_order(coarse: CheckResult, fine: CheckResult,
     return fine
 
 
-def applicable_checks(surface, names: tuple[str, ...] | None = None,
-                      ) -> tuple[str, ...]:
-    """The subset of (the named) checks that applies to this ambient."""
-    selected = names or tuple(CHECKS)
+def applicable_checks(surface) -> tuple[str, ...]:
+    """The checks that apply to this surface's ambient, in ``CHECKS`` order."""
     if surface.ambient.kind == "product":
-        return tuple(selected)
-    return tuple(name for name in selected
+        return tuple(CHECKS)
+    return tuple(name for name in CHECKS
                  if name not in ("norm_grad_h", "hessian_h"))
 
 
-def run_suite(surface, resolution: int, refine: int = 1,
-              names: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the applicable identity checks on one surface.
+def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
+    """Run every identity check that applies to one surface.
 
     ``refine = 0`` runs single-resolution checks (no order estimate);
     ``refine >= 1`` measures convergence between ``resolution`` and
@@ -292,7 +289,7 @@ def run_suite(surface, resolution: int, refine: int = 1,
     automatically on other ambients.  The frame bundle at each resolution
     is shared across checks.
     """
-    selected = applicable_checks(surface, names)
+    selected = applicable_checks(surface)
     coarse_fields = FrameFields(
         surface, QuadratureGrid.build(surface.axes, resolution))
     if refine <= 0:

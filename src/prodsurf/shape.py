@@ -9,11 +9,12 @@ slots).  Graphs over a base manifold get their jet assembled from the height
 function and its derivatives.
 
 ``frame_at`` turns the jet into the full pointwise dictionary of the
-hypersurface: induced metric, unit normal (oriented by the ambient, see
-``default_orientation``), second fundamental form ``h_ij = <sec_ij, N>``,
-shape operator ``A = g^{-1} h`` (so that ``A = -grad N`` as an
-endomorphism), mean curvature ``H = (eps_N / n) tr A``, and the scalar
-curvature from the contracted Gauss equation
+hypersurface: induced metric, unit normal (oriented by the ambient alone:
+``<N, T> <= 0`` in a product, ``< 0`` in a Lorentzian ambient, the
+adjugate normal as it is in a Riemannian space form), second fundamental
+form ``h_ij = <sec_ij, N>``, shape operator ``A = g^{-1} h`` (so that
+``A = -grad N`` as an endomorphism), mean curvature ``H = (eps_N / n)
+tr A``, and the scalar curvature from the contracted Gauss equation
 
     S = Sbar - 2 eps_N Ric_bar(N, N) + 2 eps_N e_2(A),
     e_2(A) = ((tr A)^2 - tr A^2) / 2,
@@ -119,21 +120,6 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
 # without einsum's path search.  The unoptimized default loops over every
 # index at once.
 _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
-
-
-def default_orientation(ambient: AmbientSpace) -> str:
-    """The normal orientation of every hypersurface of ``ambient``.
-
-    ``"future"`` in a Lorentzian ambient (``<N, T> < 0``),
-    ``"theta_nonpositive"`` in a Riemannian product (``<N, T> <= 0``), and
-    ``"adjugate"`` (the metric-adjugate normal as it is) in a Riemannian
-    space form.  No surface sets its own.
-    """
-    if ambient.epsilon < 0:
-        return "future"
-    if ambient.kind == "product":
-        return "theta_nonpositive"
-    return "adjugate"
 
 
 @dataclass(eq=False)
@@ -316,12 +302,12 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     spacelike test and ``DegenerateFrame`` when the tangent map loses rank
     or the normal direction becomes null, naming the first offending point
     by its index in the full batch; of several failing blocks, the first
-    one's error is raised.  The blocks write the adjugate normal.  Where
-    the ambient's orientation reads ``<N, T>`` (every ambient but a
-    Riemannian space form), the orientation is then chosen once for the
-    whole batch: ``DegenerateFrame`` is raised when the adjugate normal's
-    ``<N, T>`` takes both strict signs, and where it is positive somewhere
-    the fields odd in ``N`` are negated in place.
+    one's error is raised.  The blocks write the adjugate normal.  In a
+    product or a Lorentzian ambient, which orient it by ``<N, T>``, the
+    orientation is then chosen once for the whole batch: ``DegenerateFrame``
+    is raised when the adjugate normal's ``<N, T>`` takes both strict
+    signs, and where it is positive somewhere the fields odd in ``N`` are
+    negated in place.
     """
     s = np.asarray(s, dtype=float)
     batch = s.shape[:-1]
@@ -338,21 +324,21 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
                             batch, start)
 
     signs = _block_map(block, starts)
-    policy = default_orientation(surface.ambient)
-    if policy != "adjugate":
+    ambient = surface.ambient
+    if ambient.epsilon < 0 or ambient.kind == "product":
         negative = any(neg for neg, _ in signs)
         positive = any(pos for _, pos in signs)
         if negative and positive:
             raise DegenerateFrame(
                 f"{surface.name}: <N, T> changes sign across the batch, so "
-                f"orientation {policy!r} has no consistent normal")
+                "no normal keeps it of one sign")
         if positive:
             for key in _ODD_IN_N:
                 np.negative(out[key], out=out[key])
 
     fields = {key: value.reshape(batch + value.shape[1:])
               for key, value in out.items()}
-    height = fields["point"][..., -1] if surface.ambient.kind == "product" else None
+    height = fields["point"][..., -1] if ambient.kind == "product" else None
     return GeometryFrame(**fields, height=height)
 
 
@@ -440,9 +426,9 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
     theta = np.einsum("...a,...a->...", N, GT, out=out["theta"])
 
-    # "future" asks for <N, T> < 0 at every point, so <N, T> = 0 fails
-    # whichever way frame_at turns the normal
-    if default_orientation(ambient) == "future" and np.any(theta == 0.0):
+    # a Lorentzian ambient asks for <N, T> < 0 at every point, so <N, T> = 0
+    # fails whichever way frame_at turns the normal
+    if eps < 0 and np.any(theta == 0.0):
         raise DegenerateFrame(
             f"{surface.name}: normal orthogonal to the time orientation")
     Nlow = w * (1.0 / length)       # G N

@@ -586,10 +586,11 @@ def override_number(key: str, value, integer: bool = False) -> float:
     """An override value as a finite float, a whole number if ``integer``.
 
     Raises ``OverrideOutOfRange`` for a value that is not a number, not
-    finite, or (with ``integer``) not whole.
+    finite, or (with ``integer``) not whole.  A boolean is not a number,
+    though ``float(True)`` reads 1.0.
     """
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number) or (integer and not number.is_integer()):

@@ -4,8 +4,9 @@ Each route recomputes a quantity the package has in closed form (or reads
 from its frames) by another method: finite differences of the chart data,
 or the closed forms of a graph.  One runs the package's intrinsic-curvature
 oracle off its grids, at scattered points and a free step.  None of them is
-used by the package itself, so they live with the tests.  This module holds
-no tests.
+used by the package itself, so they live with the tests.  So does
+``run_check``, which runs one identity check at two resolutions where the
+package only runs the whole suite.  This module holds no tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import AmbientSpace
+from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.graphs import _gate_x0, check_curvature_range
+from prodsurf.identities import CHECKS, _attach_order
 from prodsurf.reports import CheckResult
 from prodsurf.shape import GraphSurface, covariant_hessian, spacelike_w
 
@@ -127,6 +130,26 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
         passed=bool(worst <= tolerance),
         tolerance=tolerance,
     )
+
+
+# --------------------------------------------------------------------------
+# one identity check, with its convergence order
+# --------------------------------------------------------------------------
+
+def run_check(surface, name: str, resolution: int) -> CheckResult:
+    """The identity check ``CHECKS[name]`` between ``resolution`` and
+    ``2 * resolution``, paired by ``identities._attach_order``: the record
+    that ``run_suite(refine=1)`` reports for it.
+
+    Each bundle is a new ``FrameFields``, so its frame comes from
+    ``calculus.frame_at`` as it stands when the check runs (a test may
+    have wrapped it).
+    """
+    fine_resolution = 2 * resolution
+    coarse, fine = (
+        CHECKS[name](FrameFields(surface, QuadratureGrid.build(surface.axes, r)))
+        for r in (resolution, fine_resolution))
+    return _attach_order(coarse, fine, resolution, fine_resolution)
 
 
 # --------------------------------------------------------------------------

@@ -193,13 +193,16 @@ def test_rejected_invocations_exit_two(args):
     ("identities", "sphere_R3_homothetic", '{"resolution": 257, "refine": 1}',
      "refine"),
     ("identities", "graph_S2xR_cos03", '{"amplitude": "x"}', "amplitude"),
+    ("identities", "slice_T2xR_t1.2", '{"refine": false}', "refine"),
+    ("identities", "slice_T2xR_t1.2", '{"t0": true}', "t0"),
     ("solve-radial", None, '{"epsilon": "x", "K": -0.5}', "epsilon"),
     ("solve-radial", None, '{"epsilon": -1.5, "K": -2.0}', "epsilon"),
 ])
 def test_malformed_overrides_exit_two(tmp_path, command, scenario, overrides,
                                       key):
-    # non-numeric, non-finite and fractional values, and a refinement past
-    # the largest resolution, are rejected before any check runs
+    # non-numeric (booleans too), non-finite and fractional values, and a
+    # refinement past the largest resolution, are rejected before any check
+    # runs
     cfg = tmp_path / "malformed.json"
     cfg.write_text(f'{{"command": "{command}", "scenario": '
                    f'{json.dumps(scenario)}, "overrides": {overrides}}}')

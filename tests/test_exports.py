@@ -14,9 +14,18 @@ A package module also reads every name it imports at top level (in an
 ``if`` block there too, such as ``if TYPE_CHECKING:``): a bare-name read
 anywhere in the module counts, and so does a listing in its own ``__all__``,
 which re-exports the name.
+
+No option exists that nothing sets: every parameter with a default, of
+every function or method of a package module, is passed by some call in
+``src/``, ``scripts/`` or ``perfbench/``, by keyword or by position.  A
+call matches a definition by name (a bare name or an attribute); a method's
+positional arguments start after ``self``, and a call that unpacks ``*args``
+or ``**kwargs`` counts as passing what it could.  ``OPTIONS_SET_ELSEWHERE``
+names the exemptions, each with its reason.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -87,6 +96,74 @@ def _unread_imports(path: Path) -> list[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [name for name in _imported(tree.body)
             if name not in read and name not in _exports(path)]
+
+
+# (module, function, parameter) -> why nothing in src/, scripts/ or
+# perfbench/ passes it
+OPTIONS_SET_ELSEWHERE = {
+    ("cli", "main", "argv"):
+        "tests drive the console entry point through it; the entry point "
+        "itself reads sys.argv",
+}
+
+
+def _defaulted_parameters() -> dict[tuple[str, str, str], int | None]:
+    """(module, function, parameter) -> the parameter's position among the
+    arguments a call passes (after a method's ``self``), or ``None`` for a
+    keyword-only one."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            skip = 1 if id(fn) in methods else 0
+            for k in range(first, len(positional)):
+                found[path.stem, fn.name, positional[k].arg] = k - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found[path.stem, fn.name, arg.arg] = None
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/, scripts/ and perfbench/, by callee name."""
+    calls = collections.defaultdict(list)
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Name):
+                        calls[func.id].append(node)
+                    elif isinstance(func, ast.Attribute):
+                        calls[func.attr].append(node)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return True
+    return (any(kw.arg == param for kw in call.keywords)
+            or position is not None and position < len(call.args))
+
+
+def test_every_option_is_set_by_some_caller():
+    defaulted = _defaulted_parameters()
+    assert set(OPTIONS_SET_ELSEWHERE) <= set(defaulted)
+    calls = _calls()
+    unset = [f"{module}.{function}({param}=)"
+             for (module, function, param), position in defaulted.items()
+             if (module, function, param) not in OPTIONS_SET_ELSEWHERE
+             and not any(_passes(call, param, position)
+                         for call in calls[function])]
+    assert not unset, ("nothing in src/, scripts/ or perfbench/ passes "
+                       f"{', '.join(unset)}")
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from reference_routes import run_check
 
 from prodsurf import calculus, graphs
 from prodsurf.acceptance import EXACT_TOL
@@ -137,7 +138,7 @@ def test_n3_codazzi_catches_a_defect_in_the_fields_it_reads(
     surface, _, _ = zoo(CODAZZI_N3_SCENARIO)
     if field is not None:
         _scale_frame_field(monkeypatch, field)
-    (result,) = run_suite(surface, 16, names=("codazzi",))
+    result = run_check(surface, "codazzi", 16)
     assert result.passed == (field not in CODAZZI_N3_CAUGHT), result
 
 

@@ -248,15 +248,6 @@ def test_corollary_residual_frozen_values():
         pytest.approx(0.5, abs=1e-15)
 
 
-def test_corollary_residual_accepts_field_and_callable():
-    g = _constant_graph(1)
-    grid = QuadratureGrid.build(g.axes, 16)
-    ones = np.ones(grid.shape)
-    assert corollary_equation_residual(g, ones, grid).max_residual == 0.0
-    assert corollary_equation_residual(
-        g, lambda m: np.ones(m.shape[:-1]), grid).max_residual == 0.0
-
-
 def test_graph_checks_default_to_the_tolerance_record():
     sol = solve_radial(-1, -2.0, x0_max=2.0, n_samples=64)
     assert closed_form_match(sol).tolerance == TOLERANCES.radial_match

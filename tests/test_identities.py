@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_routes import run_check
 
 from prodsurf import calculus, zoo as catalog
 from prodsurf.calculus import FrameFields, QuadratureGrid
@@ -48,7 +49,7 @@ def test_rounding_limited_checks_pass_via_floor(zoo):
     # stacked FD check measures pure conditioning noise that grows under
     # refinement; the floor carve-out must classify it as satisfied.
     surface, _, _ = zoo("sphere_R3_homothetic")
-    (result,) = run_suite(surface, 64, names=("laplacian_theta",))
+    result = run_check(surface, "laplacian_theta", 64)
     assert result.floored
     assert result.passed
     assert result.max_residual < 1e-8
@@ -63,7 +64,7 @@ def test_gauss_scalar_catches_a_defect_in_the_frame_S(zoo, monkeypatch,
     # sign harness consume; in product ambients too, gauss_scalar must see
     # a relative defect of 1e-3 in it.
     surface, _, _ = zoo(scenario)
-    (clean,) = run_suite(surface, resolution, names=("gauss_scalar",))
+    clean = run_check(surface, "gauss_scalar", resolution)
     assert clean.passed, clean
     frame_at = calculus.frame_at
 
@@ -73,7 +74,7 @@ def test_gauss_scalar_catches_a_defect_in_the_frame_S(zoo, monkeypatch,
             fr, scalar_curvature=fr.scalar_curvature * (1.0 + 1.0e-3))
 
     monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
-    (result,) = run_suite(surface, resolution, names=("gauss_scalar",))
+    result = run_check(surface, "gauss_scalar", resolution)
     assert not result.passed, result
 
 
@@ -112,9 +113,7 @@ def test_refine_zero_gives_single_resolution_results(zoo):
 
 def test_codazzi_on_space_form_is_exact(zoo):
     surface, _, _ = zoo("ellipsoid_R3_homothetic")
-    results = run_suite(surface, 24, refine=1, names=("codazzi",))
-    (r,) = results
-    assert r.passed
+    assert run_check(surface, "codazzi", 24).passed
 
 
 def _codazzi_full_tensor(fields):

@@ -18,8 +18,8 @@ from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
-from prodsurf.shape import (GraphSurface, ParamSurface, default_orientation,
-                            frame_at, intrinsic_curvature_oracle)
+from prodsurf.shape import (GraphSurface, ParamSurface, frame_at,
+                            intrinsic_curvature_oracle)
 from prodsurf.zoo import _ellipsoid_jet, instantiate, scenario_names
 
 
@@ -82,10 +82,16 @@ def test_second_form_is_symmetric_and_height_recorded(fields):
     assert np.max(fr.height) <= 0.45
 
 
-def test_default_orientation_policies():
-    assert default_orientation(make_ambient("S2xR")) == "theta_nonpositive"
-    assert default_orientation(make_ambient("S2xR1")) == "future"
-    assert default_orientation(make_ambient("R3_homothetic")) == "adjugate"
+@pytest.mark.parametrize("scenario, sign", [
+    ("graph_S2xR_cos03", -1.0),         # Riemannian product: <N, T> <= 0
+    ("graph_S2xR1_cos02", -1.0),        # Lorentzian: future, <N, T> < 0
+    ("sphere_R3_homothetic", 1.0),      # space form: the adjugate normal
+])
+def test_frames_take_the_orientation_of_their_ambient(fields, scenario, sign):
+    # a graph is nowhere vertical, so <N, T> never vanishes on it; the round
+    # sphere's adjugate normal is the outward one, <N, T> = <N, x> = 1
+    theta = fields(scenario, 16).frame.theta
+    assert np.all(np.sign(theta) == sign)
 
 
 def _reversed_longitude(surface: ParamSurface) -> ParamSurface:
@@ -689,7 +695,8 @@ def _bent_product_surface() -> ParamSurface:
 def test_theta_policy_rejects_a_sign_change_of_theta():
     surface = _bent_product_surface()
     nodes = QuadratureGrid.build(surface.axes, 16).nodes
-    with pytest.raises(DegenerateFrame, match="bent_cylinder.*theta_nonpositive"):
+    with pytest.raises(DegenerateFrame,
+                       match="bent_cylinder.*changes sign across the batch"):
         frame_at(surface, nodes)
 
 
@@ -701,7 +708,8 @@ def test_theta_policy_rejects_a_sign_change_across_blocks(monkeypatch):
     s = QuadratureGrid.build(surface.axes, 16).nodes
     for workers in (1, 2, 3):
         monkeypatch.setattr(shape, "_WORKERS", workers)
-        with pytest.raises(DegenerateFrame, match="theta_nonpositive"):
+        with pytest.raises(DegenerateFrame,
+                           match="changes sign across the batch"):
             frame_at(surface, np.moveaxis(s, 1, 0))
 
 
@@ -722,8 +730,8 @@ def test_frame_on_blocks_equals_frame_on_row_slices(zoo):
 def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
     # theta = pi/2 + p(a) b with p = 0 for a <= 1, parametrized as (b, a):
     # with a slowest in the batch, <N, T> vanishes exactly on the first
-    # blocks and the adjugate normal has it positive afterwards, so
-    # "theta_nonpositive" must flip the normal of every block, also those
+    # blocks and the adjugate normal has it positive afterwards, so the
+    # product's <N, T> <= 0 must flip the normal of every block, also those
     # evaluated before
     axes = (AxisSpec("b", -0.5, 0.5, "open"), AxisSpec("a", 0.0, 2.0, "open"))
 
