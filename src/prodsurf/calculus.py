@@ -210,19 +210,14 @@ def _extend_values(values: np.ndarray, grid: QuadratureGrid, axis: int,
     d = _GHOST_DEPTH
     if spec.kind == "open":
         return values
+    head = (slice(None),) * axis
+    lo_slab = values[head + (slice(None, d),)]
+    hi_slab = values[head + (slice(-d, None),)]
     if spec.kind == "periodic":
-        lo = _take(values, range(values.shape[axis] - d, values.shape[axis]), axis)
-        hi = _take(values, range(d), axis)
-        return np.concatenate([lo, values, hi], axis=axis)
-    lo_slab = _take(values, range(d), axis)
-    hi_slab = _take(values, range(values.shape[axis] - d, values.shape[axis]), axis)
+        return np.concatenate([hi_slab, values, lo_slab], axis=axis)
     lo_ghost = np.flip(_deck_transform(lo_slab, grid.axes, axis, index_rank), axis=axis)
     hi_ghost = np.flip(_deck_transform(hi_slab, grid.axes, axis, index_rank), axis=axis)
     return np.concatenate([lo_ghost, values, hi_ghost], axis=axis)
-
-
-def _take(values: np.ndarray, idx, axis: int) -> np.ndarray:
-    return np.take(values, np.asarray(list(idx)), axis=axis)
 
 
 def _stencil_for_axis(grid: QuadratureGrid, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +325,7 @@ def _exact_sum(flat: np.ndarray) -> float:
 
 
 def integrate(f: SurfaceField, area_elements: np.ndarray, *,
-              quotient_factor: float = 1.0, compact: bool = True) -> float:
+              quotient_factor: float, compact: bool) -> float:
     """Integral over the surface: sum of f * weight * area element.
 
     The terms are summed exactly and rounded once (``_exact_sum``), so the

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from .acceptance import battery_passed, run_battery
-from .errors import GeometryError, OverrideOutOfRange
+from .errors import GeometryError
 from .graphs import (closed_form_match, completeness_criterion, solve_radial,
                      theorem_harness)
 from .identities import run_suite
@@ -193,10 +193,7 @@ def _reject_keys(overrides: dict[str, Any], keys: tuple[str, ...],
 
 def _pop_number(overrides: dict[str, Any], key: str, default: float,
                 integer: bool = False) -> float:
-    try:
-        return override_number(key, overrides.pop(key, default), integer)
-    except OverrideOutOfRange as exc:
-        raise UsageError(str(exc)) from exc
+    return override_number(key, overrides.pop(key, default), integer)
 
 
 # -- command executors --------------------------------------------------------
@@ -230,8 +227,6 @@ def _cmd_integral(config: RunConfig):
         raise UsageError(f"scenario {name!r} is not compact; the balance "
                          "laws integrate over closed surfaces")
     results = run_formulas(surface, grid, tol)
-    if not results:
-        raise UsageError(f"no balance law applies to scenario {name!r}")
     return results, all(r.passed for r in results), None
 
 
@@ -332,8 +327,6 @@ def run(config: RunConfig) -> tuple[str, bool]:
     """Execute one merged invocation; returns (report text, all passed)."""
     results, passed, csv_text = _EXECUTORS[config.command](config)
     if config.format == "csv":
-        if csv_text is None:
-            raise UsageError("csv output is only available for solve-radial")
         return csv_text, passed
     envelope = make_envelope(config.command, config.to_jsonable(), results,
                              passed, timestamp=config.timestamp)

@@ -54,12 +54,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _smallmat
-from .ambient import hyperbolic_plane, make_product
+from .ambient import BaseManifold, hyperbolic_plane, make_product
 from .calculus import FrameFields, QuadratureGrid
 from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
                      SingularPoint, StepFailure, WrongAmbient)
 from .reports import TOLERANCES, CheckResult, CompletenessVerdict, HarnessReport
-from .shape import GraphSurface, covariant_hessian, gradient_sq, spacelike_w
+from .shape import GraphSurface
 
 __all__ = [
     "closed_form_f",
@@ -456,6 +456,41 @@ def radial_graph(epsilon: int, K: float, box: float = 1.2):
 
 
 # --------------------------------------------------------------------------
+# closed-form graph quantities, read by the graph curvature equation and the
+# completeness criterion (an independent route to the frame)
+# --------------------------------------------------------------------------
+
+def _gradient_sq(base: BaseManifold, du: np.ndarray, s: np.ndarray
+                 ) -> np.ndarray:
+    """``|Du|^2`` of a function on the base manifold, in the base metric."""
+    ginv = base.metric_inverse_at(s)
+    return np.einsum("...i,...ij,...j->...", du, ginv, du)
+
+
+def _spacelike_w(graph: GraphSurface, du: np.ndarray, s: np.ndarray
+                 ) -> np.ndarray:
+    """``W = 1 + eps |Du|^2`` of a graph, gated to the spacelike range.
+
+    Raises ``NotSpacelike`` where ``W <= 0``, which can only happen in a
+    Lorentzian product (``|Du|^2 >= 1``).
+    """
+    w = _gradient_sq(graph.base, du, s)
+    W = 1.0 + graph.epsilon * w
+    if np.any(W <= 0.0):
+        raise NotSpacelike(
+            f"{graph.name}: |Du|^2 reaches {float(np.max(w)):.6f}; "
+            "the graph is not spacelike")
+    return W
+
+
+def _covariant_hessian(base: BaseManifold, du: np.ndarray, d2u: np.ndarray,
+                       s: np.ndarray) -> np.ndarray:
+    """Covariant Hessian ``D^2 u`` of a function on the base manifold."""
+    Gam = base.christoffel_at(s)
+    return d2u - np.einsum("...kij,...k->...ij", Gam, du)
+
+
+# --------------------------------------------------------------------------
 # the graph curvature equation on a two-dimensional base
 # --------------------------------------------------------------------------
 
@@ -472,8 +507,8 @@ def _graph_equation_pieces(g, m):
     m = np.asarray(m, dtype=float)
     base = g.base
     du = g.du(m)
-    hess = covariant_hessian(base, du, g.d2u(m), m)
-    W = spacelike_w(g, du, m)
+    hess = _covariant_hessian(base, du, g.d2u(m), m)
+    W = _spacelike_w(g, du, m)
     return (W, base.kappa,
             _smallmat.det(hess) / _smallmat.det(base.metric_at(m)))
 
@@ -560,7 +595,7 @@ def completeness_criterion(g: GraphSurface, grid: QuadratureGrid
     """
     m = grid.nodes
     return _completeness_verdict(
-        g.epsilon, g.radial_K, gradient_sq(g.base, g.du(m), m),
+        g.epsilon, g.radial_K, _gradient_sq(g.base, g.du(m), m),
         (float(m[..., 0].min()), float(m[..., 0].max())))
 
 
@@ -582,8 +617,7 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     n = len(g.axes)
     m = grid.nodes
     du = g.du(m)
-    fields = FrameFields(g, grid)
-    frame = fields.frame
+    frame = FrameFields(g, grid).frame
     theta_range = (float(frame.theta.min()), float(frame.theta.max()))
     kappa = g.base.kappa
     if n == 2:
@@ -593,41 +627,27 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
         gap = frame.scalar_curvature - n * kappa
         measure = "scalar_curvature"
 
-    if float(np.max(np.abs(du))) == 0.0:
-        # Slice of the product: totally geodesic, curvature equals the base.
-        witness = tuple(float(c) for c in np.reshape(m, (-1, n))[0])
-        return HarnessReport(
-            kind="slice",
-            scenario=g.name,
-            epsilon=g.epsilon,
-            dimension=n,
-            resolution=grid.resolution,
-            gap_min=0.0,
-            gap_max=0.0,
-            witness_min=witness,
-            witness_max=witness,
-            expected_sign_ok=True,
-            theta_range=theta_range,
-            detail={
-                "note": "slice: totally geodesic, curvature equals the base",
-                "max_theta_sq_deviation": float(
-                    np.max(np.abs(frame.theta ** 2 - 1.0))),
-                "max_shape_operator": float(
-                    np.max(np.abs(frame.shape_operator))),
-                "max_curvature_gap": float(np.max(np.abs(gap))),
-            },
-        )
-
     flat = np.reshape(gap, (-1,))
     pts = np.reshape(m, (-1, n))
-    i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
-    gap_min, gap_max = float(flat[i_min]), float(flat[i_max])
-    if g.epsilon == +1:
-        expected = gap_min < 0.0
+    if float(np.max(np.abs(du))) == 0.0:
+        # Slice of the product: totally geodesic, curvature equals the base.
+        kind, gap_min, gap_max, i_min, i_max = "slice", 0.0, 0.0, 0, 0
+        expected = True
+        detail = {
+            "note": "slice: totally geodesic, curvature equals the base",
+            "max_theta_sq_deviation": float(
+                np.max(np.abs(frame.theta ** 2 - 1.0))),
+            "max_shape_operator": float(np.max(np.abs(frame.shape_operator))),
+            "max_curvature_gap": float(np.max(np.abs(gap))),
+        }
     else:
-        expected = gap_max > 0.0
+        kind = "graph"
+        i_min, i_max = int(np.argmin(flat)), int(np.argmax(flat))
+        gap_min, gap_max = float(flat[i_min]), float(flat[i_max])
+        expected = gap_min < 0.0 if g.epsilon == +1 else gap_max > 0.0
+        detail = {"measure": measure}
     return HarnessReport(
-        kind="graph",
+        kind=kind,
         scenario=g.name,
         epsilon=g.epsilon,
         dimension=n,
@@ -638,5 +658,5 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
         witness_max=tuple(float(c) for c in pts[i_max]),
         expected_sign_ok=bool(expected),
         theta_range=theta_range,
-        detail={"measure": measure},
+        detail=detail,
     )

@@ -286,20 +286,18 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     ``refine = 0`` runs single-resolution checks (no order estimate);
     ``refine >= 1`` measures convergence between ``resolution`` and
     ``2**refine * resolution``.  Product-only checks are skipped
-    automatically on other ambients.  The frame bundle at each resolution
-    is shared across checks.
+    automatically on other ambients.  The grids run in turn, one frame
+    bundle at a time: each grid's bundle is shared across the checks and
+    let go before the next grid's frame is built.
     """
     selected = applicable_checks(surface)
-    coarse_fields = FrameFields(
-        surface, QuadratureGrid.build(surface.axes, resolution))
+    resolutions = ((resolution,) if refine <= 0
+                   else (resolution, 2 ** refine * resolution))
+    runs = []
+    for res in resolutions:
+        fields = FrameFields(surface, QuadratureGrid.build(surface.axes, res))
+        runs.append([CHECKS[name](fields) for name in selected])
     if refine <= 0:
-        return [CHECKS[name](coarse_fields) for name in selected]
-    fine_resolution = (2 ** refine) * resolution
-    fine_fields = FrameFields(
-        surface, QuadratureGrid.build(surface.axes, fine_resolution))
-    results: list[CheckResult] = []
-    for name in selected:
-        coarse = CHECKS[name](coarse_fields)
-        fine = CHECKS[name](fine_fields)
-        results.append(_attach_order(coarse, fine, resolution, fine_resolution))
-    return results
+        return runs[0]
+    return [_attach_order(coarse, fine, *resolutions)
+            for coarse, fine in zip(*runs)]

@@ -84,7 +84,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import _smallmat
-from .ambient import AmbientSpace, AxisSpec, BaseManifold
+from .ambient import AmbientSpace, AxisSpec
 from .errors import DegenerateFrame, NotSpacelike, WrongAmbient
 
 if TYPE_CHECKING:                   # calculus imports this module
@@ -454,41 +454,6 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     out["scalar_curvature"][...] = (ambient.scalar_curvature
                                     - 2.0 * eps * ricNN + 2.0 * eps * e2)
     return bool(np.any(theta < 0.0)), bool(np.any(theta > 0.0))
-
-
-# --------------------------------------------------------------------------
-# closed-form graph quantities, read by the graph curvature equation of
-# prodsurf.graphs (an independent route to the frame)
-# --------------------------------------------------------------------------
-
-def gradient_sq(base: BaseManifold, du: np.ndarray, s: np.ndarray
-                ) -> np.ndarray:
-    """``|Du|^2`` of a function on the base manifold, in the base metric."""
-    ginv = base.metric_inverse_at(s)
-    return np.einsum("...i,...ij,...j->...", du, ginv, du)
-
-
-def spacelike_w(graph: GraphSurface, du: np.ndarray, s: np.ndarray
-                ) -> np.ndarray:
-    """``W = 1 + eps |Du|^2`` of a graph, gated to the spacelike range.
-
-    Raises ``NotSpacelike`` where ``W <= 0``, which can only happen in a
-    Lorentzian product (``|Du|^2 >= 1``).
-    """
-    w = gradient_sq(graph.base, du, s)
-    W = 1.0 + graph.epsilon * w
-    if np.any(W <= 0.0):
-        raise NotSpacelike(
-            f"{graph.name}: |Du|^2 reaches {float(np.max(w)):.6f}; "
-            "the graph is not spacelike")
-    return W
-
-
-def covariant_hessian(base: BaseManifold, du: np.ndarray, d2u: np.ndarray,
-                      s: np.ndarray) -> np.ndarray:
-    """Covariant Hessian ``D^2 u`` of a function on the base manifold."""
-    Gam = base.christoffel_at(s)
-    return d2u - np.einsum("...kij,...k->...ij", Gam, du)
 
 
 # --------------------------------------------------------------------------

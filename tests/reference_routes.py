@@ -18,10 +18,11 @@ import numpy as np
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import AmbientSpace
 from prodsurf.calculus import FrameFields, QuadratureGrid
-from prodsurf.graphs import _gate_x0, check_curvature_range
+from prodsurf.graphs import (_covariant_hessian, _gate_x0, _spacelike_w,
+                             check_curvature_range)
 from prodsurf.identities import CHECKS, _attach_order
 from prodsurf.reports import CheckResult
-from prodsurf.shape import GraphSurface, covariant_hessian, spacelike_w
+from prodsurf.shape import GraphSurface
 
 # Residual allowed in the conformal Killing equation of an ambient's field,
 # whose partials are taken by central differences of step 1e-6: about 1e-10
@@ -185,7 +186,7 @@ def graph_theta(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     spacelike condition ``|Du|^2 < 1`` is enforced.
     """
     s = np.asarray(s, dtype=float)
-    return -1.0 / np.sqrt(spacelike_w(graph, graph.du(s), s))
+    return -1.0 / np.sqrt(_spacelike_w(graph, graph.du(s), s))
 
 
 def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
@@ -198,8 +199,8 @@ def graph_second_form(graph: GraphSurface, s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     du = graph.du(s)
-    W = spacelike_w(graph, du, s)
-    hess = covariant_hessian(graph.base, du, graph.d2u(s), s)
+    W = _spacelike_w(graph, du, s)
+    hess = _covariant_hessian(graph.base, du, graph.d2u(s), s)
     gM = graph.base.metric_at(s)
     L = np.linalg.cholesky(gM)
     E = np.swapaxes(_smallmat.inv(L), -1, -2)      # columns: orthonormal frame

@@ -202,13 +202,16 @@ def test_malformed_overrides_exit_two(tmp_path, command, scenario, overrides,
                                       key):
     # non-numeric (booleans too), non-finite and fractional values, and a
     # refinement past the largest resolution, are rejected before any check
-    # runs
+    # runs; a malformed value is worded as the typed error whichever module
+    # reads it, and only the refinement cap is a usage error
     cfg = tmp_path / "malformed.json"
     cfg.write_text(f'{{"command": "{command}", "scenario": '
                    f'{json.dumps(scenario)}, "overrides": {overrides}}}')
     proc = run_cli("--config", str(cfg), "--no-timestamp")
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert proc.stderr.startswith("error: ") and key in proc.stderr
+    typed = overrides != '{"resolution": 257, "refine": 1}'
+    assert ("OverrideOutOfRange: " in proc.stderr) == typed, proc.stderr
     assert proc.stdout == ""
 
 

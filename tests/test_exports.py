@@ -21,7 +21,10 @@ every function or method of a package module, is passed by some call in
 call matches a definition by name (a bare name or an attribute); a method's
 positional arguments start after ``self``, and a call that unpacks ``*args``
 or ``**kwargs`` counts as passing what it could.  ``OPTIONS_SET_ELSEWHERE``
-names the exemptions, each with its reason.
+names the exemptions, each with its reason.  Since calls match by name, no
+function with a defaulted parameter shares its name with another function
+of a package module (nested ones included), whose calls would otherwise
+count for it.
 """
 
 import ast
@@ -164,6 +167,19 @@ def test_every_option_is_set_by_some_caller():
                          for call in calls[function])]
     assert not unset, ("nothing in src/, scripts/ or perfbench/ passes "
                        f"{', '.join(unset)}")
+
+
+def test_no_option_shares_its_function_name():
+    defs = collections.Counter(
+        fn.name for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    shared = sorted({f"{module}.{function}"
+                     for module, function, _ in _defaulted_parameters()
+                     if defs[function] > 1})
+    assert not shared, (f"{', '.join(shared)} take a defaulted parameter but "
+                        "share their name with another function, whose calls "
+                        "would count as setting it")
 
 
 @pytest.fixture(scope="module")

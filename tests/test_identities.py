@@ -1,13 +1,16 @@
 """Pointwise identity checks: residuals, convergence orders, applicability."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 from reference_routes import run_check
 
-from prodsurf import calculus, zoo as catalog
+from prodsurf import calculus, identities, zoo as catalog
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import WrongAmbient
 from prodsurf.identities import (CHECKS, _attach_order, applicable_checks,
@@ -109,6 +112,29 @@ def test_refine_zero_gives_single_resolution_results(zoo):
     for r in results:
         assert r.convergence_order is None
         assert r.coarse_residual is None
+
+
+def test_suite_lets_each_grid_go_before_the_next(zoo, monkeypatch):
+    # when a grid's frame is built, no bundle of an earlier grid is alive
+    surface, _, _ = zoo("slice_T2xR_t1.2")
+    bundles, alive_at_frame = [], []
+
+    class Recorded(FrameFields):
+        def __init__(self, surface, grid):
+            super().__init__(surface, grid)
+            bundles.append(weakref.ref(self))
+
+        @cached_property
+        def frame(self):
+            gc.collect()
+            alive_at_frame.append([ref() is not None for ref in bundles
+                                   if ref() is not self])
+            return FrameFields.frame.func(self)
+
+    monkeypatch.setattr(identities, "FrameFields", Recorded)
+    results = run_suite(surface, 12, refine=1)
+    assert len(results) == 6 and all(r.passed for r in results)
+    assert alive_at_frame == [[], [False]]
 
 
 def test_codazzi_on_space_form_is_exact(zoo):
