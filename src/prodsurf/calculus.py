@@ -39,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Collection
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -67,6 +68,12 @@ _FSUM_CHUNK = 65536
 _MANTISSA_BITS = 53
 _LOW_BITS = 26
 _EXPONENT_MIN = -1073       # np.frexp exponent of the smallest subnormal
+# Each exponent bin is split into _LANES lane bins, term i going to lane
+# i % _LANES: the terms of a real integrand fall in a few exponents, and
+# bincount's adds into one bin wait on each other.  The lanes of a bin are
+# added after the pass, exactly (each lane sum is an integer below 2**43).
+_LANES = 4
+_LANE_OF = np.arange(_FSUM_CHUNK, dtype=np.intc) % _LANES
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +297,9 @@ def _exact_sum(flat: np.ndarray) -> float:
 
     Every finite term is ``M * 2**(e - 53)`` with an integer mantissa
     ``|M| < 2**53`` (``np.frexp``).  Per ``_FSUM_CHUNK`` terms, the low
-    ``_LOW_BITS`` bits of ``M`` and the rest are summed per exponent by
-    ``np.bincount`` without rounding (see ``_FSUM_CHUNK``), and the sums are
+    ``_LOW_BITS`` bits of ``M`` and the rest are summed per exponent, in
+    ``_LANES`` lanes each, by ``np.bincount`` without rounding (see
+    ``_FSUM_CHUNK``); the lanes of each exponent are added, and the sums are
     folded into one Python int, the exact total in units of
     ``2**(_EXPONENT_MIN - 53)``.  It is rounded once, by int / int true
     division, which CPython rounds correctly (half to even, subnormals
@@ -310,9 +318,15 @@ def _exact_sum(flat: np.ndarray) -> float:
         fraction, exponent = np.frexp(chunk)
         mantissa = np.ldexp(fraction, _MANTISSA_BITS).astype(np.int64)
         exponent -= _EXPONENT_MIN
-        high = np.bincount(exponent, weights=mantissa >> _LOW_BITS)
-        low = np.bincount(exponent, weights=mantissa & ((1 << _LOW_BITS) - 1))
-        top = max(top, high.size - 1)
+        last = int(exponent.max())
+        top = max(top, last)
+        exponent *= _LANES
+        exponent += _LANE_OF[:chunk.size]
+        high, low = (np.bincount(exponent, weights=part.astype(float),
+                                 minlength=_LANES * (last + 1))
+                     .reshape(-1, _LANES).sum(axis=1)
+                     for part in (mantissa >> _LOW_BITS,
+                                  mantissa & ((1 << _LOW_BITS) - 1)))
         bins = np.flatnonzero((high != 0.0) | (low != 0.0))
         for k, hi, lo in zip(bins.tolist(), high[bins].tolist(), low[bins].tolist()):
             total += ((int(hi) << _LOW_BITS) + int(lo)) << k
@@ -324,7 +338,7 @@ def _exact_sum(flat: np.ndarray) -> float:
     return total / (1 << (_MANTISSA_BITS - _EXPONENT_MIN))
 
 
-def integrate(f: SurfaceField, area_elements: np.ndarray, *,
+def integrate(f: SurfaceField, area_element: np.ndarray, *,
               quotient_factor: float, compact: bool) -> float:
     """Integral over the surface: sum of f * weight * area element.
 
@@ -337,7 +351,7 @@ def integrate(f: SurfaceField, area_elements: np.ndarray, *,
     if not compact:
         raise NonCompactDomain("surface integral requested on a non-compact scenario")
     contrib = f.values * f.grid.weights
-    contrib *= area_elements
+    contrib *= area_element
     return quotient_factor * _exact_sum(contrib.ravel(order="C"))
 
 
@@ -350,20 +364,23 @@ class FrameFields:
 
     Everything downstream (identity residuals, integral formulas, the
     theorem harness) consumes this bundle; heavy members are computed once
-    and cached.
+    and cached.  ``keep`` is passed to ``frame_at``: the frame holds only
+    the fields it names (every field by default).  The identity suite and
+    the theorem harness keep the full frame; the balance laws keep only
+    what they integrate, ``integral.BALANCE_FIELDS``.  ``integrate`` reads
+    the frame's ``area_element``, and ``cancellation_mass`` its ``theta``,
+    ``scalar_curvature`` and ``ricci_normal``.
     """
 
-    def __init__(self, surface, grid: QuadratureGrid):
+    def __init__(self, surface, grid: QuadratureGrid,
+                 keep: Collection[str] | None = None):
         self.surface = surface
         self.grid = grid
+        self.keep = keep
 
     @cached_property
     def frame(self):
-        return frame_at(self.surface, self.grid.nodes)
-
-    @cached_property
-    def area_elements(self) -> np.ndarray:
-        return np.sqrt(_smallmat.det(self.frame.metric))
+        return frame_at(self.surface, self.grid.nodes, self.keep)
 
     @cached_property
     def cancellation_mass(self) -> float:
@@ -431,6 +448,6 @@ class FrameFields:
 
     def integrate(self, f: np.ndarray) -> float:
         return integrate(SurfaceField(np.asarray(f, dtype=float), self.grid),
-                         self.area_elements,
+                         self.frame.area_element,
                          quotient_factor=self.surface.quotient_factor,
                          compact=self.surface.compact)

@@ -99,7 +99,7 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
     _require_product(fields, "check_hessian_h")
     fr = fields.frame
     eps = fields.surface.ambient.epsilon
-    n = fr.dimension
+    n = len(fields.grid.axes)
     hess = fields.covariant_hessian(fr.height)
     hess -= fr.theta[..., None, None] * fr.second_form
     comp = _max_abs(hess)
@@ -129,7 +129,7 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     """
     fr = fields.frame
     surface = fields.surface
-    n = fr.dimension
+    n = len(fields.grid.axes)
     oracle = intrinsic_curvature_oracle(surface, fields.grid)
     oracle -= fr.scalar_curvature
     residual = _max_abs(oracle)
@@ -159,7 +159,7 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
     """
     fr = fields.frame
     ambient = fields.surface.ambient
-    n = fr.dimension
+    n = len(fields.grid.axes)
     A = fr.shape_operator
     D = fields.partials(A, index_rank=2)
     gam = fields.christoffels  # gam[..., l, a, m] = Gamma^l_am
@@ -196,7 +196,7 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
     fr = fields.frame
     surface = fields.surface
     eps = surface.ambient.epsilon
-    n = fr.dimension
+    n = len(fields.grid.axes)
     lap_theta = fields.laplacian(fr.theta)
     dH = np.stack(
         [partial_derivative(fr.mean_curvature, fields.grid, a) for a in range(n)],
@@ -218,7 +218,7 @@ def check_laplacian_theta(fields: FrameFields) -> CheckResult:
 def check_div_T_top(fields: FrameFields) -> CheckResult:
     """div(T^top) = n phi + n H Theta."""
     fr = fields.frame
-    n = fr.dimension
+    n = len(fields.grid.axes)
     div_tau = fields.divergence(fr.tau)
     div_tau -= n * fields.surface.ambient.killing.conformal_factor
     div_tau -= n * fr.mean_curvature * fr.theta

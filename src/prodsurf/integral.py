@@ -53,6 +53,12 @@ tiny mass are judged on an absolute scale rather than passed for free.
 The mass is integrated once per frame bundle
 (``FrameFields.cancellation_mass``) and shared by every law evaluated on it;
 ``run_formulas`` builds the one bundle from a surface and a grid.
+
+The laws and the mass read five frame fields, ``BALANCE_FIELDS``: ``Theta``,
+``S``, ``Ric(N, N)``, ``H`` and the area element ``dA``; the surface
+dimension comes from the grid.  A bundle built with ``keep=BALANCE_FIELDS``
+holds only those, five floats per point where the full frame holds 64 at
+n = 3, and every check of the frame still runs on every point.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ from __future__ import annotations
 from .calculus import FrameFields, QuadratureGrid
 from .errors import NotEinstein, WrongAmbient
 from .reports import TOLERANCES, IntegralReport, Tolerances
+
+# The frame fields the balance laws and their cancellation mass read.
+BALANCE_FIELDS = ("theta", "scalar_curvature", "ricci_normal",
+                  "mean_curvature", "area_element")
 
 
 def _report(formula: str, fields: FrameFields, lhs: float, rhs: float,
@@ -91,7 +101,7 @@ def integral_formula(fields: FrameFields, tolerances: Tolerances = TOLERANCES
     quadrature grid; the law reads ``tolerances.integral_relative``.
     """
     fr = fields.frame
-    n = fr.tangent.shape[-2]
+    n = len(fields.grid.axes)
     eps_n = fields.surface.ambient.epsilon
 
     integrand = fr.theta * (fr.scalar_curvature
@@ -118,7 +128,7 @@ def product_integral(fields: FrameFields, tolerances: Tolerances = TOLERANCES
         raise WrongAmbient(
             f"product integral needs a product ambient, got {ambient.name!r}")
     fr = fields.frame
-    n = fr.tangent.shape[-2]
+    n = len(fields.grid.axes)
     kappa = ambient.base.kappa
     integrand = fr.theta * ((fr.scalar_curvature - n * kappa)
                             + kappa * (1.0 - fr.theta ** 2))
@@ -171,9 +181,10 @@ def run_formulas(surface, grid: QuadratureGrid,
                  tolerances: Tolerances = TOLERANCES) -> list[IntegralReport]:
     """Evaluate every applicable balance law on one frame bundle.
 
-    Builds the bundle of ``surface`` on ``grid`` once and shares it, and its
-    cancellation mass, across the laws.
+    Builds the bundle of ``surface`` on ``grid`` once, keeping only
+    ``BALANCE_FIELDS``, and shares it, and its cancellation mass, across
+    the laws.
     """
-    fields = FrameFields(surface, grid)
+    fields = FrameFields(surface, grid, keep=BALANCE_FIELDS)
     return [FORMULAS[name](fields, tolerances)
             for name in available_formulas(surface)]

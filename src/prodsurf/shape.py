@@ -23,13 +23,19 @@ with ``eps_N = <N, N>`` (+1 in Riemannian ambients, -1 for spacelike
 hypersurfaces of Lorentzian ones; the ambient's ``epsilon``) and ``Sbar``
 the ambient's constant ``scalar_curvature``, which the frame does not store.
 
-``frame_at`` allocates its outputs once, at the full batch shape, and
-splits the flattened batch into contiguous blocks of ``_BLOCK`` points.
-Each block writes its fields straight into its rows of the outputs (with
-``out=`` where numpy takes it, by slice assignment where a surface or
-ambient callable returns a new array), so no block result is copied and
-the working set does not grow with the grid.  ``height`` is the view
-``point[..., -1]``.  Blocks are independent and run concurrently:
+``frame_at`` allocates its outputs once, at the full batch shape, for the
+fields its caller keeps (``keep``, every field by default), and splits the
+flattened batch into contiguous blocks of ``_BLOCK`` points.  Each block
+writes its fields straight into its rows of the outputs (with ``out=``
+where numpy takes it, by slice assignment where a surface or ambient
+callable returns a new array), so no block result is copied and the
+working set does not grow with the grid.  A field the caller does not keep
+is written into block scratch instead: one buffer per field and thread
+(``_scratch``), allocated once and sliced to the block's rows, so a frame
+that keeps a few scalars holds a few scalars per point.  Every check runs
+on every point whatever is kept.  The area element ``sqrt(det g)`` is a
+frame field, taken while the block's ``g`` is in cache.  ``height`` is the
+view ``point[..., -1]``.  Blocks are independent and run concurrently:
 ``_block_map`` runs them in fixed strides on the caller's thread and a
 pool, up to ``_WORKERS`` at a time (the CPU-affinity count, capped at
 ``_MAX_WORKERS``), numpy releasing the interpreter lock in their array
@@ -39,10 +45,10 @@ through the lowered unit normal ``G N`` (the normalized adjugate covector)
 as ``txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c``, without forming the
 second partials ``sec_ij`` in ambient components.  Every block writes the
 adjugate-oriented frame; the orientation is chosen once for the whole
-batch, after all blocks, by negating the fields that are odd in ``N``.  An
-error names its point by its index in the full batch, and the first
-failing block's error is raised, so the result depends neither on the
-block size nor on the number of workers.
+batch, after all blocks, by negating the kept fields that are odd in
+``N``.  An error names its point by its index in the full batch, and the
+first failing block's error is raised, so the result depends neither on
+the block size nor on the number of workers.
 
 The module also hosts the *independent* intrinsic-curvature oracle: the
 scalar curvature ``S`` (``2K`` when n = 2), by one route in every dimension,
@@ -75,11 +81,12 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 import numpy as np
 
@@ -214,12 +221,16 @@ class GraphSurface:
 
 @dataclass(eq=False)
 class GeometryFrame:
-    """Pointwise geometric data of a hypersurface (batched arrays)."""
+    """Pointwise geometric data of a hypersurface (batched arrays).
+
+    A field that ``frame_at`` was not asked to keep is ``None``.
+    """
 
     point: np.ndarray
     tangent: np.ndarray            # (..., n, d) coordinate tangent vectors
     metric: np.ndarray             # induced metric g_ij
     metric_inv: np.ndarray
+    area_element: np.ndarray       # sqrt(det g)
     normal: np.ndarray             # unit normal, oriented by the ambient
     second_form: np.ndarray        # h_ij = <sec_ij, N>
     shape_operator: np.ndarray     # A^i_j = g^{ik} h_kj
@@ -229,10 +240,6 @@ class GeometryFrame:
     theta: np.ndarray              # <N, T>
     tau: np.ndarray                # tangential part of T in surface coords
     height: np.ndarray | None      # product height coordinate of the point
-
-    @property
-    def dimension(self) -> int:
-        return self.tangent.shape[-2]
 
 
 _pools: dict[int, ThreadPoolExecutor] = {}     # thread count -> pool
@@ -284,30 +291,36 @@ def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> list:
     return results
 
 
-def frame_at(surface, s: np.ndarray) -> GeometryFrame:
-    """Evaluate the full geometric frame of ``surface`` at parameters ``s``.
+def frame_at(surface, s: np.ndarray, keep: Collection[str] | None = None
+             ) -> GeometryFrame:
+    """Evaluate the geometric frame of ``surface`` at parameters ``s``.
 
-    ``s`` may carry arbitrary batch dimensions.  The outputs are allocated
-    once, at the full batch shape (``_frame_outputs``).  The flattened batch
-    is evaluated in contiguous blocks of ``_BLOCK`` points, up to
-    ``_WORKERS`` blocks at a time (see ``_block_map``); each block writes
-    into its own rows of the outputs, so no intermediate grows with the
-    batch and no block result is copied.  A batch smaller than one block is
-    a single block on the caller's thread.  The blocks carry no state
-    between them, so the result depends neither on the block size nor on
-    the number of workers.  In a product ambient ``height`` is the view
-    ``point[..., -1]``, not a copy.
+    ``s`` may carry arbitrary batch dimensions.  ``keep`` names the fields
+    to return (``GeometryFrame`` field names, ``height`` excepted: it is a
+    view of ``point`` and comes with it); every field by default.  The kept
+    fields are allocated once, at the full batch shape; the others are
+    ``None``.  The flattened batch is evaluated in contiguous blocks of
+    ``_BLOCK`` points, up to ``_WORKERS`` blocks at a time (see
+    ``_block_map``); each block writes into its own rows of the kept
+    outputs, and the fields not kept into its thread's block scratch
+    (``_scratch_rows``), so no intermediate grows with the batch and no
+    block result is copied.  A batch smaller than one block is a single
+    block on the caller's thread.  The blocks carry no state between them,
+    so the result depends neither on the block size nor on the number of
+    workers, and a kept field is the same whatever else is kept.  In a
+    product ambient ``height`` is the view ``point[..., -1]``, not a copy.
 
-    Raises ``NotSpacelike`` when a Lorentzian-ambient surface fails the
-    spacelike test and ``DegenerateFrame`` when the tangent map loses rank
-    or the normal direction becomes null, naming the first offending point
-    by its index in the full batch; of several failing blocks, the first
-    one's error is raised.  The blocks write the adjugate normal.  In a
-    product or a Lorentzian ambient, which orient it by ``<N, T>``, the
-    orientation is then chosen once for the whole batch: ``DegenerateFrame``
-    is raised when the adjugate normal's ``<N, T>`` takes both strict
-    signs, and where it is positive somewhere the fields odd in ``N`` are
-    negated in place.
+    Every check runs on every point, whatever is kept.  Raises
+    ``NotSpacelike`` when a Lorentzian-ambient surface fails the spacelike
+    test and ``DegenerateFrame`` when the tangent map loses rank or the
+    normal direction becomes null, naming the first offending point by its
+    index in the full batch; of several failing blocks, the first one's
+    error is raised.  The blocks write the adjugate normal.  In a product
+    or a Lorentzian ambient, which orient it by ``<N, T>``, the orientation
+    is then chosen once for the whole batch: ``DegenerateFrame`` is raised
+    when the adjugate normal's ``<N, T>`` takes both strict signs, and where
+    it is positive somewhere the kept fields odd in ``N`` are negated in
+    place.  An unknown name in ``keep`` raises ``ValueError``.
     """
     s = np.asarray(s, dtype=float)
     batch = s.shape[:-1]
@@ -315,13 +328,20 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
     total, n = flat.shape
     size = _BLOCK
     starts = range(0, max(total, 1), size)
-    out = _frame_outputs(total, n, surface.ambient.dim)
+    shapes = _frame_shapes(n, surface.ambient.dim)
+    unknown = set(keep or ()) - shapes.keys()
+    if unknown:
+        raise ValueError(f"frame_at cannot keep {sorted(unknown)}")
+    out = {key: np.empty((total,) + shape) for key, shape in shapes.items()
+           if keep is None or key in keep}
 
     def block(start: int) -> tuple[bool, bool]:
         rows = slice(start, start + size)
-        return _frame_block(surface, flat[rows],
-                            {key: value[rows] for key, value in out.items()},
-                            batch, start)
+        count = min(size, total - start)
+        fields = {key: out[key][rows] if key in out
+                  else _scratch_rows(key, count, shape)
+                  for key, shape in shapes.items()}
+        return _frame_block(surface, flat[rows], fields, batch, start)
 
     signs = _block_map(block, starts)
     ambient = surface.ambient
@@ -334,11 +354,14 @@ def frame_at(surface, s: np.ndarray) -> GeometryFrame:
                 "no normal keeps it of one sign")
         if positive:
             for key in _ODD_IN_N:
-                np.negative(out[key], out=out[key])
+                if key in out:
+                    np.negative(out[key], out=out[key])
 
-    fields = {key: value.reshape(batch + value.shape[1:])
-              for key, value in out.items()}
-    height = fields["point"][..., -1] if ambient.kind == "product" else None
+    fields = {key: out[key].reshape(batch + shape) if key in out else None
+              for key, shape in shapes.items()}
+    point = fields["point"]
+    height = (point[..., -1] if ambient.kind == "product" and point is not None
+              else None)
     return GeometryFrame(**fields, height=height)
 
 
@@ -347,24 +370,40 @@ _ODD_IN_N = ("normal", "theta", "second_form", "shape_operator",
              "mean_curvature")
 
 
-def _frame_outputs(total: int, n: int, d: int) -> dict[str, np.ndarray]:
-    """Uninitialized flat outputs of ``frame_at`` for ``total`` points,
-    keyed like ``GeometryFrame`` (``height`` excepted)."""
-    vector, matrix, scalar = (total, d), (total, n, n), (total,)
-    shapes = dict(point=vector, tangent=(total, n, d), metric=matrix,
-                  metric_inv=matrix, normal=vector, second_form=matrix,
-                  shape_operator=matrix, mean_curvature=scalar,
-                  scalar_curvature=scalar, ricci_normal=scalar,
-                  theta=scalar, tau=(total, n))
-    return {key: np.empty(shape) for key, shape in shapes.items()}
+def _frame_shapes(n: int, d: int) -> dict[str, tuple[int, ...]]:
+    """Per-point shapes of the ``frame_at`` outputs, keyed like
+    ``GeometryFrame`` (``height`` excepted)."""
+    return dict(point=(d,), tangent=(n, d), metric=(n, n), metric_inv=(n, n),
+                area_element=(), normal=(d,), second_form=(n, n),
+                shape_operator=(n, n), mean_curvature=(), scalar_curvature=(),
+                ricci_normal=(), theta=(), tau=(n,))
+
+
+# Block scratch for the fields a frame_at caller does not keep: one flat
+# buffer per field and thread, allocated for a full block and reused by
+# every later block of that thread (a larger per-point shape reallocates).
+# A prototype that allocated it per block ran the balance laws up to 19 %
+# slower.
+_scratch = threading.local()
+
+
+def _scratch_rows(key: str, rows: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``rows`` rows of this thread's scratch for the field ``key``."""
+    size = rows * math.prod(shape)
+    buffer = getattr(_scratch, key, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(_BLOCK * math.prod(shape))
+        setattr(_scratch, key, buffer)
+    return buffer[:size].reshape((rows,) + shape)
 
 
 def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
                  batch: tuple[int, ...], offset: int) -> tuple[bool, bool]:
     """Write the frame fields of the block ``s`` (shape ``(m, n)``) into ``out``.
 
-    ``out`` holds the block's rows of every ``frame_at`` output, keyed like
-    ``GeometryFrame``; each is written in place.  ``offset`` is the block's
+    ``out`` holds, for every ``frame_at`` output keyed like
+    ``GeometryFrame``, the block's rows of it or of its scratch; each is
+    written in place.  ``offset`` is the block's
     first row in the flattened ``batch``; error messages report points by
     their index in ``batch``.  The normal is the adjugate one; the block
     returns whether its ``<N, T>`` is negative and whether it is positive
@@ -400,6 +439,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
             raise DegenerateFrame(
                 f"{surface.name}: tangent vectors degenerate {what}")
     ginv = _smallmat.inv(g, out=out["metric_inv"])
+    np.sqrt(_smallmat.det(g), out=out["area_element"])
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w

@@ -122,7 +122,7 @@ def test_exact_sum_acts_as_fsum_on_any_floats(values):
 def test_integrate_is_the_exact_sum_of_its_terms(fields):
     ff = fields("graph_S3xR_coschi02", 16)
     f = ff.frame.theta * ff.frame.scalar_curvature
-    terms = f * ff.grid.weights * ff.area_elements
+    terms = f * ff.grid.weights * ff.frame.area_element
     assert ff.integrate(f) == ff.surface.quotient_factor * math.fsum(
         terms.ravel().tolist())
 

@@ -18,8 +18,9 @@ which re-exports the name.
 No option exists that nothing sets: every parameter with a default, of
 every function or method of a package module, is passed by some call in
 ``src/``, ``scripts/`` or ``perfbench/``, by keyword or by position.  A
-call matches a definition by name (a bare name or an attribute); a method's
-positional arguments start after ``self``, and a call that unpacks ``*args``
+call matches a definition by name (a bare name or an attribute), a
+constructor ``__init__`` by its class's name; a method's positional
+arguments start after ``self``, and a call that unpacks ``*args``
 or ``**kwargs`` counts as passing what it could.  ``OPTIONS_SET_ELSEWHERE``
 names the exemptions, each with its reason.  Since calls match by name, no
 function with a defaulted parameter shares its name with another function
@@ -117,19 +118,21 @@ def _defaulted_parameters() -> dict[tuple[str, str, str], int | None]:
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        methods = {id(node) for cls in ast.walk(tree)
-                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            # a constructor is called by its class's name
+            name = owner[id(fn)] if fn.name == "__init__" else fn.name
             positional = fn.args.posonlyargs + fn.args.args
             first = len(positional) - len(fn.args.defaults)
-            skip = 1 if id(fn) in methods else 0
+            skip = 1 if id(fn) in owner else 0
             for k in range(first, len(positional)):
-                found[path.stem, fn.name, positional[k].arg] = k - skip
+                found[path.stem, name, positional[k].arg] = k - skip
             for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
                 if default is not None:
-                    found[path.stem, fn.name, arg.arg] = None
+                    found[path.stem, name, arg.arg] = None
     return found
 
 

@@ -23,6 +23,13 @@ The constants upstream of the frame are scaled the same way:
   ``graph_curvature``.  The harness sign of a clearly non-constant graph
   is robust to a relative defect of 1e-3, so it catches neither piece.
 
+The wrapper takes ``keep`` through, so the balance laws see each defect
+through their lean bundle; a field that a bundle does not keep is ``None``
+there and is left as it is.  The area element is read by the balance laws
+alone: on ``graph_S2xR_cos03`` a uniform scale of it moves no relative
+residual, and on ``sphere_R3_homothetic`` it moves both sides of the flux
+law off 8 pi.
+
 In n = 3, ``codazzi`` alone runs on ``graph_S3xR_coschi02`` at 16 -> 32,
 with each frame field that its route reads scaled in turn.
 """
@@ -67,7 +74,13 @@ CAUGHT = {
 }
 
 # Fields whose uniform relative defect no check sees, and why.
-UNCAUGHT: dict[str, str] = {}
+UNCAUGHT = {
+    "area_element": "only the balance laws read it, and here they are "
+                    "homogeneous (phi = 0): a uniform scale of dA scales "
+                    "each side and the cancellation mass alike, so no "
+                    "relative residual moves; the flux test below catches "
+                    "it where phi = 1",
+}
 
 # n = 3: the fields that check_codazzi reads, scaled one at a time on
 # CODAZZI_N3_SCENARIO; the caught ones fail codazzi, the others pass it
@@ -113,12 +126,15 @@ def test_clean_frame_fails_no_check(zoo):
 
 
 def _scale_frame_field(monkeypatch, field: str) -> None:
+    """Scale ``field`` of every frame the bundles build, where it is kept."""
     frame_at = calculus.frame_at
 
-    def defective_frame_at(surface, s):
-        fr = frame_at(surface, s)
-        return dataclasses.replace(
-            fr, **{field: getattr(fr, field) * (1.0 + DEFECT)})
+    def defective_frame_at(surface, s, keep=None):
+        fr = frame_at(surface, s, keep)
+        value = getattr(fr, field)
+        if value is None:
+            return fr
+        return dataclasses.replace(fr, **{field: value * (1.0 + DEFECT)})
 
     monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
 
@@ -152,6 +168,20 @@ def test_defect_in_the_conformal_factor_fails_the_named_checks(zoo):
     defective = dataclasses.replace(surface, ambient=ambient)
     assert _failing(defective, n_checks=4, n_laws=1) == {
         "div_T_top", "laplacian_theta", "integral_formula"}
+
+
+def test_defect_in_the_area_element_moves_the_flux_off_eight_pi(
+        zoo, monkeypatch):
+    # where phi = 1 both sides of the flux law are 8 pi on the unit sphere,
+    # which criterion 3 and the benchmark hold to 1e-6
+    surface, grid, _ = zoo("sphere_R3_homothetic")
+    clean = run_formulas(surface, grid)[0]
+    assert max(abs(clean.lhs - 8.0 * np.pi), abs(clean.rhs - 8.0 * np.pi)) <= 1e-6
+    _scale_frame_field(monkeypatch, "area_element")
+    rep = run_formulas(surface, grid)[0]
+    assert rep.formula == "integral_formula"
+    assert abs(rep.lhs - 8.0 * np.pi) > 1e-6
+    assert abs(rep.rhs - 8.0 * np.pi) > 1e-6
 
 
 def _scaled_kappa(surface):

@@ -71,8 +71,8 @@ def test_gauss_scalar_catches_a_defect_in_the_frame_S(zoo, monkeypatch,
     assert clean.passed, clean
     frame_at = calculus.frame_at
 
-    def defective_frame_at(surface, s):
-        fr = frame_at(surface, s)
+    def defective_frame_at(surface, s, keep=None):
+        fr = frame_at(surface, s, keep)
         return dataclasses.replace(
             fr, scalar_curvature=fr.scalar_curvature * (1.0 + 1.0e-3))
 
@@ -151,7 +151,7 @@ def _codazzi_full_tensor(fields):
     """
     fr = fields.frame
     ambient = fields.surface.ambient
-    n = fr.dimension
+    n = len(fields.grid.axes)
     gam = fields.christoffels
     A = fr.shape_operator
     up = np.einsum("...lam,...mi->...ali", gam, A)

@@ -1,11 +1,12 @@
 """Integral balance laws on compact hypersurfaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prodsurf import calculus
+from prodsurf import calculus, shape
 from prodsurf.calculus import FrameFields
 from prodsurf.errors import NonCompactDomain, NotEinstein, WrongAmbient
 from prodsurf.integral import (available_formulas, einstein_integral,
@@ -120,6 +121,27 @@ def test_run_formulas_integrates_the_mass_once_per_bundle(zoo, monkeypatch):
     # lhs and rhs of the flux law, lhs of the product law, and one mass
     assert len(calls) == 4
     assert reports[0].normalization == reports[1].normalization
+
+
+# Traced peak of run_formulas on graph_S3xR_coschi02 at 32 (69,696 points,
+# two block workers, the pool and its block scratch warmed up): 20.19 MB
+# with the frame kept to BALANCE_FIELDS, 52.66-52.86 MB with the full
+# frame.  The bound is the midpoint, so a full frame fails it.
+LEAN_PEAK_BOUND = 36_400_000
+
+
+def test_run_formulas_keeps_a_lean_frame(zoo, monkeypatch):
+    surface, grid, _ = zoo("graph_S3xR_coschi02", 32)
+    monkeypatch.setattr(shape, "_WORKERS", 2)
+    first = run_formulas(surface, grid)
+    tracemalloc.start()
+    try:
+        again = run_formulas(surface, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+    assert peak <= LEAN_PEAK_BOUND, peak
 
 
 def test_report_normalization_and_relative_residual(zoo):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
+from prodsurf.integral import BALANCE_FIELDS
 from prodsurf.shape import (GraphSurface, ParamSurface, frame_at,
                             intrinsic_curvature_oracle)
 from prodsurf.zoo import _ellipsoid_jet, instantiate, scenario_names
@@ -152,7 +154,8 @@ def test_degenerate_jet_is_rejected():
             frame_at(surface, grid.nodes)
 
 
-def test_lorentzian_graph_must_be_spacelike():
+def _steep_lorentzian_graph() -> GraphSurface:
+    """u = 2 cos(theta) over S^2 in the Lorentzian S^2 x R: |Du|^2 reaches 4."""
     def u(s):
         return 2.0 * np.cos(s[..., 0])
 
@@ -166,8 +169,12 @@ def test_lorentzian_graph_must_be_spacelike():
         out[..., 0, 0] = -2.0 * np.cos(s[..., 0])
         return out
 
-    g = GraphSurface(name="steep", ambient=make_product(round_sphere(), -1),
-                     u=u, du=du, d2u=d2u)
+    return GraphSurface(name="steep", ambient=make_product(round_sphere(), -1),
+                        u=u, du=du, d2u=d2u)
+
+
+def test_lorentzian_graph_must_be_spacelike():
+    g = _steep_lorentzian_graph()
     grid = QuadratureGrid.build(g.axes, 16)
     with pytest.raises(NotSpacelike):
         frame_at(g, grid.nodes)
@@ -762,12 +769,14 @@ def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
             assert np.array_equal(value, vars(blocked)[key]), key
 
 
-def test_degenerate_point_is_named_by_its_index_in_the_batch():
+def _pinched_plane() -> tuple[ParamSurface, np.ndarray]:
+    """A plane whose second tangent vanishes at the node (90, 150) of a
+    100 x 200 batch, flat index 18150, in the third block."""
     ambient = make_ambient("R3_homothetic")
     axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
     s = np.stack(np.meshgrid(np.arange(100.0), np.arange(200.0), indexing="ij"),
                  axis=-1)
-    bad = (90, 150)           # flat index 18150, in the third block
+    bad = (90, 150)
 
     def jet(s):
         x = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
@@ -777,17 +786,20 @@ def test_degenerate_point_is_named_by_its_index_in_the_batch():
                                  0.0, 1.0)
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
-    surface = ParamSurface(name="pinched_plane", ambient=ambient, axes=axes,
-                           jet=jet, compact=False)
+    return ParamSurface(name="pinched_plane", ambient=ambient, axes=axes,
+                        jet=jet, compact=False), s
+
+
+def test_degenerate_point_is_named_by_its_index_in_the_batch():
+    surface, s = _pinched_plane()
     assert 2 * shape._BLOCK <= 90 * 200 + 150 < 3 * shape._BLOCK
     with pytest.raises(DegenerateFrame, match=r"pinched_plane.*index \(90, 150\)"):
         frame_at(surface, s)
 
 
-def test_tangent_plane_through_a_chart_pole_is_degenerate():
-    # the meridian strip x = (theta, 0.3, t) of S^2 x R passes the pole
-    # theta = 0 of the chart, where G^{-1} is infinite: the normal there is
-    # not finite, and the frame must name the point instead of returning NaN
+def _meridian_strip() -> tuple[ParamSurface, np.ndarray]:
+    """The strip x = (theta, 0.3, t) of S^2 x R, and three of its points,
+    the second on the chart pole theta = 0."""
     axes = (AxisSpec("theta", 0.0, math.pi, "open"),
             AxisSpec("t", -1.0, 1.0, "open"))
 
@@ -798,23 +810,29 @@ def test_tangent_plane_through_a_chart_pole_is_degenerate():
         dx[..., 1, 2] = 1.0
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
-    surface = ParamSurface(name="meridian_strip", ambient=make_ambient("S2xR"),
-                           axes=axes, jet=jet, compact=False)
-    s = np.array([[0.5, 0.1], [0.0, 0.1], [1.0, 0.1]])
+    return (ParamSurface(name="meridian_strip", ambient=make_ambient("S2xR"),
+                         axes=axes, jet=jet, compact=False),
+            np.array([[0.5, 0.1], [0.0, 0.1], [1.0, 0.1]]))
+
+
+def test_tangent_plane_through_a_chart_pole_is_degenerate():
+    # the strip passes the pole theta = 0 of the chart, where G^{-1} is
+    # infinite: the normal there is not finite, and the frame must name
+    # the point instead of returning NaN
+    surface, s = _meridian_strip()
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(DegenerateFrame, match=r"meridian_strip.*index \(1,\)"):
             frame_at(surface, s)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
-    # degenerate points in the second and fourth 64-point blocks; with four
-    # workers both blocks can be in flight at once
+def _twice_pinched() -> tuple[ParamSurface, np.ndarray]:
+    """A plane with degenerate points at the nodes (1, 30) and (4, 10) of a
+    10 x 50 batch, flat indices 80 and 210."""
     ambient = make_ambient("R3_homothetic")
     axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
     s = np.stack(np.meshgrid(np.arange(10.0), np.arange(50.0), indexing="ij"),
                  axis=-1)
-    bad = {(1, 30), (4, 10)}      # flat indices 80 and 210
+    bad = {(1, 30), (4, 10)}
 
     def jet(s):
         x = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
@@ -825,8 +843,15 @@ def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
             dx[(s[..., 0] == i) & (s[..., 1] == j), 1, 1] = 0.0
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
-    surface = ParamSurface(name="twice_pinched", ambient=ambient, axes=axes,
-                           jet=jet, compact=False)
+    return ParamSurface(name="twice_pinched", ambient=ambient, axes=axes,
+                        jet=jet, compact=False), s
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
+    # degenerate points in the second and fourth 64-point blocks; with four
+    # workers both blocks can be in flight at once
+    surface, s = _twice_pinched()
     monkeypatch.setattr(shape, "_BLOCK", 64)
     monkeypatch.setattr(shape, "_WORKERS", workers)
     with pytest.raises(DegenerateFrame, match=r"index \(1, 30\)"):
@@ -910,3 +935,111 @@ def test_graph_routes_match_the_frame(zoo, name):
     closed = graph_second_form(surface, s)
     assert np.max(np.abs(closed)) > 0.1
     assert np.allclose(framed, closed, rtol=0.0, atol=1e-11)
+
+
+
+# -- frames that keep only some fields ---------------------------------------
+
+# its adjugate normal has <N, T> > 0, so frame_at negates the kept fields
+# that are odd in N
+NEGATED_SCENARIO = "graph_S2xR_cos03"
+
+
+@pytest.mark.parametrize("name,resolution",
+                         [(n, None) for n in scenario_names()
+                          if instantiate(n)[0].compact]
+                         + [("graph_S3xR_coschi02", 32)])
+def test_kept_fields_are_the_full_frame_fields(zoo, monkeypatch, name,
+                                               resolution):
+    surface, grid, _ = zoo(name, resolution)
+    signs = []
+    frame_block = shape._frame_block
+
+    def recorded(*args):
+        signs.append(frame_block(*args))
+        return signs[-1]
+
+    monkeypatch.setattr(shape, "_frame_block", recorded)
+    full = frame_at(surface, grid.nodes)
+    lean = frame_at(surface, grid.nodes, BALANCE_FIELDS)
+    if name == NEGATED_SCENARIO:
+        assert any(positive for _, positive in signs)
+    assert full.area_element.tobytes() == np.sqrt(
+        _smallmat.det(full.metric)).tobytes()
+    for key, value in vars(lean).items():
+        if key in BALANCE_FIELDS:
+            assert value.shape == vars(full)[key].shape, key
+            assert value.tobytes() == vars(full)[key].tobytes(), key
+        else:
+            assert value is None, key
+
+
+@pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
+def test_lean_blocks_do_not_depend_on_the_worker_count(zoo, monkeypatch, name):
+    # every worker writes the fields it does not keep into scratch of its
+    # own; 64-point blocks, more workers than CPUs and a short switch
+    # interval interleave them often
+    surface, grid, _ = zoo(name, 16)
+    full = frame_at(surface, grid.nodes)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3, 4):
+            monkeypatch.setattr(shape, "_WORKERS", workers)
+            lean = frame_at(surface, grid.nodes, BALANCE_FIELDS)
+            for key in BALANCE_FIELDS:
+                assert np.array_equal(getattr(lean, key), getattr(full, key)), key
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_frame_rejects_an_unknown_field_to_keep(zoo):
+    surface, grid, _ = zoo("graph_S2xR_cos03", 16)
+    with pytest.raises(ValueError, match="height"):
+        frame_at(surface, grid.nodes, ("theta", "height"))
+
+
+def _rank_one_plane() -> tuple[ParamSurface, np.ndarray]:
+    axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
+    return (ParamSurface(name="degenerate", ambient=make_ambient("R3_homothetic"),
+                         axes=axes, jet=_rank_one_jet(1.0), compact=False),
+            QuadratureGrid.build(axes, 12).nodes)
+
+
+def _on_its_grid(make: Callable, transpose: bool = False):
+    def build():
+        surface = make()
+        s = QuadratureGrid.build(surface.axes, 16).nodes
+        return surface, np.moveaxis(s, 1, 0) if transpose else s
+    return build
+
+
+# case -> (a builder of the surface and its parameters, the block size or
+# None for the default)
+_FAILING_FRAMES = {
+    "leading_minor": (_rank_one_plane, None),
+    "not_spacelike": (_on_its_grid(_steep_lorentzian_graph), None),
+    "index_in_third_block": (_pinched_plane, None),
+    "non_finite_normal": (_meridian_strip, None),
+    "first_failing_block": (_twice_pinched, 64),
+    "theta_both_signs": (_on_its_grid(_bent_product_surface), None),
+    "theta_both_signs_across_blocks": (
+        _on_its_grid(_bent_product_surface, transpose=True), 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_FRAMES))
+def test_lean_frame_raises_what_the_full_frame_raises(monkeypatch, case):
+    build, block = _FAILING_FRAMES[case]
+    surface, s = build()
+    if block is not None:
+        monkeypatch.setattr(shape, "_BLOCK", block)
+        monkeypatch.setattr(shape, "_WORKERS", 2)
+    raised = []
+    for keep in (None, BALANCE_FIELDS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises((DegenerateFrame, NotSpacelike)) as info:
+                frame_at(surface, s, keep)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
