@@ -334,6 +334,8 @@ class AmbientSpace:
         Sbar      = curved (curved - 1) sectional,
 
     and the ambient is Einstein iff it is a space form or ``sectional == 0``.
+    The zero-padded product callables (``metric_at``, ``metric_inverse_at``,
+    ``christoffel_at``) are the full-chart definition tests compare against.
     """
 
     name: str
@@ -381,12 +383,12 @@ class AmbientSpace:
                                          - ip_yz[..., None] * Xb)
         return out
 
-    def ricci_quadratic(self, x: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """The Ricci form ``Ric(V, V)`` (positive on round spheres)."""
-        x = np.asarray(x, dtype=float)
-        Vb = np.asarray(V, dtype=float)[..., :self.curved]
-        ip = np.einsum("...i,...ij,...j->...", Vb, self._curved_metric(x), Vb)
-        return (self.curved - 1) * self.sectional * ip
+    def lower(self, C: np.ndarray, V: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``G V = (C V_b, epsilon V_line)`` into ``out``; ``C^-1`` raises."""
+        k = self.curved
+        np.einsum("...ab,...b->...a", C, V[..., :k], out=out[..., :k])
+        np.multiply(self.epsilon, V[..., k:], out=out[..., k:])
+        return out
 
 
 # --------------------------------------------------------------------------

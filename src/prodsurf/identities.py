@@ -169,7 +169,8 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
     del gam_A
     # ambient curvature with tangent legs, paired against N
     point, t = fr.point, fr.tangent
-    GN = np.einsum("...ab,...b->...a", ambient.metric_at(point), fr.normal)
+    GN = ambient.lower(ambient._curved_metric(point), fr.normal,
+                       np.empty_like(fr.normal))
     residual = 0.0
     for i in range(n):
         for j in range(i + 1, n):

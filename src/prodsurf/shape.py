@@ -26,28 +26,29 @@ the ambient's constant ``scalar_curvature``, which the frame does not store.
 ``frame_at`` allocates its outputs once, at the full batch shape, for the
 fields its caller keeps (``keep``, every field by default), and splits the
 flattened batch into contiguous blocks of ``_BLOCK`` points.  Each block
-writes its fields straight into its rows of the outputs (with ``out=``
-where numpy takes it, by slice assignment where a surface or ambient
-callable returns a new array), so no block result is copied and the
-working set does not grow with the grid.  A field the caller does not keep
-is written into block scratch instead: one buffer per field and thread
-(``_scratch``), allocated once and sliced to the block's rows, so a frame
-that keeps a few scalars holds a few scalars per point.  Every check runs
-on every point whatever is kept.  The area element ``sqrt(det g)`` is a
-frame field, taken while the block's ``g`` is in cache.  ``height`` is the
-view ``point[..., -1]``.  Blocks are independent and run concurrently:
-``_block_map`` runs them in fixed strides on the caller's thread and a
-pool, up to ``_WORKERS`` at a time (the CPU-affinity count, capped at
-``_MAX_WORKERS``), numpy releasing the interpreter lock in their array
-work, and returns once every block has finished.  Inside a block the
-contractions run two operands at a time, and ``h_ij`` is contracted
-through the lowered unit normal ``G N`` (the normalized adjugate covector)
-as ``txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c``, without forming the
-second partials ``sec_ij`` in ambient components.  Every block writes the
-adjugate-oriented frame; the orientation is chosen once for the whole
-batch, after all blocks, by negating the kept fields that are odd in
-``N``.  An error names its point by its index in the full batch, and the
-first failing block's error is raised, so the result depends neither on
+writes its fields straight into its rows of the outputs, so no block result
+is copied and the working set does not grow with the grid.  A field the
+caller does not keep is written into block scratch instead: one buffer per
+field and thread (``_scratch``), allocated once and sliced to the block's
+rows, so a frame that keeps a few scalars holds a few scalars per point.
+Every check runs on every point whatever is kept.  The area element
+``sqrt(det g)`` is a frame field, taken while the block's ``g`` is in
+cache.  ``height`` is the view ``point[..., -1]``.  Blocks are independent
+and run concurrently, up to ``_WORKERS`` at a time, through ``_block_map``.
+Inside a block the ambient is its curved block (``ambient.base or
+ambient``: the first ``k = ambient.curved`` coordinates, metric ``C``) and
+the flat line (the other ``d - k``, one on a product: metric ``eps``, no
+Christoffel symbols), and no zero-padded chart array is formed.  With ``v =
+(v_b, v_l)`` split so, ``g = t_b C t_b^T + eps t_l t_l^T``, the adjugate
+normal is ``(C^-1 w_b, eps w_l)``, ``G T = (C T_b, eps T_l)``, ``h_ij =
+txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c`` over the block's
+``Gamma``, through the lowered unit normal ``GN`` (the normalized adjugate
+covector), and ``Ric_bar(N, N) = (k - 1) sectional N_b . (GN)_b``; the two
+``t M t^T`` run one batch-wide product per term (``_add_sandwich``).  Every
+block writes the adjugate-oriented frame; the orientation is chosen once
+for the whole batch, after all blocks, by negating the kept fields that are
+odd in ``N``.  An error names its point by its index in the full batch, and
+the first failing block's error is raised, so the result depends neither on
 the block size nor on the number of workers.
 
 The module also hosts the *independent* intrinsic-curvature oracle: the
@@ -57,24 +58,16 @@ normals or second fundamental forms, so agreement with the frame values is a
 genuine two-route check of the Gauss equation.  Its samples of the metric
 come from ``induced_metric_sampler``: each folds the parameters back into
 the chart (``normalize_params``) and asks the surface for its metric there.
-A ``ParamSurface`` contracts its jet, ``g = t G t^T``; a ``GraphSurface``
-reads its height's first partials only, ``g = g_M + eps du (x) du``, so for
-graphs the oracle does not even share the frame's metric contraction.  The
-metric derivatives come from a single pass over a stencil lattice around
-the evaluation points: each lattice point is sampled once, added with its
-weights to every derivative that uses it, and dropped after its last use;
-each derivative is summed in a contiguous accumulator and written once into
-the jet.  Pure-axis derivatives take the order ``_PURE_ORDER[n]`` and mixed
-second derivatives the 8-point diagonal stencil ``_MIXED_TABLE``: 17 metric
-samples per point for n = 2 and 49 for n = 3.  The oracle runs on the nodes
-of a quadrature grid and reads its step from them: half the closest node
-spacing on each axis.  Where the last chart axis is periodic, its nodes
-form rings at twice that step, so the offsets along it land on the ring's
-doubled lattice and neighbouring nodes share their samples: 8 per node for
-n = 2 and 30 for n = 3.  Like ``frame_at``, the oracle runs the flattened
-nodes in blocks of ``_BLOCK`` points (whole rings) through ``_block_map``;
-a ring depends on no other, so the result depends neither on the block
-size nor on the number of workers.
+A ``ParamSurface`` contracts its jet with the full chart metric, ``g = t G
+t^T``; a ``GraphSurface`` reads its height's first partials only, ``g =
+g_M + eps du (x) du``, so the oracle does not share the frame's metric
+contraction.  The metric derivatives come from one pass over a stencil
+lattice around the nodes of a quadrature grid (``_metric_jet``), whose
+rings share their samples along a periodic last axis (see
+``intrinsic_curvature_oracle``).  Like ``frame_at``, the oracle runs the
+flattened nodes in blocks of ``_BLOCK`` points (whole rings) through
+``_block_map``; a ring depends on no other, so the result depends neither
+on the block size nor on the number of workers.
 """
 
 from __future__ import annotations
@@ -123,9 +116,8 @@ _MAX_WORKERS = 4
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
-# Contraction path for three-operand einsums: two operands at a time,
-# without einsum's path search.  The unoptimized default loops over every
-# index at once.
+# Contraction path for three-operand einsums: two operands at a time, without
+# einsum's path search (its unoptimized default loops over every index).
 _PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
 
 
@@ -299,25 +291,15 @@ def frame_at(surface, s: np.ndarray, keep: Collection[str] | None = None
     to return (``GeometryFrame`` field names, ``height`` excepted: it is a
     view of ``point`` and comes with it); every field by default.  The kept
     fields are allocated once, at the full batch shape; the others are
-    ``None``.  The flattened batch is evaluated in contiguous blocks of
-    ``_BLOCK`` points, up to ``_WORKERS`` blocks at a time (see
-    ``_block_map``); each block writes into its own rows of the kept
-    outputs, and the fields not kept into its thread's block scratch
-    (``_scratch_rows``), so no intermediate grows with the batch and no
-    block result is copied.  A batch smaller than one block is a single
-    block on the caller's thread.  The blocks carry no state between them,
-    so the result depends neither on the block size nor on the number of
-    workers, and a kept field is the same whatever else is kept.  In a
-    product ambient ``height`` is the view ``point[..., -1]``, not a copy.
+    ``None``.  The batch runs in blocks as the module docstring says; a
+    batch smaller than one block is a single block on the caller's thread,
+    and a kept field is the same whatever else is kept.
 
     Every check runs on every point, whatever is kept.  Raises
     ``NotSpacelike`` when a Lorentzian-ambient surface fails the spacelike
     test and ``DegenerateFrame`` when the tangent map loses rank or the
-    normal direction becomes null, naming the first offending point by its
-    index in the full batch; of several failing blocks, the first one's
-    error is raised.  The blocks write the adjugate normal.  In a product
-    or a Lorentzian ambient, which orient it by ``<N, T>``, the orientation
-    is then chosen once for the whole batch: ``DegenerateFrame`` is raised
+    normal direction becomes null.  In a product or a Lorentzian ambient,
+    which orient the normal by ``<N, T>``, ``DegenerateFrame`` is raised
     when the adjugate normal's ``<N, T>`` takes both strict signs, and where
     it is positive somewhere the kept fields odd in ``N`` are negated in
     place.  An unknown name in ``keep`` raises ``ValueError``.
@@ -397,32 +379,46 @@ def _scratch_rows(key: str, rows: int, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape((rows,) + shape)
 
 
+def _add_sandwich(t: np.ndarray, M: np.ndarray, out: np.ndarray) -> None:
+    """``out += t M t^T`` for symmetric ``out`` and ``M``, one batch-wide
+    product per term, where a batched matmul pays a call per tiny matrix."""
+    n, k = t.shape[-2:]
+    tM = [[sum(t[..., i, a] * M[..., a, b] for a in range(k)) for b in range(k)]
+          for i in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        out[..., i, j] += sum(tM[i][b] * t[..., j, b] for b in range(k))
+        out[..., j, i] = out[..., i, j]
+
+
 def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
                  batch: tuple[int, ...], offset: int) -> tuple[bool, bool]:
     """Write the frame fields of the block ``s`` (shape ``(m, n)``) into ``out``.
 
     ``out`` holds, for every ``frame_at`` output keyed like
     ``GeometryFrame``, the block's rows of it or of its scratch; each is
-    written in place.  ``offset`` is the block's
-    first row in the flattened ``batch``; error messages report points by
-    their index in ``batch``.  The normal is the adjugate one; the block
-    returns whether its ``<N, T>`` is negative and whether it is positive
-    anywhere, from which ``frame_at`` orients the whole batch.
+    written in place.  ``offset`` is the block's first row in the flattened
+    ``batch``; error messages report points by their index in ``batch``.
+    The normal is the adjugate one; the block returns whether its ``<N, T>``
+    is negative and whether it is positive anywhere, from which ``frame_at``
+    orients the whole batch.
     """
     ambient = surface.ambient
+    eps = ambient.epsilon
     n = s.shape[-1]
     x, tx, txx = surface.jet(s)
     out["point"][...] = x
     out["tangent"][...] = tx
     x, tx = out["point"], out["tangent"]
-    G = ambient.metric_at(x)
+    block, kb = ambient.base or ambient, ambient.curved   # and the flat line
+    xb, tb, tl = x[..., :kb], tx[..., :kb], tx[..., kb:]
+    C = block.metric_at(xb)
 
     def where(bad: np.ndarray) -> tuple[int, ...]:
         return tuple(int(i) for i in
                      np.unravel_index(offset + int(np.argmax(bad)), batch))
 
-    g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx, optimize=_PAIRWISE,
-                  out=out["metric"])
+    g = np.einsum("...ia,...ja->...ij", eps * tl, tl, out=out["metric"])
+    _add_sandwich(tb, C, g)
     # positive definiteness via leading principal minors, each measured
     # against the product of the squared Euclidean lengths of its tangents
     scale = np.cumprod(np.einsum("...ia,...ia->...i", tx, tx), axis=-1)
@@ -444,7 +440,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
     w = _smallmat.generalized_cross(tx)
-    Nraw = np.einsum("...ab,...b->...a", ambient.metric_inverse_at(x), w)
+    Nraw = ambient.lower(block.metric_inverse_at(xb), w, out["normal"])
     nsq = np.einsum("...a,...a->...", w, Nraw)
     # a normal through a chart pole meets an infinite G^{-1}: nsq is not finite
     bad = ~(np.isfinite(nsq)
@@ -452,7 +448,6 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     if np.any(bad):
         raise DegenerateFrame(f"{surface.name}: null, vanishing or non-finite "
                               f"normal direction at index {where(bad)}")
-    eps = ambient.epsilon
     bad = np.sign(nsq) != eps
     if np.any(bad):
         what = (f"normal has <N, N> of sign {int(np.sign(nsq[bad][0]))} at "
@@ -463,7 +458,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     length = np.sqrt(np.abs(nsq))[..., None]
     N = np.divide(Nraw, length, out=out["normal"])
 
-    GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
+    GT = ambient.lower(C, ambient.killing.field_at(x), np.empty_like(x))
     theta = np.einsum("...a,...a->...", N, GT, out=out["theta"])
 
     # a Lorentzian ambient asks for <N, T> < 0 at every point, so <N, T> = 0
@@ -477,20 +472,22 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
               out=out["tau"])
 
     # h_ij = <txx_ij + Gam(t_i, t_j), N>, contracted through the lowered
-    # normal; the second partials are let go before the Christoffel symbols,
-    # the block's largest temporary, are formed
+    # normal; the second partials are let go before the block's Christoffel
+    # symbols, its largest temporary, are formed
     h = np.einsum("...ija,...a->...ij", txx, Nlow, out=out["second_form"])
     del txx
-    GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(x), Nlow)
-    h += np.einsum("...ib,...bc,...jc->...ij", tx, GamN, tx, optimize=_PAIRWISE)
+    GamN = np.einsum("...abc,...a->...bc", block.christoffel_at(xb),
+                     Nlow[..., :kb])
+    _add_sandwich(tb, GamN, h)
     A = np.matmul(ginv, h, out=out["shape_operator"])
     trA = np.einsum("...ii->...", A)
     trA2 = np.einsum("...ij,...ji->...", A, A)
     e2 = 0.5 * (trA * trA - trA2)
 
     np.multiply(eps / n, trA, out=out["mean_curvature"])
-    ricNN = out["ricci_normal"]
-    ricNN[...] = ambient.ricci_quadratic(x, N)
+    ricNN = np.einsum("...a,...a->...", N[..., :kb], Nlow[..., :kb],
+                      out=out["ricci_normal"])
+    ricNN *= (kb - 1) * ambient.sectional
     out["scalar_curvature"][...] = (ambient.scalar_curvature
                                     - 2.0 * eps * ricNN + 2.0 * eps * e2)
     return bool(np.any(theta < 0.0)), bool(np.any(theta > 0.0))

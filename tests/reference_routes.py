@@ -2,7 +2,8 @@
 
 Each route recomputes a quantity the package has in closed form (or reads
 from its frames) by another method: finite differences of the chart data,
-or the closed forms of a graph.  One runs the package's intrinsic-curvature
+contractions over the full zero-padded chart, or the closed forms of a
+graph.  One runs the package's intrinsic-curvature
 oracle off its grids, at scattered points and a free step.  None of them is
 used by the package itself, so they live with the tests.  So does
 ``run_check``, which runs one identity check at two resolutions where the
@@ -131,6 +132,62 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
         passed=bool(worst <= tolerance),
         tolerance=tolerance,
     )
+
+
+# --------------------------------------------------------------------------
+# the frame through the full chart
+# --------------------------------------------------------------------------
+
+# the frame fields that change sign with the normal
+_ODD_IN_N = ("normal", "theta", "second_form", "shape_operator",
+             "mean_curvature")
+
+
+def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``frame_at`` fields at ``s``, keyed like ``GeometryFrame``
+    (``height`` excepted), by contractions over the full chart.
+
+    Every ambient tensor is the ``(..., d, d)`` or ``(..., d, d, d)`` array
+    of ``ambient.metric_at``, ``metric_inverse_at`` and ``christoffel_at``,
+    zero-padded on a product.  The second fundamental form pairs the second
+    partials ``txx_ij + Gamma(t_i, t_j)`` in ambient components with the
+    lowered normal, and ``Ric_bar(N, N) = (curved - 1) sectional <N_b, N_b>``
+    reads the curved block of ``metric_at``.  ``frame_at`` contracts over
+    the curved block and the line instead.  No point is checked; the normal
+    is oriented as ``frame_at`` orients it.
+    """
+    ambient = surface.ambient
+    eps, k, n = ambient.epsilon, ambient.curved, s.shape[-1]
+    x, tx, txx = surface.jet(np.asarray(s, dtype=float))
+    G = ambient.metric_at(x)
+    g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx)
+    ginv = np.linalg.inv(g)
+    w = _smallmat.generalized_cross(tx)
+    Nraw = np.einsum("...ab,...b->...a", ambient.metric_inverse_at(x), w)
+    length = np.sqrt(np.abs(np.einsum("...a,...a->...", w, Nraw)))[..., None]
+    N, Nlow = Nraw / length, w / length
+    GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
+    sec = txx + np.einsum("...abc,...ib,...jc->...ija",
+                          ambient.christoffel_at(x), tx, tx)
+    h = np.einsum("...ija,...a->...ij", sec, Nlow)
+    A = ginv @ h
+    trA = np.einsum("...ii->...", A)
+    e2 = 0.5 * (trA ** 2 - np.einsum("...ij,...ji->...", A, A))
+    ric = (k - 1) * ambient.sectional * np.einsum(
+        "...a,...ab,...b->...", N[..., :k], G[..., :k, :k], N[..., :k])
+    fields = dict(
+        point=x, tangent=tx, metric=g, metric_inv=ginv,
+        area_element=np.sqrt(np.linalg.det(g)), normal=N, second_form=h,
+        shape_operator=A, mean_curvature=eps / n * trA,
+        scalar_curvature=ambient.scalar_curvature - 2.0 * eps * ric
+        + 2.0 * eps * e2,
+        ricci_normal=ric, theta=np.einsum("...a,...a->...", N, GT),
+        tau=np.einsum("...ij,...jb,...b->...i", ginv, tx, GT))
+    if ((ambient.epsilon < 0 or ambient.kind == "product")
+            and np.any(fields["theta"] > 0.0)):
+        for key in _ODD_IN_N:
+            fields[key] = -fields[key]
+    return fields
 
 
 # --------------------------------------------------------------------------

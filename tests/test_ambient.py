@@ -89,37 +89,39 @@ def test_curvature_operator_matches_finite_differences(key):
     assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
-def _ricci_routes(ambient, pts, V):
-    """Ric(V, V) as a G^-1 trace of the curvature operator, Sbar as one of Ric.
-
-    With the package's sign convention ``Ric(V, V)`` is minus the trace of
-    ``X -> R(X, V)V``, i.e. ``-G^ab <R(e_a, V)V, e_b>``; ``Sbar`` is the
-    ``G^-1`` trace of the Ricci form, its bilinear entries taken from
-    ``ricci_quadratic`` by polarization.
-    """
+def _ricci_tensor(ambient, pts):
+    """``Ric(e_a, e_b) = -G^cd <R(e_c, e_a)e_b, e_d>``, read from
+    ``curvature_operator`` alone (the package's sign convention makes it
+    minus the trace of ``X -> R(X, e_a)e_b``)."""
     d = ambient.dim
     G, Ginv = ambient.metric_at(pts), ambient.metric_inverse_at(pts)
     E = [np.broadcast_to(e, pts.shape) for e in np.eye(d)]
-    RV = np.stack([ambient.curvature_operator(pts, E[a], V, V)
-                   for a in range(d)], axis=-2)           # RV[..., a, :]
-    ric = -np.einsum("...ab,...ac,...cb->...", Ginv, RV, G)
-    q = ambient.ricci_quadratic
-    entries = np.stack([np.stack([0.25 * (q(pts, E[a] + E[b])
-                                          - q(pts, E[a] - E[b]))
-                                  for b in range(d)], axis=-1)
-                        for a in range(d)], axis=-2)
-    return ric, np.einsum("...ab,...ab->...", Ginv, entries)
+    ric = np.zeros(pts.shape[:-1] + (d, d))
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                R = ambient.curvature_operator(pts, E[c], E[a], E[b])
+                lowered = np.einsum("...f,...fd->...d", R, G)
+                ric[..., a, b] -= np.einsum("...d,...d->...", Ginv[..., c, :],
+                                            lowered)
+    return ric
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_ricci_form_and_scalar_curvature_are_traces_of_the_curvature(key):
+    # the Ricci form is the curvature model's (curved - 1) sectional times
+    # the curved block's metric, zero on a product's line, and Sbar is its
+    # G^-1 trace
     ambient = make_ambient(key)
     rng = np.random.default_rng(17)
     pts = rng.uniform(0.6, 1.1, size=(16, ambient.dim))
-    V = rng.uniform(-1.0, 1.0, size=pts.shape)
-    ric, sbar = _ricci_routes(ambient, pts, V)
-    assert np.allclose(ambient.ricci_quadratic(pts, V), ric,
-                       rtol=1e-12, atol=1e-12)
+    ric = _ricci_tensor(ambient, pts)
+    k = ambient.curved
+    model = np.zeros_like(ric)
+    model[..., :k, :k] = ((k - 1) * ambient.sectional
+                          * ambient.metric_at(pts)[..., :k, :k])
+    assert np.allclose(ric, model, rtol=1e-12, atol=1e-12)
+    sbar = np.einsum("...ab,...ab->...", ambient.metric_inverse_at(pts), ric)
     assert np.allclose(sbar, ambient.scalar_curvature, rtol=1e-12, atol=1e-12)
 
 

@@ -10,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from reference_routes import graph_second_form, graph_theta, oracle_at
+from reference_routes import (graph_second_form, graph_theta, oracle_at,
+                              padded_frame)
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
@@ -1043,3 +1044,45 @@ def test_lean_frame_raises_what_the_full_frame_raises(monkeypatch, case):
                 frame_at(surface, s, keep)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
+
+
+# -- contractions over the curved block and the line --------------------------
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_frame_matches_the_padded_chart_frame(zoo, name):
+    surface, grid, _ = zoo(name, 12)
+    frame = frame_at(surface, grid.nodes)
+    for key, value in padded_frame(surface, grid.nodes).items():
+        scale = max(1.0, float(np.max(np.abs(value))))
+        assert np.max(np.abs(getattr(frame, key) - value)) <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("name", ["graph_S3xR_coschi02", "cylinder_S2xR"])
+def test_product_frames_never_read_the_padded_chart(zoo, monkeypatch, name):
+    # the frame reads the base's callables; its catalog grid is more than
+    # one block on graph_S3xR_coschi02
+    surface, grid, _ = zoo(name)
+
+    def padded(x):
+        raise AssertionError("frame_at read a zero-padded chart callable")
+
+    for attr in ("metric_at", "metric_inverse_at", "christoffel_at"):
+        monkeypatch.setattr(surface.ambient, attr, padded)
+    frame = frame_at(surface, grid.nodes)
+    assert np.all(np.isfinite(frame.scalar_curvature))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_ricci_normal_is_the_trace_of_the_curvature_operator(zoo, name):
+    # Ric_bar(N, N) = -G^ab <R(e_a, N)N, e_b>, from curvature_operator alone
+    surface, grid, _ = zoo(name, 12)
+    ambient = surface.ambient
+    frame = frame_at(surface, grid.nodes)
+    x, N = frame.point, frame.normal
+    G, Ginv = ambient.metric_at(x), ambient.metric_inverse_at(x)
+    ric = np.zeros(x.shape[:-1])
+    for a, e in enumerate(np.eye(ambient.dim)):
+        R = ambient.curvature_operator(x, np.broadcast_to(e, x.shape), N, N)
+        ric -= np.einsum("...b,...cb,...c->...", Ginv[..., a, :], G, R)
+    scale = max(1.0, float(np.max(np.abs(ric))))
+    assert np.max(np.abs(frame.ricci_normal - ric)) <= 1e-13 * scale
