@@ -369,18 +369,19 @@ class AmbientSpace:
         """The metric of the curved block at the chart points ``x``."""
         return (self.base or self).metric_at(x[..., :self.curved])
 
-    def curvature_operator(self, x: np.ndarray, X: np.ndarray,
+    def curvature_operator(self, C: np.ndarray, X: np.ndarray,
                            Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """``R(X, Y)Z`` in chart components (see module docstring for signs)."""
-        x, X, Y, Z = (np.asarray(v, dtype=float) for v in (x, X, Y, Z))
+        """``R(X, Y)Z`` in chart components (see module docstring for signs),
+        with ``C`` the curved block's metric at the points, as in ``lower``:
+        a caller with many vectors per point evaluates the metric once."""
+        X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
         k = self.curved
-        G = self._curved_metric(x)
         Xb, Yb, Zb = X[..., :k], Y[..., :k], Z[..., :k]
-        ip_xz = np.einsum("...i,...ij,...j->...", Xb, G, Zb)
-        ip_yz = np.einsum("...i,...ij,...j->...", Yb, G, Zb)
-        out = np.zeros(np.broadcast(x, X, Y, Z).shape)
-        out[..., :k] = self.sectional * (ip_xz[..., None] * Yb
-                                         - ip_yz[..., None] * Xb)
+        ip_xz = np.einsum("...i,...ij,...j->...", Xb, C, Zb)
+        ip_yz = np.einsum("...i,...ij,...j->...", Yb, C, Zb)
+        block = self.sectional * (ip_xz[..., None] * Yb - ip_yz[..., None] * Xb)
+        out = np.zeros(block.shape[:-1] + X.shape[-1:])
+        out[..., :k] = block
         return out
 
     def lower(self, C: np.ndarray, V: np.ndarray, out: np.ndarray) -> np.ndarray:

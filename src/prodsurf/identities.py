@@ -33,10 +33,12 @@ algebraic in the frame data: it is judged on its own, against the absolute
 from __future__ import annotations
 
 import math
+from concurrent.futures import wait
 from typing import Callable
 
 import numpy as np
 
+from . import shape
 from .calculus import FrameFields, QuadratureGrid, partial_derivative
 from .errors import WrongAmbient
 from .reports import TOLERANCES, CheckResult
@@ -167,17 +169,18 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
     gam_A = np.matmul(gam.reshape(gam.shape[:-3] + (n * n, n)), A)
     D += gam_A.reshape(gam.shape).swapaxes(-2, -3)
     del gam_A
-    # ambient curvature with tangent legs, paired against N
-    point, t = fr.point, fr.tangent
-    GN = ambient.lower(ambient._curved_metric(point), fr.normal,
-                       np.empty_like(fr.normal))
+    # ambient curvature with tangent legs, paired against N; the curved
+    # block's metric is evaluated once, for G N and every R(t_i, t_j)t_k
+    t = fr.tangent
+    C = ambient._curved_metric(fr.point)
+    GN = ambient.lower(C, fr.normal, np.empty_like(fr.normal))
     residual = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             rhs = np.einsum("...kl,...l->...k", fr.metric,
                             D[..., j, :, i] - D[..., i, :, j])
             for k in range(n):
-                R = ambient.curvature_operator(point, t[..., i, :],
+                R = ambient.curvature_operator(C, t[..., i, :],
                                                t[..., j, :], t[..., k, :])
                 lhs = np.einsum("...a,...a->...", R, GN)
                 lhs -= rhs[..., k]
@@ -281,6 +284,40 @@ def applicable_checks(surface) -> tuple[str, ...]:
                  if name not in ("norm_grad_h", "hessian_h"))
 
 
+# The check that run_suite hands to the spare block thread: its oracle is
+# the largest piece of a grid's work and shares nothing with the others.
+_POOLED = "gauss_scalar"
+
+
+def _run_grid(fields: FrameFields, selected: tuple[str, ...]
+              ) -> list[CheckResult]:
+    """The ``selected`` checks on one bundle, in ``selected`` order, run
+    where ``run_suite`` says; ``shape._WORKERS`` is read at the call."""
+    fields.frame                    # built here: no pool thread builds it
+    if shape._WORKERS == 1:
+        return [CHECKS[name](fields) for name in selected]
+    check = CHECKS[_POOLED]
+    # the task takes the bundle out of the box, so the pool's work item,
+    # which outlives the task for a moment, does not keep it alive
+    box = [fields]
+    task = shape._pool(shape._WORKERS - 1).submit(lambda: check(box.pop()))
+    results = {}
+    try:
+        for name in selected:
+            if name != _POOLED:
+                results[name] = CHECKS[name](fields)
+    except Exception:
+        pooled_error = task.exception()
+        if (pooled_error is not None
+                and selected.index(_POOLED) < selected.index(name)):
+            raise pooled_error from None
+        raise
+    finally:
+        wait([task])
+    results[_POOLED] = task.result()
+    return [results[name] for name in selected]
+
+
 def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     """Run every identity check that applies to one surface.
 
@@ -290,6 +327,13 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     automatically on other ambients.  The grids run in turn, one frame
     bundle at a time: each grid's bundle is shared across the checks and
     let go before the next grid's frame is built.
+
+    On each grid the frame is built on the caller.  Then ``gauss_scalar``
+    runs on the spare block thread while the caller runs the other checks
+    in ``CHECKS`` order, stopping at its first error; with one block worker
+    every check runs on the caller.  The caller always waits for the pooled
+    check, so nothing is still running when the call returns or raises, and
+    the error raised is that of the first failing check in ``CHECKS`` order.
     """
     selected = applicable_checks(surface)
     resolutions = ((resolution,) if refine <= 0
@@ -297,7 +341,7 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     runs = []
     for res in resolutions:
         fields = FrameFields(surface, QuadratureGrid.build(surface.axes, res))
-        runs.append([CHECKS[name](fields) for name in selected])
+        runs.append(_run_grid(fields, selected))
     if refine <= 0:
         return runs[0]
     return [_attach_order(coarse, fine, *resolutions)

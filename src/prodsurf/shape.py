@@ -64,10 +64,15 @@ g_M + eps du (x) du``, so the oracle does not share the frame's metric
 contraction.  The metric derivatives come from one pass over a stencil
 lattice around the nodes of a quadrature grid (``_metric_jet``), whose
 rings share their samples along a periodic last axis (see
-``intrinsic_curvature_oracle``).  Like ``frame_at``, the oracle runs the
-flattened nodes in blocks of ``_BLOCK`` points (whole rings) through
-``_block_map``; a ring depends on no other, so the result depends neither
-on the block size nor on the number of workers.
+``intrinsic_curvature_oracle``).  The oracle runs the flattened nodes in
+blocks of ``_BLOCK`` points (whole rings), in order, on the calling thread;
+a ring depends on no other, so the result does not depend on the block
+size.  It leaves the block pool alone: the identity suite runs the whole
+oracle check on the spare block thread beside its stencil checks
+(``identities.run_suite``).  Overlap at a finer grain paid less: the
+oracle's blocks on two threads ran 1.4 times as fast as on one, and grid
+stencils split across the threads ran slower, their small numpy calls
+handing the interpreter lock back and forth.
 """
 
 from __future__ import annotations
@@ -260,6 +265,12 @@ def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> list:
     one queue that every thread drew from raised ``sign_radial_scan``'s by
     5 %.  The first failing block's exception, in block order, is raised;
     the others are dropped.
+
+    It serves ``frame_at`` alone, and a pool thread must never enter it:
+    with two workers the pool has one thread, which would wait on a helper
+    queued behind itself.  So ``identities.run_suite`` builds each frame
+    before it hands a check to the pool, and the oracle, the work of that
+    check, runs its blocks in turn on the thread that calls it.
     """
     results: list = [None] * len(starts)
     errors: dict[int, Exception] = {}
@@ -770,11 +781,12 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     shares its samples along each ring of ``grid.shape[-1]`` nodes: 8 per
     node for n = 2 and 30 for n = 3, against 17 and 49 on an open one.  The
     sampler is built once; the flattened nodes are evaluated in contiguous
-    blocks of ``_BLOCK`` points (whole rings, at least one), up to
-    ``_WORKERS`` at a time (see ``_block_map``), each writing its own slice
-    of one output, so the samples held at a time do not grow with the grid.
-    A ring depends on no other, so the result depends neither on the block
-    size nor on the number of workers.
+    blocks of ``_BLOCK`` points (whole rings, at least one), in order on the
+    calling thread, each writing its own slice of one output, so the samples
+    held at a time do not grow with the grid.  A ring depends on no other,
+    so the result does not depend on the block size.  The oracle never
+    enters ``_block_map``, so it may run on a pool thread, as the identity
+    suite runs it.
     """
     n = surface.dimension
     if n not in _PURE_ORDER:
@@ -786,10 +798,7 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     out = np.empty(flat.shape[0])
     length = ring or 1
     size = length * max(1, _BLOCK // length)
-
-    def block(start: int) -> None:
+    for start in range(0, flat.shape[0], size):
         rows = slice(start, start + size)
         out[rows] = _fd_scalar_curvature(g_at, flat[rows], h, ring)
-
-    _block_map(block, range(0, flat.shape[0], size))
     return out.reshape(grid.shape)

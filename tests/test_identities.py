@@ -2,6 +2,10 @@
 
 import dataclasses
 import gc
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from functools import cached_property
@@ -10,7 +14,7 @@ import numpy as np
 import pytest
 from reference_routes import run_check
 
-from prodsurf import calculus, identities, zoo as catalog
+from prodsurf import calculus, identities, shape, zoo as catalog
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import WrongAmbient
 from prodsurf.identities import (CHECKS, _attach_order, applicable_checks,
@@ -137,6 +141,88 @@ def test_suite_lets_each_grid_go_before_the_next(zoo, monkeypatch):
     assert alive_at_frame == [[], [False]]
 
 
+@pytest.mark.parametrize("scenario, checks", [
+    ("graph_S2xR_cos03", 6), ("torus_R3_homothetic", 4),
+])
+def test_suite_records_do_not_depend_on_the_worker_count(zoo, monkeypatch,
+                                                         scenario, checks):
+    # two workers run gauss_scalar on the spare block thread, one runs
+    # every check on the caller
+    surface, grid, _ = zoo(scenario)
+    records = []
+    for workers in (1, 2):
+        monkeypatch.setattr(shape, "_WORKERS", workers)
+        results = run_suite(surface, grid.resolution, refine=1)
+        records.append([r.to_dict() for r in results])
+    assert len(records[0]) == checks
+    assert records[1] == records[0]
+
+
+class _CheckFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ("codazzi", "gauss_scalar"), ("norm_grad_h", "norm_grad_h"),
+])
+def test_suite_raises_the_first_failure_once_the_pooled_check_is_done(
+        zoo, monkeypatch, failing, raised):
+    # gauss_scalar comes after norm_grad_h and before codazzi in CHECKS
+    surface, _, _ = zoo("graph_S2xR_cos03")
+    ran_on, finished = [], threading.Event()
+
+    def slow_failing_gauss(fields):
+        ran_on.append(threading.current_thread())
+        time.sleep(0.3)
+        finished.set()
+        raise _CheckFailed("gauss_scalar")
+
+    def fail(fields):
+        raise _CheckFailed(failing)
+
+    monkeypatch.setattr(shape, "_WORKERS", 2)
+    monkeypatch.setitem(CHECKS, "gauss_scalar", slow_failing_gauss)
+    monkeypatch.setitem(CHECKS, failing, fail)
+    with pytest.raises(_CheckFailed, match=f"^{raised}$"):
+        run_suite(surface, 12, refine=1)
+    assert finished.is_set()
+    assert ran_on and ran_on[0] is not threading.main_thread()
+
+
+def test_suite_enters_the_block_map_from_the_main_thread_only(zoo, monkeypatch):
+    # a pool thread in _block_map would queue a helper behind itself; the
+    # recorder raises there instead of waiting
+    surface, _, _ = zoo("graph_S3xR_coschi02")
+    block_map, entered = shape._block_map, []
+
+    def recorded(fn, starts):
+        entered.append(threading.current_thread())
+        if entered[-1] is not threading.main_thread():
+            raise AssertionError("_block_map entered from a pool thread")
+        return block_map(fn, starts)
+
+    monkeypatch.setattr(shape, "_WORKERS", 2)
+    monkeypatch.setattr(shape, "_block_map", recorded)
+    results = run_suite(surface, 12, refine=1)
+    assert len(results) == 6
+    assert entered and set(entered) == {threading.main_thread()}
+
+
+def test_suite_with_two_block_workers_finishes_in_a_fresh_process():
+    # a deadlock between the caller and the pool would hang the suite, so
+    # the run goes to a child process under a time limit
+    code = ("from prodsurf import shape, zoo\n"
+            "from prodsurf.identities import run_suite\n"
+            "shape._WORKERS = 2\n"
+            "surface, _, _ = zoo.instantiate('graph_S3xR_coschi02', "
+            "{'resolution': 16})\n"
+            "results = run_suite(surface, 16)\n"
+            "assert len(results) == 6 and all(r.passed for r in results)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_codazzi_on_space_form_is_exact(zoo):
     surface, _, _ = zoo("ellipsoid_R3_homothetic")
     assert run_check(surface, "codazzi", 24).passed
@@ -161,12 +247,13 @@ def _codazzi_full_tensor(fields):
     rhs = lowered - np.swapaxes(lowered, -3, -2)
     lhs = np.zeros(rhs.shape)
     GN = np.einsum("...ab,...b->...a", ambient.metric_at(fr.point), fr.normal)
+    C = ambient._curved_metric(fr.point)
     t = fr.tangent
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                R = ambient.curvature_operator(fr.point, t[..., i, :],
-                                               t[..., j, :], t[..., k, :])
+                R = ambient.curvature_operator(C, t[..., i, :], t[..., j, :],
+                                               t[..., k, :])
                 val = np.einsum("...a,...a->...", R, GN)
                 lhs[..., i, j, k] = val
                 lhs[..., j, i, k] = -val
