@@ -36,8 +36,9 @@ form of the unit round sphere is positive.  In chart components, with
 
 and all of this is verified against finite differences in the test suite.
 
-All chart callables are array-aware: points have shape ``(..., dim)`` and
-outputs carry matching batch dimensions.
+All chart callables are array-aware: points have shape ``(..., dim)`` (an
+ambient's take its curved block's ``(..., curved)``, see ``AmbientSpace``)
+and outputs carry matching batch dimensions.
 """
 
 from __future__ import annotations
@@ -334,8 +335,8 @@ class AmbientSpace:
         Sbar      = curved (curved - 1) sectional,
 
     and the ambient is Einstein iff it is a space form or ``sectional == 0``.
-    The zero-padded product callables (``metric_at``, ``metric_inverse_at``,
-    ``christoffel_at``) are the full-chart definition tests compare against.
+    The chart callables are the curved block's too, at ``x[..., :curved]``:
+    a product's are its base's, and its line is flat, with metric ``epsilon``.
     """
 
     name: str
@@ -365,24 +366,17 @@ class AmbientSpace:
         """The constant ambient scalar curvature ``Sbar``."""
         return self.curved * (self.curved - 1) * self.sectional
 
-    def _curved_metric(self, x: np.ndarray) -> np.ndarray:
-        """The metric of the curved block at the chart points ``x``."""
-        return (self.base or self).metric_at(x[..., :self.curved])
-
     def curvature_operator(self, C: np.ndarray, X: np.ndarray,
                            Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """``R(X, Y)Z`` in chart components (see module docstring for signs),
-        with ``C`` the curved block's metric at the points, as in ``lower``:
-        a caller with many vectors per point evaluates the metric once."""
-        X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-        k = self.curved
-        Xb, Yb, Zb = X[..., :k], Y[..., :k], Z[..., :k]
-        ip_xz = np.einsum("...i,...ij,...j->...", Xb, C, Zb)
-        ip_yz = np.einsum("...i,...ij,...j->...", Yb, C, Zb)
-        block = self.sectional * (ip_xz[..., None] * Yb - ip_yz[..., None] * Xb)
-        out = np.zeros(block.shape[:-1] + X.shape[-1:])
-        out[..., :k] = block
-        return out
+        """The curved block's ``curved`` components of ``R(X, Y)Z`` (see
+        module docstring for signs; a product's line part is 0), with ``C``
+        the curved block's metric at the points, as in ``lower``: a caller
+        with many vectors per point evaluates the metric once."""
+        X, Y, Z = (np.asarray(v, dtype=float)[..., :self.curved]
+                   for v in (X, Y, Z))
+        ip_xz = np.einsum("...i,...ij,...j->...", X, C, Z)
+        ip_yz = np.einsum("...i,...ij,...j->...", Y, C, Z)
+        return self.sectional * (ip_xz[..., None] * Y - ip_yz[..., None] * X)
 
     def lower(self, C: np.ndarray, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``G V = (C V_b, epsilon V_line)`` into ``out``; ``C^-1`` raises."""
@@ -399,33 +393,13 @@ class AmbientSpace:
 def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
     """The metric product of ``base`` with a line, ``g_M + epsilon dt^2``.
 
-    The distinguished conformal Killing field is the parallel unit field
-    along the line (genuinely Killing: ``phi = 0``).
+    Its chart callables are the base's.  The distinguished conformal Killing
+    field is the parallel unit field along the line (genuinely Killing:
+    ``phi = 0``).
     """
     if epsilon not in (+1, -1):
         raise ParameterOutOfRange(f"product sign must be +1 or -1, got {epsilon}")
     nb = base.dim
-    d = nb + 1
-
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        G = np.zeros(x.shape[:-1] + (d, d))
-        G[..., :nb, :nb] = base.metric_at(x[..., :nb])
-        G[..., nb, nb] = float(epsilon)
-        return G
-
-    def metric_inv(x):
-        x = np.asarray(x, dtype=float)
-        G = np.zeros(x.shape[:-1] + (d, d))
-        G[..., :nb, :nb] = base.metric_inverse_at(x[..., :nb])
-        G[..., nb, nb] = float(epsilon)   # 1/epsilon == epsilon
-        return G
-
-    def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        G = np.zeros(x.shape[:-1] + (d, d, d))
-        G[..., :nb, :nb, :nb] = base.christoffel_at(x[..., :nb])
-        return G
 
     def unit_t(x):
         x = np.asarray(x, dtype=float)
@@ -437,11 +411,11 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
     suffix = "xR" if epsilon > 0 else "xR1"
     return AmbientSpace(
         name=base.name + suffix,
-        dim=d,
+        dim=nb + 1,
         epsilon=epsilon,
-        metric_at=metric,
-        metric_inverse_at=metric_inv,
-        christoffel_at=christoffel,
+        metric_at=base.metric_at,
+        metric_inverse_at=base.metric_inverse_at,
+        christoffel_at=base.christoffel_at,
         killing=killing,
         sectional=base.kappa / (nb - 1),
         base=base,

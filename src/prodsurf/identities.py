@@ -170,10 +170,12 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
     D += gam_A.reshape(gam.shape).swapaxes(-2, -3)
     del gam_A
     # ambient curvature with tangent legs, paired against N; the curved
-    # block's metric is evaluated once, for G N and every R(t_i, t_j)t_k
+    # block's metric is evaluated once, for G N and every R(t_i, t_j)t_k,
+    # whose curved block components pair with those of G N
     t = fr.tangent
-    C = ambient._curved_metric(fr.point)
-    GN = ambient.lower(C, fr.normal, np.empty_like(fr.normal))
+    kb = ambient.curved
+    C = ambient.metric_at(fr.point[..., :kb])
+    GN = ambient.lower(C, fr.normal, np.empty_like(fr.normal))[..., :kb]
     residual = 0.0
     for i in range(n):
         for j in range(i + 1, n):

@@ -35,11 +35,12 @@ Every check runs on every point whatever is kept.  The area element
 ``sqrt(det g)`` is a frame field, taken while the block's ``g`` is in
 cache.  ``height`` is the view ``point[..., -1]``.  Blocks are independent
 and run concurrently, up to ``_WORKERS`` at a time, through ``_block_map``.
-Inside a block the ambient is its curved block (``ambient.base or
-ambient``: the first ``k = ambient.curved`` coordinates, metric ``C``) and
-the flat line (the other ``d - k``, one on a product: metric ``eps``, no
-Christoffel symbols), and no zero-padded chart array is formed.  With ``v =
-(v_b, v_l)`` split so, ``g = t_b C t_b^T + eps t_l t_l^T``, the adjugate
+Inside a block the ambient is its one chart model (``AmbientSpace``): the
+curved block, whose callables take the first ``k = ambient.curved``
+coordinates (metric ``C``), and the flat line (the other ``d - k``, one on
+a product: metric ``eps``, no Christoffel symbols).  With ``v = (v_b,
+v_l)`` split so, ``g = t_b C t_b^T + eps t_l t_l^T`` (``_induced_metric``,
+which ``ParamSurface.induced_metric`` shares), the adjugate
 normal is ``(C^-1 w_b, eps w_l)``, ``G T = (C T_b, eps T_l)``, ``h_ij =
 txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c`` over the block's
 ``Gamma``, through the lowered unit normal ``GN`` (the normalized adjugate
@@ -58,9 +59,9 @@ normals or second fundamental forms, so agreement with the frame values is a
 genuine two-route check of the Gauss equation.  Its samples of the metric
 come from ``induced_metric_sampler``: each folds the parameters back into
 the chart (``normalize_params``) and asks the surface for its metric there.
-A ``ParamSurface`` contracts its jet with the full chart metric, ``g = t G
-t^T``; a ``GraphSurface`` reads its height's first partials only, ``g =
-g_M + eps du (x) du``, so the oracle does not share the frame's metric
+A ``ParamSurface`` contracts its jet's tangents as ``frame_at`` does; a
+``GraphSurface`` reads its height's first partials only, ``g = g_M + eps du
+(x) du``, so on a graph the oracle does not share the frame's metric
 contraction.  The metric derivatives come from one pass over a stencil
 lattice around the nodes of a quadrature grid (``_metric_jet``), whose
 rings share their samples along a periodic last axis (see
@@ -121,10 +122,6 @@ _MAX_WORKERS = 4
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
-# Contraction path for three-operand einsums: two operands at a time, without
-# einsum's path search (its unoptimized default loops over every index).
-_PAIRWISE = ["einsum_path", (0, 1), (0, 1)]
-
 
 @dataclass(eq=False)
 class ParamSurface:
@@ -144,10 +141,12 @@ class ParamSurface:
         return len(self.axes)
 
     def induced_metric(self, s: np.ndarray) -> np.ndarray:
-        """Induced metric ``g_ij = <t_i, t_j>`` at chart parameters ``s``."""
+        """Induced metric ``g_ij = <t_i, t_j>`` at chart parameters ``s``,
+        contracted as ``frame_at`` contracts it (``_induced_metric``)."""
         x, tx, _ = self.jet(s)
-        return np.einsum("...ia,...ab,...jb->...ij", tx,
-                         self.ambient.metric_at(x), tx, optimize=_PAIRWISE)
+        n, k = tx.shape[-2], self.ambient.curved
+        return _induced_metric(self.ambient, self.ambient.metric_at(x[..., :k]),
+                               tx, np.empty(tx.shape[:-1] + (n,)))
 
 
 @dataclass(eq=False)
@@ -401,6 +400,17 @@ def _add_sandwich(t: np.ndarray, M: np.ndarray, out: np.ndarray) -> None:
         out[..., j, i] = out[..., i, j]
 
 
+def _induced_metric(ambient: AmbientSpace, C: np.ndarray, t: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """``g = eps t_l t_l^T + t_b C t_b^T`` into ``out``, with the tangents
+    ``t`` cut to the curved block (``t_b``, metric ``C``) and the line."""
+    k = ambient.curved
+    np.einsum("...ia,...ja->...ij", ambient.epsilon * t[..., k:], t[..., k:],
+              out=out)
+    _add_sandwich(t[..., :k], C, out)
+    return out
+
+
 def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
                  batch: tuple[int, ...], offset: int) -> tuple[bool, bool]:
     """Write the frame fields of the block ``s`` (shape ``(m, n)``) into ``out``.
@@ -420,16 +430,15 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     out["point"][...] = x
     out["tangent"][...] = tx
     x, tx = out["point"], out["tangent"]
-    block, kb = ambient.base or ambient, ambient.curved   # and the flat line
-    xb, tb, tl = x[..., :kb], tx[..., :kb], tx[..., kb:]
-    C = block.metric_at(xb)
+    kb = ambient.curved                 # the curved block; the rest is line
+    xb, tb = x[..., :kb], tx[..., :kb]
+    C = ambient.metric_at(xb)
 
     def where(bad: np.ndarray) -> tuple[int, ...]:
         return tuple(int(i) for i in
                      np.unravel_index(offset + int(np.argmax(bad)), batch))
 
-    g = np.einsum("...ia,...ja->...ij", eps * tl, tl, out=out["metric"])
-    _add_sandwich(tb, C, g)
+    g = _induced_metric(ambient, C, tx, out["metric"])
     # positive definiteness via leading principal minors, each measured
     # against the product of the squared Euclidean lengths of its tangents
     scale = np.cumprod(np.einsum("...ia,...ia->...i", tx, tx), axis=-1)
@@ -451,7 +460,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
     w = _smallmat.generalized_cross(tx)
-    Nraw = ambient.lower(block.metric_inverse_at(xb), w, out["normal"])
+    Nraw = ambient.lower(ambient.metric_inverse_at(xb), w, out["normal"])
     nsq = np.einsum("...a,...a->...", w, Nraw)
     # a normal through a chart pole meets an infinite G^{-1}: nsq is not finite
     bad = ~(np.isfinite(nsq)
@@ -487,7 +496,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # symbols, its largest temporary, are formed
     h = np.einsum("...ija,...a->...ij", txx, Nlow, out=out["second_form"])
     del txx
-    GamN = np.einsum("...abc,...a->...bc", block.christoffel_at(xb),
+    GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(xb),
                      Nlow[..., :kb])
     _add_sandwich(tb, GamN, h)
     A = np.matmul(ginv, h, out=out["shape_operator"])

@@ -2,8 +2,8 @@
 
 Each route recomputes a quantity the package has in closed form (or reads
 from its frames) by another method: finite differences of the chart data,
-contractions over the full zero-padded chart, or the closed forms of a
-graph.  One runs the package's intrinsic-curvature
+contractions over the full chart (``full_chart``, zero-padded on a product),
+or the closed forms of a graph.  One runs the package's intrinsic-curvature
 oracle off its grids, at scattered points and a free step.  None of them is
 used by the package itself, so they live with the tests.  So does
 ``run_check``, which runs one identity check at two resolutions where the
@@ -12,6 +12,7 @@ package only runs the whole suite.  This module holds no tests.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -32,8 +33,38 @@ CONFORMAL_KILLING_TOLERANCE = 1.0e-7
 
 
 # --------------------------------------------------------------------------
-# ambient chart data by finite differences
+# the full chart, and ambient chart data by finite differences
 # --------------------------------------------------------------------------
+
+def full_chart(ambient: AmbientSpace) -> AmbientSpace:
+    """``ambient`` with chart callables over all ``dim`` coordinates.
+
+    The package's chart model is the curved block alone (``AmbientSpace``).
+    Here a product's base metric, inverse metric and Christoffel symbols
+    are zero-padded to ``(..., d, d)`` and ``(..., d, d, d)`` arrays, with
+    ``epsilon`` (its own inverse) on the line; a space form's block is its
+    whole chart, so it is returned as it is.
+    """
+    base = ambient.base
+    if base is None:
+        return ambient
+    k, d = base.dim, ambient.dim
+
+    def padded(block_at, line: float, rank: int):
+        def at(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape[:-1] + (d,) * rank)
+            out[(...,) + (slice(k),) * rank] = block_at(x[..., :k])
+            out[(...,) + (k,) * rank] = line
+            return out
+        return at
+
+    return dataclasses.replace(
+        ambient,
+        metric_at=padded(base.metric_at, ambient.epsilon, 2),
+        metric_inverse_at=padded(base.metric_inverse_at, ambient.epsilon, 2),
+        christoffel_at=padded(base.christoffel_at, 0.0, 3))
+
 
 def christoffel_fd(metric_at: Callable[[np.ndarray], np.ndarray],
                    x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -68,18 +99,19 @@ def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
     With constant components the bracket term vanishes and
     ``R(X, Y)Z = -grad_X grad_Y Z + grad_Y grad_X Z``; the inner covariant
     derivatives are formed analytically from the Christoffel symbols and the
-    outer ones by central differences.  Pins the sign convention of
-    ``curvature_operator``.
+    outer ones by central differences, all over the full chart.  Pins the
+    sign convention of ``curvature_operator``.
     """
     x = np.asarray(x, dtype=float)
     X = np.broadcast_to(np.asarray(X, dtype=float), x.shape).copy()
     Y = np.broadcast_to(np.asarray(Y, dtype=float), x.shape).copy()
     Z = np.broadcast_to(np.asarray(Z, dtype=float), x.shape).copy()
     d = x.shape[-1]
+    christoffel_at = full_chart(ambient).christoffel_at
 
     def nabla(direction, field_fn, pt):
         # grad_direction field, with field given as a function of the point
-        Gam = ambient.christoffel_at(pt)
+        Gam = christoffel_at(pt)
         val = field_fn(pt)
         out = np.einsum("...kbc,...b,...c->...k", Gam, direction, val)
         for b in range(d):
@@ -90,9 +122,9 @@ def curvature_operator_fd(ambient: AmbientSpace, x: np.ndarray, X: np.ndarray,
         return out
 
     grad_y_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
-                                    ambient.christoffel_at(pt), Y, Z)
+                                    christoffel_at(pt), Y, Z)
     grad_x_z = lambda pt: np.einsum("...kbc,...b,...c->...k",
-                                    ambient.christoffel_at(pt), X, Z)
+                                    christoffel_at(pt), X, Z)
     return -nabla(X, grad_y_z, x) + nabla(Y, grad_x_z, x)
 
 
@@ -106,7 +138,7 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
     bilinear in the two directions, so it holds for all vector pairs iff the
     symmetrized lowered covariant derivative equals ``2 phi`` times the
     metric componentwise; the check is on components and needs no direction
-    sampling.
+    sampling.  The connection and metric are the full chart's.
     """
     x = np.asarray(points, dtype=float)
     K = ambient.killing
@@ -117,8 +149,9 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
         e = np.zeros(d)
         e[b] = step
         J[..., :, b] = (K.field_at(x + e) - K.field_at(x - e)) / (2.0 * step)
-    Gam = ambient.christoffel_at(x)
-    G = ambient.metric_at(x)
+    chart = full_chart(ambient)
+    Gam = chart.christoffel_at(x)
+    G = chart.metric_at(x)
     # covariant derivative (a up, b down), then lower the upper index
     covJ = J + np.einsum("...abc,...c->...ab", Gam, T)
     lowered = np.einsum("...ka,...ab->...kb", G, covJ)   # (grad T)_{k;b}
@@ -148,15 +181,15 @@ def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
     (``height`` excepted), by contractions over the full chart.
 
     Every ambient tensor is the ``(..., d, d)`` or ``(..., d, d, d)`` array
-    of ``ambient.metric_at``, ``metric_inverse_at`` and ``christoffel_at``,
-    zero-padded on a product.  The second fundamental form pairs the second
-    partials ``txx_ij + Gamma(t_i, t_j)`` in ambient components with the
-    lowered normal, and ``Ric_bar(N, N) = (curved - 1) sectional <N_b, N_b>``
-    reads the curved block of ``metric_at``.  ``frame_at`` contracts over
+    of ``full_chart(ambient)``, zero-padded on a product.  The second
+    fundamental form pairs the second partials ``txx_ij + Gamma(t_i, t_j)``
+    in ambient components with the lowered normal, and ``Ric_bar(N, N) =
+    (curved - 1) sectional <N_b, N_b>`` reads the curved block of the full
+    metric.  ``frame_at`` contracts over
     the curved block and the line instead.  No point is checked; the normal
     is oriented as ``frame_at`` orients it.
     """
-    ambient = surface.ambient
+    ambient = full_chart(surface.ambient)
     eps, k, n = ambient.epsilon, ambient.curved, s.shape[-1]
     x, tx, txx = surface.jet(np.asarray(s, dtype=float))
     G = ambient.metric_at(x)

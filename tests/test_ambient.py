@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 from reference_routes import (CONFORMAL_KILLING_TOLERANCE, christoffel_fd,
-                              curvature_operator_fd, verify_conformal_killing)
+                              curvature_operator_fd, full_chart,
+                              verify_conformal_killing)
 
 from prodsurf.ambient import (ambient_keys, flat_torus, hyperbolic_plane,
                               make_ambient, projective_plane, round_sphere,
@@ -65,7 +66,7 @@ def test_base_metric_inverse_and_det(base):
 @pytest.mark.parametrize("key", ["S2xR", "H2xR1", "S3xR", "R3_homothetic",
                                  "R31_minkowski", "S3_hopf"])
 def test_analytic_christoffels_match_finite_differences(key):
-    ambient = make_ambient(key)
+    ambient = full_chart(make_ambient(key))
     rng = np.random.default_rng(11)
     lo = np.array([0.7] * ambient.dim)
     pts = lo + rng.uniform(0.0, 0.4, size=(6, ambient.dim))
@@ -79,30 +80,54 @@ def test_analytic_christoffels_match_finite_differences(key):
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_curvature_operator_matches_finite_differences(key):
     # closed-form R(X, Y)Z against -grad_X grad_Y Z + grad_Y grad_X Z built
-    # from the Christoffel symbols, which pins the sign convention
+    # from the full chart's Christoffel symbols, which pins the sign
+    # convention; on the curved block here, on a product's line in
+    # test_products_have_one_chart_model
+    ambient, pts, X, Y, Z = _curvature_sample(key)
+    k = ambient.curved
+    exact = ambient.curvature_operator(ambient.metric_at(pts[..., :k]), X, Y, Z)
+    fd = curvature_operator_fd(ambient, pts, X, Y, Z)
+    assert np.max(np.abs(fd[..., :k] - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def _curvature_sample(key):
     ambient = make_ambient(key)
     rng = np.random.default_rng(13)
     pts = rng.uniform(0.6, 1.1, size=(16, ambient.dim))
     X, Y, Z = (rng.uniform(-1.0, 1.0, size=pts.shape) for _ in range(3))
-    exact = ambient.curvature_operator(ambient._curved_metric(pts), X, Y, Z)
+    return ambient, pts, X, Y, Z
+
+
+@pytest.mark.parametrize("key", [key for key in ALL_KEYS
+                                 if make_ambient(key).kind == "product"])
+def test_products_have_one_chart_model(key):
+    # a product's chart callables are its base's, its curvature operator
+    # has the base's components, and the full chart's line part is 0
+    ambient, pts, X, Y, Z = _curvature_sample(key)
+    for attr in ("metric_at", "metric_inverse_at", "christoffel_at"):
+        assert getattr(ambient, attr) is getattr(ambient.base, attr), attr
+    k = ambient.curved
+    exact = ambient.curvature_operator(ambient.metric_at(pts[..., :k]), X, Y, Z)
+    assert exact.shape == pts.shape[:-1] + (k,) and k == ambient.base.dim
     fd = curvature_operator_fd(ambient, pts, X, Y, Z)
-    assert np.max(np.abs(fd - exact)) <= 1e-6 * np.max(np.abs(exact))
+    assert np.max(np.abs(fd[..., k:])) <= 1e-6 * np.max(np.abs(exact))
 
 
 def _ricci_tensor(ambient, pts):
     """``Ric(e_a, e_b) = -G^cd <R(e_c, e_a)e_b, e_d>``, read from
     ``curvature_operator`` alone (the package's sign convention makes it
     minus the trace of ``X -> R(X, e_a)e_b``)."""
-    d = ambient.dim
-    G, Ginv = ambient.metric_at(pts), ambient.metric_inverse_at(pts)
-    C = ambient._curved_metric(pts)
+    d, k = ambient.dim, ambient.curved
+    chart = full_chart(ambient)
+    G, Ginv = chart.metric_at(pts), chart.metric_inverse_at(pts)
+    C = ambient.metric_at(pts[..., :k])
     E = [np.broadcast_to(e, pts.shape) for e in np.eye(d)]
     ric = np.zeros(pts.shape[:-1] + (d, d))
     for a in range(d):
         for b in range(d):
             for c in range(d):
                 R = ambient.curvature_operator(C, E[c], E[a], E[b])
-                lowered = np.einsum("...f,...fd->...d", R, G)
+                lowered = np.einsum("...f,...fd->...d", R, G[..., :k, :])
                 ric[..., a, b] -= np.einsum("...d,...d->...", Ginv[..., c, :],
                                             lowered)
     return ric
@@ -117,12 +142,12 @@ def test_ricci_form_and_scalar_curvature_are_traces_of_the_curvature(key):
     rng = np.random.default_rng(17)
     pts = rng.uniform(0.6, 1.1, size=(16, ambient.dim))
     ric = _ricci_tensor(ambient, pts)
-    k = ambient.curved
+    k, chart = ambient.curved, full_chart(ambient)
     model = np.zeros_like(ric)
     model[..., :k, :k] = ((k - 1) * ambient.sectional
-                          * ambient.metric_at(pts)[..., :k, :k])
+                          * chart.metric_at(pts)[..., :k, :k])
     assert np.allclose(ric, model, rtol=1e-12, atol=1e-12)
-    sbar = np.einsum("...ab,...ab->...", ambient.metric_inverse_at(pts), ric)
+    sbar = np.einsum("...ab,...ab->...", chart.metric_inverse_at(pts), ric)
     assert np.allclose(sbar, ambient.scalar_curvature, rtol=1e-12, atol=1e-12)
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from reference_routes import run_check
+from reference_routes import full_chart, run_check
 
 from prodsurf import calculus, identities, shape, zoo as catalog
 from prodsurf.calculus import FrameFields, QuadratureGrid
@@ -246,8 +246,10 @@ def _codazzi_full_tensor(fields):
     lowered = np.einsum("...kl,...jli->...ijk", fr.metric, covA)
     rhs = lowered - np.swapaxes(lowered, -3, -2)
     lhs = np.zeros(rhs.shape)
-    GN = np.einsum("...ab,...b->...a", ambient.metric_at(fr.point), fr.normal)
-    C = ambient._curved_metric(fr.point)
+    kb = ambient.curved
+    GN = np.einsum("...ab,...b->...a", full_chart(ambient).metric_at(fr.point),
+                   fr.normal)[..., :kb]
+    C = ambient.metric_at(fr.point[..., :kb])
     t = fr.tangent
     for i in range(n):
         for j in range(i + 1, n):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_routes import oracle_at
+from reference_routes import full_chart, oracle_at
 
 from prodsurf import _smallmat
 from prodsurf.ambient import make_ambient
@@ -78,7 +78,8 @@ def test_cylinder_default_orientation_is_the_adjugate_normal(zoo):
     assert np.all(default.theta == 0.0)
     x, tx, _ = surface.jet(grid.nodes)
     w = _smallmat.generalized_cross(tx)
-    raw = np.einsum("...ab,...b->...a", surface.ambient.metric_inverse_at(x), w)
+    ginv = full_chart(surface.ambient).metric_inverse_at(x)
+    raw = np.einsum("...ab,...b->...a", ginv, w)
     length = np.sqrt(np.abs(np.einsum("...a,...a->...", w, raw)))
     adjugate = raw / length[..., None]
     assert np.max(np.abs(adjugate)) > 0.5
