@@ -5,8 +5,9 @@ analytic 2-jet: ``jet(s) -> (x, dx, ddx)`` where ``s`` has shape ``(..., n)``,
 ``x`` shape ``(..., d)`` (d = n + 1 ambient chart coordinates), ``dx`` shape
 ``(..., n, d)`` (rows are the coordinate tangent vectors) and ``ddx`` shape
 ``(..., n, n, d)`` (coordinate second partials, symmetric in the first two
-slots).  Graphs over a base manifold get their jet assembled from the height
-function and its derivatives.
+slots).  A graph ``t = u(m)`` over the base of a product (``GraphSurface``)
+is handed over as its height's jet ``(u, du, d2u)``, which its frames read
+as it is: no tangents or second partials are padded to ambient components.
 
 ``frame_at`` turns the jet into the full pointwise dictionary of the
 hypersurface: induced metric, unit normal (oriented by the ambient alone:
@@ -32,9 +33,10 @@ caller does not keep is written into block scratch instead: one buffer per
 field and thread (``_scratch``), allocated once and sliced to the block's
 rows, so a frame that keeps a few scalars holds a few scalars per point.
 Every check runs on every point whatever is kept.  The area element
-``sqrt(det g)`` is a frame field, taken while the block's ``g`` is in
-cache.  ``height`` is the view ``point[..., -1]``.  Blocks are independent
-and run concurrently, up to ``_WORKERS`` at a time, through ``_block_map``.
+``sqrt(det g)`` is a frame field, the root of the last leading minor of
+``g`` that the block's rank test forms.  ``height`` is the view
+``point[..., -1]``.  Blocks are independent and run concurrently, up to
+``_WORKERS`` at a time, through ``_block_map``.
 Inside a block the ambient is its one chart model (``AmbientSpace``): the
 curved block, whose callables take the first ``k = ambient.curved``
 coordinates (metric ``C``), and the flat line (the other ``d - k``, one on
@@ -45,7 +47,12 @@ normal is ``(C^-1 w_b, eps w_l)``, ``G T = (C T_b, eps T_l)``, ``h_ij =
 txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c`` over the block's
 ``Gamma``, through the lowered unit normal ``GN`` (the normalized adjugate
 covector), and ``Ric_bar(N, N) = (k - 1) sectional N_b . (GN)_b``; the two
-``t M t^T`` run one batch-wide product per term (``_add_sandwich``).  Every
+``t M t^T`` run one batch-wide product per term (``_add_sandwich``).  Each
+surface contracts its own jet (``_frame_jet``, ``_jet_term``); every
+check is written once, in ``_frame_block``.  A graph's tangents are ``(e_i, du_i)``: its
+``t_b`` is the identity, ``g = C + eps du du^T`` (``_add_line``, which its
+``induced_metric`` shares), its adjugate covector is ``w = (-1)^n (-du,
+1)`` and ``h_ij = d2u_ij (GN)_line + Gamma^a_ij (GN)_a``.  Every
 block writes the adjugate-oriented frame; the orientation is chosen once
 for the whole batch, after all blocks, by negating the kept fields that are
 odd in ``N``.  An error names its point by its index in the full batch, and
@@ -59,10 +66,9 @@ normals or second fundamental forms, so agreement with the frame values is a
 genuine two-route check of the Gauss equation.  Its samples of the metric
 come from ``induced_metric_sampler``: each folds the parameters back into
 the chart (``normalize_params``) and asks the surface for its metric there.
-A ``ParamSurface`` contracts its jet's tangents as ``frame_at`` does; a
+Each surface contracts its metric as its frame blocks do; a
 ``GraphSurface`` reads its height's first partials only, ``g = g_M + eps du
-(x) du``, so on a graph the oracle does not share the frame's metric
-contraction.  The metric derivatives come from one pass over a stencil
+(x) du``.  The metric derivatives come from one pass over a stencil
 lattice around the nodes of a quadrature grid (``_metric_jet``), whose
 rings share their samples along a periodic last axis (see
 ``intrinsic_curvature_oracle``).  The oracle runs the flattened nodes in
@@ -148,6 +154,27 @@ class ParamSurface:
         return _induced_metric(self.ambient, self.ambient.metric_at(x[..., :k]),
                                tx, np.empty(tx.shape[:-1] + (n,)))
 
+    def _frame_jet(self, s: np.ndarray, out: dict[str, np.ndarray]):
+        """The surface's part of a frame block (``_frame_block``): write the
+        block's ``point``, ``tangent`` and ``metric`` into ``out``, and
+        return the curved block's metric ``C``, the normal covector ``w``,
+        the tangents' curved block ``t_b`` and the second-order data that
+        ``_jet_term`` pairs with ``GN``."""
+        x, tx, txx = self.jet(s)
+        out["point"][...] = x
+        out["tangent"][...] = tx
+        x, tx = out["point"], out["tangent"]
+        k = self.ambient.curved
+        C = self.ambient.metric_at(x[..., :k])
+        _induced_metric(self.ambient, C, tx, out["metric"])
+        return C, _smallmat.generalized_cross(tx), tx[..., :k], txx
+
+    @staticmethod
+    def _jet_term(txx: np.ndarray, GN: np.ndarray, out: np.ndarray
+                  ) -> np.ndarray:
+        """``h_ij = txx_ij . GN``, the second partials' term of ``h``."""
+        return np.einsum("...ija,...a->...ij", txx, GN, out=out)
+
 
 @dataclass(eq=False)
 class GraphSurface:
@@ -160,6 +187,10 @@ class GraphSurface:
     ``d2u`` holds plain partial derivatives; covariant corrections happen
     downstream.  In a Lorentzian product the graph is checked to be
     spacelike (``|Du|^2 < 1``) wherever frames are computed.
+
+    Its tangents are ``(e_i, du_i)``, so its frame blocks read the height's
+    jet as it is, with no tangents or second partials padded to ``n + 1``
+    components.
     """
 
     name: str
@@ -183,36 +214,52 @@ class GraphSurface:
     def dimension(self) -> int:
         return len(self.axes)
 
-    def jet(self, s: np.ndarray):
-        s = np.asarray(s, dtype=float)
-        n = self.base.dim
-        batch = s.shape[:-1]
-        x = np.concatenate([s, self.u(s)[..., None]], axis=-1)
-        dx = np.zeros(batch + (n, n + 1))
-        for i in range(n):
-            dx[..., i, i] = 1.0
-        dx[..., :, n] = self.du(s)
-        ddx = np.zeros(batch + (n, n, n + 1))
-        ddx[..., :, :, n] = self.d2u(s)
-        return x, dx, ddx
-
     def induced_metric(self, s: np.ndarray) -> np.ndarray:
-        """Induced metric ``g = g_M + eps du (x) du`` at chart parameters ``s``.
-
-        It reads the height's first partials and the base metric only, so
-        it is a second route to the ``t G t^T`` contraction of ``frame_at``.
-        """
+        """Induced metric ``g = g_M + eps du du^T`` at chart parameters
+        ``s``, contracted as ``frame_at`` contracts it (``_add_line``)."""
         s = np.asarray(s, dtype=float)
-        du = self.du(s)
-        g = self.base.metric_at(s)      # a new array, completed in place
+        return self._add_line(self.base.metric_at(s), self.du(s))
+
+    def _add_line(self, g: np.ndarray, du: np.ndarray) -> np.ndarray:
+        """``g += eps du du^T`` in place, on the base metric ``g``: one
+        batch-wide product per pair ``i <= j``, where a broadcast outer
+        product runs its inner loop over ``n`` elements."""
         n = du.shape[-1]
-        for i in range(n):
-            for j in range(i, n):
-                term = self.epsilon * (du[..., i] * du[..., j])
-                g[..., i, j] += term
-                if j != i:
-                    g[..., j, i] += term
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            term = self.epsilon * (du[..., i] * du[..., j])
+            g[..., i, j] += term
+            if j != i:
+                g[..., j, i] += term
         return g
+
+    def _frame_jet(self, s: np.ndarray, out: dict[str, np.ndarray]):
+        """``ParamSurface._frame_jet`` from the height's jet: the point
+        ``(s, u)``, the tangents ``(e_i, du_i)`` (``t_b`` is the identity,
+        returned as ``None``), ``g = C + eps du du^T`` and ``w = (-1)^n (-du,
+        1)``, the alternation of the tangents that
+        ``_smallmat.generalized_cross`` forms; ``d2u`` for ``_jet_term``."""
+        n = self.base.dim
+        x, tx = out["point"], out["tangent"]
+        x[..., :n] = s
+        x[..., n] = self.u(s)
+        du = self.du(s)
+        tx.fill(0.0)                # a broadcast np.eye ran 3 times slower
+        for i in range(n):
+            tx[..., i, i] = 1.0
+        tx[..., n] = du
+        C = self.base.metric_at(x[..., :n])
+        out["metric"][...] = C
+        self._add_line(out["metric"], du)
+        w = np.empty_like(x)
+        np.multiply((-1) ** (n + 1), du, out=w[..., :n])
+        w[..., n] = (-1) ** n
+        return C, w, None, self.d2u(s)
+
+    @staticmethod
+    def _jet_term(d2u: np.ndarray, GN: np.ndarray, out: np.ndarray
+                  ) -> np.ndarray:
+        """``h_ij = d2u_ij (GN)_line``, the second partials' term of ``h``."""
+        return np.multiply(d2u, GN[..., -1, None, None], out=out)
 
 
 @dataclass(eq=False)
@@ -389,9 +436,14 @@ def _scratch_rows(key: str, rows: int, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[:size].reshape((rows,) + shape)
 
 
-def _add_sandwich(t: np.ndarray, M: np.ndarray, out: np.ndarray) -> None:
+def _add_sandwich(t: np.ndarray | None, M: np.ndarray, out: np.ndarray
+                  ) -> None:
     """``out += t M t^T`` for symmetric ``out`` and ``M``, one batch-wide
-    product per term, where a batched matmul pays a call per tiny matrix."""
+    product per term, where a batched matmul pays a call per tiny matrix.
+    ``t`` is ``None`` for the identity (a graph's tangents): ``out += M``."""
+    if t is None:
+        out += M
+        return
     n, k = t.shape[-2:]
     tM = [[sum(t[..., i, a] * M[..., a, b] for a in range(k)) for b in range(k)]
           for i in range(n)]
@@ -419,6 +471,8 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     ``GeometryFrame``, the block's rows of it or of its scratch; each is
     written in place.  ``offset`` is the block's first row in the flattened
     ``batch``; error messages report points by their index in ``batch``.
+    The surface contracts its own jet (``_frame_jet``, ``_jet_term``); the
+    rest, every check included, is written here once for every surface.
     The normal is the adjugate one; the block returns whether its ``<N, T>``
     is negative and whether it is positive anywhere, from which ``frame_at``
     orients the whole batch.
@@ -426,21 +480,18 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     ambient = surface.ambient
     eps = ambient.epsilon
     n = s.shape[-1]
-    x, tx, txx = surface.jet(s)
-    out["point"][...] = x
-    out["tangent"][...] = tx
-    x, tx = out["point"], out["tangent"]
+    C, w, tb, second = surface._frame_jet(s, out)
+    x, tx, g = out["point"], out["tangent"], out["metric"]
     kb = ambient.curved                 # the curved block; the rest is line
-    xb, tb = x[..., :kb], tx[..., :kb]
-    C = ambient.metric_at(xb)
+    xb = x[..., :kb]
 
     def where(bad: np.ndarray) -> tuple[int, ...]:
         return tuple(int(i) for i in
                      np.unravel_index(offset + int(np.argmax(bad)), batch))
 
-    g = _induced_metric(ambient, C, tx, out["metric"])
     # positive definiteness via leading principal minors, each measured
-    # against the product of the squared Euclidean lengths of its tangents
+    # against the product of the squared Euclidean lengths of its tangents;
+    # the last minor is det g, whose root is the area element
     scale = np.cumprod(np.einsum("...ia,...ia->...i", tx, tx), axis=-1)
     for k in range(n):
         minor = _smallmat.det(g[..., :k + 1, :k + 1])
@@ -455,11 +506,10 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
             raise DegenerateFrame(
                 f"{surface.name}: tangent vectors degenerate {what}")
     ginv = _smallmat.inv(g, out=out["metric_inv"])
-    np.sqrt(_smallmat.det(g), out=out["area_element"])
+    np.sqrt(minor, out=out["area_element"])
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
-    w = _smallmat.generalized_cross(tx)
     Nraw = ambient.lower(ambient.metric_inverse_at(xb), w, out["normal"])
     nsq = np.einsum("...a,...a->...", w, Nraw)
     # a normal through a chart pole meets an infinite G^{-1}: nsq is not finite
@@ -494,8 +544,8 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # h_ij = <txx_ij + Gam(t_i, t_j), N>, contracted through the lowered
     # normal; the second partials are let go before the block's Christoffel
     # symbols, its largest temporary, are formed
-    h = np.einsum("...ija,...a->...ij", txx, Nlow, out=out["second_form"])
-    del txx
+    h = surface._jet_term(second, Nlow, out["second_form"])
+    del second
     GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(xb),
                      Nlow[..., :kb])
     _add_sandwich(tb, GamN, h)

@@ -2,12 +2,13 @@
 
 Each route recomputes a quantity the package has in closed form (or reads
 from its frames) by another method: finite differences of the chart data,
-contractions over the full chart (``full_chart``, zero-padded on a product),
-or the closed forms of a graph.  One runs the package's intrinsic-curvature
-oracle off its grids, at scattered points and a free step.  None of them is
-used by the package itself, so they live with the tests.  So does
-``run_check``, which runs one identity check at two resolutions where the
-package only runs the whole suite.  This module holds no tests.
+contractions over the full chart (``full_chart``, zero-padded on a product)
+and a graph's padded jet (``graph_jet``), or the closed forms of a graph.
+One runs the package's intrinsic-curvature oracle off its grids, at
+scattered points and a free step.  None of them is used by the package
+itself, so they live with the tests.  So does ``run_check``, which runs one
+identity check at two resolutions where the package only runs the whole
+suite.  This module holds no tests.
 """
 
 from __future__ import annotations
@@ -176,6 +177,39 @@ _ODD_IN_N = ("normal", "theta", "second_form", "shape_operator",
              "mean_curvature")
 
 
+def graph_jet(surface: GraphSurface):
+    """The 2-jet ``s -> (x, dx, ddx)`` of a graph as a parametrized surface.
+
+    The tangents are padded to ambient components, ``dx = [I | du]``, and
+    the second partials to an ``(..., n, n, n + 1)`` array of zeros but its
+    last column, ``d2u``.  ``frame_at`` reads the height's jet itself; a
+    ``ParamSurface`` built on this jet is the graph's padded twin.
+    """
+    n = surface.base.dim
+
+    def jet(s):
+        s = np.asarray(s, dtype=float)
+        batch = s.shape[:-1]
+        x = np.concatenate([s, surface.u(s)[..., None]], axis=-1)
+        dx = np.zeros(batch + (n, n + 1))
+        for i in range(n):
+            dx[..., i, i] = 1.0
+        dx[..., :, n] = surface.du(s)
+        ddx = np.zeros(batch + (n, n, n + 1))
+        ddx[..., :, :, n] = surface.d2u(s)
+        return x, dx, ddx
+
+    return jet
+
+
+def padded_twin(surface: GraphSurface) -> shape.ParamSurface:
+    """The graph as a ``ParamSurface`` on its padded jet (``graph_jet``),
+    with the graph's name, ambient, axes and compactness."""
+    return shape.ParamSurface(name=surface.name, ambient=surface.ambient,
+                              axes=surface.axes, jet=graph_jet(surface),
+                              compact=surface.compact)
+
+
 def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
     """The ``frame_at`` fields at ``s``, keyed like ``GeometryFrame``
     (``height`` excepted), by contractions over the full chart.
@@ -185,12 +219,15 @@ def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
     fundamental form pairs the second partials ``txx_ij + Gamma(t_i, t_j)``
     in ambient components with the lowered normal, and ``Ric_bar(N, N) =
     (curved - 1) sectional <N_b, N_b>`` reads the curved block of the full
-    metric.  ``frame_at`` contracts over
-    the curved block and the line instead.  No point is checked; the normal
-    is oriented as ``frame_at`` orients it.
+    metric.  ``frame_at`` contracts over the curved block and the line
+    instead, and reads a graph's height jet as it is, where this route reads
+    its padded twin (``padded_twin``).  No point is checked; the normal is
+    oriented as ``frame_at`` orients it.
     """
     ambient = full_chart(surface.ambient)
     eps, k, n = ambient.epsilon, ambient.curved, s.shape[-1]
+    if isinstance(surface, GraphSurface):
+        surface = padded_twin(surface)
     x, tx, txx = surface.jet(np.asarray(s, dtype=float))
     G = ambient.metric_at(x)
     g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx)

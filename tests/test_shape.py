@@ -10,8 +10,9 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from reference_routes import (full_chart, graph_second_form, graph_theta,
-                              oracle_at, padded_frame)
+from reference_routes import (full_chart, graph_jet, graph_second_form,
+                              graph_theta, oracle_at, padded_frame,
+                              padded_twin)
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
@@ -325,7 +326,7 @@ def test_graph_metric_equals_the_jet_contraction(zoo, name):
     # most 0.92 ulps of max|g| (graph_S2xR_cos03), 0 on every slice
     surface, grid, _ = zoo(name, 16)
     s, _ = shape.normalize_params(surface.axes, _past_the_edges(surface, grid))
-    x, tx, _ = surface.jet(s)
+    x, tx, _ = graph_jet(surface)(s)
     # two operands at a time, without einsum's path search
     contracted = np.einsum("...ia,...ab,...jb->...ij", tx,
                            full_chart(surface.ambient).metric_at(x), tx,
@@ -386,7 +387,7 @@ def test_graph_sampler_reads_only_the_first_jet(monkeypatch, name):
     def forbidden(s):
         raise AssertionError("the metric sampler read more than du")
 
-    for attr in ("u", "d2u", "jet"):
+    for attr in ("u", "d2u", "_frame_jet"):
         monkeypatch.setattr(surface, attr, forbidden)
     assert np.array_equal(intrinsic_curvature_oracle(surface, grid), expected)
 
@@ -1050,6 +1051,10 @@ def test_lean_frame_raises_what_the_full_frame_raises(monkeypatch, case):
 
 # -- contractions over the curved block and the line --------------------------
 
+GRAPH_SCENARIOS = [n for n in scenario_names()
+                   if n.startswith(("graph_", "slice_", "example51_"))]
+
+
 @pytest.mark.parametrize("name", scenario_names())
 def test_frame_matches_the_padded_chart_frame(zoo, name):
     surface, grid, _ = zoo(name, 12)
@@ -1060,10 +1065,12 @@ def test_frame_matches_the_padded_chart_frame(zoo, name):
 
 
 @pytest.mark.parametrize("name", [sc.name for sc in list_scenarios()
-                                  if sc.kind == "parametric"] + ["bent_S2xR"])
+                                  if sc.kind == "parametric"] + ["bent_S2xR"]
+                         + GRAPH_SCENARIOS)
 def test_param_metric_is_the_frame_metric(zoo, name):
     # the oracle's sampler and frame_at contract the tangents one way, so
-    # their metrics agree bit for bit, in a space form and on a product
+    # their metrics agree bit for bit, in a space form and on a product;
+    # a graph's both form eps du du^T + C
     if name == "bent_S2xR":
         surface = _bent_product_surface()
         s = QuadratureGrid.build(surface.axes, 16).nodes
@@ -1072,6 +1079,72 @@ def test_param_metric_is_the_frame_metric(zoo, name):
         surface, grid, _ = zoo(name)
         s = grid.nodes
     assert np.array_equal(surface.induced_metric(s), frame_at(surface, s).metric)
+
+
+# -- a graph's frame from its height's jet -------------------------------------
+
+def _twin_frames_agree(surface, s) -> None:
+    """Every field a graph's frame keeps is the bytes of its padded twin's,
+    for the full frame and the balance laws' lean one."""
+    twin = padded_twin(surface)
+    for keep in (None, BALANCE_FIELDS):
+        frame, padded = frame_at(surface, s, keep), frame_at(twin, s, keep)
+        for key, value in vars(frame).items():
+            other = vars(padded)[key]
+            if value is None:
+                assert other is None, key
+            else:
+                assert value.shape == other.shape, key
+                assert value.tobytes() == other.tobytes(), key
+
+
+@pytest.mark.parametrize("name", GRAPH_SCENARIOS)
+def test_graph_frame_is_its_padded_twins(zoo, monkeypatch, name):
+    # the height's jet as it is against the padded tangents (I | du) and
+    # second partials of graph_jet, through the general contraction; then
+    # in 64-point blocks on two workers
+    surface, grid, _ = zoo(name, 16)
+    _twin_frames_agree(surface, grid.nodes)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    monkeypatch.setattr(shape, "_WORKERS", 2)
+    _twin_frames_agree(surface, grid.nodes)
+
+
+def _steep_hyperbolic_graph() -> GraphSurface:
+    """u = exp(x_1) / 2 over H^2 in the Lorentzian H^2 x R: |Du|^2 =
+    (1 + x_1^2) exp(2 x_1) / 4 passes 1 near x_1 = 0.55, inside the chart."""
+    def u(s):
+        return 0.5 * np.exp(s[..., 0])
+
+    def du(s):
+        out = np.zeros(s.shape)
+        out[..., 0] = 0.5 * np.exp(s[..., 0])
+        return out
+
+    def d2u(s):
+        out = np.zeros(s.shape + (s.shape[-1],))
+        out[..., 0, 0] = 0.5 * np.exp(s[..., 0])
+        return out
+
+    return GraphSurface(name="steep_H2", ambient=make_ambient("H2xR1"),
+                        u=u, du=du, d2u=d2u)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_graph_and_twin_raise_the_same_error(monkeypatch, block):
+    surface = _steep_hyperbolic_graph()
+    s = QuadratureGrid.build(surface.axes, 16).nodes
+    if block is not None:
+        monkeypatch.setattr(shape, "_BLOCK", block)
+        monkeypatch.setattr(shape, "_WORKERS", 2)
+    raised = []
+    for which in (surface, padded_twin(surface)):
+        with pytest.raises(NotSpacelike) as info:
+            frame_at(which, s)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    # the first failing point lies past the first rows of the chart
+    assert "at index (0," not in raised[0][1]
 
 
 @pytest.mark.parametrize("name", scenario_names())
