@@ -33,6 +33,8 @@ def inv(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The quotient is written into ``out`` when it is given.
     """
     k = m.shape[-1]
+    if k == 3:
+        return _inv3(m, out)
     d = det(m)
     adj = np.empty_like(m)
     if k == 1:
@@ -42,19 +44,37 @@ def inv(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         adj[..., 0, 1] = -m[..., 0, 1]
         adj[..., 1, 0] = -m[..., 1, 0]
         adj[..., 1, 1] = m[..., 0, 0]
-    elif k == 3:
-        for i in range(3):
-            for j in range(3):
-                r = [a for a in range(3) if a != j]
-                c = [a for a in range(3) if a != i]
-                minor = (
-                    m[..., r[0], c[0]] * m[..., r[1], c[1]]
-                    - m[..., r[0], c[1]] * m[..., r[1], c[0]]
-                )
-                adj[..., i, j] = ((-1) ** (i + j)) * minor
     else:
         raise ValueError(f"inv: unsupported block size {k}")
     return np.divide(adj, d[..., None, None], out=out)
+
+
+def _inv3(m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """3 x 3 inverse from contiguous component planes ``p[a, b] = m[..., a, b]``.
+
+    Each minor is a 2 x 2 determinant in :func:`det`'s product order, and
+    the first column's three are the minors of :func:`det`'s expansion, so
+    the determinant is :func:`det`'s bit for bit.  Each cofactor is divided
+    straight into its slot of ``out``; one with ``i + j`` odd divides by
+    ``-det``, which rounds as negating the minor first does.
+    """
+    p = np.moveaxis(m, (-2, -1), (0, 1)).copy()
+    if out is None:
+        out = np.empty(m.shape)
+
+    def minor(i: int, j: int) -> np.ndarray:
+        r0, r1 = (a for a in range(3) if a != j)
+        c0, c1 = (a for a in range(3) if a != i)
+        return p[r0, c0] * p[r1, c1] - p[r0, c1] * p[r1, c0]
+
+    first = [minor(i, 0) for i in range(3)]
+    d = p[0, 0] * first[0] - p[0, 1] * first[1] + p[0, 2] * first[2]
+    signed = (d, -d)
+    for i in range(3):
+        for j in range(3):
+            cof = first[i] if j == 0 else minor(i, j)
+            np.divide(cof, signed[(i + j) % 2], out=out[..., i, j])
+    return out
 
 
 def generalized_cross(tangents: np.ndarray) -> np.ndarray:

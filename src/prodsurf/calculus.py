@@ -9,6 +9,14 @@ divergence, Laplace-Beltrami and covariant Hessians with respect to the
 induced metric) are methods of :class:`FrameFields` that take and return
 plain arrays on the grid.
 
+Each Gauss-Legendre rule is solved once per node count and process
+(``_gauss_legendre``).  numpy's ``leggauss`` solves a dense ``m x m``
+eigenproblem through the threaded BLAS, which costs more than the rest of a
+grid's build, and the BLAS worker thread goes on using a CPU after it
+returns: the CPU that the frame blocks and the pooled oracle run on.  The
+cached arrays are read-only, and every grid forms its own nodes and
+weights from them.
+
 All higher operators are compositions of the first-derivative stencil, so
 one resolution knob controls every discretization error.  Stencils are
 five-point Lagrange rules on the actual (generally non-uniform) node
@@ -35,6 +43,7 @@ are frame fields, and the conformal factor ``phi`` is a constant read from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,6 +89,15 @@ _LANE_OF = np.arange(_FSUM_CHUNK, dtype=np.intc) % _LANES
 # quadrature grids
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(m)``, solved once per node count and process, read-only."""
+    x, w = leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _axis_rule(axis: AxisSpec, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for one axis; weights integrate d(coordinate)."""
     if axis.kind == "periodic":
@@ -89,7 +107,7 @@ def _axis_rule(axis: AxisSpec, resolution: int) -> tuple[np.ndarray, np.ndarray]
         return nodes, weights
     if axis.kind == "polar_cos":
         m = resolution + 1 if resolution % 2 == 0 else resolution
-        x, w = leggauss(m)
+        x, w = _gauss_legendre(m)
         c_lo, c_hi = math.cos(axis.hi), math.cos(axis.lo)
         half = 0.5 * (c_hi - c_lo)
         mid = 0.5 * (c_hi + c_lo)
@@ -116,7 +134,10 @@ class QuadratureGrid:
     is always a node), a periodic axis ``2 * resolution`` uniform nodes and
     an open axis ``resolution`` midpoints.  Weights integrate the plain
     coordinate volume; the surface measure enters through the area-element
-    field of the frames.
+    field of the frames.  The Gauss-Legendre rule of a node count is
+    cached for the process (its eigensolve is the costly part of a build),
+    but ``nodes_1d`` and ``weights_1d`` are the grid's own arrays, and the
+    stencils in ``_cache`` belong to this grid alone.
     """
 
     axes: tuple[AxisSpec, ...]

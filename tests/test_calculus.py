@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from prodsurf import _smallmat, calculus
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
+from prodsurf.identities import run_suite
 from prodsurf.zoo import instantiate, scenario_names
 
 
@@ -20,6 +22,61 @@ def test_grid_rejects_too_coarse_resolution(zoo):
     with pytest.raises(ParameterOutOfRange,
                        match=r"resolution 4 .*\(minimum 10\)"):
         QuadratureGrid.build(surface.axes, 4)
+
+
+_POLAR_SCENARIOS = ("slice_S2xR_t0.7", "slice_RP2xR_t0.3", "graph_S3xR_coschi02")
+
+
+def _polar_node_counts(grid: QuadratureGrid) -> set[int]:
+    return {len(z) for ax, z in zip(grid.axes, grid.nodes_1d)
+            if ax.kind == "polar_cos"}
+
+
+def test_each_gauss_legendre_rule_is_solved_once(zoo, monkeypatch):
+    surfaces = [zoo(name, 16)[0] for name in _POLAR_SCENARIOS]
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return leggauss(m)
+
+    calculus._gauss_legendre.cache_clear()
+    monkeypatch.setattr(calculus, "leggauss", counted)
+    counts = set()
+    for surface in surfaces:
+        for resolution in (16, 24):
+            for _ in range(2):
+                counts |= _polar_node_counts(
+                    QuadratureGrid.build(surface.axes, resolution))
+    assert sorted(calls) == sorted(counts) == [17, 25]
+
+    x, w = calculus._gauss_legendre(17)
+    assert x.tobytes() + w.tobytes() == b"".join(a.tobytes() for a in leggauss(17))
+    for cached in (x, w):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    a, b = (QuadratureGrid.build(surfaces[-1].axes, 16) for _ in range(2))
+    for own_a, own_b in zip(a.nodes_1d + a.weights_1d, b.nodes_1d + b.weights_1d):
+        assert own_a.tobytes() == own_b.tobytes()
+        assert own_a is not own_b and not np.shares_memory(own_a, own_b)
+        assert own_a.flags.writeable
+
+
+@pytest.mark.parametrize("name, resolution", [("graph_S3xR_coschi02", 16),
+                                              ("slice_S2xR_t0.7", 20)])
+def test_warm_identity_suite_calls_no_lapack(zoo, monkeypatch, name, resolution):
+    surface = zoo(name, resolution)[0]
+    calculus._gauss_legendre.cache_clear()
+    cold = [r.to_dict() for r in run_suite(surface, resolution)]
+    calculus._gauss_legendre.cache_clear()
+    for res in (resolution, 2 * resolution):
+        QuadratureGrid.build(surface.axes, res)
+
+    def refuse(m):
+        raise AssertionError(f"leggauss({m}) called with its rule cached")
+
+    monkeypatch.setattr(calculus, "leggauss", refuse)
+    assert [r.to_dict() for r in run_suite(surface, resolution)] == cold
 
 
 def test_sphere_area_and_harmonics_integrate_exactly(fields):

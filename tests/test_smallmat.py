@@ -103,3 +103,44 @@ def test_generalized_cross_is_the_bordered_determinant(square):
     ref = np.linalg.det(bordered)
     hadamard = np.prod(np.linalg.norm(tangents, axis=-1), axis=-1)
     assert np.all(np.abs(w - ref) <= RTOL * hadamard[:, None])
+
+
+def _adjugate_inverse(m):
+    # the route inv took before its 3 x 3 planes: every signed cofactor
+    # into one adjugate array, then one broadcast division by det
+    k = m.shape[-1]
+    adj = np.empty_like(m)
+    for i in range(k):
+        for j in range(k):
+            r = [a for a in range(k) if a != j]
+            c = [a for a in range(k) if a != i]
+            minor = det(m[..., r, :][..., c]) if k > 1 else 1.0
+            adj[..., i, j] = ((-1) ** (i + j)) * minor
+    return np.divide(adj, det(m)[..., None, None])
+
+
+def _assert_inverse_bytes(m):
+    ref = _adjugate_inverse(m)
+    assert inv(m).tobytes() == ref.tobytes()
+    out = np.full(m.shape, np.nan)
+    assert inv(m, out=out) is out
+    assert out.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(dominant_batches))
+def test_inv_keeps_the_adjugate_bytes(m):
+    _assert_inverse_bytes(m)
+    _assert_inverse_bytes(np.swapaxes(m, -2, -1))      # strided input
+
+
+def test_inv_keeps_the_adjugate_bytes_on_signed_zeros_and_singular_blocks():
+    # cancelling cofactors give signed zeros, whose sign the division keeps
+    m = np.tile(np.eye(3), (4, 1, 1))
+    m[1, 0, 1] = -0.0
+    m[2, 1, 2] = m[2, 2, 1] = 1.0
+    m[3] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in (1, 2, 3):
+            _assert_inverse_bytes(np.ascontiguousarray(m[..., :k, :k]))
+        _assert_inverse_bytes(m[0])                      # one unbatched block
