@@ -84,7 +84,10 @@ def generalized_cross(tangents: np.ndarray) -> np.ndarray:
     (..., d) with components ``w_a = eps_{a b1 .. bn} t1^{b1} .. tn^{bn}``
     (the Levi-Civita alternation of the tangent rows).  w annihilates every
     tangent row, so for any metric G the vector ``G^{-1} w`` is a (possibly
-    non-unit) normal vector.
+    non-unit) normal vector.  Graphs form their covector themselves; the
+    d = 4 branch stays because a ``ParamSurface`` may have n = 3, and the
+    padded twins of the n = 3 graphs in ``tests/reference_routes.py`` are
+    the reference route for their frames.
     """
     n, d = tangents.shape[-2:]
     if d != n + 1:

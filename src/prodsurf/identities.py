@@ -33,7 +33,6 @@ algebraic in the frame data: it is judged on its own, against the absolute
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from typing import Callable
 
 import numpy as np
@@ -293,31 +292,15 @@ _POOLED = "gauss_scalar"
 
 def _run_grid(fields: FrameFields, selected: tuple[str, ...]
               ) -> list[CheckResult]:
-    """The ``selected`` checks on one bundle, in ``selected`` order, run
-    where ``run_suite`` says; ``shape._WORKERS`` is read at the call."""
+    """The ``selected`` checks on one bundle, in ``selected`` order: the
+    checks before ``_POOLED``, ``_POOLED`` alone and the checks after it
+    are the three items of one ``shape._block_map`` call."""
     fields.frame                    # built here: no pool thread builds it
-    if shape._WORKERS == 1:
-        return [CHECKS[name](fields) for name in selected]
-    check = CHECKS[_POOLED]
-    # the task takes the bundle out of the box, so the pool's work item,
-    # which outlives the task for a moment, does not keep it alive
-    box = [fields]
-    task = shape._pool(shape._WORKERS - 1).submit(lambda: check(box.pop()))
-    results = {}
-    try:
-        for name in selected:
-            if name != _POOLED:
-                results[name] = CHECKS[name](fields)
-    except Exception:
-        pooled_error = task.exception()
-        if (pooled_error is not None
-                and selected.index(_POOLED) < selected.index(name)):
-            raise pooled_error from None
-        raise
-    finally:
-        wait([task])
-    results[_POOLED] = task.result()
-    return [results[name] for name in selected]
+    at = selected.index(_POOLED)
+    groups = (selected[:at], selected[at:at + 1], selected[at + 1:])
+    runs = shape._block_map(
+        lambda group: [CHECKS[name](fields) for name in group], groups)
+    return [result for run in runs for result in run]
 
 
 def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
@@ -330,12 +313,12 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     bundle at a time: each grid's bundle is shared across the checks and
     let go before the next grid's frame is built.
 
-    On each grid the frame is built on the caller.  Then ``gauss_scalar``
-    runs on the spare block thread while the caller runs the other checks
-    in ``CHECKS`` order, stopping at its first error; with one block worker
-    every check runs on the caller.  The caller always waits for the pooled
-    check, so nothing is still running when the call returns or raises, and
-    the error raised is that of the first failing check in ``CHECKS`` order.
+    On each grid the frame is built on the caller, and the checks go to
+    ``shape._block_map`` in three groups: those before ``gauss_scalar``,
+    ``gauss_scalar`` alone (on the spare block thread, if there is one) and
+    those after it.  Nothing is still running when the call returns or
+    raises, and the error raised is that of the first failing check in
+    ``CHECKS`` order.
     """
     selected = applicable_checks(surface)
     resolutions = ((resolution,) if refine <= 0

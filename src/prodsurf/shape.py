@@ -74,12 +74,9 @@ rings share their samples along a periodic last axis (see
 ``intrinsic_curvature_oracle``).  The oracle runs the flattened nodes in
 blocks of ``_BLOCK`` points (whole rings), in order, on the calling thread;
 a ring depends on no other, so the result does not depend on the block
-size.  It leaves the block pool alone: the identity suite runs the whole
-oracle check on the spare block thread beside its stencil checks
-(``identities.run_suite``).  Overlap at a finer grain paid less: the
-oracle's blocks on two threads ran 1.4 times as fast as on one, and grid
-stencils split across the threads ran slower, their small numpy calls
-handing the interpreter lock back and forth.
+size.  It never enters ``_block_map``, so it may run on a pool thread: the
+identity suite runs the whole oracle check on the spare block thread
+beside its stencil checks (``identities.run_suite``).
 """
 
 from __future__ import annotations
@@ -289,52 +286,52 @@ _pools: dict[int, ThreadPoolExecutor] = {}     # thread count -> pool
 _pools_lock = threading.Lock()
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        if threads not in _pools:
-            _pools[threads] = ThreadPoolExecutor(
-                threads, thread_name_prefix="prodsurf-block")
-        return _pools[threads]
+def _block_map(fn: Callable[[object], object], items: Sequence) -> list:
+    """``fn(item)`` for every item, returned in item order: the block
+    starts of ``frame_at`` or the check groups of ``identities.run_suite``.
 
+    With ``k = min(_WORKERS, len(items))``, the caller's thread runs the
+    items ``0, k, 2k, ...`` and each of ``k - 1`` pool threads one other
+    such stride; with one item or one worker no pool is used.  Every
+    thread that allocates block temporaries keeps memory of its own, so the
+    caller works rather than waits and the strides are fixed: on two CPUs
+    an idle caller beside ``_WORKERS`` pool threads raised the benchmark's
+    ``identity_sweep`` peak RSS by 9 %, and one queue that every thread
+    drew from raised ``sign_radial_scan``'s by 5 %.  A stride stops at its
+    first failing item.  Every stride has finished before the call returns
+    or raises, and then ``fn`` is let go, so a pool work item, which
+    outlives its task for a moment, keeps none of the caller's data alive.
+    The first failing item's exception, in item order, is raised (an item
+    a stride skips comes after that stride's failure).
 
-def _block_map(fn: Callable[[int], object], starts: Sequence[int]) -> list:
-    """``fn(start)`` for every block start, returned in block order.
-
-    With ``k = min(_WORKERS, len(starts))``, the caller's thread runs the
-    blocks ``0, k, 2k, ...`` and each of ``k - 1`` pool threads one other
-    such stride; every block has finished before the call returns or
-    raises, so no block outlives it, and with one block or one worker no
-    pool is used.  Every thread that allocates block temporaries keeps
-    memory of its own, so the caller works rather than waits and the
-    strides are fixed: on two CPUs an idle caller beside ``_WORKERS`` pool
-    threads raised the benchmark's ``identity_sweep`` peak RSS by 9 %, and
-    one queue that every thread drew from raised ``sign_radial_scan``'s by
-    5 %.  The first failing block's exception, in block order, is raised;
-    the others are dropped.
-
-    It serves ``frame_at`` alone, and a pool thread must never enter it:
-    with two workers the pool has one thread, which would wait on a helper
-    queued behind itself.  So ``identities.run_suite`` builds each frame
-    before it hands a check to the pool, and the oracle, the work of that
-    check, runs its blocks in turn on the thread that calls it.
+    A pool thread must never enter it: with two workers the pool has one
+    thread, which would wait on a helper queued behind itself.  So
+    ``run_suite`` builds each frame before it hands its checks here, and
+    the oracle runs its blocks in turn on the thread that calls it.
     """
-    results: list = [None] * len(starts)
+    results: list = [None] * len(items)
     errors: dict[int, Exception] = {}
-    stride = max(1, min(_WORKERS, len(starts)))
+    stride = max(1, min(_WORKERS, len(items)))
 
     def run(first: int) -> None:
-        for i in range(first, len(starts), stride):
+        for i in range(first, len(items), stride):
             try:
-                results[i] = fn(starts[i])
+                results[i] = fn(items[i])
             except Exception as exc:
                 errors[i] = exc
+                return
 
-    helpers = [_pool(_WORKERS - 1).submit(run, first)
+    with _pools_lock:
+        if stride > 1 and _WORKERS - 1 not in _pools:
+            _pools[_WORKERS - 1] = ThreadPoolExecutor(
+                _WORKERS - 1, thread_name_prefix="prodsurf-block")
+    helpers = [_pools[_WORKERS - 1].submit(run, first)
                for first in range(1, stride)]
     try:
         run(0)
     finally:
         wait(helpers)
+    del fn
     if errors:
         raise errors[min(errors)]
     return results
@@ -844,8 +841,8 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     calling thread, each writing its own slice of one output, so the samples
     held at a time do not grow with the grid.  A ring depends on no other,
     so the result does not depend on the block size.  The oracle never
-    enters ``_block_map``, so it may run on a pool thread, as the identity
-    suite runs it.
+    enters ``_block_map``, which ``frame_at`` and ``identities.run_suite``
+    share, so it may run on a pool thread: ``run_suite`` runs it on one.
     """
     n = surface.dimension
     if n not in _PURE_ORDER:

@@ -185,6 +185,30 @@ def test_no_option_shares_its_function_name():
                         "would count as setting it")
 
 
+# shape's block-thread state: the thread count and the pools.  frame_at and
+# run_suite hand their threaded work to shape._block_map, so no other
+# module decides how many threads run it.
+BLOCK_THREAD_STATE = {"_WORKERS", "_pool", "_pools"}
+
+
+def test_only_shape_reads_its_block_thread_state():
+    readers = []
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            if path == PACKAGE / "shape.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name in BLOCK_THREAD_STATE:
+                    readers.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                                   f"{name}")
+    assert not readers, ("only shape reads its block-thread state: "
+                         f"{', '.join(readers)}")
+
+
 @pytest.fixture(scope="module")
 def used():
     return _used_names()

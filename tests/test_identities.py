@@ -146,16 +146,16 @@ def test_suite_lets_each_grid_go_before_the_next(zoo, monkeypatch):
 ])
 def test_suite_records_do_not_depend_on_the_worker_count(zoo, monkeypatch,
                                                          scenario, checks):
-    # two workers run gauss_scalar on the spare block thread, one runs
-    # every check on the caller
+    # one worker runs every check on the caller, two run gauss_scalar on
+    # the spare block thread, three also the checks after it on a second
     surface, grid, _ = zoo(scenario)
     records = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(shape, "_WORKERS", workers)
         results = run_suite(surface, grid.resolution, refine=1)
         records.append([r.to_dict() for r in results])
     assert len(records[0]) == checks
-    assert records[1] == records[0]
+    assert records[1] == records[0] and records[2] == records[0]
 
 
 class _CheckFailed(Exception):
@@ -164,29 +164,43 @@ class _CheckFailed(Exception):
 
 @pytest.mark.parametrize("failing, raised", [
     ("codazzi", "gauss_scalar"), ("norm_grad_h", "norm_grad_h"),
+    ("hessian_h laplacian_theta", "hessian_h"),
+    ("norm_grad_h codazzi div_T_top", "norm_grad_h"),
 ])
 def test_suite_raises_the_first_failure_once_the_pooled_check_is_done(
         zoo, monkeypatch, failing, raised):
-    # gauss_scalar comes after norm_grad_h and before codazzi in CHECKS
+    # gauss_scalar comes after norm_grad_h and hessian_h and before the
+    # others in CHECKS; one worker runs the checks in turn and stops at the
+    # first failure, two or three run gauss_scalar off the main thread and
+    # wait for it
     surface, _, _ = zoo("graph_S2xR_cos03")
-    ran_on, finished = [], threading.Event()
 
-    def slow_failing_gauss(fields):
-        ran_on.append(threading.current_thread())
-        time.sleep(0.3)
-        finished.set()
-        raise _CheckFailed("gauss_scalar")
+    def fail_as(name):
+        def fail(fields):
+            raise _CheckFailed(name)
+        return fail
 
-    def fail(fields):
-        raise _CheckFailed(failing)
+    for name in failing.split():
+        monkeypatch.setitem(CHECKS, name, fail_as(name))
+    for workers in (1, 2, 3):
+        ran_on, finished = [], threading.Event()
 
-    monkeypatch.setattr(shape, "_WORKERS", 2)
-    monkeypatch.setitem(CHECKS, "gauss_scalar", slow_failing_gauss)
-    monkeypatch.setitem(CHECKS, failing, fail)
-    with pytest.raises(_CheckFailed, match=f"^{raised}$"):
-        run_suite(surface, 12, refine=1)
-    assert finished.is_set()
-    assert ran_on and ran_on[0] is not threading.main_thread()
+        def slow_failing_gauss(fields):
+            ran_on.append(threading.current_thread())
+            time.sleep(0.3)
+            finished.set()
+            raise _CheckFailed("gauss_scalar")
+
+        monkeypatch.setattr(shape, "_WORKERS", workers)
+        monkeypatch.setitem(CHECKS, "gauss_scalar", slow_failing_gauss)
+        with pytest.raises(_CheckFailed, match=f"^{raised}$"):
+            run_suite(surface, 12, refine=1)
+        if workers == 1:
+            assert ran_on == ([threading.main_thread()]
+                              if raised == "gauss_scalar" else [])
+        else:
+            assert finished.is_set() and len(ran_on) == 1
+            assert ran_on[0] is not threading.main_thread()
 
 
 def test_suite_enters_the_block_map_from_the_main_thread_only(zoo, monkeypatch):

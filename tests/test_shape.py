@@ -6,6 +6,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -860,6 +862,84 @@ def test_first_failing_block_names_the_degenerate_point(monkeypatch, workers):
     monkeypatch.setattr(shape, "_WORKERS", workers)
     with pytest.raises(DegenerateFrame, match=r"index \(1, 30\)"):
         frame_at(surface, s)
+
+
+@pytest.mark.parametrize("workers, failing, entered", [
+    (1, {0, 3}, {0}),
+    (2, {3, 4}, {0, 1, 2, 3, 4}),
+    (3, {3, 4}, {0, 1, 2, 3, 4, 5, 8, 11}),
+])
+def test_a_stride_stops_at_its_first_failing_item(monkeypatch, workers,
+                                                  failing, entered):
+    # item 3 fails slowly off the caller's thread, so with two workers the
+    # caller's later failure at item 4 is recorded first; item 3 is raised
+    ran, lock = set(), threading.Lock()
+
+    def fn(item):
+        with lock:
+            ran.add(item)
+        if item in failing:
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            raise RuntimeError(f"item {item} fails")
+        return item
+
+    monkeypatch.setattr(shape, "_WORKERS", workers)
+    with pytest.raises(RuntimeError, match=f"^item {min(failing)} fails$"):
+        shape._block_map(fn, range(12))
+    assert ran == entered
+
+
+def test_block_map_lets_its_function_go(monkeypatch):
+    # a pool work item outlives its task for a moment, and holds the
+    # stride it ran; what the mapped function holds must not live on in it
+    class Held:
+        pass
+
+    def holding(held):
+        return lambda item: (held, item)[1]
+
+    class RecordingPool:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return self.pool.submit(fn, *args)
+
+    held, submitted = Held(), []
+    alive = weakref.ref(held)
+    fn = holding(held)
+    del held
+    with ThreadPoolExecutor(1) as pool:
+        monkeypatch.setattr(shape, "_WORKERS", 2)
+        monkeypatch.setattr(shape, "_pools", {1: RecordingPool(pool)})
+        assert shape._block_map(fn, range(4)) == [0, 1, 2, 3]
+    del fn
+    assert len(submitted) == 1 and alive() is None
+
+
+@pytest.mark.parametrize("workers, entered", [
+    (1, [0, 64]), (2, [0, 64, 128, 256, 384]), (3, [0, 64, 128, 192, 320]),
+])
+def test_frame_blocks_stop_at_the_first_failure_of_their_stride(
+        monkeypatch, workers, entered):
+    # bad points in the blocks at 64 and 192 of eight 64-point blocks
+    surface, s = _twice_pinched()
+    offsets, lock = [], threading.Lock()
+    frame_block = shape._frame_block
+
+    def counted(surface, block, out, batch, offset):
+        with lock:
+            offsets.append(offset)
+        return frame_block(surface, block, out, batch, offset)
+
+    monkeypatch.setattr(shape, "_frame_block", counted)
+    monkeypatch.setattr(shape, "_BLOCK", 64)
+    monkeypatch.setattr(shape, "_WORKERS", workers)
+    with pytest.raises(DegenerateFrame, match=r"index \(1, 30\)"):
+        frame_at(surface, s)
+    assert sorted(offsets) == entered
 
 
 @pytest.mark.parametrize("workers", [2, 3])
