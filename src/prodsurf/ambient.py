@@ -90,8 +90,10 @@ class AxisSpec:
     ``reverse`` maps ``t -> lo + hi - t``.  ``flip`` lists the axes whose
     coordinate *direction* reverses under this identification (the Jacobian
     of the deck map is the corresponding diagonal sign matrix); tensor
-    components pick up one such sign per index, which is exactly what the
-    ghost-node machinery in :mod:`prodsurf.calculus` applies.
+    components pick up one such sign per index.  These deck maps serve the
+    grid stencils' ghost nodes alone (:mod:`prodsurf.calculus`), which
+    continue sampled arrays across an endpoint; the intrinsic-curvature
+    oracle samples a surface's continued chart formulas there instead.
     """
 
     name: str
@@ -105,10 +107,6 @@ class AxisSpec:
     @property
     def period(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def polar(self) -> bool:
-        return self.kind == "polar_cos"
 
 
 # --------------------------------------------------------------------------

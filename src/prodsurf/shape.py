@@ -63,9 +63,11 @@ The module also hosts the *independent* intrinsic-curvature oracle: the
 scalar curvature ``S`` (``2K`` when n = 2), by one route in every dimension,
 direct finite differencing of the induced metric.  The oracle never touches
 normals or second fundamental forms, so agreement with the frame values is a
-genuine two-route check of the Gauss equation.  Its samples of the metric
-come from ``induced_metric_sampler``: each folds the parameters back into
-the chart (``normalize_params``) and asks the surface for its metric there.
+genuine two-route check of the Gauss equation.  It samples the surface's
+own ``induced_metric`` (``induced_metric_sampler``) at the stencil points
+as they land, past a polar edge or periodic seam too: there the chart
+formulas, continued, give the metric the identification prescribes, so
+no parameter is folded back into the chart and no component changes sign.
 Each surface contracts its metric as its frame blocks do; a
 ``GraphSurface`` reads its height's first partials only, ``g = g_M + eps du
 (x) du``.  The metric derivatives come from one pass over a stencil
@@ -104,7 +106,6 @@ __all__ = [
     "GraphSurface",
     "GeometryFrame",
     "frame_at",
-    "normalize_params",
     "induced_metric_sampler",
     "intrinsic_curvature_oracle",
 ]
@@ -128,7 +129,14 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
 
 @dataclass(eq=False)
 class ParamSurface:
-    """A parametrized hypersurface with an analytic 2-jet."""
+    """A parametrized hypersurface with an analytic 2-jet.
+
+    The oracle samples ``induced_metric`` at parameters up to its reach past
+    the chart's polar edges and periodic seams, and takes the continuation
+    of the jet's chart formulas there for the metric that the axes'
+    identifications prescribe: the formulas must be those of a surface
+    smooth across the edges and seams.
+    """
 
     name: str
     ambient: AmbientSpace
@@ -188,6 +196,13 @@ class GraphSurface:
     Its tangents are ``(e_i, du_i)``, so its frame blocks read the height's
     jet as it is, with no tangents or second partials padded to ``n + 1``
     components.
+
+    As for ``ParamSurface``, the oracle samples ``induced_metric`` up to its
+    reach past the base chart's polar edges and periodic seams, where the
+    continued ``du`` and base metric must give the metric the
+    identifications prescribe.  The chart formula of a height smooth across
+    them does; ``u = a theta cos(phi)`` over S^2, not smooth at theta = pi,
+    does not.
     """
 
     name: str
@@ -561,77 +576,20 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
 
 
 # --------------------------------------------------------------------------
-# parameter folding and the intrinsic-curvature oracle
+# the intrinsic-curvature oracle
 # --------------------------------------------------------------------------
 
-def normalize_params(axes: tuple[AxisSpec, ...], s: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fold parameters back into the chart and track direction signs.
-
-    Periodic axes wrap; polar axes reflect through their endpoints, applying
-    the partner shifts/reversals recorded on the axis.  Only the rows that
-    cross a polar edge are rewritten.  ``signs`` holds the diagonal Jacobian
-    of the folding map, i.e. the sign each coordinate direction picks up;
-    tensor components at the unfolded point equal the folded values times
-    one sign per index.  It is ``None`` when no row crosses a polar edge,
-    where every sign would be +1.  Only single reflections are handled
-    (ample for stencil-sized excursions).
-    """
-    s = np.array(s, dtype=float, order="C")
-    flat = s.reshape(-1, s.shape[-1])          # a view: rows are points
-    signs = None
-    for a, ax in enumerate(axes):
-        if not ax.polar:
-            continue
-        for edge, beyond in ((ax.lo, flat[:, a] < ax.lo),
-                             (ax.hi, flat[:, a] > ax.hi)):
-            if not np.any(beyond):
-                continue
-            rows = flat[beyond]
-            rows[:, a] = 2.0 * edge - rows[:, a]
-            for p in ax.shift:
-                rows[:, p] += 0.5 * axes[p].period
-            for r in ax.reverse:
-                rows[:, r] = axes[r].lo + axes[r].hi - rows[:, r]
-            flat[beyond] = rows
-            if signs is None:
-                signs = np.ones_like(flat)
-            if ax.flip:
-                flip_vec = np.ones(len(axes))
-                flip_vec[list(ax.flip)] = -1.0
-                signs[beyond] *= flip_vec
-    for a, ax in enumerate(axes):
-        if ax.kind == "periodic":
-            # np.mod leaves an offset in [0, period) as it is, so only the
-            # offsets outside it are reduced
-            offset = flat[:, a] - ax.lo
-            seam = (offset < 0.0) | (offset >= ax.period)
-            if np.any(seam):
-                offset[seam] = np.mod(offset[seam], ax.period)
-            flat[:, a] = ax.lo + offset
-    return s, None if signs is None else signs.reshape(s.shape)
-
-
 def induced_metric_sampler(surface) -> Callable[[np.ndarray], np.ndarray]:
-    """Induced metric as a function of (possibly out-of-chart) parameters.
+    """The oracle's metric sampler: ``surface.induced_metric`` itself.
 
-    Each sample folds the parameters into the chart (``normalize_params``),
-    asks the surface for its metric there (``surface.induced_metric``: the
-    ``t G t^T`` contraction of the jet for a ``ParamSurface``, ``g_M + eps
-    du (x) du`` for a ``GraphSurface``) and, where a row crossed a polar
-    edge, conjugates it with the fold's signs.  Folding plus sign
-    conjugation make the sampled components smooth across poles and
-    periodic seams, which is what lets centered stencils run right up to
-    (and beyond) the chart boundary.
+    It is sampled at the stencil points as they land, up to the oracle's
+    reach past the chart's polar edges and periodic seams, where the
+    continued chart formulas give the metric the identifications prescribe
+    (the contract of ``ParamSurface`` and ``GraphSurface``).  The function
+    only names the sampler, so that the benchmark's tracer
+    (``perfbench/tracing.py``) and the tests can wrap it.
     """
-    def sample(s: np.ndarray) -> np.ndarray:
-        s_in, signs = normalize_params(surface.axes, s)
-        g = surface.induced_metric(s_in)
-        if signs is not None:
-            g *= signs[..., :, None]
-            g *= signs[..., None, :]
-        return g
-    return sample
+    return surface.induced_metric
 
 
 # High-order centered stencils, selectable by accuracy order, and the order
@@ -663,7 +621,7 @@ _D2_TABLES = {
 # Mixed second derivative d_a d_b on the two diagonals of the (a, b) plane,
 # offsets (i, j) in steps (h_a, h_b): fourth order, exact on polynomials of
 # total degree <= 5, and no farther than the pure-axis fourth-order stencils
-# (two steps per axis), so pole and seam folding see the same excursions.
+# (two steps per axis), so it reaches no farther past a chart edge than they.
 _MIXED_TABLE = (
     ((1, 1), (1, -1), (-1, 1), (-1, -1), (2, 2), (2, -2), (-2, 2), (-2, -2)),
     (16.0 / 48.0, -16.0 / 48.0, -16.0 / 48.0, 16.0 / 48.0,
@@ -680,9 +638,11 @@ def _metric_jet(g_at: Callable, s: np.ndarray, h: np.ndarray, pure_order: int,
     ``ddg[..., a, b, i, j] = d_a d_b g_ij``.  Pure-axis derivatives use the
     centered stencils of order ``pure_order``; mixed second derivatives use
     the fourth-order 8-point diagonal stencil ``_MIXED_TABLE``.  Each
-    distinct sample is evaluated once, as one batch ``g_at(s + key * h)``,
-    read by every stencil offset that lands on it, and dropped after its
-    last reader; only the centre batch is kept (it is ``g``).
+    distinct sample is evaluated once, as one batch ``g_at(s + key * h)``
+    at the points as they land, past a chart edge too (the shifted batch
+    is the sample's one copy of the parameters), read by every stencil
+    offset that lands on it, and dropped after its last reader; only the
+    centre batch is kept (it is ``g``).
 
     ``ring`` is ``None`` or the length ``L`` of the rings the rows of ``s``
     form: consecutive runs of ``L`` points that go once around the periodic
@@ -832,14 +792,18 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     on the nodes of ``grid``, of shape ``grid.shape``.
 
     One route in every supported dimension, :func:`_fd_scalar_curvature`,
-    at the step of half the closest node spacing on each axis.  On a
-    periodic last chart axis the nodes sit at twice that step, so the jet
-    shares its samples along each ring of ``grid.shape[-1]`` nodes: 8 per
-    node for n = 2 and 30 for n = 3, against 17 and 49 on an open one.  The
-    sampler is built once; the flattened nodes are evaluated in contiguous
-    blocks of ``_BLOCK`` points (whole rings, at least one), in order on the
-    calling thread, each writing its own slice of one output, so the samples
-    held at a time do not grow with the grid.  A ring depends on no other,
+    at the step of half the closest node spacing on each axis.  Its
+    stencils reach up to two steps (n = 2) or four (n = 3) past a polar
+    edge or periodic seam, where ``surface.induced_metric`` is sampled as
+    it is: the continued chart formulas give the metric there, with no
+    fold into the chart.  On a periodic last chart axis the nodes sit at
+    twice that step, so the jet shares its samples along each ring of
+    ``grid.shape[-1]`` nodes: 8 per node for n = 2 and 30 for n = 3,
+    against 17 and 49 on an open one.  The sampler is built once; the
+    flattened nodes are evaluated in contiguous blocks of ``_BLOCK`` points
+    (whole rings, at least one), in order on the calling thread, each
+    writing its own slice of one output, so the samples held at a time do
+    not grow with the grid.  A ring depends on no other,
     so the result does not depend on the block size.  The oracle never
     enters ``_block_map``, which ``frame_at`` and ``identities.run_suite``
     share, so it may run on a pool thread: ``run_suite`` runs it on one.

@@ -5,10 +5,11 @@ from its frames) by another method: finite differences of the chart data,
 contractions over the full chart (``full_chart``, zero-padded on a product)
 and a graph's padded jet (``graph_jet``), or the closed forms of a graph.
 One runs the package's intrinsic-curvature oracle off its grids, at
-scattered points and a free step.  None of them is used by the package
-itself, so they live with the tests.  So does ``run_check``, which runs one
-identity check at two resolutions where the package only runs the whole
-suite.  This module holds no tests.
+scattered points and a free step, and one folds parameters past a chart's
+edges back into it by the axes' deck maps (``fold_params``).  None of them
+is used by the package itself, so they live with the tests.  So does
+``run_check``, which runs one identity check at two resolutions where the
+package only runs the whole suite.  This module holds no tests.
 """
 
 from __future__ import annotations
@@ -278,6 +279,45 @@ def run_check(surface, name: str, resolution: int) -> CheckResult:
         CHECKS[name](FrameFields(surface, QuadratureGrid.build(surface.axes, r)))
         for r in (resolution, fine_resolution))
     return _attach_order(coarse, fine, resolution, fine_resolution)
+
+
+# --------------------------------------------------------------------------
+# parameters folded into the chart
+# --------------------------------------------------------------------------
+
+def fold_params(axes, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters past a chart's edges, folded back into it by the deck maps.
+
+    Periodic axes wrap.  A point past a polar edge reflects through it, and
+    the partner axes listed in its ``shift`` and ``reverse`` move as the
+    ``AxisSpec`` says; one reflection per axis, ample for stencil-sized
+    excursions.  ``signs`` holds the diagonal Jacobian of the fold, the
+    sign each coordinate direction picks up (``flip``), so a tensor at the
+    unfolded point is its folded value times one sign per index.  The whole
+    block is folded, one ``np.where`` per edge and partner axis.
+    """
+    s = np.array(np.asarray(s, dtype=float), copy=True)
+    signs = np.ones_like(s)
+    for a, ax in enumerate(axes):
+        if ax.kind != "polar_cos":
+            continue
+        for edge, beyond in ((ax.lo, s[..., a] < ax.lo), (ax.hi, s[..., a] > ax.hi)):
+            if not np.any(beyond):
+                continue
+            s[..., a] = np.where(beyond, 2.0 * edge - s[..., a], s[..., a])
+            for p in ax.shift:
+                s[..., p] = np.where(beyond, s[..., p] + 0.5 * axes[p].period,
+                                     s[..., p])
+            for r in ax.reverse:
+                s[..., r] = np.where(beyond, axes[r].lo + axes[r].hi - s[..., r],
+                                     s[..., r])
+            flip_vec = np.ones(len(axes))
+            flip_vec[list(ax.flip)] = -1.0
+            signs = np.where(beyond[..., None], signs * flip_vec, signs)
+    for a, ax in enumerate(axes):
+        if ax.kind == "periodic":
+            s[..., a] = ax.lo + np.mod(s[..., a] - ax.lo, ax.period)
+    return s, signs
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,9 @@ when some top-level statement of ``src/``, ``scripts/`` or ``perfbench/``
 other than its own definition reads it, as a bare name or as an attribute.
 Imports and the strings of ``__all__`` do not count.  The top-level names
 are every def, class and assignment of a package module, private ones
-included.
+included.  The same holds for the members of every package class: each
+method and property that is not a dunder is read somewhere in those trees
+outside its own body, as an attribute or a bare name.
 
 A package module also reads every name it imports at top level (in an
 ``if`` block there too, such as ``if TYPE_CHECKING:``): a bare-name read
@@ -58,20 +60,34 @@ def _defined(node: ast.stmt) -> set[str]:
     return set()
 
 
+def _reads(tree: ast.AST) -> collections.Counter:
+    """Names read in ``tree``: bare-name loads and attribute names."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
 def _used_names() -> set[str]:
     used = set()
     for root in USERS:
         for path in sorted(root.rglob("*.py")):
             for stmt in ast.parse(path.read_text()).body:
-                read = set()
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.Name):
-                        if isinstance(node.ctx, ast.Load):
-                            read.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        read.add(node.attr)
-                used |= read - _defined(stmt)
+                used |= set(_reads(stmt)) - _defined(stmt)
     return used
+
+
+def _members() -> list[tuple[str, str, ast.FunctionDef]]:
+    """(module, class, def) for every method and property of a package
+    class that is not a dunder."""
+    return [(path.stem, cls.name, fn)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
 
 
 EXPORTS = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
@@ -233,6 +249,19 @@ def test_exported_name_is_used_outside_its_definition(used, module, name):
 def test_top_level_name_is_used_outside_its_definition(used, module, name):
     assert name in used, (f"{module}.{name} is defined but nothing in src/, "
                           "scripts/ or perfbench/ reads it")
+
+
+def test_every_class_member_is_read_outside_its_body():
+    reads = sum((_reads(ast.parse(path.read_text()))
+                 for root in USERS for path in sorted(root.rglob("*.py"))),
+                collections.Counter())
+    members = _members()
+    assert {module for module, _, _ in members} >= {
+        "ambient", "calculus", "graphs", "shape"}
+    unread = [f"{module}.{cls}.{fn.name}" for module, cls, fn in members
+              if reads[fn.name] <= _reads(fn)[fn.name]]
+    assert not unread, ("nothing in src/, scripts/ or perfbench/ reads "
+                        f"{', '.join(unread)}")
 
 
 @pytest.mark.parametrize("module",

@@ -12,14 +12,13 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from reference_routes import (full_chart, graph_jet, graph_second_form,
-                              graph_theta, oracle_at, padded_frame,
-                              padded_twin)
+from reference_routes import (fold_params, full_chart, graph_jet,
+                              graph_second_form, graph_theta, oracle_at,
+                              padded_frame, padded_twin)
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import (AxisSpec, flat_torus, make_ambient,
-                              make_product, projective_plane, round_sphere,
-                              round_three_sphere)
+from prodsurf.ambient import (AxisSpec, make_ambient, make_product,
+                              round_sphere, round_three_sphere)
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
@@ -324,10 +323,11 @@ def _past_the_edges(surface, grid) -> np.ndarray:
                                   if n.startswith(("graph_", "slice_"))])
 def test_graph_metric_equals_the_jet_contraction(zoo, name):
     # g_M + eps du du against t G t^T of the jet, at the nodes and at the
-    # folded parameters of every sample past an edge or seam; measured at
-    # most 0.92 ulps of max|g| (graph_S2xR_cos03), 0 on every slice
+    # oracle's samples past every edge and seam, where both continue the
+    # chart formulas; measured at most 0.92 ulps of max|g|
+    # (graph_S2xR_cos03), 0 on every slice
     surface, grid, _ = zoo(name, 16)
-    s, _ = shape.normalize_params(surface.axes, _past_the_edges(surface, grid))
+    s = _past_the_edges(surface, grid)
     x, tx, _ = graph_jet(surface)(s)
     # two operands at a time, without einsum's path search
     contracted = np.einsum("...ia,...ab,...jb->...ij", tx,
@@ -363,22 +363,31 @@ def _cartesian_height(base, epsilon: int) -> GraphSurface:
                         ambient=make_product(base, epsilon), u=u, du=du, d2u=d2u)
 
 
+# every catalog scenario with a polar or periodic axis
+_WITH_EDGES = [name for name in scenario_names()
+               if any(ax.kind != "open" for ax in instantiate(name)[0].axes)]
+
+
 @pytest.mark.parametrize("make", [
-    lambda zoo: zoo("ellipsoid_R3_homothetic", 16)[0],
+    *[lambda zoo, name=name: zoo(name, 16)[0] for name in _WITH_EDGES],
     lambda zoo: _cartesian_height(round_sphere(), +1),
     lambda zoo: _cartesian_height(round_three_sphere(), -1)],
-    ids=["ellipsoid", "x1_over_S2xR", "x1_over_S3xR1"])
+    ids=[*_WITH_EDGES, "x1_over_S2xR", "x1_over_S3xR1"])
 def test_sampler_past_the_edges_equals_the_unfolded_metric(zoo, make):
-    # the folded, sign-conjugated sample must equal the metric evaluated at
-    # the unfolded parameters (measured within 8.9e-16); the off-diagonal
-    # g_ij make the signs matter
+    # the oracle samples each surface where its stencils land: past a pole
+    # or seam, the continued chart formulas must give the metric the deck
+    # maps prescribe, i.e. the folded, sign-conjugated metric (measured
+    # within 1.8e-15, on torus_R3_homothetic); the off-diagonal g_ij of the
+    # Cartesian heights make the signs matter
     surface = make(zoo)
     grid = QuadratureGrid.build(surface.axes, 16)
     s = _past_the_edges(surface, grid)
     sampled = shape.induced_metric_sampler(surface)(s)
-    unfolded = surface.induced_metric(s)
-    assert np.max(np.abs(unfolded[..., 0, -1])) > 0.01
-    assert np.allclose(sampled, unfolded, rtol=0.0, atol=1e-14)
+    folded, signs = fold_params(surface.axes, s)
+    deck = surface.induced_metric(folded) * signs[:, :, None] * signs[:, None, :]
+    if surface.name.startswith("x1_over_"):
+        assert np.max(np.abs(sampled[..., 0, -1])) > 0.01
+    assert np.allclose(sampled, deck, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["graph_S2xR_cos03", "graph_S3xR_coschi02"])
@@ -392,69 +401,6 @@ def test_graph_sampler_reads_only_the_first_jet(monkeypatch, name):
     for attr in ("u", "d2u", "_frame_jet"):
         monkeypatch.setattr(surface, attr, forbidden)
     assert np.array_equal(intrinsic_curvature_oracle(surface, grid), expected)
-
-
-def _reference_normalize_params(axes, s):
-    """The whole-block fold: one np.where per edge and partner axis."""
-    s = np.array(np.asarray(s, dtype=float), copy=True)
-    signs = np.ones_like(s)
-    for a, ax in enumerate(axes):
-        if not ax.polar:
-            continue
-        for edge, beyond in ((ax.lo, s[..., a] < ax.lo), (ax.hi, s[..., a] > ax.hi)):
-            if not np.any(beyond):
-                continue
-            s[..., a] = np.where(beyond, 2.0 * edge - s[..., a], s[..., a])
-            for p in ax.shift:
-                s[..., p] = np.where(beyond, s[..., p] + 0.5 * axes[p].period,
-                                     s[..., p])
-            for r in ax.reverse:
-                s[..., r] = np.where(beyond, axes[r].lo + axes[r].hi - s[..., r],
-                                     s[..., r])
-            flip_vec = np.ones(len(axes))
-            flip_vec[list(ax.flip)] = -1.0
-            signs = np.where(beyond[..., None], signs * flip_vec, signs)
-    for a, ax in enumerate(axes):
-        if ax.kind == "periodic":
-            s[..., a] = ax.lo + np.mod(s[..., a] - ax.lo, ax.period)
-    return s, signs
-
-
-@pytest.mark.parametrize("base", [round_sphere, projective_plane,
-                                  round_three_sphere, flat_torus])
-def test_fold_equals_the_whole_block_fold(base):
-    # random points up to an eighth of the axis period past every polar
-    # edge and periodic seam (two oracle steps at resolution 8), one axis at
-    # a time and all at once, and a single point
-    axes = base().axes
-    n = len(axes)
-    rng = np.random.default_rng(23)
-    reach = [ax.period / 8 for ax in axes]
-    batches = [rng.uniform([ax.lo for ax in axes], [ax.hi for ax in axes],
-                           size=(50, n))]
-    for a, ax in enumerate(axes):
-        for edge, out in ((ax.lo, -1.0), (ax.hi, 1.0)):
-            s = rng.uniform([ax.lo for ax in axes], [ax.hi for ax in axes],
-                            size=(50, n))
-            s[:, a] = edge + out * rng.uniform(0.0, reach[a], size=50)
-            batches.append(s)
-    lo = [ax.lo - r for ax, r in zip(axes, reach)]
-    hi = [ax.hi + r for ax, r in zip(axes, reach)]
-    batches.append(rng.uniform(lo, hi, size=(4, 100, n)))
-    batches.append(np.array([ax.lo - 0.5 * r for ax, r in zip(axes, reach)]))
-    polar = [a for a, ax in enumerate(axes) if ax.polar]
-    for s in batches:
-        folded, signs = shape.normalize_params(axes, s)
-        ref, ref_signs = _reference_normalize_params(axes, s)
-        assert folded.tobytes() == ref.tobytes() and folded.shape == ref.shape
-        crossed = any(np.any((s[..., a] < axes[a].lo) | (s[..., a] > axes[a].hi))
-                      for a in polar)
-        if crossed:
-            assert signs.tobytes() == ref_signs.tobytes()
-        else:
-            assert signs is None and np.all(ref_signs == 1.0)
-    assert polar == [] or any(                  # every chart with a pole folds
-        shape.normalize_params(axes, s)[1] is not None for s in batches)
 
 
 @pytest.mark.parametrize("name", ["graph_S3xR_coschi02", "graph_S3xR1_coschi02"])
@@ -485,9 +431,11 @@ def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
             edges.append(near)
     s = np.concatenate([nodes[::7]] + edges)
     g_at = shape.induced_metric_sampler(surface)
-    polar = [ax.polar for ax in surface.axes]
-    beyond = s - np.where(polar, 2.0 * h, 0.0)      # the farthest stencil offset
-    assert not any(polar) or shape.normalize_params(surface.axes, beyond)[1] is not None
+    polar = [a for a, ax in enumerate(surface.axes) if ax.kind == "polar_cos"]
+    beyond = s.copy()                   # the farthest stencil offset
+    beyond[:, polar] -= 2.0 * h[polar]
+    assert not polar or any(np.any(beyond[:, a] < surface.axes[a].lo)
+                            for a in polar)
 
     def g(*offsets):
         off = np.zeros(n)
