@@ -3,7 +3,8 @@
 Everything here accepts arrays with arbitrary leading batch dimensions and a
 trailing matrix block, and is written with explicit cofactor formulas rather
 than ``np.linalg`` calls: the matrices are small, the batches are large, and
-the closed forms are both faster and easier to audit.
+the closed forms are both faster and easier to audit.  :func:`inv` works on
+contiguous component planes at every block size, one cofactor per plane.
 """
 
 from __future__ import annotations
@@ -30,48 +31,38 @@ def det(m: np.ndarray) -> np.ndarray:
 def inv(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of a batch of k x k matrices (k = 1, 2 or 3) via adjugates.
 
-    The quotient is written into ``out`` when it is given.
+    One route for every k, on contiguous component planes ``p[a, b] =
+    m[..., a, b]``.  Each minor is a 2 x 2 determinant in :func:`det`'s
+    product order (a single entry at k = 2, and 1 at k = 1), and the first
+    column's minors are those of :func:`det`'s expansion, so the determinant
+    is :func:`det`'s bit for bit.  Each cofactor is divided straight into its
+    slot of ``out`` (a new array when none is given); one with ``i + j`` odd
+    divides by ``-det``, which rounds as negating the minor first does, so
+    the quotient keeps the bytes of a signed adjugate divided by ``det``.
     """
     k = m.shape[-1]
-    if k == 3:
-        return _inv3(m, out)
-    d = det(m)
-    adj = np.empty_like(m)
-    if k == 1:
-        adj[..., 0, 0] = 1.0
-    elif k == 2:
-        adj[..., 0, 0] = m[..., 1, 1]
-        adj[..., 0, 1] = -m[..., 0, 1]
-        adj[..., 1, 0] = -m[..., 1, 0]
-        adj[..., 1, 1] = m[..., 0, 0]
-    else:
+    if k not in (1, 2, 3):
         raise ValueError(f"inv: unsupported block size {k}")
-    return np.divide(adj, d[..., None, None], out=out)
-
-
-def _inv3(m: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """3 x 3 inverse from contiguous component planes ``p[a, b] = m[..., a, b]``.
-
-    Each minor is a 2 x 2 determinant in :func:`det`'s product order, and
-    the first column's three are the minors of :func:`det`'s expansion, so
-    the determinant is :func:`det`'s bit for bit.  Each cofactor is divided
-    straight into its slot of ``out``; one with ``i + j`` odd divides by
-    ``-det``, which rounds as negating the minor first does.
-    """
     p = np.moveaxis(m, (-2, -1), (0, 1)).copy()
     if out is None:
         out = np.empty(m.shape)
 
-    def minor(i: int, j: int) -> np.ndarray:
-        r0, r1 = (a for a in range(3) if a != j)
-        c0, c1 = (a for a in range(3) if a != i)
-        return p[r0, c0] * p[r1, c1] - p[r0, c1] * p[r1, c0]
+    def minor(i: int, j: int) -> np.ndarray | float:
+        if k == 1:
+            return 1.0
+        r = [a for a in range(k) if a != j]
+        c = [a for a in range(k) if a != i]
+        if k == 2:
+            return p[r[0], c[0]]
+        return p[r[0], c[0]] * p[r[1], c[1]] - p[r[0], c[1]] * p[r[1], c[0]]
 
-    first = [minor(i, 0) for i in range(3)]
-    d = p[0, 0] * first[0] - p[0, 1] * first[1] + p[0, 2] * first[2]
+    first = [minor(i, 0) for i in range(k)]
+    d = p[0, 0] * first[0]
+    for i in range(1, k):
+        d = d + p[0, i] * first[i] if i % 2 == 0 else d - p[0, i] * first[i]
     signed = (d, -d)
-    for i in range(3):
-        for j in range(3):
+    for i in range(k):
+        for j in range(k):
             cof = first[i] if j == 0 else minor(i, j)
             np.divide(cof, signed[(i + j) % 2], out=out[..., i, j])
     return out

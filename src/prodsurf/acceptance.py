@@ -28,8 +28,7 @@ from .graphs import (check_curvature_range, closed_form_match,
                      corollary_equation_residual, graph_curvature,
                      radial_graph, solve_radial, theorem_harness)
 from .identities import run_suite
-from .integral import (BALANCE_FIELDS, einstein_integral, integral_formula,
-                       product_integral)
+from .integral import einstein_integral, integral_formula, product_integral
 from .reports import Report, dump_json, make_envelope
 from .shape import GraphSurface
 from .zoo import constant_profile, cosine_profile, instantiate, list_scenarios
@@ -127,8 +126,8 @@ def criterion_product_integral() -> CriterionVerdict:
     for name in PRODUCT_GRAPH_SCENARIOS:
         surface, _, tol = instantiate(name)
         fine, coarse = (product_integral(FrameFields(
-            surface, QuadratureGrid.build(surface.axes, resolution),
-            keep=BALANCE_FIELDS), tol) for resolution in (128, 64))
+            surface, QuadratureGrid.build(surface.axes, resolution)), tol)
+            for resolution in (128, 64))
         ok = fine.relative_residual <= tol.integral_relative
         checks.append((ok, f"{name}: relative residual "
                            f"{fine.relative_residual:.3e} at 128"))
@@ -151,8 +150,7 @@ def criterion_homothetic_flux() -> CriterionVerdict:
     checks: list[tuple[bool, str]] = []
     for name in HOMOTHETIC_SCENARIOS:
         surface, grid, tol = instantiate(name)
-        rep = integral_formula(FrameFields(surface, grid, keep=BALANCE_FIELDS),
-                               tol)
+        rep = integral_formula(FrameFields(surface, grid), tol)
         checks.append((rep.relative_residual <= tol.integral_relative,
                        f"{name}: lhs {rep.lhs:.9f} rhs {rep.rhs:.9f} "
                        f"relative residual {rep.relative_residual:.3e}"))
@@ -173,7 +171,7 @@ def criterion_einstein_spheres() -> CriterionVerdict:
     for rho in GEODESIC_SPHERE_RADII:
         surface, grid, tol = instantiate("geodesic_sphere_S3",
                                          {"rho": rho, "resolution": 96})
-        fields = FrameFields(surface, grid, keep=BALANCE_FIELDS)
+        fields = FrameFields(surface, grid)
         rep = einstein_integral(fields, tol)
         checks.append((abs(rep.residual) <= tol.einstein_absolute,
                        f"rho={rho:.6f}: balance residual {rep.residual:.3e}"))
@@ -305,7 +303,7 @@ def _probe_bytes() -> bytes:
     """Serialize a fixed computation from scratch (geometry to JSON)."""
     surface, grid, tol = instantiate("sphere_R3_homothetic",
                                      {"resolution": 32})
-    flux = integral_formula(FrameFields(surface, grid, keep=BALANCE_FIELDS), tol)
+    flux = integral_formula(FrameFields(surface, grid), tol)
     sol = solve_radial(-1, -2.0, n_samples=512)
     match = closed_form_match(sol, tolerance=tol.radial_match)
     envelope = make_envelope(

@@ -87,10 +87,11 @@ class AxisSpec:
     For the polar kinds, walking past an endpoint lands back in the chart at
     reflected coordinates: the axis itself maps ``t -> 2*edge - t``, every
     axis listed in ``shift`` advances by half its period, and every axis in
-    ``reverse`` maps ``t -> lo + hi - t``.  ``flip`` lists the axes whose
-    coordinate *direction* reverses under this identification (the Jacobian
-    of the deck map is the corresponding diagonal sign matrix); tensor
-    components pick up one such sign per index.  These deck maps serve the
+    ``reverse`` maps ``t -> lo + hi - t``.  So the deck map's Jacobian is
+    diagonal, with sign -1 on the crossing axis and on the ``reverse`` axes
+    and +1 on the rest (a ``shift`` only translates), and tensor components
+    pick up one such sign per index; the signs are read from these two
+    declarations, never declared on their own.  These deck maps serve the
     grid stencils' ghost nodes alone (:mod:`prodsurf.calculus`), which
     continue sampled arrays across an endpoint; the intrinsic-curvature
     oracle samples a surface's continued chart formulas there instead.
@@ -102,7 +103,6 @@ class AxisSpec:
     kind: str
     shift: tuple[int, ...] = ()
     reverse: tuple[int, ...] = ()
-    flip: tuple[int, ...] = ()
 
     @property
     def period(self) -> float:
@@ -162,7 +162,7 @@ def round_sphere() -> BaseManifold:
         return G
 
     axes = (
-        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,), flip=(0,)),
+        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("S2", 2, axes, metric, metric_inv, christoffel,
@@ -282,8 +282,8 @@ def round_three_sphere() -> BaseManifold:
         return G
 
     axes = (
-        AxisSpec("chi", 0.0, np.pi, "polar_cos", shift=(2,), reverse=(1,), flip=(0, 1)),
-        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,), flip=(1,)),
+        AxisSpec("chi", 0.0, np.pi, "polar_cos", shift=(2,), reverse=(1,)),
+        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("S3", 3, axes, metric, metric_inv, christoffel,

@@ -198,7 +198,9 @@ def _deck_transform(values: np.ndarray, axes: tuple[AxisSpec, ...],
 
     Applies the deck map declared on ``axes[crossing]``: half-period rolls
     on the ``shift`` axes, order reversal on the ``reverse`` axes, and one
-    Jacobian sign per coordinate index for the ``flip`` axes.
+    Jacobian sign per coordinate index.  The map reverses the direction of
+    the crossing axis and of every ``reverse`` axis and translates the rest,
+    so those axes, and no others, take the sign -1.
     """
     axis = axes[crossing]
     out = values
@@ -209,10 +211,10 @@ def _deck_transform(values: np.ndarray, axes: tuple[AxisSpec, ...],
         out = np.roll(out, m // 2, axis=k)
     for k in axis.reverse:
         out = np.flip(out, axis=k)
-    if index_rank and axis.flip:
+    if index_rank:
         n = len(axes)
         sign = np.ones(n)
-        sign[list(axis.flip)] = -1.0
+        sign[[crossing, *axis.reverse]] = -1.0
         for r in range(index_rank):
             shape = (1,) * (out.ndim - index_rank + r) + (n,) + (1,) * (index_rank - 1 - r)
             out = out * sign.reshape(shape)
@@ -387,9 +389,10 @@ class FrameFields:
     theorem harness) consumes this bundle; heavy members are computed once
     and cached.  ``keep`` is passed to ``frame_at``: the frame holds only
     the fields it names (every field by default).  The identity suite and
-    the theorem harness keep the full frame; the balance laws keep only
-    what they integrate, ``integral.BALANCE_FIELDS``.  ``integrate`` reads
-    the frame's ``area_element``, and ``cancellation_mass`` its ``theta``,
+    the theorem harness keep the full frame; ``integral.run_formulas``
+    keeps only what the balance laws integrate,
+    ``integral.BALANCE_FIELDS``.  ``integrate`` reads the frame's
+    ``area_element``, and ``cancellation_mass`` its ``theta``,
     ``scalar_curvature`` and ``ricci_normal``.
     """
 

@@ -299,6 +299,7 @@ def _cmd_zoo_list(config: RunConfig):
         "compact": sc.compact,
         "overridable": sorted(sc.ranges),
         "description": sc.description,
+        "expected": sc.expected,
     } for sc in list_scenarios()]
     return rows, True, None
 

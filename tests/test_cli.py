@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from prodsurf.zoo import list_scenarios
+
 CLI = [sys.executable, "-m", "prodsurf.cli"]
 
 
@@ -34,9 +36,12 @@ def test_zoo_list_reports_the_whole_catalog():
     for required in ("slice_S2xR_t0.7", "example51_lorentzian_K-2",
                      "sphere_R3_homothetic", "geodesic_sphere_S3"):
         assert required in names
+    catalog = {sc.name: sc.expected for sc in list_scenarios()}
     for row in env["results"]:
         assert set(row) == {"name", "ambient", "kind", "default_resolution",
-                            "compact", "overridable", "description"}
+                            "compact", "overridable", "description",
+                            "expected"}
+        assert row["expected"] == catalog[row["name"]]
 
 
 def test_importing_the_cli_starts_no_thread():

@@ -10,7 +10,9 @@ Imports and the strings of ``__all__`` do not count.  The top-level names
 are every def, class and assignment of a package module, private ones
 included.  The same holds for the members of every package class: each
 method and property that is not a dunder is read somewhere in those trees
-outside its own body, as an attribute or a bare name.
+outside its own body, as an attribute or a bare name.  Each field of a
+package dataclass is read as an attribute there, except the fields of a
+``Report`` subclass, which ``Report.to_dict`` serializes, every one.
 
 A package module also reads every name it imports at top level (in an
 ``if`` block there too, such as ``if TYPE_CHECKING:``): a bare-name read
@@ -88,6 +90,33 @@ def _members() -> list[tuple[str, str, ast.FunctionDef]]:
             for fn in cls.body
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields() -> list[tuple[str, str, str]]:
+    """(module, class, field) for every field of a package dataclass that
+    ``Report`` does not serialize."""
+    classes = [(path.stem, cls) for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)]
+    bases = {cls.name: {b.id for b in cls.bases if isinstance(b, ast.Name)}
+             for _, cls in classes}
+
+    def is_report(name: str) -> bool:
+        return name == "Report" or any(map(is_report, bases.get(name, ())))
+
+    return [(module, cls.name, stmt.target.id) for module, cls in classes
+            if _is_dataclass(cls) and not is_report(cls.name)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
 
 
 EXPORTS = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
@@ -260,6 +289,23 @@ def test_every_class_member_is_read_outside_its_body():
         "ambient", "calculus", "graphs", "shape"}
     unread = [f"{module}.{cls}.{fn.name}" for module, cls, fn in members
               if reads[fn.name] <= _reads(fn)[fn.name]]
+    assert not unread, ("nothing in src/, scripts/ or perfbench/ reads "
+                        f"{', '.join(unread)}")
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read as an attribute; a bare name of the same spelling is
+    # some other variable
+    reads = {node.attr for root in USERS for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)}
+    fields = _dataclass_fields()
+    assert {(module, cls) for module, cls, _ in fields} >= {
+        ("ambient", "AxisSpec"), ("calculus", "QuadratureGrid"),
+        ("shape", "GeometryFrame"), ("zoo", "Scenario")}
+    assert not {cls for _, cls, _ in fields} & {"Report", "CheckResult"}
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in fields
+              if name not in reads]
     assert not unread, ("nothing in src/, scripts/ or perfbench/ reads "
                         f"{', '.join(unread)}")
 

@@ -15,6 +15,10 @@ The constants upstream of the frame are scaled the same way:
 * the curvature constants, on ``graph_S2xR_cos03``: the base's ``kappa``
   (the ambient is rebuilt from the base, so its ``sectional`` follows) and,
   separately, the ambient's ``sectional`` alone;
+* the ambient's chart callables, on ``graph_S2xR_cos03``: the base's
+  ``metric_at``, ``metric_inverse_at`` and ``christoffel_at`` (the ambient
+  is rebuilt from the base, as for ``kappa``) and the Killing field's
+  ``field_at``, each scaled alone;
 * the two pieces of ``graphs._graph_equation_pieces``, ``K_M`` and
   ``det(Hess u) / det g_M``, judged by the checks that read them: the
   harness sign on the graph, the exact slice verdict of the harness and
@@ -96,6 +100,21 @@ CODAZZI_N3_UNCAUGHT = {
 # a scaled curvature constant of graph_S2xR_cos03 -> the checks that fail
 CURVATURE_CAUGHT = {"codazzi", "gauss_scalar", "laplacian_theta",
                     "integral_formula", "product_integral"}
+
+# a scaled chart callable of graph_S2xR_cos03 -> the checks that fail
+CHART_CAUGHT = {
+    "base.metric_at": {"norm_grad_h", "hessian_h", "codazzi", "gauss_scalar",
+                       "laplacian_theta", "div_T_top", "integral_formula",
+                       "product_integral"},
+    "base.metric_inverse_at": {"norm_grad_h", "hessian_h", "codazzi",
+                               "laplacian_theta", "div_T_top",
+                               "integral_formula", "product_integral"},
+    "base.christoffel_at": {"hessian_h", "codazzi", "gauss_scalar",
+                            "laplacian_theta", "div_T_top",
+                            "integral_formula", "product_integral"},
+    "killing.field_at": {"norm_grad_h", "hessian_h", "gauss_scalar",
+                         "product_integral"},
+}
 
 # a scaled piece of graphs._graph_equation_pieces -> the checks that fail
 GRAPH_EQUATION_CAUGHT = {
@@ -203,6 +222,31 @@ def test_defect_in_a_curvature_constant_fails_the_named_checks(zoo, defect):
     defective = defect(surface)
     assert defective.ambient.sectional == 1.0 + DEFECT
     assert _failing(defective) == CURVATURE_CAUGHT
+
+
+def _scaled_callable(surface, row: str | None):
+    """``surface`` in a rebuilt ambient, with the chart callable ``row``
+    (``"base.<name>"`` or ``"killing.field_at"``) scaled by ``1 + DEFECT``;
+    ``None`` rebuilds it clean."""
+    base = surface.base
+    owner, _, name = (row or "").partition(".")
+    if owner == "base":
+        scaled = getattr(base, name)
+        base = dataclasses.replace(
+            base, **{name: lambda x: scaled(x) * (1.0 + DEFECT)})
+    ambient = make_product(base, surface.epsilon)
+    if owner == "killing":
+        field_at = ambient.killing.field_at
+        ambient = dataclasses.replace(ambient, killing=dataclasses.replace(
+            ambient.killing, field_at=lambda x: field_at(x) * (1.0 + DEFECT)))
+    return dataclasses.replace(surface, ambient=ambient)
+
+
+@pytest.mark.parametrize("row", [None, *sorted(CHART_CAUGHT)],
+                         ids=["clean", *sorted(CHART_CAUGHT)])
+def test_defect_in_a_chart_callable_fails_the_named_checks(zoo, row):
+    surface, _, _ = zoo(SCENARIO)
+    assert _failing(_scaled_callable(surface, row)) == CHART_CAUGHT.get(row, set())
 
 
 def _graph_equation_failing(zoo) -> set[str]:

@@ -12,9 +12,9 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from reference_routes import (fold_params, full_chart, graph_jet,
-                              graph_second_form, graph_theta, oracle_at,
-                              padded_frame, padded_twin)
+from reference_routes import (cartesian_height, fold_params, full_chart,
+                              graph_jet, graph_second_form, graph_theta,
+                              oracle_at, padded_frame, padded_twin)
 
 from prodsurf import _smallmat, shape
 from prodsurf.ambient import (AxisSpec, make_ambient, make_product,
@@ -340,29 +340,6 @@ def test_graph_metric_equals_the_jet_contraction(zoo, name):
         assert np.array_equal(g, contracted)
 
 
-def _cartesian_height(base, epsilon: int) -> GraphSurface:
-    """Graph of 0.3 x_1, a Cartesian coordinate of the unit sphere S^2 or
-    S^3: smooth on the sphere, so its chart formulas extend across poles
-    and seams, and its metric has off-diagonal terms there."""
-    def u(s):
-        return 0.3 * np.prod(np.sin(s[..., :-1]), axis=-1) * np.cos(s[..., -1])
-
-    def du(s):
-        sines, phi = np.sin(s[..., :-1]), s[..., -1]
-        out = np.empty(s.shape)
-        for a in range(s.shape[-1] - 1):
-            others = np.prod(np.delete(sines, a, axis=-1), axis=-1)
-            out[..., a] = 0.3 * others * np.cos(s[..., a]) * np.cos(phi)
-        out[..., -1] = -0.3 * np.prod(sines, axis=-1) * np.sin(phi)
-        return out
-
-    def d2u(s):
-        raise AssertionError("not needed for the metric")
-
-    return GraphSurface(name=f"x1_over_{base.name}",
-                        ambient=make_product(base, epsilon), u=u, du=du, d2u=d2u)
-
-
 # every catalog scenario with a polar or periodic axis
 _WITH_EDGES = [name for name in scenario_names()
                if any(ax.kind != "open" for ax in instantiate(name)[0].axes)]
@@ -370,8 +347,8 @@ _WITH_EDGES = [name for name in scenario_names()
 
 @pytest.mark.parametrize("make", [
     *[lambda zoo, name=name: zoo(name, 16)[0] for name in _WITH_EDGES],
-    lambda zoo: _cartesian_height(round_sphere(), +1),
-    lambda zoo: _cartesian_height(round_three_sphere(), -1)],
+    lambda zoo: cartesian_height(round_sphere(), +1),
+    lambda zoo: cartesian_height(round_three_sphere(), -1)],
     ids=[*_WITH_EDGES, "x1_over_S2xR", "x1_over_S3xR1"])
 def test_sampler_past_the_edges_equals_the_unfolded_metric(zoo, make):
     # the oracle samples each surface where its stencils land: past a pole
