@@ -82,7 +82,9 @@ class AxisSpec:
       keeps pole-adjacent stencils stable); crossing an endpoint re-enters
       the chart;
     * ``"open"``       -- a plain interval, no identification (derivatives
-      fall back to one-sided stencils at the two extreme node layers).
+      fall back to one-sided stencils at the two extreme node layers); one
+      open axis makes the chart non-compact, so nothing is integrated over
+      it (``QuadratureGrid.compact``).
 
     For the polar kinds, walking past an endpoint lands back in the chart at
     reflected coordinates: the axis itself maps ``t -> 2*edge - t``, every
@@ -117,23 +119,27 @@ class AxisSpec:
 class BaseManifold:
     """A base manifold ``M^n`` (n = 2 or 3) presented in a single chart.
 
-    ``kappa`` is the constant Ricci factor with ``Ric_M = kappa * g_M``:
-    the Gauss curvature for n = 2, the Einstein constant (a third of the
-    scalar curvature) for the round 3-sphere.  Every base has constant
-    sectional curvature ``kappa / (dim - 1)``.  ``metric_at`` returns a new
-    array on every call; ``GraphSurface.induced_metric`` adds to it in
-    place.
+    The chart axes state its shape: ``dim`` is their number, and the base
+    is compact exactly when none of them is ``"open"``, which the grids
+    over it read (``QuadratureGrid.compact``).  ``kappa`` is the constant
+    Ricci factor with ``Ric_M = kappa * g_M``: the Gauss curvature for
+    n = 2, the Einstein constant (a third of the scalar curvature) for the
+    round 3-sphere.  Every base has constant sectional curvature
+    ``kappa / (dim - 1)``.  ``metric_at`` returns a new array on every
+    call; ``GraphSurface.induced_metric`` adds to it in place.
     """
 
     name: str
-    dim: int
     axes: tuple[AxisSpec, ...]
     metric_at: Callable[[np.ndarray], np.ndarray]
     metric_inverse_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     kappa: float
-    compact: bool
     quotient_factor: float = 1.0
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
 
 
 def round_sphere() -> BaseManifold:
@@ -165,8 +171,7 @@ def round_sphere() -> BaseManifold:
         AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("S2", 2, axes, metric, metric_inv, christoffel,
-                        1.0, compact=True)
+    return BaseManifold("S2", axes, metric, metric_inv, christoffel, 1.0)
 
 
 def projective_plane() -> BaseManifold:
@@ -219,8 +224,7 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
         AxisSpec("x1", -box, box, "open"),
         AxisSpec("x2", -box, box, "open"),
     )
-    return BaseManifold("H2", 2, axes, metric, metric_inv, christoffel,
-                        -1.0, compact=False)
+    return BaseManifold("H2", axes, metric, metric_inv, christoffel, -1.0)
 
 
 def flat_torus() -> BaseManifold:
@@ -240,8 +244,7 @@ def flat_torus() -> BaseManifold:
         AxisSpec("s1", 0.0, 2.0 * np.pi, "periodic"),
         AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("T2", 2, axes, metric, metric, christoffel,
-                        0.0, compact=True)
+    return BaseManifold("T2", axes, metric, metric, christoffel, 0.0)
 
 
 def round_three_sphere() -> BaseManifold:
@@ -286,8 +289,7 @@ def round_three_sphere() -> BaseManifold:
         AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,)),
         AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
     )
-    return BaseManifold("S3", 3, axes, metric, metric_inv, christoffel,
-                        2.0, compact=True)
+    return BaseManifold("S3", axes, metric, metric_inv, christoffel, 2.0)
 
 
 # --------------------------------------------------------------------------

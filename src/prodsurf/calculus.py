@@ -122,13 +122,15 @@ def _axis_rule(axis: AxisSpec, resolution: int) -> tuple[np.ndarray, np.ndarray]
         nodes = axis.lo + step * (np.arange(m) + 0.5)
         weights = np.full(m, step)
         return nodes, weights
-    raise ValueError(f"unknown axis kind {axis.kind!r}")
+    raise ParameterOutOfRange(f"axis {axis.name!r}: unknown kind {axis.kind!r}")
 
 
 @dataclass(eq=False)
 class QuadratureGrid:
     """Tensor-product nodes and weights over a parameter chart.
 
+    The axes state the chart's shape: the grid is ``compact`` exactly when
+    no axis is ``"open"``, and only a compact grid is integrated over.
     ``resolution`` sets the per-axis density: a polar axis gets an odd
     number of Gauss-Legendre-in-cosine nodes (>= resolution, so the equator
     is always a node), a periodic axis ``2 * resolution`` uniform nodes and
@@ -160,6 +162,10 @@ class QuadratureGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(z) for z in self.nodes_1d)
+
+    @property
+    def compact(self) -> bool:
+        return all(ax.kind != "open" for ax in self.axes)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -361,21 +367,25 @@ def _exact_sum(flat: np.ndarray) -> float:
     return total / (1 << (_MANTISSA_BITS - _EXPONENT_MIN))
 
 
-def integrate(f: SurfaceField, area_element: np.ndarray, *,
-              quotient_factor: float, compact: bool) -> float:
-    """Integral over the surface: sum of f * weight * area element.
+def integrate(f: SurfaceField, area_element: np.ndarray) -> float:
+    """Integral over the chart: sum of f * weight * area element.
 
-    The terms are summed exactly and rounded once (``_exact_sum``), so the
-    result equals ``math.fsum`` of the terms bit for bit, and is
-    bit-reproducible across runs and worker counts.  The sum is vectorized
-    over ``_FSUM_CHUNK`` terms at a time, so no Python list of the grid's
-    terms is built.
+    Raises ``NonCompactDomain``, naming the first open axis, unless
+    ``f.grid`` is compact.  A quotient's factor is the caller's to apply
+    (``FrameFields.integrate``).  The terms are summed exactly and rounded
+    once (``_exact_sum``), so the result equals ``math.fsum`` of the terms
+    bit for bit, and is bit-reproducible across runs and worker counts.
+    The sum is vectorized over ``_FSUM_CHUNK`` terms at a time, so no
+    Python list of the grid's terms is built.
     """
-    if not compact:
-        raise NonCompactDomain("surface integral requested on a non-compact scenario")
-    contrib = f.values * f.grid.weights
+    grid = f.grid
+    if not grid.compact:
+        axis = next(ax.name for ax in grid.axes if ax.kind == "open")
+        raise NonCompactDomain(f"surface integral over the open chart axis "
+                               f"{axis!r}: the surface is not compact")
+    contrib = f.values * grid.weights
     contrib *= area_element
-    return quotient_factor * _exact_sum(contrib.ravel(order="C"))
+    return _exact_sum(contrib.ravel(order="C"))
 
 
 # --------------------------------------------------------------------------
@@ -392,8 +402,10 @@ class FrameFields:
     the theorem harness keep the full frame; ``integral.run_formulas``
     keeps only what the balance laws integrate,
     ``integral.BALANCE_FIELDS``.  ``integrate`` reads the frame's
-    ``area_element``, and ``cancellation_mass`` its ``theta``,
-    ``scalar_curvature`` and ``ricci_normal``.
+    ``area_element`` and scales the chart integral by the surface's
+    ``quotient_factor``; it raises ``NonCompactDomain`` on a grid with an
+    open axis.  ``cancellation_mass`` reads ``theta``, ``scalar_curvature``
+    and ``ricci_normal``.
     """
 
     def __init__(self, surface, grid: QuadratureGrid,
@@ -471,7 +483,6 @@ class FrameFields:
         return ddf - np.einsum("...kij,...k->...ij", self.christoffels, df)
 
     def integrate(self, f: np.ndarray) -> float:
-        return integrate(SurfaceField(np.asarray(f, dtype=float), self.grid),
-                         self.frame.area_element,
-                         quotient_factor=self.surface.quotient_factor,
-                         compact=self.surface.compact)
+        return self.surface.quotient_factor * integrate(
+            SurfaceField(np.asarray(f, dtype=float), self.grid),
+            self.frame.area_element)

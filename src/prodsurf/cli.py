@@ -223,7 +223,7 @@ def _cmd_integral(config: RunConfig):
     _reject_keys(overrides, ("refine", "epsilon", "x0_max", "delta"),
                  "integral")
     surface, grid, tol = instantiate(name, overrides)
-    if not surface.compact:
+    if not grid.compact:
         raise UsageError(f"scenario {name!r} is not compact; the balance "
                          "laws integrate over closed surfaces")
     results = run_formulas(surface, grid, tol)

@@ -31,8 +31,8 @@ class NotSpacelike(GeometryError):
 
 
 class NonCompactDomain(GeometryError):
-    """Surface integration was requested on a grid that only samples a
-    non-compact surface."""
+    """Surface integration was requested on a grid with an open axis, which
+    samples only part of a non-compact surface."""
 
 
 class SingularPoint(GeometryError):
@@ -46,8 +46,9 @@ class StepFailure(GeometryError):
 
 class ParameterOutOfRange(GeometryError):
     """A parameter left its validity range: that of a closed-form solution
-    (signature/curvature combinations, geodesic-sphere radii, ...) or the
-    smallest grid resolution the stencils take."""
+    (signature/curvature combinations, geodesic-sphere radii, ...), the
+    smallest grid resolution the stencils take, or the axis kinds a grid
+    knows."""
 
 
 class UnknownScenario(GeometryError):

@@ -611,7 +611,7 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     ``kappa``.  Constant graphs route to a slice verdict instead, whose
     ``max_curvature_gap`` is the largest ``|gap|``.
     """
-    if not g.compact:
+    if not grid.compact:
         raise NonCompactDomain(
             f"the harness needs a compact base, got {g.base.name!r}")
     n = len(g.axes)

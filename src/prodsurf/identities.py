@@ -88,7 +88,7 @@ def check_norm_grad_h(fields: FrameFields) -> CheckResult:
     _require_product(fields, "check_norm_grad_h")
     fr = fields.frame
     eps = fields.surface.ambient.epsilon
-    grad = fields.gradient(fr.height)
+    grad = fields.gradient(fr.point[..., -1])
     norm_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
     norm_sq -= eps * (1.0 - fr.theta ** 2)
     residual = _max_abs(norm_sq)
@@ -101,10 +101,11 @@ def check_hessian_h(fields: FrameFields) -> CheckResult:
     fr = fields.frame
     eps = fields.surface.ambient.epsilon
     n = len(fields.grid.axes)
-    hess = fields.covariant_hessian(fr.height)
+    height = fr.point[..., -1]
+    hess = fields.covariant_hessian(height)
     hess -= fr.theta[..., None, None] * fr.second_form
     comp = _max_abs(hess)
-    lap = fields.laplacian(fr.height)
+    lap = fields.laplacian(height)
     lap -= eps * n * fr.mean_curvature * fr.theta
     traced = _max_abs(lap)
     out = _result("hessian_h", fields, max(comp, traced))

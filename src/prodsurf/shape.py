@@ -8,6 +8,9 @@ analytic 2-jet: ``jet(s) -> (x, dx, ddx)`` where ``s`` has shape ``(..., n)``,
 slots).  A graph ``t = u(m)`` over the base of a product (``GraphSurface``)
 is handed over as its height's jet ``(u, du, d2u)``, which its frames read
 as it is: no tangents or second partials are padded to ambient components.
+A surface's chart axes (``axes``) are the one statement of its shape: ``n``
+is their number, and the surface is compact exactly when none of them is
+``"open"``, which a grid over them reads (``QuadratureGrid.compact``).
 
 ``frame_at`` turns the jet into the full pointwise dictionary of the
 hypersurface: induced metric, unit normal (oriented by the ambient alone:
@@ -34,9 +37,10 @@ field and thread (``_scratch``), allocated once and sliced to the block's
 rows, so a frame that keeps a few scalars holds a few scalars per point.
 Every check runs on every point whatever is kept.  The area element
 ``sqrt(det g)`` is a frame field, the root of the last leading minor of
-``g`` that the block's rank test forms.  ``height`` is the view
-``point[..., -1]``.  Blocks are independent and run concurrently, up to
-``_WORKERS`` at a time, through ``_block_map``.
+``g`` that the block's rank test forms.  A product's height is no field of
+its own: its readers take the view ``point[..., -1]``.  Blocks are
+independent and run concurrently, up to ``_WORKERS`` at a time, through
+``_block_map``.
 Inside a block the ambient is its one chart model (``AmbientSpace``): the
 curved block, whose callables take the first ``k = ambient.curved``
 coordinates (metric ``C``), and the flat line (the other ``d - k``, one on
@@ -142,14 +146,9 @@ class ParamSurface:
     ambient: AmbientSpace
     axes: tuple[AxisSpec, ...]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    compact: bool = True
 
     # a parametrized surface is never a quotient: its integrals are not scaled
     quotient_factor = 1.0
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
 
     def induced_metric(self, s: np.ndarray) -> np.ndarray:
         """Induced metric ``g_ij = <t_i, t_j>`` at chart parameters ``s``,
@@ -219,12 +218,7 @@ class GraphSurface:
         self.base = self.ambient.base
         self.epsilon = self.ambient.epsilon
         self.axes = self.base.axes
-        self.compact = self.base.compact
         self.quotient_factor = self.base.quotient_factor
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
 
     def induced_metric(self, s: np.ndarray) -> np.ndarray:
         """Induced metric ``g = g_M + eps du du^T`` at chart parameters
@@ -278,7 +272,9 @@ class GraphSurface:
 class GeometryFrame:
     """Pointwise geometric data of a hypersurface (batched arrays).
 
-    A field that ``frame_at`` was not asked to keep is ``None``.
+    A field that ``frame_at`` was not asked to keep is ``None``.  In a
+    product the height is the last component of ``point``; the height
+    checks read that view, ``point[..., -1]``.
     """
 
     point: np.ndarray
@@ -294,7 +290,6 @@ class GeometryFrame:
     ricci_normal: np.ndarray       # Ric_bar(N, N)
     theta: np.ndarray              # <N, T>
     tau: np.ndarray                # tangential part of T in surface coords
-    height: np.ndarray | None      # product height coordinate of the point
 
 
 _pools: dict[int, ThreadPoolExecutor] = {}     # thread count -> pool
@@ -357,9 +352,8 @@ def frame_at(surface, s: np.ndarray, keep: Collection[str] | None = None
     """Evaluate the geometric frame of ``surface`` at parameters ``s``.
 
     ``s`` may carry arbitrary batch dimensions.  ``keep`` names the fields
-    to return (``GeometryFrame`` field names, ``height`` excepted: it is a
-    view of ``point`` and comes with it); every field by default.  The kept
-    fields are allocated once, at the full batch shape; the others are
+    to return (``GeometryFrame`` field names); every field by default.  The
+    kept fields are allocated once, at the full batch shape; the others are
     ``None``.  The batch runs in blocks as the module docstring says; a
     batch smaller than one block is a single block on the caller's thread,
     and a kept field is the same whatever else is kept.
@@ -408,12 +402,9 @@ def frame_at(surface, s: np.ndarray, keep: Collection[str] | None = None
                 if key in out:
                     np.negative(out[key], out=out[key])
 
-    fields = {key: out[key].reshape(batch + shape) if key in out else None
-              for key, shape in shapes.items()}
-    point = fields["point"]
-    height = (point[..., -1] if ambient.kind == "product" and point is not None
-              else None)
-    return GeometryFrame(**fields, height=height)
+    return GeometryFrame(**{
+        key: out[key].reshape(batch + shape) if key in out else None
+        for key, shape in shapes.items()})
 
 
 # The frame_at outputs that change sign with the normal.
@@ -423,7 +414,7 @@ _ODD_IN_N = ("normal", "theta", "second_form", "shape_operator",
 
 def _frame_shapes(n: int, d: int) -> dict[str, tuple[int, ...]]:
     """Per-point shapes of the ``frame_at`` outputs, keyed like
-    ``GeometryFrame`` (``height`` excepted)."""
+    ``GeometryFrame``."""
     return dict(point=(d,), tangent=(n, d), metric=(n, n), metric_inv=(n, n),
                 area_element=(), normal=(d,), second_form=(n, n),
                 shape_operator=(n, n), mean_curvature=(), scalar_curvature=(),
@@ -789,7 +780,8 @@ def _fd_scalar_curvature(g_at: Callable, s: np.ndarray, h: np.ndarray,
 
 def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     """Scalar curvature ``S`` (``2K`` when n = 2) from metric samples alone,
-    on the nodes of ``grid``, of shape ``grid.shape``.
+    on the nodes of ``grid``, of shape ``grid.shape``, with ``n`` the number
+    of the grid's axes.
 
     One route in every supported dimension, :func:`_fd_scalar_curvature`,
     at the step of half the closest node spacing on each axis.  Its
@@ -808,7 +800,7 @@ def intrinsic_curvature_oracle(surface, grid: QuadratureGrid) -> np.ndarray:
     enters ``_block_map``, which ``frame_at`` and ``identities.run_suite``
     share, so it may run on a pool thread: ``run_suite`` runs it on one.
     """
-    n = surface.dimension
+    n = len(grid.axes)
     if n not in _PURE_ORDER:
         raise ValueError(f"oracle supports n = 2 or 3, got {n}")
     h = np.array([0.5 * np.min(np.diff(z)) for z in grid.nodes_1d])

@@ -261,14 +261,17 @@ def _hyperboloid_jet():
     return jet
 
 
-def _geodesic_sphere_jet(rho: float):
-    """Distance sphere about the chart pole of the round 3-sphere."""
+def _coordinate_slice_jet(value: float):
+    """The chart slice ``x = (value, s_0, s_1)`` of a three-coordinate
+    chart: the distance sphere ``chi = rho`` about the chart pole of the
+    round 3-sphere, or the cylinder ``theta = pi / 2`` over the equator in
+    S^2 x R."""
     def jet(s):
         s = np.asarray(s, dtype=float)
-        th, ph = s[..., 0], s[..., 1]
-        one = np.ones_like(th)
-        zero = np.zeros_like(th)
-        x = np.stack([np.full_like(th, rho), th, ph], axis=-1)
+        s0, s1 = s[..., 0], s[..., 1]
+        one = np.ones_like(s0)
+        zero = np.zeros_like(s0)
+        x = np.stack([np.full_like(s0, value), s0, s1], axis=-1)
         dx = np.stack([np.stack([zero, one, zero], axis=-1),
                        np.stack([zero, zero, one], axis=-1)], axis=-2)
         dd = np.zeros(s.shape[:-1] + (2, 2, 3))
@@ -309,21 +312,6 @@ def _clifford_torus_jet():
     return jet
 
 
-def _cylinder_jet():
-    """Flat cylinder over the equator great circle in S^2 x R."""
-    def jet(s):
-        s = np.asarray(s, dtype=float)
-        ph, t = s[..., 0], s[..., 1]
-        one = np.ones_like(ph)
-        zero = np.zeros_like(ph)
-        x = np.stack([np.full_like(ph, 0.5 * math.pi), ph, t], axis=-1)
-        dx = np.stack([np.stack([zero, one, zero], axis=-1),
-                       np.stack([zero, zero, one], axis=-1)], axis=-2)
-        dd = np.zeros(s.shape[:-1] + (2, 2, 3))
-        return x, dx, dd
-    return jet
-
-
 # --------------------------------------------------------------------------
 # scenario builders
 # --------------------------------------------------------------------------
@@ -343,8 +331,7 @@ def _parametric_builder(axes, jet_factory: Callable,
                         jet_params: tuple[str, ...] = ()):
     def build(sc, ambient, params):
         jet = jet_factory(*[params[k] for k in jet_params])
-        return ParamSurface(name=sc.name, ambient=ambient, axes=axes, jet=jet,
-                            compact=sc.compact)
+        return ParamSurface(name=sc.name, ambient=ambient, axes=axes, jet=jet)
     return build
 
 
@@ -510,7 +497,7 @@ def _catalog() -> list[Scenario]:
         Scenario(
             name="geodesic_sphere_S3", ambient_key="S3_hopf",
             kind="parametric",
-            builder=_parametric_builder(_SPHERE_AXES, _geodesic_sphere_jet,
+            builder=_parametric_builder(_SPHERE_AXES, _coordinate_slice_jet,
                                         ("rho",)),
             params={"rho": 0.25 * math.pi},
             ranges={"rho": (0.1, 1.47)},
@@ -554,7 +541,7 @@ def _catalog() -> list[Scenario]:
             builder=_parametric_builder(
                 (AxisSpec("phi", 0.0, 2.0 * math.pi, "periodic"),
                  AxisSpec("t", -1.2, 1.2, "open")),
-                _cylinder_jet),
+                lambda: _coordinate_slice_jet(0.5 * math.pi)),
             compact=False,
             description="flat cylinder over the equator; angle function 0",
             expected={"theta": {"value": 0.0, "how": how_closed},

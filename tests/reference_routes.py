@@ -206,15 +206,14 @@ def graph_jet(surface: GraphSurface):
 
 def padded_twin(surface: GraphSurface) -> shape.ParamSurface:
     """The graph as a ``ParamSurface`` on its padded jet (``graph_jet``),
-    with the graph's name, ambient, axes and compactness."""
+    with the graph's name, ambient and axes."""
     return shape.ParamSurface(name=surface.name, ambient=surface.ambient,
-                              axes=surface.axes, jet=graph_jet(surface),
-                              compact=surface.compact)
+                              axes=surface.axes, jet=graph_jet(surface))
 
 
 def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``frame_at`` fields at ``s``, keyed like ``GeometryFrame``
-    (``height`` excepted), by contractions over the full chart.
+    """The ``frame_at`` fields at ``s``, keyed like ``GeometryFrame``, by
+    contractions over the full chart.
 
     Every ambient tensor is the ``(..., d, d)`` or ``(..., d, d, d)`` array
     of ``full_chart(ambient)``, zero-padded on a product.  The second

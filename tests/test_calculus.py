@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from reference_routes import cartesian_height
 
 from prodsurf import _smallmat, calculus
-from prodsurf.ambient import round_sphere, round_three_sphere
+from prodsurf.ambient import AxisSpec, round_sphere, round_three_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
 from prodsurf.identities import run_suite
@@ -24,6 +24,13 @@ def test_grid_rejects_too_coarse_resolution(zoo):
     with pytest.raises(ParameterOutOfRange,
                        match=r"resolution 4 .*\(minimum 10\)"):
         QuadratureGrid.build(surface.axes, 4)
+
+
+def test_grid_rejects_an_unknown_axis_kind():
+    axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "closed"))
+    with pytest.raises(ParameterOutOfRange,
+                       match=r"axis 'b': unknown kind 'closed'"):
+        QuadratureGrid.build(axes, 16)
 
 
 _POLAR_SCENARIOS = ("slice_S2xR_t0.7", "slice_RP2xR_t0.3", "graph_S3xR_coschi02")
@@ -187,8 +194,9 @@ def test_integrate_is_the_exact_sum_of_its_terms(fields):
 
 
 def test_non_compact_surface_refuses_to_integrate(fields):
+    # the first open axis of the hyperbolic base's chart is named
     ff = fields("slice_H2xR_t0.5", 16)
-    with pytest.raises(NonCompactDomain):
+    with pytest.raises(NonCompactDomain, match=r"open chart axis 'x1'"):
         ff.integrate(np.ones(ff.grid.shape))
 
 
@@ -337,7 +345,7 @@ def test_laplacian_eigenfunction_on_the_three_sphere():
 def test_gradient_of_height_is_tangential_projection(fields):
     ff = fields("graph_S2xR_cos03", 24)
     fr = ff.frame
-    grad = ff.gradient(fr.height)       # contravariant surface gradient
+    grad = ff.gradient(fr.point[..., -1])   # contravariant surface gradient
     # |grad h|^2 in the induced metric must equal 1 - Theta^2 here
     grad_sq = np.einsum("...i,...ij,...j->...", grad, fr.metric, grad)
     # stencil truncation at this resolution; tight orders are checked in the

@@ -84,8 +84,7 @@ def test_second_form_is_symmetric_and_height_recorded(fields):
     fr = fields("graph_S2xR_cos03", 16).frame
     assert np.allclose(fr.second_form,
                        np.swapaxes(fr.second_form, -1, -2), atol=1e-13)
-    assert fr.height is not None
-    assert np.max(fr.height) <= 0.45
+    assert np.max(fr.point[..., -1]) <= 0.45
 
 
 @pytest.mark.parametrize("scenario, sign", [
@@ -153,7 +152,7 @@ def test_degenerate_jet_is_rejected():
     grid = QuadratureGrid.build(axes, 12)
     for scale in (1.0, 1e-6):
         surface = ParamSurface(name="degenerate", ambient=ambient, axes=axes,
-                               jet=_rank_one_jet(scale), compact=False)
+                               jet=_rank_one_jet(scale))
         with pytest.raises(DegenerateFrame):
             frame_at(surface, grid.nodes)
 
@@ -219,7 +218,7 @@ def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples)
 
     monkeypatch.setattr(shape, "induced_metric_sampler", counting_sampler)
     # per point, every stencil offset is a sample of its own
-    oracle_at(surface, grid.nodes.reshape(-1, surface.dimension)[:4])
+    oracle_at(surface, grid.nodes.reshape(-1, len(surface.axes))[:4])
     assert points == [4] * samples
     # on a periodic last axis each block samples the doubled lattice of its
     # rings once per leading offset and parity; an open one samples per node
@@ -228,7 +227,7 @@ def test_oracle_samples_each_lattice_point_once(zoo, monkeypatch, name, samples)
     nodes, ring = math.prod(grid.shape), grid.shape[-1]
     per_node, size = samples, shape._BLOCK
     if grid.axes[-1].kind == "periodic":
-        per_node = {2: 8, 3: 30}[surface.dimension]
+        per_node = {2: 8, 3: 30}[len(surface.axes)]
         size = ring * (shape._BLOCK // ring)
     assert (name == "cylinder_S2xR") == (per_node == samples)
     assert sum(points) == per_node * nodes
@@ -239,7 +238,7 @@ def test_oracle_on_an_open_last_axis_samples_per_point(zoo, monkeypatch):
     # blocks of 100 points split the 32 x 16 cylinder grid mid-row
     surface, grid, _ = zoo("cylinder_S2xR", 16)
     assert grid.axes[-1].kind == "open"
-    flat = grid.nodes.reshape(-1, surface.dimension)
+    flat = grid.nodes.reshape(-1, len(surface.axes))
     expected = shape._fd_scalar_curvature(shape.induced_metric_sampler(surface),
                                           flat, _grid_step(grid), ring=None)
     monkeypatch.setattr(shape, "_BLOCK", 100)
@@ -273,7 +272,7 @@ def test_oracle_blocks_whole_rings(zoo, monkeypatch, name):
     assert 50 % ring
     g_at = shape.induced_metric_sampler(surface)
     rings = [shape._fd_scalar_curvature(g_at, nodes, _grid_step(grid), ring)
-             for nodes in grid.nodes.reshape(-1, ring, surface.dimension)]
+             for nodes in grid.nodes.reshape(-1, ring, len(surface.axes))]
     assert np.concatenate(rings).tobytes() == one_block.tobytes()
     for workers in (1, 2, 3):
         monkeypatch.setattr(shape, "_WORKERS", workers)
@@ -303,7 +302,7 @@ def _past_the_edges(surface, grid) -> np.ndarray:
     """Grid nodes, and the nodes moved 1 .. reach oracle steps past each
     polar edge and periodic seam, one axis at a time (reach: the pure-axis
     stencil's, 2 steps for n = 2 and 4 for n = 3)."""
-    n = surface.dimension
+    n = len(surface.axes)
     nodes = grid.nodes.reshape(-1, n)
     steps = [0.5 * np.min(np.diff(z)) for z in grid.nodes_1d]
     reach = 2 if n == 2 else 4
@@ -397,7 +396,7 @@ def test_metric_jet_equals_per_derivative_stencils(zoo, name, order):
     # nodes and at points one step inside each polar edge and periodic seam,
     # whose stencils cross it
     surface, grid, _ = zoo(name, 16)
-    n = surface.dimension
+    n = len(surface.axes)
     h = np.array([1e-2, 2e-2, 3e-2][:n])
     nodes = grid.nodes.reshape(-1, n)
     edges = []
@@ -548,7 +547,7 @@ def test_scalar_curvature_assembly_equals_full_riemann_reference(zoo, name, orde
     # the trace assembly reorders the rounding only; measured 1.4e-13,
     # 2.8e-13, 1.2e-14, 3.2e-14 and 5e-16 (relative, in table order)
     surface, grid, _ = zoo(name, 16)
-    s = grid.nodes.reshape(-1, surface.dimension)
+    s = grid.nodes.reshape(-1, len(surface.axes))
     h = _grid_step(grid)
     g_at = shape.induced_metric_sampler(surface)
     reference = _full_riemann_scalar(*shape._metric_jet(g_at, s, h, order))
@@ -627,7 +626,7 @@ def _bent_product_surface() -> ParamSurface:
         return x, dx, ddx
 
     return ParamSurface(name="bent_cylinder", ambient=make_ambient("S2xR"),
-                        axes=axes, jet=jet, compact=False)
+                        axes=axes, jet=jet)
 
 
 def test_theta_policy_rejects_a_sign_change_of_theta():
@@ -688,7 +687,7 @@ def test_theta_flip_fixed_by_a_late_block_reaches_earlier_blocks(monkeypatch):
         return x, dx, ddx
 
     surface = ParamSurface(name="half_vertical", ambient=make_ambient("S2xR"),
-                           axes=axes, jet=jet, compact=False)
+                           axes=axes, jet=jet)
     nodes = np.swapaxes(QuadratureGrid.build(axes, 16).nodes, 0, 1)
     one_block = frame_at(surface, nodes)
     monkeypatch.setattr(shape, "_BLOCK", 64)
@@ -718,7 +717,7 @@ def _pinched_plane() -> tuple[ParamSurface, np.ndarray]:
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
     return ParamSurface(name="pinched_plane", ambient=ambient, axes=axes,
-                        jet=jet, compact=False), s
+                        jet=jet), s
 
 
 def test_degenerate_point_is_named_by_its_index_in_the_batch():
@@ -742,7 +741,7 @@ def _meridian_strip() -> tuple[ParamSurface, np.ndarray]:
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
     return (ParamSurface(name="meridian_strip", ambient=make_ambient("S2xR"),
-                         axes=axes, jet=jet, compact=False),
+                         axes=axes, jet=jet),
             np.array([[0.5, 0.1], [0.0, 0.1], [1.0, 0.1]]))
 
 
@@ -775,7 +774,7 @@ def _twice_pinched() -> tuple[ParamSurface, np.ndarray]:
         return x, dx, np.zeros(s.shape[:-1] + (2, 2, 3))
 
     return ParamSurface(name="twice_pinched", ambient=ambient, axes=axes,
-                        jet=jet, compact=False), s
+                        jet=jet), s
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -904,7 +903,7 @@ def test_no_block_outlives_a_failing_batch(monkeypatch, workers):
 
     surface = ParamSurface(name="failing_plane",
                            ambient=make_ambient("R3_homothetic"), axes=axes,
-                           jet=jet, compact=False)
+                           jet=jet)
     monkeypatch.setattr(shape, "_frame_block", counted)
     monkeypatch.setattr(shape, "_BLOCK", 64)
     monkeypatch.setattr(shape, "_WORKERS", workers)
@@ -919,7 +918,7 @@ def test_no_block_outlives_a_failing_batch(monkeypatch, workers):
                                   "hyperboloid_R31_minkowski"])
 def test_empty_batch_gives_empty_fields(zoo, name):
     surface, _, _ = zoo(name)
-    n, d = surface.dimension, surface.ambient.dim
+    n, d = len(surface.axes), surface.ambient.dim
     fr = frame_at(surface, np.empty((0, n)))
     assert fr.tangent.shape == (0, n, d) and fr.normal.shape == (0, d)
     assert fr.shape_operator.shape == (0, n, n) and fr.theta.shape == (0,)
@@ -956,7 +955,7 @@ NEGATED_SCENARIO = "graph_S2xR_cos03"
 
 @pytest.mark.parametrize("name,resolution",
                          [(n, None) for n in scenario_names()
-                          if instantiate(n)[0].compact]
+                          if instantiate(n)[1].compact]
                          + [("graph_S3xR_coschi02", 32)])
 def test_kept_fields_are_the_full_frame_fields(zoo, monkeypatch, name,
                                                resolution):
@@ -1012,7 +1011,7 @@ def test_frame_rejects_an_unknown_field_to_keep(zoo):
 def _rank_one_plane() -> tuple[ParamSurface, np.ndarray]:
     axes = (AxisSpec("a", 0.0, 1.0, "open"), AxisSpec("b", 0.0, 1.0, "open"))
     return (ParamSurface(name="degenerate", ambient=make_ambient("R3_homothetic"),
-                         axes=axes, jet=_rank_one_jet(1.0), compact=False),
+                         axes=axes, jet=_rank_one_jet(1.0)),
             QuadratureGrid.build(axes, 12).nodes)
 
 

@@ -53,12 +53,12 @@ def test_every_scenario_instantiates_at_reduced_resolution():
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_surface_lives_in_its_declared_ambient(name):
     sc = next(s for s in list_scenarios() if s.name == name)
-    surface, _, _ = instantiate(name, SMALL)
+    surface, grid, _ = instantiate(name, SMALL)
     declared = make_ambient(sc.ambient_key)
     assert surface.name == name
     assert surface.ambient.name == declared.name
     assert surface.ambient.epsilon == declared.epsilon
-    assert surface.compact == sc.compact
+    assert grid.compact == sc.compact
 
 
 def test_graph_over_a_quotient_base_must_be_antipodally_even():
