@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _STENCIL_WIDTH = 5          # Lagrange window per derivative
+MIN_RESOLUTION = 2 * _STENCIL_WIDTH   # the coarsest grid the stencils take
 _GHOST_DEPTH = 2            # layers continued across a polar endpoint
 # Terms summed per pass of the exact summation in `integrate`.  Each term's
 # 53-bit integer mantissa is split into a 27-bit high and a 26-bit low half,
@@ -150,10 +151,10 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, axes: tuple[AxisSpec, ...], resolution: int) -> "QuadratureGrid":
-        if resolution < 2 * _STENCIL_WIDTH:
+        if resolution < MIN_RESOLUTION:
             raise ParameterOutOfRange(
                 f"resolution {resolution} is too coarse for the stencils "
-                f"(minimum {2 * _STENCIL_WIDTH})")
+                f"(minimum {MIN_RESOLUTION})")
         rules = [_axis_rule(ax, resolution) for ax in axes]
         return cls(axes=tuple(axes), resolution=resolution,
                    nodes_1d=tuple(r[0] for r in rules),

@@ -45,10 +45,12 @@ class StepFailure(GeometryError):
 
 
 class ParameterOutOfRange(GeometryError):
-    """A parameter left its validity range: that of a closed-form solution
-    (signature/curvature combinations, geodesic-sphere radii, ...), the
-    smallest grid resolution the stencils take, or the axis kinds a grid
-    knows."""
+    """A parameter left its validity range: that of the radial solution
+    (signature/curvature combinations, the start offset, the window end,
+    hyperboloid heights below 1), a product's sign, the ambients the
+    registry knows, the smallest grid resolution the stencils take, or the
+    axis kinds a grid knows.  A scenario override outside its declared
+    range is an ``OverrideOutOfRange`` instead."""
 
 
 class UnknownScenario(GeometryError):

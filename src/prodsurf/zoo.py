@@ -3,11 +3,12 @@
 Every check in the package (pointwise identities, integral balances, the
 graph harness, the radial profiles) runs against surfaces drawn from this
 catalog.  Each scenario carries analytic jets through second order -- no
-finite differencing enters a scenario definition -- together with a default
-resolution and a small map of expected quantities with a note on how each
-value is known.  The module also holds the graph profiles the acceptance
-battery shares, and re-exports the package's one tolerance policy,
-:data:`TOLERANCES` (defined in :mod:`prodsurf.reports`).
+finite differencing enters a scenario definition -- together with a small
+map of expected quantities with a note on how each value is known; its
+compactness and default resolution are read from its surface's chart axes.
+The module also holds the graph profiles the acceptance battery shares,
+and re-exports the package's one tolerance policy, :data:`TOLERANCES`
+(defined in :mod:`prodsurf.reports`).
 
 The catalog covers:
 
@@ -34,7 +35,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .ambient import AmbientSpace, AxisSpec, make_ambient, round_sphere
-from .calculus import QuadratureGrid
+from .calculus import MIN_RESOLUTION, QuadratureGrid
 from .errors import GeometryError, OverrideOutOfRange, UnknownScenario
 from .graphs import radial_graph
 from .reports import TOLERANCES, Tolerances
@@ -56,7 +57,7 @@ __all__ = [
 DEFAULT_RESOLUTION = 64
 REDUCED_RESOLUTION_3D = 16   # three-dimensional grids refine 16 -> 32
 
-RESOLUTION_RANGE = (10, 512)
+RESOLUTION_RANGE = (MIN_RESOLUTION, 512)
 
 _EVENNESS_TOL = 1.0e-12
 
@@ -65,7 +66,9 @@ _EVENNESS_TOL = 1.0e-12
 class Scenario:
     """One catalog entry; ``builder(scenario, ambient, params)`` produces
     the surface in ``ambient = make_ambient(ambient_key)``, the one place a
-    scenario names its ambient (graphs take their base and sign from it)."""
+    scenario names its ambient (graphs take their base and sign from it).
+    ``compact`` and ``default_resolution`` are read from the grid of the
+    surface the builder makes from the default ``params``."""
 
     name: str
     ambient_key: str
@@ -73,10 +76,16 @@ class Scenario:
     builder: Callable[["Scenario", AmbientSpace, dict[str, Any]], Any]
     params: dict[str, Any] = field(default_factory=dict)
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    default_resolution: int = DEFAULT_RESOLUTION
-    compact: bool = True
     description: str = ""
     expected: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def compact(self) -> bool:
+        return _surface_and_grid(self, self.params, None)[1].compact
+
+    @property
+    def default_resolution(self) -> int:
+        return _surface_and_grid(self, self.params, None)[1].resolution
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +396,6 @@ def _catalog() -> list[Scenario]:
             name="slice_H2xR_t0.5", ambient_key="H2xR", kind="slice",
             builder=_graph_builder(constant_profile, "t0"),
             params={"t0": 0.5}, ranges={"t0": (-5.0, 5.0)},
-            compact=False,
             description="slice of the hyperbolic product (non-compact, "
                         "pointwise checks only)",
             expected={"theta": {"value": -1.0, "how": how_closed},
@@ -436,14 +444,12 @@ def _catalog() -> list[Scenario]:
             name="graph_S3xR_coschi02", ambient_key="S3xR", kind="graph",
             builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
-            default_resolution=REDUCED_RESOLUTION_3D,
             description="three-dimensional graph over the round 3-sphere",
         ),
         Scenario(
             name="graph_S3xR1_coschi02", ambient_key="S3xR1", kind="graph",
             builder=_graph_builder(cosine_profile),
             params={"amplitude": 0.2}, ranges={"amplitude": (0.0, 0.4)},
-            default_resolution=REDUCED_RESOLUTION_3D,
             description="spacelike three-dimensional graph, Lorentzian",
         ),
         # ---- homothetic field in flat space ------------------------------
@@ -487,7 +493,6 @@ def _catalog() -> list[Scenario]:
                 (AxisSpec("m1", -1.2, 1.2, "open"),
                  AxisSpec("m2", -1.2, 1.2, "open")),
                 _hyperboloid_jet),
-            compact=False,
             description="upper unit hyperboloid (spacelike, non-compact)",
             expected={"theta": {"value": -1.0, "how": how_closed},
                       "mean_curvature": {"value": 1.0, "how": how_closed},
@@ -520,7 +525,6 @@ def _catalog() -> list[Scenario]:
             kind="radial_graph", builder=_radial_builder,
             params={"K": -0.5, "box": 1.2},
             ranges={"K": (-0.999, -0.001), "box": (0.3, 8.0)},
-            compact=False,
             description="explicit constant-curvature radial graph, K = -1/2",
             expected={"gauss_curvature": {"value": -0.5, "how": how_closed},
                       "sup_du_sq": {"value": 1.0, "how": how_closed}},
@@ -530,7 +534,6 @@ def _catalog() -> list[Scenario]:
             kind="radial_graph", builder=_radial_builder,
             params={"K": -2.0, "box": 1.2},
             ranges={"K": (-100.0, -1.001), "box": (0.3, 8.0)},
-            compact=False,
             description="explicit spacelike radial graph, K = -2",
             expected={"gauss_curvature": {"value": -2.0, "how": how_closed},
                       "sup_du_sq": {"value": 0.5, "how": how_closed}},
@@ -542,7 +545,6 @@ def _catalog() -> list[Scenario]:
                 (AxisSpec("phi", 0.0, 2.0 * math.pi, "periodic"),
                  AxisSpec("t", -1.2, 1.2, "open")),
                 lambda: _coordinate_slice_jet(0.5 * math.pi)),
-            compact=False,
             description="flat cylinder over the equator; angle function 0",
             expected={"theta": {"value": 0.0, "how": how_closed},
                       "gauss_curvature": {"value": 0.0, "how": how_closed}},
@@ -586,6 +588,19 @@ def override_number(key: str, value, integer: bool = False) -> float:
     return number
 
 
+def _surface_and_grid(sc: Scenario, params: dict[str, Any],
+                      resolution: int | None):
+    """The scenario's surface built from ``params`` and its grid, at
+    ``resolution`` or, when that is None, at the default the surface's
+    dimension sets: :data:`REDUCED_RESOLUTION_3D` for three chart axes,
+    :data:`DEFAULT_RESOLUTION` otherwise."""
+    surface = sc.builder(sc, make_ambient(sc.ambient_key), params)
+    if resolution is None:
+        resolution = (REDUCED_RESOLUTION_3D if len(surface.axes) == 3
+                      else DEFAULT_RESOLUTION)
+    return surface, QuadratureGrid.build(surface.axes, resolution)
+
+
 def instantiate(name: str, overrides: dict[str, Any] | None = None):
     """Build (surface, grid, tolerances) for a named scenario.
 
@@ -595,7 +610,9 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
     ``overrides`` may set ``resolution`` (an integer in
     :data:`RESOLUTION_RANGE`), ``tolerance_scale``, and any parameter the
     scenario declares a range for; values that are not finite numbers, or
-    lie outside the declared ranges, raise ``OverrideOutOfRange``.
+    lie outside the declared ranges, raise ``OverrideOutOfRange``, in that
+    order and before the surface is built.  Without a ``resolution``
+    override the built surface's dimension sets it.
     """
     sc = _SCENARIOS.get(name)
     if sc is None:
@@ -603,7 +620,7 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
         raise UnknownScenario(f"unknown scenario {name!r}; known: {known}")
     overrides = dict(overrides or {})
 
-    resolution = sc.default_resolution
+    resolution = None
     if "resolution" in overrides:
         resolution = int(override_number(
             "resolution", overrides.pop("resolution"), integer=True))
@@ -622,6 +639,5 @@ def instantiate(name: str, overrides: dict[str, Any] | None = None):
         value = override_number(key, value)
         _gate(name, key, value, *sc.ranges[key])
         params[key] = value
-    surface = sc.builder(sc, make_ambient(sc.ambient_key), params)
-    grid = QuadratureGrid.build(surface.axes, resolution)
+    surface, grid = _surface_and_grid(sc, params, resolution)
     return surface, grid, tolerances

@@ -190,6 +190,23 @@ def test_rejected_invocations_exit_two(args):
     assert "error" in proc.stderr.lower() or "usage" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("scenario, axis", [
+    ("slice_H2xR_t0.5", "x1"),
+    ("hyperboloid_R31_minkowski", "m1"),
+    ("example51_riemannian_K-0.5", "x1"),
+    ("example51_lorentzian_K-2", "x1"),
+    ("cylinder_S2xR", "t"),
+])
+def test_integral_on_a_non_compact_scenario_names_the_open_axis(scenario, axis):
+    """The one compactness guard is the ``NonCompactDomain`` that
+    integration raises, and it names the first open chart axis."""
+    proc = run_cli("integral", "--scenario", scenario, "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert "NonCompactDomain" in proc.stderr
+    assert f"open chart axis {axis!r}" in proc.stderr
+
+
 @pytest.mark.parametrize("command, scenario, overrides, key", [
     ("identities", "sphere_R3_homothetic", '{"resolution": "abc"}', "resolution"),
     ("identities", "sphere_R3_homothetic", '{"resolution": NaN}', "resolution"),

@@ -15,9 +15,10 @@ from prodsurf.graphs import completeness_criterion
 from prodsurf.integral import integral_formula
 from prodsurf.identities import run_suite
 from prodsurf.shape import frame_at
-from prodsurf.zoo import (REDUCED_RESOLUTION_3D, TOLERANCES, Scenario,
-                          _graph_builder, cosine_profile, instantiate,
-                          list_scenarios, scenario_names)
+from prodsurf.zoo import (DEFAULT_RESOLUTION, REDUCED_RESOLUTION_3D,
+                          TOLERANCES, Scenario, _graph_builder,
+                          cosine_profile, instantiate, list_scenarios,
+                          scenario_names)
 
 REQUIRED = (
     "slice_S2xR_t0.7",
@@ -147,11 +148,31 @@ def test_geodesic_sphere_expected_formula_evaluates():
 
 
 def test_three_dimensional_scenarios_default_to_reduced_resolution():
-    for name in ("graph_S3xR_coschi02", "graph_S3xR1_coschi02"):
+    reduced = ("graph_S3xR_coschi02", "graph_S3xR1_coschi02")
+    for name in reduced:
         sc = next(s for s in list_scenarios() if s.name == name)
         assert sc.default_resolution == REDUCED_RESOLUTION_3D
         surface, grid, _ = instantiate(name)
         assert grid.resolution == REDUCED_RESOLUTION_3D
+    others = [sc for sc in list_scenarios() if sc.name not in reduced]
+    assert len(others) == 20
+    for sc in others:
+        assert sc.default_resolution == DEFAULT_RESOLUTION, sc.name
+        assert instantiate(sc.name)[1].resolution == DEFAULT_RESOLUTION, sc.name
+
+
+def test_an_uncataloged_scenario_reads_its_own_surface():
+    """Compactness and the default resolution come from the scenario's own
+    builder; a copy under a name the catalog lacks reads the same values."""
+    catalog = {sc.name: sc for sc in list_scenarios()}
+    cylinder = dataclasses.replace(catalog["cylinder_S2xR"], name="tube")
+    assert cylinder.compact is False
+    assert cylinder.default_resolution == DEFAULT_RESOLUTION
+    graph = dataclasses.replace(catalog["graph_S3xR_coschi02"], name="wave")
+    assert graph.compact is True
+    assert graph.default_resolution == REDUCED_RESOLUTION_3D
+    with pytest.raises(UnknownScenario):
+        instantiate("tube")
 
 
 def test_unknown_scenario_is_reported_with_catalog():
@@ -238,12 +259,18 @@ def test_identity_results_carry_the_record_floors(zoo, name):
 
 def test_noncompact_scenarios_are_flagged():
     flags = {s.name: s.compact for s in list_scenarios()}
+    assert len(flags) == 22
     assert flags["slice_H2xR_t0.5"] is False
     assert flags["example51_riemannian_K-0.5"] is False
     assert flags["example51_lorentzian_K-2"] is False
     assert flags["hyperboloid_R31_minkowski"] is False
     assert flags["cylinder_S2xR"] is False
     assert flags["slice_S2xR_t0.7"] is True
+    assert {name for name, compact in flags.items() if compact is False} == {
+        "slice_H2xR_t0.5", "example51_riemannian_K-0.5",
+        "example51_lorentzian_K-2", "hyperboloid_R31_minkowski",
+        "cylinder_S2xR"}
+    assert sum(compact is True for compact in flags.values()) == 17
 
 
 def test_projective_plane_scenario_has_expected_half_area():
