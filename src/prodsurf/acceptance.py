@@ -241,11 +241,11 @@ def criterion_randomized_harness() -> CriterionVerdict:
     """Randomized graphs always show the forced curvature-comparison sign."""
     rng = np.random.default_rng(RANDOM_SEED)
     checks: list[tuple[bool, str]] = []
-    grid = QuadratureGrid.build(round_sphere().axes, 16)
+    grid = QuadratureGrid.build(round_sphere(2).axes, 16)
     for eps, label, want in ((1, "Riemannian", "min(K - 1) < 0"),
                              (-1, "Lorentzian", "max(K - 1) > 0")):
         amplitudes = rng.uniform(0.005, 0.5, size=N_RANDOM_GRAPHS)
-        ambient = make_product(round_sphere(), eps)
+        ambient = make_product(round_sphere(2), eps)
         worst = math.inf
         all_ok = True
         for a in amplitudes:
@@ -260,7 +260,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
                        f"{label}: {N_RANDOM_GRAPHS} random graphs all give "
                        f"{want}; smallest margin {worst:.3e}"))
     for eps in (1, -1):
-        ambient = make_product(round_sphere(), eps)
+        ambient = make_product(round_sphere(2), eps)
         for value in (0.0, 0.37, -0.2):
             u, du, d2u = constant_profile(value)
             g = GraphSurface(name=f"const_{value}", ambient=ambient,
@@ -282,7 +282,7 @@ def criterion_randomized_harness() -> CriterionVerdict:
 def criterion_constant_residuals() -> CriterionVerdict:
     """The graph curvature equation residual is exact on constant graphs."""
     u, du, d2u = constant_profile(0.3)
-    g = GraphSurface(name="const_03", ambient=make_product(round_sphere(), 1),
+    g = GraphSurface(name="const_03", ambient=make_product(round_sphere(2), 1),
                      u=u, du=du, d2u=d2u)
     grid = QuadratureGrid.build(g.axes, 32)
     at_one = corollary_equation_residual(g, 1.0, grid)

@@ -12,6 +12,10 @@ that is either
 
 Every base has constant curvature too, so each ambient's curvature is one
 number, ``AmbientSpace.sectional``, read through one model (see there).
+One hyperspherical chart, ``round_sphere(n)``, serves the round S^2 (and
+its quotient RP^2) and the round S^3, as a base and as a space form, and
+one constant diagonal chart serves every flat metric: the flat torus,
+Euclidean and Minkowski 3-space.
 
 Every ambient carries a distinguished conformal Killing field ``T`` with
 conformal factor ``phi`` (so that symmetrizing the covariant derivative of
@@ -59,7 +63,6 @@ __all__ = [
     "projective_plane",
     "hyperbolic_plane",
     "flat_torus",
-    "round_three_sphere",
     "make_product",
     "make_ambient",
     "ambient_keys",
@@ -142,36 +145,53 @@ class BaseManifold:
         return len(self.axes)
 
 
-def round_sphere() -> BaseManifold:
-    """Unit round 2-sphere in colatitude/longitude coordinates (theta, phi)."""
+def round_sphere(n: int) -> BaseManifold:
+    """Unit round n-sphere (n = 2 or 3) in hyperspherical coordinates.
 
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.sin(x[..., 0]) ** 2
-        return g
+    The colatitudes ``x_0 .. x_(n-2)`` (``theta`` on S^2, ``chi, theta``
+    on S^3) come before the longitude ``phi``.  The metric is
+    ``diag(1, f_1, ..., f_(n-1))`` with ``f_k = f_(k-1) sin^2 x_(k-1)``, so
+    for ``j < k`` the Christoffel symbols are
+    ``Gamma^j_kk = -sin x_j cos x_j f_k / f_(j+1)`` and
+    ``Gamma^k_jk = cot x_j``.  Crossing a colatitude's pole advances
+    ``phi`` by half its period and reverses the later colatitudes.
+    """
+    if n not in (2, 3):
+        raise ParameterOutOfRange(f"round sphere dimension must be 2 or 3, "
+                                  f"got {n}")
 
-    def metric_inv(x):
+    def diagonal(x, power):
+        # the running product of sin(x_j)**power is f_k**(power / 2)
         x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
+        g = np.zeros(x.shape[:-1] + (n, n))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.sin(x[..., 0]) ** -2
+        g[..., 1, 1] = f = np.sin(x[..., 0]) ** power
+        for k in range(2, n):
+            g[..., k, k] = f = f * np.sin(x[..., k - 1]) ** power
         return g
 
     def christoffel(x):
         x = np.asarray(x, dtype=float)
-        th = x[..., 0]
-        G = np.zeros(x.shape[:-1] + (2, 2, 2))
-        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = np.cos(th) / np.sin(th)
+        G = np.zeros(x.shape[:-1] + (n, n, n))
+        sin = [np.sin(x[..., j]) for j in range(n - 1)]
+        for j in range(n - 1):
+            cos = np.cos(x[..., j])
+            cot = cos / sin[j]
+            ratio = -sin[j] * cos          # -sin cos times f_k / f_(j+1)
+            for k in range(j + 1, n):
+                if k > j + 1:
+                    ratio = ratio * sin[k - 1] ** 2
+                G[..., j, k, k] = ratio
+                G[..., k, j, k] = G[..., k, k, j] = cot
         return G
 
-    axes = (
-        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,)),
-        AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
-    )
-    return BaseManifold("S2", axes, metric, metric_inv, christoffel, 1.0)
+    polar = tuple(
+        AxisSpec(name, 0.0, np.pi, "polar_cos", shift=(n - 1,),
+                 reverse=tuple(range(j + 1, n - 1)))
+        for j, name in enumerate(("chi", "theta")[3 - n:]))
+    axes = polar + (AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),)
+    return BaseManifold(f"S{n}", axes, lambda x: diagonal(x, 2),
+                        lambda x: diagonal(x, -2), christoffel, float(n - 1))
 
 
 def projective_plane() -> BaseManifold:
@@ -182,7 +202,7 @@ def projective_plane() -> BaseManifold:
     phi + pi) = u(theta, phi)``) descend to the quotient -- the catalog
     gates every graph over a quotient base on that symmetry.
     """
-    return replace(round_sphere(), name="RP2", quotient_factor=0.5)
+    return replace(round_sphere(2), name="RP2", quotient_factor=0.5)
 
 
 def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
@@ -227,69 +247,31 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
     return BaseManifold("H2", axes, metric, metric_inv, christoffel, -1.0)
 
 
-def flat_torus() -> BaseManifold:
-    """Flat square 2-torus with side ``2 pi``."""
+def _constant_chart(diagonal: tuple[float, ...]):
+    """Metric and Christoffel callables of the constant chart
+    ``diag(diagonal)``; with entries +-1 the metric is its own inverse."""
+    d = len(diagonal)
 
     def metric(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = g[..., 1, 1] = 1.0
+        g = np.zeros(np.shape(x)[:-1] + (d, d))
+        for i, v in enumerate(diagonal):
+            g[..., i, i] = v
         return g
 
     def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
+        return np.zeros(np.shape(x)[:-1] + (d, d, d))
 
+    return metric, christoffel
+
+
+def flat_torus() -> BaseManifold:
+    """Flat square 2-torus with side ``2 pi``."""
+    metric, christoffel = _constant_chart((1.0, 1.0))
     axes = (
         AxisSpec("s1", 0.0, 2.0 * np.pi, "periodic"),
         AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic"),
     )
     return BaseManifold("T2", axes, metric, metric, christoffel, 0.0)
-
-
-def round_three_sphere() -> BaseManifold:
-    """Unit round 3-sphere in hyperspherical coordinates (chi, theta, phi).
-
-    The metric is ``dchi^2 + sin^2(chi) (dtheta^2 + sin^2(theta) dphi^2)``;
-    both chi and theta are colatitude-type axes with pole identifications.
-    """
-
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        schi2 = np.sin(x[..., 0]) ** 2
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = schi2
-        g[..., 2, 2] = schi2 * np.sin(x[..., 1]) ** 2
-        return g
-
-    def metric_inv(x):
-        g = metric(x)
-        out = np.zeros_like(g)
-        for i in range(3):
-            out[..., i, i] = 1.0 / g[..., i, i]
-        return out
-
-    def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        chi, th = x[..., 0], x[..., 1]
-        G = np.zeros(x.shape[:-1] + (3, 3, 3))
-        s_chi, c_chi = np.sin(chi), np.cos(chi)
-        s_th, c_th = np.sin(th), np.cos(th)
-        G[..., 0, 1, 1] = -s_chi * c_chi
-        G[..., 0, 2, 2] = -s_chi * c_chi * s_th ** 2
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = c_chi / s_chi
-        G[..., 1, 2, 2] = -s_th * c_th
-        G[..., 2, 0, 2] = G[..., 2, 2, 0] = c_chi / s_chi
-        G[..., 2, 1, 2] = G[..., 2, 2, 1] = c_th / s_th
-        return G
-
-    axes = (
-        AxisSpec("chi", 0.0, np.pi, "polar_cos", shift=(2,), reverse=(1,)),
-        AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,)),
-        AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic"),
-    )
-    return BaseManifold("S3", axes, metric, metric_inv, christoffel, 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -431,16 +413,8 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
 
     Minkowski space puts its time axis first.
     """
-    d = 3
-    eta = np.diag([-1.0, 1.0, 1.0]) if lorentzian else np.eye(3)
-
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eta, x.shape[:-1] + (d, d)).copy()
-
-    def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (d, d, d))
+    metric, christoffel = _constant_chart(
+        (-1.0 if lorentzian else 1.0, 1.0, 1.0))
 
     def position(x):
         return np.asarray(x, dtype=float).copy()
@@ -448,7 +422,7 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
     killing = KillingData(field_at=position, conformal_factor=1.0)
     return AmbientSpace(
         name="R3_1" if lorentzian else "R3",
-        dim=d,
+        dim=3,
         epsilon=-1 if lorentzian else +1,
         metric_at=metric,
         metric_inverse_at=metric,
@@ -460,7 +434,7 @@ def _flat_space_form(lorentzian: bool) -> AmbientSpace:
 
 def _round_sphere_form() -> AmbientSpace:
     """The unit round 3-sphere with a Hopf Killing field."""
-    s3 = round_three_sphere()
+    s3 = round_sphere(3)
 
     def hopf(x):
         x = np.asarray(x, dtype=float)
@@ -489,16 +463,16 @@ def _round_sphere_form() -> AmbientSpace:
 # --------------------------------------------------------------------------
 
 _AMBIENT_FACTORIES: dict[str, Callable[[], AmbientSpace]] = {
-    "S2xR": lambda: make_product(round_sphere(), +1),
-    "S2xR1": lambda: make_product(round_sphere(), -1),
+    "S2xR": lambda: make_product(round_sphere(2), +1),
+    "S2xR1": lambda: make_product(round_sphere(2), -1),
     "RP2xR": lambda: make_product(projective_plane(), +1),
     "RP2xR1": lambda: make_product(projective_plane(), -1),
     "H2xR": lambda: make_product(hyperbolic_plane(), +1),
     "H2xR1": lambda: make_product(hyperbolic_plane(), -1),
     "T2xR": lambda: make_product(flat_torus(), +1),
     "T2xR1": lambda: make_product(flat_torus(), -1),
-    "S3xR": lambda: make_product(round_three_sphere(), +1),
-    "S3xR1": lambda: make_product(round_three_sphere(), -1),
+    "S3xR": lambda: make_product(round_sphere(3), +1),
+    "S3xR1": lambda: make_product(round_sphere(3), -1),
     "R3_homothetic": lambda: _flat_space_form(lorentzian=False),
     "R31_minkowski": lambda: _flat_space_form(lorentzian=True),
     "S3_hopf": _round_sphere_form,

@@ -131,7 +131,8 @@ class QuadratureGrid:
     """Tensor-product nodes and weights over a parameter chart.
 
     The axes state the chart's shape: the grid is ``compact`` exactly when
-    no axis is ``"open"``, and only a compact grid is integrated over.
+    no axis is ``"open"``, and only a compact grid is integrated over or
+    scanned whole (``require_compact`` refuses the rest).
     ``resolution`` sets the per-axis density: a polar axis gets an odd
     number of Gauss-Legendre-in-cosine nodes (>= resolution, so the equator
     is always a node), a periodic axis ``2 * resolution`` uniform nodes and
@@ -167,6 +168,14 @@ class QuadratureGrid:
     @property
     def compact(self) -> bool:
         return all(ax.kind != "open" for ax in self.axes)
+
+    def require_compact(self, task: str) -> None:
+        """Raise ``NonCompactDomain``, naming the first open axis, unless
+        the grid is compact; ``task`` names what needs a closed surface."""
+        if not self.compact:
+            axis = next(ax.name for ax in self.axes if ax.kind == "open")
+            raise NonCompactDomain(f"{task} over the open chart axis "
+                                   f"{axis!r}: the surface is not compact")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -372,7 +381,7 @@ def integrate(f: SurfaceField, area_element: np.ndarray) -> float:
     """Integral over the chart: sum of f * weight * area element.
 
     Raises ``NonCompactDomain``, naming the first open axis, unless
-    ``f.grid`` is compact.  A quotient's factor is the caller's to apply
+    ``f.grid`` is compact (``QuadratureGrid.require_compact``).  A quotient's factor is the caller's to apply
     (``FrameFields.integrate``).  The terms are summed exactly and rounded
     once (``_exact_sum``), so the result equals ``math.fsum`` of the terms
     bit for bit, and is bit-reproducible across runs and worker counts.
@@ -380,10 +389,7 @@ def integrate(f: SurfaceField, area_element: np.ndarray) -> float:
     Python list of the grid's terms is built.
     """
     grid = f.grid
-    if not grid.compact:
-        axis = next(ax.name for ax in grid.axes if ax.kind == "open")
-        raise NonCompactDomain(f"surface integral over the open chart axis "
-                               f"{axis!r}: the surface is not compact")
+    grid.require_compact("surface integral")
     contrib = f.values * grid.weights
     contrib *= area_element
     return _exact_sum(contrib.ravel(order="C"))

@@ -1,14 +1,7 @@
 """Command-line interface.
 
-``prodsurf <command> [flags]`` drives the verification machinery:
-
-* ``identities``    — pointwise identity suite on a named scenario
-* ``integral``      — the applicable integral balance laws on a scenario
-* ``solve-radial``  — integrate a radial profile and match the explicit form
-* ``harness``       — curvature-comparison scan (or the gradient bound for
-  radial scenarios)
-* ``zoo-list``      — the scenario catalog
-* ``acceptance``    — the full acceptance battery
+``prodsurf <command> [flags]`` drives the verification machinery;
+``prodsurf --help`` lists the commands (the ``COMMANDS`` table).
 
 Every command can also be driven from a JSON config file
 (``{"command": ..., "scenario": ..., "overrides": {...}, "output": ...}``);
@@ -273,10 +266,18 @@ def _cmd_harness(config: RunConfig):
     return [report], report.expected_sign_ok, None
 
 
-def _cmd_zoo_list(config: RunConfig):
+def _reject_inputs(config: RunConfig) -> None:
+    """A command with fixed inputs takes neither a scenario nor overrides."""
+    if config.scenario is not None:
+        raise UsageError(f"{config.command} does not accept a scenario, "
+                         f"got {config.scenario!r}")
     if config.overrides:
-        raise UsageError("zoo-list does not accept overrides: "
+        raise UsageError(f"{config.command} does not accept overrides: "
                          + ", ".join(sorted(config.overrides)))
+
+
+def _cmd_zoo_list(config: RunConfig):
+    _reject_inputs(config)
     rows = [{
         "name": sc.name,
         "ambient": sc.ambient_key,
@@ -291,9 +292,7 @@ def _cmd_zoo_list(config: RunConfig):
 
 
 def _cmd_acceptance(config: RunConfig):
-    if config.overrides:
-        raise UsageError("acceptance does not accept overrides: "
-                         + ", ".join(sorted(config.overrides)))
+    _reject_inputs(config)
     verdicts = run_battery(progress=sys.stderr)
     return verdicts, battery_passed(verdicts), None
 

@@ -56,8 +56,8 @@ import numpy as np
 from . import _smallmat
 from .ambient import BaseManifold, hyperbolic_plane, make_product
 from .calculus import FrameFields, QuadratureGrid
-from .errors import (NonCompactDomain, NotSpacelike, ParameterOutOfRange,
-                     SingularPoint, StepFailure, WrongAmbient)
+from .errors import (NotSpacelike, ParameterOutOfRange, SingularPoint,
+                     StepFailure, WrongAmbient)
 from .reports import TOLERANCES, CheckResult, CompletenessVerdict, HarnessReport
 from .shape import GraphSurface
 
@@ -611,9 +611,7 @@ def theorem_harness(g, grid: QuadratureGrid) -> HarnessReport:
     ``kappa``.  Constant graphs route to a slice verdict instead, whose
     ``max_curvature_gap`` is the largest ``|gap|``.
     """
-    if not grid.compact:
-        raise NonCompactDomain(
-            f"the harness needs a compact base, got {g.base.name!r}")
+    grid.require_compact("the curvature comparison scan")
     n = len(g.axes)
     m = grid.nodes
     du = g.du(m)

@@ -203,7 +203,7 @@ def _check_antipodally_even(u: Callable, name: str) -> None:
 # parametric immersions
 # --------------------------------------------------------------------------
 
-_SPHERE_AXES = round_sphere().axes
+_SPHERE_AXES = round_sphere(2).axes
 _TWO_PERIODIC = (
     AxisSpec("alpha", 0.0, 2.0 * math.pi, "periodic"),
     AxisSpec("beta", 0.0, 2.0 * math.pi, "periodic"),

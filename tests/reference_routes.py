@@ -9,8 +9,10 @@ scattered points and a free step, and one folds parameters past a chart's
 edges back into it by the axes' deck maps (``fold_params``).  None of them
 is used by the package itself, so they live with the tests.  So do
 ``run_check``, which runs one identity check at two resolutions where the
-package only runs the whole suite, and ``cartesian_height``, a graph over
-S^2 or S^3 whose metric is not diagonal.  This module holds no tests.
+package only runs the whole suite; ``cartesian_height``, a graph over
+S^2 or S^3 whose metric is not diagonal; and ``sphere_closed_forms``,
+the two round spheres' charts written out one by one.  This module holds
+no tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import AmbientSpace, make_product
+from prodsurf.ambient import AmbientSpace, AxisSpec, make_product
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.graphs import (_covariant_hessian, _gate_x0, _spacelike_w,
                              check_curvature_range)
@@ -168,6 +170,78 @@ def verify_conformal_killing(ambient: AmbientSpace, points: np.ndarray,
         passed=bool(worst <= tolerance),
         tolerance=tolerance,
     )
+
+
+# --------------------------------------------------------------------------
+# the round spheres in their own closed forms
+# --------------------------------------------------------------------------
+
+def sphere_closed_forms(n: int) -> dict:
+    """The axes and chart callables of the unit round S^2 and S^3, each
+    written out on its own, component by component, as the package
+    stated them before one hyperspherical chart served both.
+
+    S^2 is ``dtheta^2 + sin^2 theta dphi^2``; S^3 is
+    ``dchi^2 + sin^2 chi (dtheta^2 + sin^2 theta dphi^2)``, whose inverse
+    here is the reciprocal of the metric's diagonal.
+    """
+    phi = AxisSpec("phi", 0.0, 2.0 * np.pi, "periodic")
+    if n == 2:
+        def metric(x):
+            g = np.zeros(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = np.sin(x[..., 0]) ** 2
+            return g
+
+        def metric_inv(x):
+            g = np.zeros(x.shape[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = np.sin(x[..., 0]) ** -2
+            return g
+
+        def christoffel(x):
+            th = x[..., 0]
+            G = np.zeros(x.shape[:-1] + (2, 2, 2))
+            G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
+            G[..., 1, 0, 1] = G[..., 1, 1, 0] = np.cos(th) / np.sin(th)
+            return G
+
+        axes = (AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(1,)), phi)
+        return dict(name="S2", axes=axes, kappa=1.0, metric_at=metric,
+                    metric_inverse_at=metric_inv, christoffel_at=christoffel)
+
+    def metric(x):
+        g = np.zeros(x.shape[:-1] + (3, 3))
+        schi2 = np.sin(x[..., 0]) ** 2
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = schi2
+        g[..., 2, 2] = schi2 * np.sin(x[..., 1]) ** 2
+        return g
+
+    def metric_inv(x):
+        g = metric(x)
+        out = np.zeros_like(g)
+        for i in range(3):
+            out[..., i, i] = 1.0 / g[..., i, i]
+        return out
+
+    def christoffel(x):
+        chi, th = x[..., 0], x[..., 1]
+        G = np.zeros(x.shape[:-1] + (3, 3, 3))
+        s_chi, c_chi = np.sin(chi), np.cos(chi)
+        s_th, c_th = np.sin(th), np.cos(th)
+        G[..., 0, 1, 1] = -s_chi * c_chi
+        G[..., 0, 2, 2] = -s_chi * c_chi * s_th ** 2
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = c_chi / s_chi
+        G[..., 1, 2, 2] = -s_th * c_th
+        G[..., 2, 0, 2] = G[..., 2, 2, 0] = c_chi / s_chi
+        G[..., 2, 1, 2] = G[..., 2, 2, 1] = c_th / s_th
+        return G
+
+    axes = (AxisSpec("chi", 0.0, np.pi, "polar_cos", shift=(2,), reverse=(1,)),
+            AxisSpec("theta", 0.0, np.pi, "polar_cos", shift=(2,)), phi)
+    return dict(name="S3", axes=axes, kappa=2.0, metric_at=metric,
+                metric_inverse_at=metric_inv, christoffel_at=christoffel)
 
 
 # --------------------------------------------------------------------------

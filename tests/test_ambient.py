@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from reference_routes import (CONFORMAL_KILLING_TOLERANCE, christoffel_fd,
                               curvature_operator_fd, full_chart,
-                              verify_conformal_killing)
+                              sphere_closed_forms, verify_conformal_killing)
 
 from prodsurf.ambient import (ambient_keys, flat_torus, hyperbolic_plane,
-                              make_ambient, projective_plane, round_sphere,
-                              round_three_sphere)
+                              make_ambient, projective_plane, round_sphere)
+from prodsurf.calculus import QuadratureGrid
 from prodsurf.errors import ParameterOutOfRange
 
 ALL_KEYS = ("S2xR", "S2xR1", "RP2xR", "RP2xR1", "H2xR", "H2xR1",
@@ -30,12 +30,13 @@ def test_unknown_ambient_key_raises():
 
 
 @pytest.mark.parametrize("base,curv", [
-    (round_sphere, 1.0),
+    (lambda: round_sphere(2), 1.0),
     (projective_plane, 1.0),
     (hyperbolic_plane, -1.0),
     (flat_torus, 0.0),
-    (round_three_sphere, 2.0),
-])
+    (lambda: round_sphere(3), 2.0),
+], ids=["round_sphere-1.0", "projective_plane-1.0", "hyperbolic_plane--1.0",
+        "flat_torus-0.0", "round_sphere3-2.0"])
 def test_base_curvature_fields(base, curv):
     assert base().kappa == curv
 
@@ -49,8 +50,10 @@ BASE_DETS = {
 }
 
 
-@pytest.mark.parametrize("base", [round_sphere, hyperbolic_plane,
-                                  flat_torus, round_three_sphere])
+@pytest.mark.parametrize("base", [
+    lambda: round_sphere(2), hyperbolic_plane, flat_torus,
+    lambda: round_sphere(3),
+], ids=["round_sphere", "hyperbolic_plane", "flat_torus", "round_sphere3"])
 def test_base_metric_inverse_and_det(base):
     b = base()
     rng = np.random.default_rng(7)
@@ -271,6 +274,50 @@ def test_a_scaled_killing_field_is_still_killing():
 def test_projective_plane_halves_the_sphere():
     rp2 = projective_plane()
     assert rp2.quotient_factor == 0.5
-    s2 = round_sphere()
+    s2 = round_sphere(2)
     pts = np.array([[1.1, 0.7], [0.4, 2.2]])
     assert np.allclose(rp2.metric_at(pts), s2.metric_at(pts))
+
+
+def _pole_points(axes, resolution=16, steps=4):
+    """The grid nodes, and the nodes moved 1 to ``steps`` node spacings
+    past either pole of each polar axis."""
+    nodes = QuadratureGrid.build(axes, resolution).nodes.reshape(-1, len(axes))
+    out = [nodes]
+    for a, ax in enumerate(axes):
+        if ax.kind != "polar_cos":
+            continue
+        h = ax.period / resolution
+        for k in range(1, steps + 1):
+            for edge in (ax.lo - k * h, ax.hi + k * h):
+                moved = nodes.copy()
+                moved[:, a] = edge
+                out.append(moved)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_round_sphere_is_the_closed_form_chart(n):
+    # one hyperspherical chart serves S^2 and S^3: its axes, deck maps and
+    # Ricci factor are the closed forms', and so are its metric and
+    # Christoffel symbols bit for bit, at the nodes and past the poles;
+    # S^3's inverse is a running product of sin^-2 rather than the
+    # reciprocal of the metric, equal to within rounding
+    sphere, ref = round_sphere(n), sphere_closed_forms(n)
+    assert (sphere.name, sphere.axes, sphere.kappa) == (
+        ref["name"], ref["axes"], ref["kappa"])
+    pts = _pole_points(sphere.axes)
+    for attr in ("metric_at", "metric_inverse_at", "christoffel_at"):
+        got, want = getattr(sphere, attr)(pts), ref[attr](pts)
+        assert got.shape == want.shape, attr
+        if n == 3 and attr == "metric_inverse_at":
+            assert np.allclose(got, want, rtol=4 * np.finfo(float).eps,
+                               atol=0.0), attr
+        else:
+            assert np.array_equal(got, want), attr
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_round_sphere_takes_dimension_two_or_three(n):
+    with pytest.raises(ParameterOutOfRange):
+        round_sphere(n)

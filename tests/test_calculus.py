@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from reference_routes import cartesian_height
 
 from prodsurf import _smallmat, calculus
-from prodsurf.ambient import AxisSpec, round_sphere, round_three_sphere
+from prodsurf.ambient import AxisSpec, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
 from prodsurf.identities import run_suite
@@ -247,8 +247,8 @@ _WITH_POLES = [name for name in scenario_names()
 
 @pytest.mark.parametrize("make", [
     *[lambda zoo, name=name: zoo(name, 16)[0] for name in _WITH_POLES],
-    lambda zoo: cartesian_height(round_sphere(), +1),
-    lambda zoo: cartesian_height(round_three_sphere(), -1)],
+    lambda zoo: cartesian_height(round_sphere(2), +1),
+    lambda zoo: cartesian_height(round_sphere(3), -1)],
     ids=[*_WITH_POLES, "x1_over_S2xR", "x1_over_S3xR1"])
 def test_polar_ghosts_equal_the_metric_at_their_positions(zoo, make):
     # the ghost layers of a polar axis continue the sampled metric by the

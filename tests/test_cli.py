@@ -183,6 +183,8 @@ def test_failing_tolerance_gives_exit_one(tmp_path):
     ("integral", "--scenario", "slice_H2xR_t0.5"),
     ("harness", "--scenario", "geodesic_sphere_S3"),
     ("zoo-list", "--resolution", "16"),
+    ("zoo-list", "--scenario", "nosuch"),
+    ("acceptance", "--scenario", "x"),
 ])
 def test_rejected_invocations_exit_two(args):
     proc = run_cli(*args)
@@ -198,13 +200,39 @@ def test_rejected_invocations_exit_two(args):
     ("cylinder_S2xR", "t"),
 ])
 def test_integral_on_a_non_compact_scenario_names_the_open_axis(scenario, axis):
-    """The one compactness guard is the ``NonCompactDomain`` that
+    """The compactness guard is the ``NonCompactDomain`` that
     integration raises, and it names the first open chart axis."""
     proc = run_cli("integral", "--scenario", scenario, "--no-timestamp")
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert proc.stdout == ""
     assert "NonCompactDomain" in proc.stderr
     assert f"open chart axis {axis!r}" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["zoo-list", "acceptance"])
+def test_a_scenario_in_the_config_is_rejected_where_none_is_read(tmp_path,
+                                                                command):
+    # the two commands with fixed inputs refuse a scenario before any work,
+    # naming the command, as they refuse overrides
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"command": command,
+                               "scenario": "graph_S2xR_cos03"}))
+    proc = run_cli("--config", str(cfg), "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stderr.startswith(f"error: {command} does not accept a "
+                                  "scenario"), proc.stderr
+    assert proc.stdout == ""
+
+
+def test_harness_on_a_non_compact_scenario_names_the_open_axis():
+    # the harness refuses an open chart by the guard integration uses, so
+    # its message names the first open axis, not the base
+    proc = run_cli("harness", "--scenario", "slice_H2xR_t0.5",
+                   "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stdout == ""
+    assert "NonCompactDomain" in proc.stderr
+    assert "open chart axis 'x1'" in proc.stderr
 
 
 @pytest.mark.parametrize("command, scenario, overrides, key", [

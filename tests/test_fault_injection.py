@@ -46,7 +46,7 @@ import numpy as np
 import pytest
 from reference_routes import run_check
 
-from prodsurf import calculus, graphs
+from prodsurf import acceptance, calculus, graphs
 from prodsurf.acceptance import EXACT_TOL
 from prodsurf.ambient import make_product
 from prodsurf.calculus import QuadratureGrid
@@ -145,7 +145,8 @@ def test_clean_frame_fails_no_check(zoo):
     assert _failing(surface) == set()
 
 
-def _scale_frame_field(monkeypatch, field: str) -> None:
+def _scale_frame_field(monkeypatch, field: str, defect: float = DEFECT
+                       ) -> None:
     """Scale ``field`` of every frame the bundles build, where it is kept."""
     frame_at = calculus.frame_at
 
@@ -154,7 +155,7 @@ def _scale_frame_field(monkeypatch, field: str) -> None:
         value = getattr(fr, field)
         if value is None:
             return fr
-        return dataclasses.replace(fr, **{field: value * (1.0 + DEFECT)})
+        return dataclasses.replace(fr, **{field: value * (1.0 + defect)})
 
     monkeypatch.setattr(calculus, "frame_at", defective_frame_at)
 
@@ -284,3 +285,19 @@ def test_defect_in_the_graph_equation_fails_the_named_checks(
 
     monkeypatch.setattr(graphs, "_graph_equation_pieces", defective_pieces)
     assert _graph_equation_failing(zoo) == GRAPH_EQUATION_CAUGHT[piece]
+
+
+def test_a_small_theta_defect_fails_criterion_two_on_its_order(monkeypatch):
+    # every catalog graph floors criterion 2's product integral at
+    # roundoff; theta * (1 + 1e-8) lifts the relative residual of
+    # graph_S2xR_cos03 above RELATIVE_FLOOR yet keeps it far below the
+    # tolerance, and alike at 64 and 128, so the refinement order (near 0)
+    # fails the criterion, on that line alone
+    monkeypatch.setattr(acceptance, "PRODUCT_GRAPH_SCENARIOS", (SCENARIO,))
+    _scale_frame_field(monkeypatch, "theta", 1.0e-8)
+    verdict = acceptance.criterion_product_integral()
+    assert not verdict.passed, verdict.details
+    residual, order = verdict.details
+    assert residual.startswith(f"ok  {SCENARIO}: relative residual ")
+    assert order.startswith(f"BAD {SCENARIO}: refinement order ")
+    assert float(residual.split()[-3]) > acceptance.RELATIVE_FLOOR

@@ -236,7 +236,7 @@ def _constant_graph(eps, value=0.3):
     def d2u(s):
         return np.zeros(s.shape + (s.shape[-1],))
 
-    return GraphSurface(name="const", ambient=make_product(round_sphere(), eps),
+    return GraphSurface(name="const", ambient=make_product(round_sphere(2), eps),
                         u=u, du=du, d2u=d2u)
 
 
@@ -299,7 +299,7 @@ def test_harness_sign_is_forced_on_cosine_graphs(amplitude, eps):
         out[..., 0, 0] = -amplitude * np.cos(s[..., 0])
         return out
 
-    g = GraphSurface(name="h", ambient=make_product(round_sphere(), eps),
+    g = GraphSurface(name="h", ambient=make_product(round_sphere(2), eps),
                      u=u, du=du, d2u=d2u)
     rep = theorem_harness(g, QuadratureGrid.build(g.axes, 12))
     assert rep.kind == "graph"

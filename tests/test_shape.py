@@ -17,8 +17,7 @@ from reference_routes import (cartesian_height, fold_params, full_chart,
                               oracle_at, padded_frame, padded_twin)
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import (AxisSpec, make_ambient, make_product,
-                              round_sphere, round_three_sphere)
+from prodsurf.ambient import AxisSpec, make_ambient, make_product, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import DegenerateFrame, NotSpacelike, WrongAmbient
 from prodsurf.graphs import graph_curvature
@@ -172,7 +171,7 @@ def _steep_lorentzian_graph() -> GraphSurface:
         out[..., 0, 0] = -2.0 * np.cos(s[..., 0])
         return out
 
-    return GraphSurface(name="steep", ambient=make_product(round_sphere(), -1),
+    return GraphSurface(name="steep", ambient=make_product(round_sphere(2), -1),
                         u=u, du=du, d2u=d2u)
 
 
@@ -346,8 +345,8 @@ _WITH_EDGES = [name for name in scenario_names()
 
 @pytest.mark.parametrize("make", [
     *[lambda zoo, name=name: zoo(name, 16)[0] for name in _WITH_EDGES],
-    lambda zoo: cartesian_height(round_sphere(), +1),
-    lambda zoo: cartesian_height(round_three_sphere(), -1)],
+    lambda zoo: cartesian_height(round_sphere(2), +1),
+    lambda zoo: cartesian_height(round_sphere(3), -1)],
     ids=[*_WITH_EDGES, "x1_over_S2xR", "x1_over_S3xR1"])
 def test_sampler_past_the_edges_equals_the_unfolded_metric(zoo, make):
     # the oracle samples each surface where its stencils land: past a pole
@@ -602,7 +601,7 @@ def test_tiny_round_sphere_has_a_frame():
     # radius 1e-6 is as regular as the unit sphere
     r = 1e-6
     surface = ParamSurface(name="tiny_sphere", ambient=make_ambient("R3_homothetic"),
-                           axes=round_sphere().axes, jet=_ellipsoid_jet(r, r, r))
+                           axes=round_sphere(2).axes, jet=_ellipsoid_jet(r, r, r))
     fr = frame_at(surface, QuadratureGrid.build(surface.axes, 16).nodes)
     assert np.allclose(fr.shape_operator, -np.eye(2) / r, rtol=1e-7, atol=1e-7 / r)
     assert np.allclose(fr.scalar_curvature, 2.0 / r ** 2, rtol=1e-10)
