@@ -10,8 +10,10 @@ that is either
 * a simply connected space of constant sectional curvature (Euclidean
   3-space, Minkowski 3-space, the unit 3-sphere).
 
-Every base has constant curvature too, so each ambient's curvature is one
-number, ``AmbientSpace.sectional``, read through one model (see there).
+Each ambient is one chart of constant curvature, its curved block (the
+base ``M^n`` of a product, or the whole space form), plus the flat line of
+a product, so its curvature is one number, ``AmbientSpace.sectional``,
+read from the chart's ``kappa`` through one model (see there).
 One hyperspherical chart, ``round_sphere(n)``, serves the round S^2 (and
 its quotient RP^2) and the round S^3, as a base and as a space form, and
 one constant diagonal chart serves every flat metric: the flat torus,
@@ -41,8 +43,8 @@ form of the unit round sphere is positive.  In chart components, with
 and all of this is verified against finite differences in the test suite.
 
 All chart callables are array-aware: points have shape ``(..., dim)`` (an
-ambient's take its curved block's ``(..., curved)``, see ``AmbientSpace``)
-and outputs carry matching batch dimensions.
+ambient's chart takes its curved block's ``(..., curved)``, see
+``AmbientSpace``) and outputs carry matching batch dimensions.
 """
 
 from __future__ import annotations
@@ -115,21 +117,22 @@ class AxisSpec:
 
 
 # --------------------------------------------------------------------------
-# base manifolds for the product ambients
+# charts of constant curvature: the bases, and the space forms' charts
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class BaseManifold:
-    """A base manifold ``M^n`` (n = 2 or 3) presented in a single chart.
+    """A manifold ``M^n`` (n = 2 or 3) of constant curvature in one chart:
+    the base of a product, or a whole space form (``AmbientSpace.chart``).
 
     The chart axes state its shape: ``dim`` is their number, and the base
     is compact exactly when none of them is ``"open"``, which the grids
     over it read (``QuadratureGrid.compact``).  ``kappa`` is the constant
     Ricci factor with ``Ric_M = kappa * g_M``: the Gauss curvature for
-    n = 2, the Einstein constant (a third of the scalar curvature) for the
-    round 3-sphere.  Every base has constant sectional curvature
-    ``kappa / (dim - 1)``.  ``metric_at`` returns a new array on every
-    call; ``GraphSurface.induced_metric`` adds to it in place.
+    n = 2, the Einstein constant (a third of the scalar curvature) for
+    n = 3.  Its constant sectional curvature is ``kappa / (dim - 1)``.
+    ``metric_at`` returns a new array on every call;
+    ``GraphSurface.induced_metric`` adds to it in place.
     """
 
     name: str
@@ -215,25 +218,15 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
     nominal sampling window ``[-box, box]^2``; the chart itself is global.
     """
 
-    def _x0sq(x):
-        return 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
-
     def metric(x):
         x = np.asarray(x, dtype=float)
-        x0sq = _x0sq(x)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[..., i, j] = (1.0 if i == j else 0.0) - x[..., i] * x[..., j] / x0sq
-        return g
+        x0sq = 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
+        return (np.eye(2)
+                - x[..., :, None] * x[..., None, :] / x0sq[..., None, None])
 
     def metric_inv(x):
         x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[..., i, j] = (1.0 if i == j else 0.0) + x[..., i] * x[..., j]
-        return g
+        return np.eye(2) + x[..., :, None] * x[..., None, :]
 
     def christoffel(x):
         x = np.asarray(x, dtype=float)
@@ -247,9 +240,10 @@ def hyperbolic_plane(box: float = 1.2) -> BaseManifold:
     return BaseManifold("H2", axes, metric, metric_inv, christoffel, -1.0)
 
 
-def _constant_chart(diagonal: tuple[float, ...]):
-    """Metric and Christoffel callables of the constant chart
-    ``diag(diagonal)``; with entries +-1 the metric is its own inverse."""
+def _constant_chart(name: str, axes: tuple[AxisSpec, ...],
+                    diagonal: tuple[float, ...]) -> BaseManifold:
+    """The flat chart ``diag(diagonal)`` over ``axes``; with entries +-1
+    the metric is its own inverse."""
     d = len(diagonal)
 
     def metric(x):
@@ -261,17 +255,14 @@ def _constant_chart(diagonal: tuple[float, ...]):
     def christoffel(x):
         return np.zeros(np.shape(x)[:-1] + (d, d, d))
 
-    return metric, christoffel
+    return BaseManifold(name, axes, metric, metric, christoffel, 0.0)
 
 
 def flat_torus() -> BaseManifold:
     """Flat square 2-torus with side ``2 pi``."""
-    metric, christoffel = _constant_chart((1.0, 1.0))
-    axes = (
-        AxisSpec("s1", 0.0, 2.0 * np.pi, "periodic"),
-        AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic"),
-    )
-    return BaseManifold("T2", axes, metric, metric, christoffel, 0.0)
+    return _constant_chart("T2", (AxisSpec("s1", 0.0, 2.0 * np.pi, "periodic"),
+                                  AxisSpec("s2", 0.0, 2.0 * np.pi, "periodic")),
+                           (1.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -298,50 +289,60 @@ class KillingData:
 
 @dataclass(eq=False)
 class AmbientSpace:
-    """A product ``M^n x R`` or a constant-curvature space, with chart data.
+    """A product ``M^n x R`` or a constant-curvature space: one curved
+    chart, plus a flat line when ``product``.
 
+    ``chart`` is the curved block, a ``BaseManifold``: the base of a
+    product, the whole chart of a space form.  Its callables take the
+    first ``curved = chart.dim`` of the ambient's ``dim`` coordinates; a
+    product's line is the last, flat, with metric ``epsilon``.
     ``epsilon`` is the metric sign of the distinguished direction: for
     products it is the coefficient of ``dt^2``; for space forms it is ``-1``
     exactly when the signature is Lorentzian.  Spacelike hypersurfaces have
     unit normals squaring to this sign.  ``killing`` is the distinguished
     conformal Killing field, which every ambient carries.
 
-    One curvature model serves both kinds.  The first ``curved`` chart
-    coordinates (all ``dim`` of a space form, ``base.dim`` of a product)
-    form a block of constant sectional curvature ``sectional``; a product's
-    line is flat.  With vectors cut to the block and ``< , >`` its metric
-    (a product's base metric)
+    One curvature model serves both kinds.  The curved block has constant
+    sectional curvature ``sectional = chart.kappa / (curved - 1)``, so with
+    vectors cut to the block and ``< , >`` the chart's metric
 
         R(X, Y)Z  = sectional (<X, Z> Y - <Y, Z> X),
         Ric(V, V) = (curved - 1) sectional <V, V>,
         Sbar      = curved (curved - 1) sectional,
 
     and the ambient is Einstein iff it is a space form or ``sectional == 0``.
-    The chart callables are the curved block's too, at ``x[..., :curved]``:
-    a product's are its base's, and its line is flat, with metric ``epsilon``.
     """
 
     name: str
-    dim: int
+    chart: BaseManifold
     epsilon: int
-    metric_at: Callable[[np.ndarray], np.ndarray]
-    metric_inverse_at: Callable[[np.ndarray], np.ndarray]
-    christoffel_at: Callable[[np.ndarray], np.ndarray]
     killing: KillingData
-    sectional: float
-    base: BaseManifold | None = None
+    product: bool
+
+    @property
+    def base(self) -> BaseManifold | None:
+        """The base ``M^n`` of a product (its chart); None for a space form."""
+        return self.chart if self.product else None
 
     @property
     def kind(self) -> str:
-        return "space_form" if self.base is None else "product"
+        return "product" if self.product else "space_form"
 
     @property
     def curved(self) -> int:
-        return (self.base or self).dim
+        return self.chart.dim
+
+    @property
+    def dim(self) -> int:
+        return self.chart.dim + self.product
+
+    @property
+    def sectional(self) -> float:
+        return self.chart.kappa / (self.chart.dim - 1)
 
     @property
     def is_einstein(self) -> bool:
-        return self.base is None or self.sectional == 0.0
+        return not self.product or self.sectional == 0.0
 
     @property
     def scalar_curvature(self) -> float:
@@ -375,9 +376,9 @@ class AmbientSpace:
 def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
     """The metric product of ``base`` with a line, ``g_M + epsilon dt^2``.
 
-    Its chart callables are the base's.  The distinguished conformal Killing
-    field is the parallel unit field along the line (genuinely Killing:
-    ``phi = 0``).
+    Its chart is ``base``, and its line is the last coordinate.  The
+    distinguished conformal Killing field is the parallel unit field along
+    the line (genuinely Killing: ``phi = 0``).
     """
     if epsilon not in (+1, -1):
         raise ParameterOutOfRange(f"product sign must be +1 or -1, got {epsilon}")
@@ -389,19 +390,10 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
         T[..., nb] = 1.0
         return T
 
-    killing = KillingData(field_at=unit_t, conformal_factor=0.0)
     suffix = "xR" if epsilon > 0 else "xR1"
-    return AmbientSpace(
-        name=base.name + suffix,
-        dim=nb + 1,
-        epsilon=epsilon,
-        metric_at=base.metric_at,
-        metric_inverse_at=base.metric_inverse_at,
-        christoffel_at=base.christoffel_at,
-        killing=killing,
-        sectional=base.kappa / (nb - 1),
-        base=base,
-    )
+    return AmbientSpace(name=base.name + suffix, chart=base, epsilon=epsilon,
+                        killing=KillingData(field_at=unit_t, conformal_factor=0.0),
+                        product=True)
 
 
 # --------------------------------------------------------------------------
@@ -409,32 +401,27 @@ def make_product(base: BaseManifold, epsilon: int) -> AmbientSpace:
 # --------------------------------------------------------------------------
 
 def _flat_space_form(lorentzian: bool) -> AmbientSpace:
-    """Euclidean or Minkowski 3-space with the homothetic position field.
+    """Euclidean or Minkowski 3-space in Cartesian coordinates, with the
+    homothetic position field.
 
     Minkowski space puts its time axis first.
     """
-    metric, christoffel = _constant_chart(
+    names = ("t", "x", "y") if lorentzian else ("x", "y", "z")
+    name = "R3_1" if lorentzian else "R3"
+    chart = _constant_chart(
+        name, tuple(AxisSpec(a, -np.inf, np.inf, "open") for a in names),
         (-1.0 if lorentzian else 1.0, 1.0, 1.0))
 
     def position(x):
         return np.asarray(x, dtype=float).copy()
 
-    killing = KillingData(field_at=position, conformal_factor=1.0)
-    return AmbientSpace(
-        name="R3_1" if lorentzian else "R3",
-        dim=3,
-        epsilon=-1 if lorentzian else +1,
-        metric_at=metric,
-        metric_inverse_at=metric,
-        christoffel_at=christoffel,
-        killing=killing,
-        sectional=0.0,
-    )
+    return AmbientSpace(name=name, chart=chart, epsilon=-1 if lorentzian else +1,
+                        killing=KillingData(field_at=position, conformal_factor=1.0),
+                        product=False)
 
 
 def _round_sphere_form() -> AmbientSpace:
     """The unit round 3-sphere with a Hopf Killing field."""
-    s3 = round_sphere(3)
 
     def hopf(x):
         x = np.asarray(x, dtype=float)
@@ -445,17 +432,9 @@ def _round_sphere_form() -> AmbientSpace:
         T[..., 2] = 1.0
         return T
 
-    killing = KillingData(field_at=hopf, conformal_factor=0.0)
-    return AmbientSpace(
-        name="S3",
-        dim=3,
-        epsilon=+1,
-        metric_at=s3.metric_at,
-        metric_inverse_at=s3.metric_inverse_at,
-        christoffel_at=s3.christoffel_at,
-        killing=killing,
-        sectional=1.0,
-    )
+    return AmbientSpace(name="S3", chart=round_sphere(3), epsilon=+1,
+                        killing=KillingData(field_at=hopf, conformal_factor=0.0),
+                        product=False)
 
 
 # --------------------------------------------------------------------------

@@ -71,8 +71,8 @@ def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int,
                    help="grid resolution override")
     p.add_argument("--refine", type=int,
-                   help="number of resolution doublings for order estimates "
-                        "(identities only)")
+                   help="number of resolution doublings for order estimates, "
+                        "at least 1 (identities only)")
     p.add_argument("--epsilon", type=int, choices=(1, -1),
                    help="product signature (+1 Riemannian, -1 Lorentzian)")
     p.add_argument("--K", type=float, help="target Gauss curvature")
@@ -186,8 +186,9 @@ def _cmd_identities(config: RunConfig):
     _reject_keys(overrides, ("epsilon", "x0_max", "delta", "tolerance_scale"),
                  "identities")
     refine = int(_pop_number(overrides, "refine", 1, integer=True))
-    if refine < 0:
-        raise UsageError(f"refine must be a non-negative integer, got {refine}")
+    if refine < 1:
+        raise UsageError(f"refine must be a positive integer, got {refine}: "
+                         f"one grid gives no order to judge")
     surface, grid, _ = instantiate(name, overrides)   # grid nodes stay unbuilt
     # the fine grid has 2**refine times the resolution; a shift capped at
     # hi.bit_length() keeps the comparison without forming 2**refine

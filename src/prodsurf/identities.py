@@ -174,7 +174,7 @@ def check_codazzi(fields: FrameFields) -> CheckResult:
     # whose curved block components pair with those of G N
     t = fr.tangent
     kb = ambient.curved
-    C = ambient.metric_at(fr.point[..., :kb])
+    C = ambient.chart.metric_at(fr.point[..., :kb])
     GN = ambient.lower(C, fr.normal, np.empty_like(fr.normal))[..., :kb]
     residual = 0.0
     for i in range(n):
@@ -307,9 +307,8 @@ def _run_grid(fields: FrameFields, selected: tuple[str, ...]
 def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     """Run every identity check that applies to one surface.
 
-    ``refine = 0`` runs single-resolution checks (no order estimate);
-    ``refine >= 1`` measures convergence between ``resolution`` and
-    ``2**refine * resolution``.  Product-only checks are skipped
+    Convergence is measured between ``resolution`` and ``2**refine *
+    resolution``, ``refine >= 1``.  Product-only checks are skipped
     automatically on other ambients.  The grids run in turn, one frame
     bundle at a time: each grid's bundle is shared across the checks and
     let go before the next grid's frame is built.
@@ -322,13 +321,10 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     ``CHECKS`` order.
     """
     selected = applicable_checks(surface)
-    resolutions = ((resolution,) if refine <= 0
-                   else (resolution, 2 ** refine * resolution))
+    resolutions = (resolution, 2 ** refine * resolution)
     runs = []
     for res in resolutions:
         fields = FrameFields(surface, QuadratureGrid.build(surface.axes, res))
         runs.append(_run_grid(fields, selected))
-    if refine <= 0:
-        return runs[0]
     return [_attach_order(coarse, fine, *resolutions)
             for coarse, fine in zip(*runs)]

@@ -41,25 +41,25 @@ Every check runs on every point whatever is kept.  The area element
 its own: its readers take the view ``point[..., -1]``.  Blocks are
 independent and run concurrently, up to ``_WORKERS`` at a time, through
 ``_block_map``.
-Inside a block the ambient is its one chart model (``AmbientSpace``): the
-curved block, whose callables take the first ``k = ambient.curved``
-coordinates (metric ``C``), and the flat line (the other ``d - k``, one on
-a product: metric ``eps``, no Christoffel symbols).  With ``v = (v_b,
-v_l)`` split so, ``g = t_b C t_b^T + eps t_l t_l^T`` (``_induced_metric``,
-which ``ParamSurface.induced_metric`` shares), the adjugate
-normal is ``(C^-1 w_b, eps w_l)``, ``G T = (C T_b, eps T_l)``, ``h_ij =
-txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c`` over the block's
-``Gamma``, through the lowered unit normal ``GN`` (the normalized adjugate
-covector), and ``Ric_bar(N, N) = (k - 1) sectional N_b . (GN)_b``; the two
-``t M t^T`` run one batch-wide product per term (``_add_sandwich``).  Each
-surface contracts its own jet (``_frame_jet``, ``_jet_term``); every
-check is written once, in ``_frame_block``.  A graph's tangents are ``(e_i, du_i)``: its
-``t_b`` is the identity, ``g = C + eps du du^T`` (``_add_line``, which its
-``induced_metric`` shares), its adjugate covector is ``w = (-1)^n (-du,
-1)`` and ``h_ij = d2u_ij (GN)_line + Gamma^a_ij (GN)_a``.  Every
-block writes the adjugate-oriented frame; the orientation is chosen once
-for the whole batch, after all blocks, by negating the kept fields that are
-odd in ``N``.  An error names its point by its index in the full batch, and
+Inside a block the ambient is its curved chart plus an optional line
+(``AmbientSpace``): the chart ``ambient.chart``, whose callables take the
+first ``k = ambient.curved`` coordinates (metric ``C``), and on a product
+the flat line, the last coordinate (metric ``eps``, no Christoffel
+symbols).  With ``v = (v_b, v_l)`` split so, ``g = t_b C t_b^T + eps t_l
+t_l^T`` (``_induced_metric``, which ``ParamSurface.induced_metric``
+shares), the adjugate normal is ``(C^-1 w_b, eps w_l)``, ``G T = (C T_b,
+eps T_l)``, ``h_ij = txx_ij . GN + t_i^b (Gamma^a_bc (GN)_a) t_j^c`` over
+the chart's ``Gamma``, through the lowered unit normal ``GN`` (the
+normalized adjugate covector), and ``Ric_bar(N, N) = (k - 1) sectional N_b
+. (GN)_b``; the two ``t M t^T`` run one batch-wide product per term
+(``_add_sandwich``).  Each surface contracts its own jet (``_frame_jet``,
+``_jet_term``); every check is written once, in ``_frame_block``.  A
+graph's tangents are ``(e_i, du_i)``: its ``t_b`` is the identity, ``g = C
++ eps du du^T`` (``_add_line``, which its ``induced_metric`` shares), its
+adjugate covector is ``w = (-1)^n (-du, 1)`` and ``h_ij = d2u_ij
+(GN)_line + Gamma^a_ij (GN)_a``.  Every block writes the adjugate-oriented
+frame; the orientation is chosen once for the whole batch, after all
+blocks, by negating the kept fields that are odd in ``N``.  An error names its point by its index in the full batch, and
 the first failing block's error is raised, so the result depends neither on
 the block size nor on the number of workers.
 
@@ -155,8 +155,9 @@ class ParamSurface:
         contracted as ``frame_at`` contracts it (``_induced_metric``)."""
         x, tx, _ = self.jet(s)
         n, k = tx.shape[-2], self.ambient.curved
-        return _induced_metric(self.ambient, self.ambient.metric_at(x[..., :k]),
-                               tx, np.empty(tx.shape[:-1] + (n,)))
+        C = self.ambient.chart.metric_at(x[..., :k])
+        return _induced_metric(self.ambient, C, tx,
+                               np.empty(tx.shape[:-1] + (n,)))
 
     def _frame_jet(self, s: np.ndarray, out: dict[str, np.ndarray]):
         """The surface's part of a frame block (``_frame_block``): write the
@@ -169,7 +170,7 @@ class ParamSurface:
         out["tangent"][...] = tx
         x, tx = out["point"], out["tangent"]
         k = self.ambient.curved
-        C = self.ambient.metric_at(x[..., :k])
+        C = self.ambient.chart.metric_at(x[..., :k])
         _induced_metric(self.ambient, C, tx, out["metric"])
         return C, _smallmat.generalized_cross(tx), tx[..., :k], txx
 
@@ -513,7 +514,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
 
     # metric-adjugate normal: covector w annihilating the tangents; it is
     # the lowered form G Nraw of the normal vector Nraw = G^{-1} w
-    Nraw = ambient.lower(ambient.metric_inverse_at(xb), w, out["normal"])
+    Nraw = ambient.lower(ambient.chart.metric_inverse_at(xb), w, out["normal"])
     nsq = np.einsum("...a,...a->...", w, Nraw)
     # a normal through a chart pole meets an infinite G^{-1}: nsq is not finite
     bad = ~(np.isfinite(nsq)
@@ -549,7 +550,7 @@ def _frame_block(surface, s: np.ndarray, out: dict[str, np.ndarray],
     # symbols, its largest temporary, are formed
     h = surface._jet_term(second, Nlow, out["second_form"])
     del second
-    GamN = np.einsum("...abc,...a->...bc", ambient.christoffel_at(xb),
+    GamN = np.einsum("...abc,...a->...bc", ambient.chart.christoffel_at(xb),
                      Nlow[..., :kb])
     _add_sandwich(tb, GamN, h)
     A = np.matmul(ginv, h, out=out["shape_operator"])

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from prodsurf import _smallmat, shape
-from prodsurf.ambient import AmbientSpace, AxisSpec, make_product
+from prodsurf.ambient import AmbientSpace, AxisSpec, BaseManifold, make_product
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.graphs import (_covariant_hessian, _gate_x0, _spacelike_w,
                              check_curvature_range)
@@ -41,18 +41,20 @@ CONFORMAL_KILLING_TOLERANCE = 1.0e-7
 # the full chart, and ambient chart data by finite differences
 # --------------------------------------------------------------------------
 
-def full_chart(ambient: AmbientSpace) -> AmbientSpace:
-    """``ambient`` with chart callables over all ``dim`` coordinates.
+def full_chart(ambient: AmbientSpace) -> BaseManifold:
+    """The chart of ``ambient`` over all ``dim`` coordinates.
 
-    The package's chart model is the curved block alone (``AmbientSpace``).
-    Here a product's base metric, inverse metric and Christoffel symbols
-    are zero-padded to ``(..., d, d)`` and ``(..., d, d, d)`` arrays, with
-    ``epsilon`` (its own inverse) on the line; a space form's block is its
-    whole chart, so it is returned as it is.
+    The package's ambient is its curved chart plus, on a product, a flat
+    line (``AmbientSpace``).  Here a product's base metric, inverse metric
+    and Christoffel symbols are zero-padded to ``(..., d, d)`` and ``(...,
+    d, d, d)`` arrays, with ``epsilon`` (its own inverse) on the line, and
+    an open axis ``t`` is appended; its ``kappa`` stays the base's, which
+    only the base block carries.  A space form's chart is its whole chart,
+    so it is returned as it is.
     """
     base = ambient.base
     if base is None:
-        return ambient
+        return ambient.chart
     k, d = base.dim, ambient.dim
 
     def padded(block_at, line: float, rank: int):
@@ -65,7 +67,8 @@ def full_chart(ambient: AmbientSpace) -> AmbientSpace:
         return at
 
     return dataclasses.replace(
-        ambient,
+        base, name=ambient.name,
+        axes=base.axes + (AxisSpec("t", -np.inf, np.inf, "open"),),
         metric_at=padded(base.metric_at, ambient.epsilon, 2),
         metric_inverse_at=padded(base.metric_inverse_at, ambient.epsilon, 2),
         christoffel_at=padded(base.christoffel_at, 0.0, 3))
@@ -299,21 +302,21 @@ def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
     its padded twin (``padded_twin``).  No point is checked; the normal is
     oriented as ``frame_at`` orients it.
     """
-    ambient = full_chart(surface.ambient)
+    ambient, chart = surface.ambient, full_chart(surface.ambient)
     eps, k, n = ambient.epsilon, ambient.curved, s.shape[-1]
     if isinstance(surface, GraphSurface):
         surface = padded_twin(surface)
     x, tx, txx = surface.jet(np.asarray(s, dtype=float))
-    G = ambient.metric_at(x)
+    G = chart.metric_at(x)
     g = np.einsum("...ia,...ab,...jb->...ij", tx, G, tx)
     ginv = np.linalg.inv(g)
     w = _smallmat.generalized_cross(tx)
-    Nraw = np.einsum("...ab,...b->...a", ambient.metric_inverse_at(x), w)
+    Nraw = np.einsum("...ab,...b->...a", chart.metric_inverse_at(x), w)
     length = np.sqrt(np.abs(np.einsum("...a,...a->...", w, Nraw)))[..., None]
     N, Nlow = Nraw / length, w / length
     GT = np.einsum("...ab,...b->...a", G, ambient.killing.field_at(x))
     sec = txx + np.einsum("...abc,...ib,...jc->...ija",
-                          ambient.christoffel_at(x), tx, tx)
+                          chart.christoffel_at(x), tx, tx)
     h = np.einsum("...ija,...a->...ij", sec, Nlow)
     A = ginv @ h
     trA = np.einsum("...ii->...", A)

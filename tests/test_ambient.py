@@ -8,8 +8,9 @@ from reference_routes import (CONFORMAL_KILLING_TOLERANCE, christoffel_fd,
                               curvature_operator_fd, full_chart,
                               sphere_closed_forms, verify_conformal_killing)
 
-from prodsurf.ambient import (ambient_keys, flat_torus, hyperbolic_plane,
-                              make_ambient, projective_plane, round_sphere)
+from prodsurf.ambient import (AmbientSpace, ambient_keys, flat_torus,
+                              hyperbolic_plane, make_ambient, projective_plane,
+                              round_sphere)
 from prodsurf.calculus import QuadratureGrid
 from prodsurf.errors import ParameterOutOfRange
 
@@ -69,12 +70,12 @@ def test_base_metric_inverse_and_det(base):
 @pytest.mark.parametrize("key", ["S2xR", "H2xR1", "S3xR", "R3_homothetic",
                                  "R31_minkowski", "S3_hopf"])
 def test_analytic_christoffels_match_finite_differences(key):
-    ambient = full_chart(make_ambient(key))
+    chart = full_chart(make_ambient(key))
     rng = np.random.default_rng(11)
-    lo = np.array([0.7] * ambient.dim)
-    pts = lo + rng.uniform(0.0, 0.4, size=(6, ambient.dim))
-    gamma = ambient.christoffel_at(pts)
-    gamma_fd = christoffel_fd(ambient.metric_at, pts)
+    lo = np.array([0.7] * chart.dim)
+    pts = lo + rng.uniform(0.0, 0.4, size=(6, chart.dim))
+    gamma = chart.christoffel_at(pts)
+    gamma_fd = christoffel_fd(chart.metric_at, pts)
     assert np.max(np.abs(gamma - gamma_fd)) < 5e-7
     # torsion-free connection: symmetric in the lower pair
     assert np.allclose(gamma, np.swapaxes(gamma, -1, -2), atol=1e-13)
@@ -88,7 +89,8 @@ def test_curvature_operator_matches_finite_differences(key):
     # test_products_have_one_chart_model
     ambient, pts, X, Y, Z = _curvature_sample(key)
     k = ambient.curved
-    exact = ambient.curvature_operator(ambient.metric_at(pts[..., :k]), X, Y, Z)
+    exact = ambient.curvature_operator(ambient.chart.metric_at(pts[..., :k]),
+                                       X, Y, Z)
     fd = curvature_operator_fd(ambient, pts, X, Y, Z)
     assert np.max(np.abs(fd[..., :k] - exact)) <= 1e-6 * np.max(np.abs(exact))
 
@@ -104,13 +106,13 @@ def _curvature_sample(key):
 @pytest.mark.parametrize("key", [key for key in ALL_KEYS
                                  if make_ambient(key).kind == "product"])
 def test_products_have_one_chart_model(key):
-    # a product's chart callables are its base's, its curvature operator
-    # has the base's components, and the full chart's line part is 0
+    # a product's chart is its base, its curvature operator has the base's
+    # components, and the full chart's line part is 0
     ambient, pts, X, Y, Z = _curvature_sample(key)
-    for attr in ("metric_at", "metric_inverse_at", "christoffel_at"):
-        assert getattr(ambient, attr) is getattr(ambient.base, attr), attr
+    assert ambient.chart is ambient.base
     k = ambient.curved
-    exact = ambient.curvature_operator(ambient.metric_at(pts[..., :k]), X, Y, Z)
+    exact = ambient.curvature_operator(ambient.chart.metric_at(pts[..., :k]),
+                                       X, Y, Z)
     assert exact.shape == pts.shape[:-1] + (k,) and k == ambient.base.dim
     fd = curvature_operator_fd(ambient, pts, X, Y, Z)
     assert np.max(np.abs(fd[..., k:])) <= 1e-6 * np.max(np.abs(exact))
@@ -123,7 +125,7 @@ def _ricci_tensor(ambient, pts):
     d, k = ambient.dim, ambient.curved
     chart = full_chart(ambient)
     G, Ginv = chart.metric_at(pts), chart.metric_inverse_at(pts)
-    C = ambient.metric_at(pts[..., :k])
+    C = ambient.chart.metric_at(pts[..., :k])
     E = [np.broadcast_to(e, pts.shape) for e in np.eye(d)]
     ric = np.zeros(pts.shape[:-1] + (d, d))
     for a in range(d):
@@ -156,18 +158,46 @@ def test_ricci_form_and_scalar_curvature_are_traces_of_the_curvature(key):
 
 def test_lorentzian_flat_metric_is_time_first():
     ambient = make_ambient("R31_minkowski")
-    g = ambient.metric_at(np.zeros(3))
+    g = ambient.chart.metric_at(np.zeros(3))
     assert np.allclose(g, np.diag([-1.0, 1.0, 1.0]))
     assert ambient.epsilon == -1
 
 
-@pytest.mark.parametrize("key,flag", [
-    ("T2xR", True), ("T2xR1", True), ("R3_homothetic", True),
-    ("R31_minkowski", True), ("S3_hopf", True),
-    ("S2xR", False), ("H2xR", False), ("S3xR", False),
-])
-def test_einstein_flags(key, flag):
-    assert make_ambient(key).is_einstein is flag
+# every registered ambient's derived constants, read once and written out:
+# (kind, dim, curved, sectional, scalar_curvature, is_einstein)
+DERIVED_CONSTANTS = {
+    "H2xR": ("product", 3, 2, -1.0, -2.0, False),
+    "H2xR1": ("product", 3, 2, -1.0, -2.0, False),
+    "R31_minkowski": ("space_form", 3, 3, 0.0, 0.0, True),
+    "R3_homothetic": ("space_form", 3, 3, 0.0, 0.0, True),
+    "RP2xR": ("product", 3, 2, 1.0, 2.0, False),
+    "RP2xR1": ("product", 3, 2, 1.0, 2.0, False),
+    "S2xR": ("product", 3, 2, 1.0, 2.0, False),
+    "S2xR1": ("product", 3, 2, 1.0, 2.0, False),
+    "S3_hopf": ("space_form", 3, 3, 1.0, 6.0, True),
+    "S3xR": ("product", 4, 3, 1.0, 6.0, False),
+    "S3xR1": ("product", 4, 3, 1.0, 6.0, False),
+    "T2xR": ("product", 3, 2, 0.0, 0.0, True),
+    "T2xR1": ("product", 3, 2, 0.0, 0.0, True),
+}
+
+
+@pytest.mark.parametrize("key,want", DERIVED_CONSTANTS.items(),
+                         ids=[f"{key}-{want[-1]}"
+                              for key, want in DERIVED_CONSTANTS.items()])
+def test_einstein_flags(key, want):
+    # the Einstein flag and the other constants an ambient derives from its
+    # chart must not drift
+    a = make_ambient(key)
+    assert (a.kind, a.dim, a.curved, a.sectional, a.scalar_curvature,
+            a.is_einstein) == want
+    assert a.base is (a.chart if a.product else None)
+
+
+def test_an_ambient_is_its_chart_plus_an_optional_line():
+    assert [f.name for f in dataclasses.fields(AmbientSpace)] == [
+        "name", "chart", "epsilon", "killing", "product"]
+    assert tuple(sorted(DERIVED_CONSTANTS)) == ambient_keys()
 
 
 def test_product_field_is_killing_with_zero_factor():
@@ -192,7 +222,7 @@ def test_hopf_field_is_unit_length():
                     rng.uniform(0.5, 2.4, size=8),
                     rng.uniform(0.0, 6.0, size=8)], axis=-1)
     T = ambient.killing.field_at(pts)
-    g = ambient.metric_at(pts)
+    g = ambient.chart.metric_at(pts)
     norms = np.einsum("...i,...ij,...j->...", T, g, T)
     assert np.allclose(norms, 1.0, atol=1e-12)
     assert ambient.killing.conformal_factor == 0.0
@@ -277,6 +307,30 @@ def test_projective_plane_halves_the_sphere():
     s2 = round_sphere(2)
     pts = np.array([[1.1, 0.7], [0.4, 2.2]])
     assert np.allclose(rp2.metric_at(pts), s2.metric_at(pts))
+
+
+def test_hyperbolic_plane_is_its_componentwise_chart():
+    # g_ij = delta_ij - x_i x_j / x0^2 and g^ij = delta_ij + x_i x_j, one
+    # component at a time, against the batched outer products bit for bit,
+    # zeros and signed zeros included
+    def componentwise(x, sign, scale):
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        for i in range(2):
+            for j in range(2):
+                g[..., i, j] = ((1.0 if i == j else 0.0)
+                                + sign * (x[..., i] * x[..., j] / scale))
+        return g
+
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-3.0, 3.0, size=(1000, 2))
+    x[:50], x[50:100], x[100:150, 0], x[150:200, 1] = 0.0, -0.0, -0.0, 0.0
+    x0sq = 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
+    h2 = hyperbolic_plane()
+    for got, want in ((h2.metric_at(x), componentwise(x, -1.0, x0sq)),
+                      (h2.metric_inverse_at(x), componentwise(x, 1.0, 1.0))):
+        assert got.tobytes() == want.tobytes()
+    assert h2.metric_at(x[7]).tobytes() == componentwise(x[7], -1.0,
+                                                          x0sq[7]).tobytes()
 
 
 def _pole_points(axes, resolution=16, steps=4):

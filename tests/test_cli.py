@@ -150,12 +150,13 @@ def test_flags_override_config_file(tmp_path):
     cfg.write_text(json.dumps({
         "command": "identities",
         "scenario": "slice_T2xR_t1.2",
-        "overrides": {"resolution": 16, "refine": 0},
+        "overrides": {"resolution": 16, "refine": 1},
     }))
     env = envelope_of(run_cli("--config", str(cfg), "identities",
                               "--resolution", "24", "--no-timestamp"))
     assert env["config"]["overrides"]["resolution"] == 24
-    assert {r["resolution"] for r in env["results"]} == {24}
+    assert {r["coarse_resolution"] for r in env["results"]} == {24}
+    assert {r["resolution"] for r in env["results"]} == {48}
 
 
 def test_failing_tolerance_gives_exit_one(tmp_path):
@@ -185,6 +186,8 @@ def test_failing_tolerance_gives_exit_one(tmp_path):
     ("zoo-list", "--resolution", "16"),
     ("zoo-list", "--scenario", "nosuch"),
     ("acceptance", "--scenario", "x"),
+    ("identities", "--scenario", "graph_S2xR_cos03", "--resolution", "16",
+     "--refine", "0"),
 ])
 def test_rejected_invocations_exit_two(args):
     proc = run_cli(*args)

@@ -43,7 +43,7 @@ def test_hyperboloid_frame_frozen_values(fields):
     assert np.allclose(fr.theta, -1.0, atol=1e-12)
     assert np.allclose(fr.mean_curvature, 1.0, atol=1e-12)
     assert np.allclose(fr.scalar_curvature, -2.0, atol=1e-11)
-    G = ff.surface.ambient.metric_at(fr.point)
+    G = ff.surface.ambient.chart.metric_at(fr.point)
     assert np.allclose(np.einsum("...a,...ab,...b->...", fr.normal, G, fr.normal),
                        -1.0, atol=1e-12)  # timelike normal
     # induced metric is Riemannian (spacelike surface)
@@ -1159,7 +1159,7 @@ def test_ricci_normal_is_the_trace_of_the_curvature_operator(zoo, name):
     x, N, k = frame.point, frame.normal, ambient.curved
     chart = full_chart(ambient)
     G, Ginv = chart.metric_at(x), chart.metric_inverse_at(x)
-    C = ambient.metric_at(x[..., :k])
+    C = ambient.chart.metric_at(x[..., :k])
     ric = np.zeros(x.shape[:-1])
     for a, e in enumerate(np.eye(ambient.dim)):
         R = ambient.curvature_operator(C, np.broadcast_to(e, x.shape), N, N)

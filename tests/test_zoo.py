@@ -249,7 +249,7 @@ def test_tolerance_record_is_frozen():
 @pytest.mark.parametrize("name", ["graph_S2xR_cos03", "sphere_R3_homothetic"])
 def test_identity_results_carry_the_record_floors(zoo, name):
     surface, _, _ = zoo(name)
-    results = run_suite(surface, 12, refine=0)
+    results = run_suite(surface, 12, refine=1)
     assert len(results) >= 4
     for r in results:
         want = (TOLERANCES.min_order_stacked if r.name == "laplacian_theta"
