@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection
@@ -152,6 +153,11 @@ class QuadratureGrid:
 
     @classmethod
     def build(cls, axes: tuple[AxisSpec, ...], resolution: int) -> "QuadratureGrid":
+        try:
+            resolution = operator.index(resolution)
+        except TypeError:
+            raise ParameterOutOfRange(f"resolution {resolution} is not an "
+                                      "integer") from None
         if resolution < MIN_RESOLUTION:
             raise ParameterOutOfRange(
                 f"resolution {resolution} is too coarse for the stencils "

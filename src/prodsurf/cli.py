@@ -186,14 +186,12 @@ def _cmd_identities(config: RunConfig):
     _reject_keys(overrides, ("epsilon", "x0_max", "delta", "tolerance_scale"),
                  "identities")
     refine = int(_pop_number(overrides, "refine", 1, integer=True))
-    if refine < 1:
-        raise UsageError(f"refine must be a positive integer, got {refine}: "
-                         f"one grid gives no order to judge")
     surface, grid, _ = instantiate(name, overrides)   # grid nodes stay unbuilt
-    # the fine grid has 2**refine times the resolution; a shift capped at
-    # hi.bit_length() keeps the comparison without forming 2**refine
+    # the fine grid has 2**refine times the resolution; a shift clamped to
+    # [0, hi.bit_length()] keeps the comparison without forming 2**refine,
+    # and leaves a refine below 1 to run_suite's ParameterOutOfRange
     hi = RESOLUTION_RANGE[1]
-    if grid.resolution << min(refine, hi.bit_length()) > hi:
+    if grid.resolution << min(max(refine, 0), hi.bit_length()) > hi:
         raise UsageError(f"refine={refine}: the fine resolution "
                          f"{grid.resolution} * 2**{refine} exceeds {hi}")
     results = run_suite(surface, grid.resolution, refine=refine)

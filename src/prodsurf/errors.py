@@ -48,8 +48,9 @@ class ParameterOutOfRange(GeometryError):
     """A parameter left its validity range: that of the radial solution
     (signature/curvature combinations, the start offset, the window end,
     hyperboloid heights below 1), a product's sign, the ambients the
-    registry knows, the smallest grid resolution the stencils take, or the
-    axis kinds a grid knows.  A scenario override outside its declared
+    registry knows, a grid resolution that is no integer or below the
+    smallest the stencils take, the axis kinds a grid knows, or a
+    refinement count below 1.  A scenario override outside its declared
     range is an ``OverrideOutOfRange`` instead."""
 
 

@@ -33,13 +33,14 @@ algebraic in the frame data: it is judged on its own, against the absolute
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
 
 from . import shape
 from .calculus import FrameFields, QuadratureGrid, partial_derivative
-from .errors import WrongAmbient
+from .errors import ParameterOutOfRange, WrongAmbient
 from .reports import TOLERANCES, CheckResult
 from .shape import intrinsic_curvature_oracle
 
@@ -308,7 +309,8 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     """Run every identity check that applies to one surface.
 
     Convergence is measured between ``resolution`` and ``2**refine *
-    resolution``, ``refine >= 1``.  Product-only checks are skipped
+    resolution``: ``refine`` is an integer >= 1, or ``ParameterOutOfRange``
+    is raised before any grid is built.  Product-only checks are skipped
     automatically on other ambients.  The grids run in turn, one frame
     bundle at a time: each grid's bundle is shared across the checks and
     let go before the next grid's frame is built.
@@ -320,6 +322,13 @@ def run_suite(surface, resolution: int, refine: int = 1) -> list[CheckResult]:
     raises, and the error raised is that of the first failing check in
     ``CHECKS`` order.
     """
+    try:
+        positive = operator.index(refine) >= 1
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ParameterOutOfRange(f"refine must be a positive integer, got "
+                                  f"{refine}: one grid gives no order to judge")
     selected = applicable_checks(surface)
     resolutions = (resolution, 2 ** refine * resolution)
     runs = []

@@ -99,7 +99,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 import numpy as np
 
 from . import _smallmat
-from .ambient import AmbientSpace, AxisSpec
+from .ambient import AmbientSpace, AxisSpec, BaseManifold
 from .errors import DegenerateFrame, NotSpacelike, WrongAmbient
 
 if TYPE_CHECKING:                   # calculus imports this module
@@ -185,8 +185,11 @@ class ParamSurface:
 class GraphSurface:
     """The graph ``t = u(m)`` of a function over the base of a product.
 
-    ``ambient`` is the product ``M x R`` (``make_product``); the base ``M``
-    and the line's sign ``epsilon`` are read from it.  ``u``, ``du`` and
+    ``ambient`` is the product ``M x R`` (``make_product``), checked to be
+    one on construction.  The base ``M``, the line's sign ``epsilon``, the
+    chart ``axes`` (the base's) and the ``quotient_factor`` (the base's, 1/2
+    over RP^2) are read-only properties over ``ambient``, so a graph moved
+    to another product reads that product's.  ``u``, ``du`` and
     ``d2u`` are array-aware callables returning the height, its chart
     partials ``(..., n)`` and its coordinate second partials ``(..., n, n)``.
     ``d2u`` holds plain partial derivatives; covariant corrections happen
@@ -216,10 +219,22 @@ class GraphSurface:
         if self.ambient.base is None:
             raise WrongAmbient(f"graph {self.name!r} needs a product ambient, "
                                f"got {self.ambient.name!r}")
-        self.base = self.ambient.base
-        self.epsilon = self.ambient.epsilon
-        self.axes = self.base.axes
-        self.quotient_factor = self.base.quotient_factor
+
+    @property
+    def base(self) -> BaseManifold:
+        return self.ambient.base
+
+    @property
+    def epsilon(self) -> int:
+        return self.ambient.epsilon
+
+    @property
+    def axes(self) -> tuple[AxisSpec, ...]:
+        return self.base.axes
+
+    @property
+    def quotient_factor(self) -> float:
+        return self.base.quotient_factor
 
     def induced_metric(self, s: np.ndarray) -> np.ndarray:
         """Induced metric ``g = g_M + eps du du^T`` at chart parameters
@@ -231,9 +246,9 @@ class GraphSurface:
         """``g += eps du du^T`` in place, on the base metric ``g``: one
         batch-wide product per pair ``i <= j``, where a broadcast outer
         product runs its inner loop over ``n`` elements."""
-        n = du.shape[-1]
+        n, eps = du.shape[-1], self.epsilon
         for i, j in itertools.combinations_with_replacement(range(n), 2):
-            term = self.epsilon * (du[..., i] * du[..., j])
+            term = eps * (du[..., i] * du[..., j])
             g[..., i, j] += term
             if j != i:
                 g[..., j, i] += term
@@ -245,7 +260,8 @@ class GraphSurface:
         returned as ``None``), ``g = C + eps du du^T`` and ``w = (-1)^n (-du,
         1)``, the alternation of the tangents that
         ``_smallmat.generalized_cross`` forms; ``d2u`` for ``_jet_term``."""
-        n = self.base.dim
+        base = self.base
+        n = base.dim
         x, tx = out["point"], out["tangent"]
         x[..., :n] = s
         x[..., n] = self.u(s)
@@ -254,7 +270,7 @@ class GraphSurface:
         for i in range(n):
             tx[..., i, i] = 1.0
         tx[..., n] = du
-        C = self.base.metric_at(x[..., :n])
+        C = base.metric_at(x[..., :n])
         out["metric"][...] = C
         self._add_line(out["metric"], du)
         w = np.empty_like(x)

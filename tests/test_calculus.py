@@ -12,7 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from reference_routes import cartesian_height
 
 from prodsurf import _smallmat, calculus
-from prodsurf.ambient import AxisSpec, round_sphere
+from prodsurf.ambient import AxisSpec, flat_torus, round_sphere
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import NonCompactDomain, ParameterOutOfRange
 from prodsurf.identities import run_suite
@@ -24,6 +24,18 @@ def test_grid_rejects_too_coarse_resolution(zoo):
     with pytest.raises(ParameterOutOfRange,
                        match=r"resolution 4 .*\(minimum 10\)"):
         QuadratureGrid.build(surface.axes, 4)
+
+
+@pytest.mark.parametrize("axes", [round_sphere(2).axes, flat_torus().axes],
+                         ids=["polar", "periodic"])
+def test_grid_rejects_a_resolution_that_is_no_integer(axes):
+    # a float, even a whole one, is named before any axis rule reads it; a
+    # numpy integer passes and the grid keeps a Python int
+    with pytest.raises(ParameterOutOfRange,
+                       match=r"^resolution 16\.0 is not an integer$"):
+        QuadratureGrid.build(axes, 16.0)
+    grid = QuadratureGrid.build(axes, np.int64(16))
+    assert type(grid.resolution) is int and grid.resolution == 16
 
 
 def test_grid_rejects_an_unknown_axis_kind():

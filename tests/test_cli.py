@@ -188,11 +188,27 @@ def test_failing_tolerance_gives_exit_one(tmp_path):
     ("acceptance", "--scenario", "x"),
     ("identities", "--scenario", "graph_S2xR_cos03", "--resolution", "16",
      "--refine", "0"),
+    ("identities", "--scenario", "graph_S2xR_cos03", "--resolution", "16",
+     "--refine", "-1"),
 ])
 def test_rejected_invocations_exit_two(args):
     proc = run_cli(*args)
     assert proc.returncode == 2, (proc.stdout, proc.stderr)
     assert "error" in proc.stderr.lower() or "usage" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_a_refine_below_one_is_rejected_by_the_suite(refine):
+    # the CLI states no refine rule of its own: run_suite's typed error,
+    # raised before any grid is built, is what it prints
+    proc = run_cli("identities", "--scenario", "graph_S2xR_cos03",
+                   "--resolution", "16", "--refine", refine, "--no-timestamp")
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert proc.stderr == ("error: ParameterOutOfRange: refine must be a "
+                           f"positive integer, got {refine}: one grid gives "
+                           "no order to judge\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("scenario, axis", [

@@ -13,6 +13,9 @@ method and property that is not a dunder is read somewhere in those trees
 outside its own body, as an attribute or a bare name.  Each field of a
 package dataclass is read as an attribute there, except the fields of a
 ``Report`` subclass, which ``Report.to_dict`` serializes, every one.
+No ``__post_init__`` of a package class assigns an attribute of ``self``
+(by assignment or ``setattr``): a value read from another field is a
+property over that field, not a copy that goes stale when it is set.
 
 A package module also reads every name it imports at top level (in an
 ``if`` block there too, such as ``if TYPE_CHECKING:``): a bare-name read
@@ -308,6 +311,38 @@ def test_every_dataclass_field_is_read():
               if name not in reads]
     assert not unread, ("nothing in src/, scripts/ or perfbench/ reads "
                         f"{', '.join(unread)}")
+
+
+def _sets_self(node: ast.AST) -> bool:
+    """``self.x = ...`` (any store), ``setattr(self, ...)`` or
+    ``object.__setattr__(self, ...)``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        target = node.value
+    elif isinstance(node, ast.Call) and node.args and (
+            isinstance(node.func, ast.Name) and node.func.id == "setattr"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"):
+        target = node.args[0]
+    else:
+        return False
+    return isinstance(target, ast.Name) and target.id == "self"
+
+
+def test_no_post_init_assigns_an_attribute_of_self():
+    # derive, don't copy: __post_init__ only validates its fields
+    post_inits = [(path.stem, cls.name, fn)
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for cls in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "__post_init__"]
+    assert {cls for _, cls, _ in post_inits} >= {
+        "GraphSurface", "RadialSolution", "SurfaceField"}
+    copies = [f"{module}.{cls}:{node.lineno}" for module, cls, fn in post_inits
+              for node in ast.walk(fn) if _sets_self(node)]
+    assert not copies, ("__post_init__ assigns an attribute of self at "
+                        f"{', '.join(copies)}; derive it with a property")
 
 
 @pytest.mark.parametrize("module",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import subprocess
 import sys
 import threading
@@ -16,7 +17,7 @@ from reference_routes import full_chart, run_check
 
 from prodsurf import calculus, identities, shape, zoo as catalog
 from prodsurf.calculus import FrameFields, QuadratureGrid
-from prodsurf.errors import WrongAmbient
+from prodsurf.errors import ParameterOutOfRange, WrongAmbient
 from prodsurf.identities import (CHECKS, _attach_order, applicable_checks,
                                  check_codazzi, run_suite)
 
@@ -27,6 +28,22 @@ ALL_CHECKS = ("norm_grad_h", "hessian_h", "gauss_scalar", "codazzi",
 def test_check_registry_is_complete():
     for name in ALL_CHECKS:
         assert name in CHECKS
+
+
+@pytest.mark.parametrize("refine", [0, -1, 1.5])
+@pytest.mark.parametrize("scenario", ["slice_T2xR_t1.2", "graph_S2xR_cos03"])
+def test_suite_rejects_a_refine_below_one_before_any_grid(zoo, monkeypatch,
+                                                          scenario, refine):
+    # one grid, or a fractional count of doublings, gives no order to judge
+    surface, _, _ = zoo(scenario, 16)
+    built = []
+    monkeypatch.setattr(QuadratureGrid, "build",
+                        lambda *args: built.append(args))
+    message = (f"refine must be a positive integer, got {refine}: "
+               "one grid gives no order to judge")
+    with pytest.raises(ParameterOutOfRange, match=f"^{re.escape(message)}$"):
+        run_suite(surface, 16, refine=refine)
+    assert built == []
 
 
 @pytest.mark.parametrize("scenario", [

@@ -131,6 +131,24 @@ def test_graph_needs_a_product_ambient(zoo):
                      u=surface.u, du=surface.du, d2u=surface.d2u)
 
 
+def test_a_moved_graph_reads_its_new_ambient(zoo):
+    # base, epsilon, axes and quotient_factor derive from the ambient, so
+    # assigning it, or replacing it in a copy, moves all four with it
+    surface, _, _ = zoo("graph_RP2xR_even025", 16)
+    target = make_product(round_sphere(2), -1)
+    assigned = dataclasses.replace(surface)
+    assigned.ambient = target
+    replaced = dataclasses.replace(surface, ambient=target)
+    for moved in (assigned, replaced):
+        assert set(vars(moved)) == {f.name for f in dataclasses.fields(moved)}
+        assert moved.base is target.base and moved.base.name == "S2"
+        assert moved.epsilon == -1
+        assert moved.axes is target.base.axes
+        assert moved.quotient_factor == 1.0
+    assert (surface.base.name, surface.epsilon, surface.quotient_factor) == (
+        "RP2", 1, 0.5)
+
+
 def _rank_one_jet(scale: float):
     def jet(s):
         a = s[..., 0]
