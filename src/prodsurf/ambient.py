@@ -320,15 +320,6 @@ class AmbientSpace:
     product: bool
 
     @property
-    def base(self) -> BaseManifold | None:
-        """The base ``M^n`` of a product (its chart); None for a space form."""
-        return self.chart if self.product else None
-
-    @property
-    def kind(self) -> str:
-        return "product" if self.product else "space_form"
-
-    @property
     def curved(self) -> int:
         return self.chart.dim
 

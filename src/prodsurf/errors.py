@@ -36,8 +36,9 @@ class NonCompactDomain(GeometryError):
 
 
 class SingularPoint(GeometryError):
-    """The radial graph ODE was evaluated at or below the coordinate
-    singularity x0 = 1."""
+    """The radial graph ODE was evaluated at a singular point of the
+    equation solved for f'': at or below the coordinate singularity
+    x0 = 1, or where f' = 0."""
 
 
 class StepFailure(GeometryError):

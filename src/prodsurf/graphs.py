@@ -133,11 +133,9 @@ def radial_ode_rhs(epsilon: int, K: float, x0: float,
                    f_prime: float) -> float:
     """f'' solved from the rotationally symmetric curvature equation.
 
-    Raises ``SingularPoint`` at or below the cone point ``x0 = 1`` (the
-    equation carries a factor ``x0^2 - 1`` on f'') and ``ZeroDivisionError``
-    when ``f' = 0`` makes the solved-for coefficient vanish; the latter is
-    reported rather than masked because a vanishing f' means the radial
-    reduction itself breaks down.
+    Raises ``SingularPoint`` where the coefficient ``eps x0 f' (x0^2 - 1)``
+    of f'' vanishes: at or below the cone point ``x0 = 1``, and where
+    ``f' = 0``.
     """
     if x0 <= 1.0:
         raise SingularPoint(
@@ -147,7 +145,7 @@ def radial_ode_rhs(epsilon: int, K: float, x0: float,
                  - epsilon * x0 ** 2 * f_prime ** 2)
     denominator = epsilon * x0 * f_prime * (x0 ** 2 - 1.0)
     if denominator == 0.0:
-        raise ZeroDivisionError(
+        raise SingularPoint(
             "f'' coefficient vanishes (f' = 0); the radial equation cannot "
             "be solved for f'' here")
     return numerator / denominator
@@ -161,7 +159,8 @@ def radial_ode_rhs(epsilon: int, K: float, x0: float,
 # fifth-order weights B, the error weights E (fifth minus fourth order, over
 # the six stages and the first-same-as-last seventh), and the quartic dense
 # output P of Hairer-Norsett-Wanner, Solving ODEs I, II.6.  The step control
-# in _dormand_prince is scipy's RK45, so the two take the same steps.
+# in _dormand_prince is scipy's RK45, so from the same first step the two take
+# the same steps.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
@@ -189,6 +188,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5            # -1 / (error estimator order + 1)
 _RTOL, _ATOL = 1.0e-10, 1.0e-12     # tolerances of the reported pass
 _SQRT2 = 2 ** 0.5                   # RMS norm over the two components
+_FIRST_STEP = 1.0e-6                # every integration's first trial step
 
 
 def _dormand_prince(rhs, start: float, stop: float, y0: tuple[float, float],
@@ -200,9 +200,11 @@ def _dormand_prince(rhs, start: float, stop: float, y0: tuple[float, float],
     step is the RMS over (f, p) of ``E`` against ``atol + max(|y|, |y_new|)
     rtol``.  A step is accepted below 1 and the next step scaled by
     ``0.9 err^(-1/5)``, clipped to [0.2, 10] and not grown right after a
-    rejection; the first step follows Hairer-Norsett-Wanner II.4.  Steps
-    shorter than ``10 ulp(x0)``, a non-finite profile and an overflow in
-    ``rhs`` raise :class:`StepFailure`.
+    rejection.  The first trial step is ``_FIRST_STEP`` (cut to the
+    interval), so the stepper takes the steps of scipy's RK45 started with
+    ``first_step=_FIRST_STEP``.  Steps shorter than ``10 ulp(x0)``, a
+    non-finite profile and an overflow in ``rhs`` raise
+    :class:`StepFailure`.
 
     Returns ``(y, steps, nfev)`` with ``y`` of shape ``(2, nodes.size)``
     from each step's quartic dense output at the ``nodes`` it covers (a node
@@ -217,22 +219,8 @@ def _dormand_prince(rhs, start: float, stop: float, y0: tuple[float, float],
 
     try:
         q = rhs(t, p)
-        # initial step
-        s_f, s_p = atol + abs(f) * rtol, atol + abs(p) * rtol
-        d0 = math.sqrt((f / s_f) ** 2 + (p / s_p) ** 2) / _SQRT2
-        d1 = math.sqrt((p / s_f) ** 2 + (q / s_p) ** 2) / _SQRT2
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, stop - t)
-        p1 = p + h0 * q
-        q1 = rhs(t + h0, p1)
-        d2 = (math.sqrt(((p1 - p) / s_f) ** 2 + ((q1 - q) / s_p) ** 2)
-              / _SQRT2 / h0)
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        h_abs = min(100 * h0, h1, stop - t)
-        nfev = 2
+        h_abs = min(_FIRST_STEP, stop - t)
+        nfev = 1
 
         while t < stop:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -344,7 +332,8 @@ def solve_radial(epsilon: int, K: float, x0_max: float = 10.0,
     explicit Dormand-Prince 5(4) pair: fifth-order steps, sized by the
     embedded fourth-order error estimate against ``rtol = 1e-10`` and
     ``atol = 1e-12`` (RMS norm, step factor ``0.9 err^(-1/5)`` clipped to
-    [0.2, 10]; the step control and tableau of scipy's RK45).  The returned
+    [0.2, 10]; the step control and tableau of scipy's RK45, which takes
+    the same steps from the same first step, ``1e-6``).  The returned
     sample table is uniform on ``[1 + delta, x0_max]``, read from each
     step's quartic dense-output polynomial.  ``integrator_stats``
     records the accepted step count and the right-hand-side evaluations of
@@ -533,12 +522,14 @@ def corollary_equation_residual(g, K: float, grid: QuadratureGrid
     over the round sphere are exactly the constants with ``K = K_M``, so
     the residual doubles as a non-solution witness: it vanishes iff the
     declared pair actually solves the equation.  It is judged against
-    ``TOLERANCES.corollary_residual``.
+    ``TOLERANCES.corollary_residual``.  The base must have positive constant
+    curvature, the statement's hypothesis; others raise ``WrongAmbient``.
     """
-    if g.base.name not in ("S2", "RP2"):
+    if not g.base.kappa > 0.0:
         raise WrongAmbient(
-            "the entire-solution statement lives over the round sphere or "
-            f"its projective quotient, got base {g.base.name!r}")
+            "the entire-solution statement needs a base of positive "
+            f"constant curvature, got base {g.base.name!r} with "
+            f"kappa={g.base.kappa}")
     m = grid.nodes
     W, K_M, det_term = _graph_equation_pieces(g, m)
     residual = W ** 2 * float(K) - (W * K_M + g.epsilon * det_term)

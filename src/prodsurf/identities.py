@@ -57,7 +57,7 @@ __all__ = [
 
 
 def _require_product(fields: FrameFields, check: str) -> None:
-    if fields.surface.ambient.kind != "product":
+    if not fields.surface.ambient.product:
         raise WrongAmbient(f"{check} needs a product ambient, got "
                            f"{fields.surface.ambient.name!r}")
 
@@ -136,10 +136,10 @@ def check_gauss_scalar(fields: FrameFields) -> CheckResult:
     oracle = intrinsic_curvature_oracle(surface, fields.grid)
     oracle -= fr.scalar_curvature
     residual = _max_abs(oracle)
-    if surface.ambient.kind != "product":
+    if not surface.ambient.product:
         return _result("gauss_scalar", fields, residual)
     eps = surface.ambient.epsilon
-    kappa = surface.ambient.base.kappa
+    kappa = surface.ambient.chart.kappa
     A = fr.shape_operator
     trA = np.einsum("...ii->...", A)
     e2 = 0.5 * (trA * trA - np.einsum("...ij,...ji->...", A, A))
@@ -281,7 +281,7 @@ def _attach_order(coarse: CheckResult, fine: CheckResult,
 
 def applicable_checks(surface) -> tuple[str, ...]:
     """The checks that apply to this surface's ambient, in ``CHECKS`` order."""
-    if surface.ambient.kind == "product":
+    if surface.ambient.product:
         return tuple(CHECKS)
     return tuple(name for name in CHECKS
                  if name not in ("norm_grad_h", "hessian_h"))

@@ -126,12 +126,12 @@ def product_integral(fields: FrameFields, tolerances: Tolerances = TOLERANCES
     Raises ``WrongAmbient`` unless the ambient is a product.
     """
     ambient = fields.surface.ambient
-    if ambient.kind != "product":
+    if not ambient.product:
         raise WrongAmbient(
             f"product integral needs a product ambient, got {ambient.name!r}")
     fr = fields.frame
     n = len(fields.grid.axes)
-    kappa = ambient.base.kappa
+    kappa = ambient.chart.kappa
     integrand = fr.theta * ((fr.scalar_curvature - n * kappa)
                             + kappa * (1.0 - fr.theta ** 2))
     lhs = fields.integrate(integrand)
@@ -165,7 +165,7 @@ def available_formulas(surface) -> list[str]:
     """Names of the balance laws that apply to this surface's ambient."""
     ambient = surface.ambient
     names = ["integral_formula"]
-    if ambient.kind == "product":
+    if ambient.product:
         names.append("product_integral")
     if ambient.is_einstein and ambient.killing.conformal_factor == 0.0:
         names.append("einstein_integral")

@@ -216,13 +216,13 @@ class GraphSurface:
     radial_K: float | None = None   # K of a graphs.radial_graph profile
 
     def __post_init__(self):
-        if self.ambient.base is None:
+        if not self.ambient.product:
             raise WrongAmbient(f"graph {self.name!r} needs a product ambient, "
                                f"got {self.ambient.name!r}")
 
     @property
     def base(self) -> BaseManifold:
-        return self.ambient.base
+        return self.ambient.chart
 
     @property
     def epsilon(self) -> int:
@@ -407,7 +407,7 @@ def frame_at(surface, s: np.ndarray, keep: Collection[str] | None = None
 
     signs = _block_map(block, starts)
     ambient = surface.ambient
-    if ambient.epsilon < 0 or ambient.kind == "product":
+    if ambient.epsilon < 0 or ambient.product:
         negative = any(neg for neg, _ in signs)
         positive = any(pos for _, pos in signs)
         if negative and positive:

@@ -330,7 +330,7 @@ def _graph_builder(profile: Callable, param: str = "amplitude"):
     quotient base the height must pass the antipodal-evenness gate."""
     def build(sc, ambient, params):
         u, du, d2u = profile(params[param])
-        if ambient.base.quotient_factor != 1:
+        if ambient.chart.quotient_factor != 1:
             _check_antipodally_even(u, sc.name)
         return GraphSurface(name=sc.name, ambient=ambient, u=u, du=du, d2u=d2u)
     return build

@@ -52,9 +52,9 @@ def full_chart(ambient: AmbientSpace) -> BaseManifold:
     only the base block carries.  A space form's chart is its whole chart,
     so it is returned as it is.
     """
-    base = ambient.base
-    if base is None:
+    if not ambient.product:
         return ambient.chart
+    base = ambient.chart
     k, d = base.dim, ambient.dim
 
     def padded(block_at, line: float, rank: int):
@@ -331,7 +331,7 @@ def padded_frame(surface, s: np.ndarray) -> dict[str, np.ndarray]:
         + 2.0 * eps * e2,
         ricci_normal=ric, theta=np.einsum("...a,...a->...", N, GT),
         tau=np.einsum("...ij,...jb,...b->...i", ginv, tx, GT))
-    if ((ambient.epsilon < 0 or ambient.kind == "product")
+    if ((ambient.epsilon < 0 or ambient.product)
             and np.any(fields["theta"] > 0.0)):
         for key in _ODD_IN_N:
             fields[key] = -fields[key]

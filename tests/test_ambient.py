@@ -104,16 +104,15 @@ def _curvature_sample(key):
 
 
 @pytest.mark.parametrize("key", [key for key in ALL_KEYS
-                                 if make_ambient(key).kind == "product"])
+                                 if make_ambient(key).product])
 def test_products_have_one_chart_model(key):
-    # a product's chart is its base, its curvature operator has the base's
-    # components, and the full chart's line part is 0
+    # a product's curvature operator has its chart's components, and the
+    # full chart's line part is 0
     ambient, pts, X, Y, Z = _curvature_sample(key)
-    assert ambient.chart is ambient.base
     k = ambient.curved
     exact = ambient.curvature_operator(ambient.chart.metric_at(pts[..., :k]),
                                        X, Y, Z)
-    assert exact.shape == pts.shape[:-1] + (k,) and k == ambient.base.dim
+    assert exact.shape == pts.shape[:-1] + (k,) and k == ambient.chart.dim
     fd = curvature_operator_fd(ambient, pts, X, Y, Z)
     assert np.max(np.abs(fd[..., k:])) <= 1e-6 * np.max(np.abs(exact))
 
@@ -164,21 +163,21 @@ def test_lorentzian_flat_metric_is_time_first():
 
 
 # every registered ambient's derived constants, read once and written out:
-# (kind, dim, curved, sectional, scalar_curvature, is_einstein)
+# (product, dim, curved, sectional, scalar_curvature, is_einstein)
 DERIVED_CONSTANTS = {
-    "H2xR": ("product", 3, 2, -1.0, -2.0, False),
-    "H2xR1": ("product", 3, 2, -1.0, -2.0, False),
-    "R31_minkowski": ("space_form", 3, 3, 0.0, 0.0, True),
-    "R3_homothetic": ("space_form", 3, 3, 0.0, 0.0, True),
-    "RP2xR": ("product", 3, 2, 1.0, 2.0, False),
-    "RP2xR1": ("product", 3, 2, 1.0, 2.0, False),
-    "S2xR": ("product", 3, 2, 1.0, 2.0, False),
-    "S2xR1": ("product", 3, 2, 1.0, 2.0, False),
-    "S3_hopf": ("space_form", 3, 3, 1.0, 6.0, True),
-    "S3xR": ("product", 4, 3, 1.0, 6.0, False),
-    "S3xR1": ("product", 4, 3, 1.0, 6.0, False),
-    "T2xR": ("product", 3, 2, 0.0, 0.0, True),
-    "T2xR1": ("product", 3, 2, 0.0, 0.0, True),
+    "H2xR": (True, 3, 2, -1.0, -2.0, False),
+    "H2xR1": (True, 3, 2, -1.0, -2.0, False),
+    "R31_minkowski": (False, 3, 3, 0.0, 0.0, True),
+    "R3_homothetic": (False, 3, 3, 0.0, 0.0, True),
+    "RP2xR": (True, 3, 2, 1.0, 2.0, False),
+    "RP2xR1": (True, 3, 2, 1.0, 2.0, False),
+    "S2xR": (True, 3, 2, 1.0, 2.0, False),
+    "S2xR1": (True, 3, 2, 1.0, 2.0, False),
+    "S3_hopf": (False, 3, 3, 1.0, 6.0, True),
+    "S3xR": (True, 4, 3, 1.0, 6.0, False),
+    "S3xR1": (True, 4, 3, 1.0, 6.0, False),
+    "T2xR": (True, 3, 2, 0.0, 0.0, True),
+    "T2xR1": (True, 3, 2, 0.0, 0.0, True),
 }
 
 
@@ -189,9 +188,8 @@ def test_einstein_flags(key, want):
     # the Einstein flag and the other constants an ambient derives from its
     # chart must not drift
     a = make_ambient(key)
-    assert (a.kind, a.dim, a.curved, a.sectional, a.scalar_curvature,
+    assert (a.product, a.dim, a.curved, a.sectional, a.scalar_curvature,
             a.is_einstein) == want
-    assert a.base is (a.chart if a.product else None)
 
 
 def test_an_ambient_is_its_chart_plus_an_optional_line():

@@ -22,6 +22,12 @@ A package module also reads every name it imports at top level (in an
 anywhere in the module counts, and so does a listing in its own ``__all__``,
 which re-exports the name.
 
+A package function raises a builtin exception class only where
+``BUILTIN_RAISES`` lists it, one entry per ``raise``, each with its reason:
+a failure a caller may meet raises a ``GeometryError`` subclass, which the
+CLI maps to an exit code.  A re-raise (a bare ``raise`` or ``raise`` of a
+bound exception) and ``cli.UsageError`` are no builtin class.
+
 No option exists that nothing sets: every parameter with a default, of
 every function or method of a package module, is passed by some call in
 ``src/``, ``scripts/`` or ``perfbench/``, by keyword or by position.  A
@@ -36,6 +42,7 @@ count for it.
 """
 
 import ast
+import builtins
 import collections
 from pathlib import Path
 
@@ -343,6 +350,63 @@ def test_no_post_init_assigns_an_attribute_of_self():
               for node in ast.walk(fn) if _sets_self(node)]
     assert not copies, ("__post_init__ assigns an attribute of self at "
                         f"{', '.join(copies)}; derive it with a property")
+
+
+# (module, function, builtin exception, why no caller meets it): each
+# guards against internal misuse, which no public input reaches
+BUILTIN_RAISES = [
+    ("_smallmat", "det", "ValueError",
+     "det takes the 1, 2 and 3 blocks that the frames build"),
+    ("_smallmat", "inv", "ValueError",
+     "inv takes the 1, 2 and 3 blocks that the frames build"),
+    ("_smallmat", "generalized_cross", "ValueError",
+     "the frames pass n tangent rows of n + 1 components"),
+    ("_smallmat", "generalized_cross", "ValueError",
+     "every registered ambient has dimension 3 or 4"),
+    ("calculus", "SurfaceField.__post_init__", "ValueError",
+     "integrands are sampled on the grid they are built with"),
+    ("calculus", "_deck_transform", "ValueError",
+     "a periodic axis has 2 * resolution nodes, an even count"),
+    ("shape", "frame_at", "ValueError",
+     "keep names come from the package's own field sets"),
+    ("shape", "intrinsic_curvature_oracle", "ValueError",
+     "the catalog's surfaces have dimension 2 or 3"),
+]
+
+
+def _builtin_raises() -> list[tuple[str, str, str]]:
+    """(module, function, exception) for every ``raise`` of a builtin
+    exception class in a package module; nested functions and methods
+    are named by their dotted path."""
+    found = []
+
+    def visit(node: ast.AST, module: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = (child.exc.func if isinstance(child.exc, ast.Call)
+                       else child.exc)
+                cls = getattr(builtins, getattr(exc, "id", ""), None)
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    found.append((module, scope, exc.id))
+            visit(child, module, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_builtin_exceptions_are_raised_only_where_listed():
+    listed = collections.Counter(entry[:3] for entry in BUILTIN_RAISES)
+    found = collections.Counter(_builtin_raises())
+    unlisted = sorted(found - listed)
+    stale = sorted(listed - found)
+    assert not unlisted, ("raise a GeometryError subclass, or list the "
+                          f"builtin raise with its reason: {unlisted}")
+    assert not stale, f"BUILTIN_RAISES lists raises that are gone: {stale}"
 
 
 @pytest.mark.parametrize("module",

@@ -6,6 +6,7 @@ radial curvature equation exactly, and the values below are 20-digit
 evaluations at x0 = 2 (and of the limit slope at x0 = 1).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,10 @@ def test_parameter_gate_rejects_invalid_ranges(eps, K):
 def test_ode_is_singular_at_the_cone_point():
     with pytest.raises(SingularPoint):
         radial_ode_rhs(1, -0.5, 1.0, 0.7)
+    # f' = 0 is a singular point of the equation solved for f''
+    for eps, K in ((+1, -0.5), (-1, -2.0)):
+        with pytest.raises(SingularPoint, match="f' = 0"):
+            radial_ode_rhs(eps, K, 2.0, 0.0)
     with pytest.raises(ParameterOutOfRange):
         closed_form_f(1, -0.5, 0.9)
 
@@ -115,11 +120,12 @@ def test_numeric_profile_matches_explicit_solution_everywhere(eps, data):
 
 
 def test_integrator_reports_accepted_steps():
-    # frozen from scipy's RK45 on the same problem: 194 accepted steps, and
-    # 2 + 6 (194 + 7 rejected) right-hand-side evaluations
+    # frozen from scipy's RK45 on the same problem from the same first step:
+    # 194 accepted steps, and 1 + 6 (194 + 1 rejected) right-hand-side
+    # evaluations
     stats = solve_radial(-1, -2.0).integrator_stats
     assert stats["steps"] == 194
-    assert stats["nfev"] == 1208
+    assert stats["nfev"] == 1171
 
 
 # max_step is scipy's setting; solve_radial never caps a step
@@ -134,7 +140,8 @@ def test_stepper_takes_the_steps_of_scipy_rk45(eps, K, max_step):
     ref = integrate.solve_ivp(
         lambda t, y: (y[1], radial_ode_rhs(eps, K, t, y[1])), (start, 10.0),
         (0.0, math.sqrt(eps * (1.0 + K))), method="RK45", t_eval=nodes,
-        rtol=1e-10, atol=1e-12, max_step=max_step)
+        rtol=1e-10, atol=1e-12, max_step=max_step,
+        first_step=graphs._FIRST_STEP)
     assert ref.success
     assert sol.integrator_stats["nfev"] == ref.nfev
     assert np.array_equal(sol.samples[:, 0], ref.t)
@@ -143,8 +150,8 @@ def test_stepper_takes_the_steps_of_scipy_rk45(eps, K, max_step):
 
 @pytest.mark.parametrize("cut", [3.0, 1.0])
 def test_non_finite_right_hand_side_stops_the_integration(monkeypatch, cut):
-    # past x0 = 1 the right-hand side is NaN from the start, and so is the
-    # initial step
+    # past x0 = cut the right-hand side is NaN, so with cut = 1 the first
+    # step's error is NaN
     exact = graphs.radial_ode_rhs
 
     def poisoned(eps, K, x0, fp):
@@ -259,6 +266,19 @@ def test_graph_checks_default_to_the_tolerance_record():
 
 def test_corollary_restricted_to_spherical_bases(zoo):
     surface, grid, _ = zoo("graph_T2xR_wave04", 16)
+    with pytest.raises(WrongAmbient):
+        corollary_equation_residual(surface, 0.0, grid)
+
+
+def test_corollary_gates_on_the_base_curvature_not_its_name(zoo):
+    # the hypothesis is a base of positive constant curvature, whatever its
+    # name; the hyperbolic plane stays out
+    sphere = dataclasses.replace(round_sphere(2), name="sphere")
+    g = _constant_graph(1)
+    g.ambient = make_product(sphere, 1)
+    grid = QuadratureGrid.build(g.axes, 16)
+    assert corollary_equation_residual(g, 1.0, grid).max_residual == 0.0
+    surface, grid, _ = zoo("slice_H2xR_t0.5", 16)
     with pytest.raises(WrongAmbient):
         corollary_equation_residual(surface, 0.0, grid)
 

@@ -10,16 +10,19 @@ import time
 import tracemalloc
 import weakref
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from reference_routes import full_chart, run_check
 
 from prodsurf import calculus, identities, shape, zoo as catalog
+from prodsurf.ambient import ambient_keys, make_ambient
 from prodsurf.calculus import FrameFields, QuadratureGrid
 from prodsurf.errors import ParameterOutOfRange, WrongAmbient
 from prodsurf.identities import (CHECKS, _attach_order, applicable_checks,
                                  check_codazzi, run_suite)
+from prodsurf.integral import available_formulas
 
 ALL_CHECKS = ("norm_grad_h", "hessian_h", "gauss_scalar", "codazzi",
               "laplacian_theta", "div_T_top")
@@ -110,6 +113,43 @@ def test_applicability_filters(zoo):
     assert "norm_grad_h" not in names
     assert "hessian_h" not in names
     assert "gauss_scalar" in names and "div_T_top" in names
+
+
+SPACE_FORM_CHECKS = ("gauss_scalar", "codazzi", "laplacian_theta", "div_T_top")
+PRODUCT_FORMULAS = ("integral_formula", "product_integral")
+EINSTEIN_PRODUCT_FORMULAS = PRODUCT_FORMULAS + ("einstein_integral",)
+
+# every registered ambient's checks and balance laws, written out: the
+# Einstein law needs a genuine Killing field, so the flat space forms,
+# whose field is homothetic (phi = 1), lack it
+APPLICABILITY = {
+    "H2xR": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "H2xR1": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "R31_minkowski": (SPACE_FORM_CHECKS, ("integral_formula",)),
+    "R3_homothetic": (SPACE_FORM_CHECKS, ("integral_formula",)),
+    "RP2xR": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "RP2xR1": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "S2xR": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "S2xR1": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "S3_hopf": (SPACE_FORM_CHECKS, ("integral_formula", "einstein_integral")),
+    "S3xR": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "S3xR1": (ALL_CHECKS, PRODUCT_FORMULAS),
+    "T2xR": (ALL_CHECKS, EINSTEIN_PRODUCT_FORMULAS),
+    "T2xR1": (ALL_CHECKS, EINSTEIN_PRODUCT_FORMULAS),
+}
+
+
+def test_applicability_table_covers_every_ambient():
+    assert tuple(sorted(APPLICABILITY)) == ambient_keys()
+
+
+@pytest.mark.parametrize("key", sorted(APPLICABILITY))
+def test_applicability_reads_the_ambient_alone(key):
+    # the verdicts read nothing of a surface but its ambient
+    stub = SimpleNamespace(ambient=make_ambient(key))
+    checks, formulas = APPLICABILITY[key]
+    assert applicable_checks(stub) == checks
+    assert tuple(available_formulas(stub)) == formulas
 
 
 def test_product_only_checks_reject_space_forms(zoo):

@@ -141,9 +141,9 @@ def test_a_moved_graph_reads_its_new_ambient(zoo):
     replaced = dataclasses.replace(surface, ambient=target)
     for moved in (assigned, replaced):
         assert set(vars(moved)) == {f.name for f in dataclasses.fields(moved)}
-        assert moved.base is target.base and moved.base.name == "S2"
+        assert moved.base is target.chart and moved.base.name == "S2"
         assert moved.epsilon == -1
-        assert moved.axes is target.base.axes
+        assert moved.axes is target.chart.axes
         assert moved.quotient_factor == 1.0
     assert (surface.base.name, surface.epsilon, surface.quotient_factor) == (
         "RP2", 1, 0.5)
